@@ -58,7 +58,7 @@ TRAIN_KEYS = {
     "warmup_epochs": int, "s_prime": int, "entity_batch": int,
     "use_global": str, "freeze_spectral": str, "weight_decay": float,
     "align_steps": int, "align_lr": float, "sample_cap": int,
-    "dump_spectral": str, "threads": int,
+    "dump_spectral": str,
     "corpus": str, "bank": str, "out": str, "baseline": str,
 }
 BANK_KEYS = {"corpus": str, "out": str, "seed": int, "feat_dim": int,
@@ -96,8 +96,10 @@ def load_config_file(path, schema) -> dict:
         key, value = key.strip(), value.strip()
         if key not in schema:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = schema[key]
-        out[key] = caster(value) if caster is not str else value
+        try:
+            out[key] = schema[key](value)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
         if key in PATH_KEYS:
             out[key] = os.path.normpath(os.path.join(base, out[key]))
     return out
@@ -140,7 +142,7 @@ def _synth_config(cfg: dict) -> SynthConfig:
 
 
 def _train_config(cfg: dict) -> tr.TrainConfig:
-    skip = {"corpus", "bank", "out", "baseline", "threads"}
+    skip = {"corpus", "bank", "out", "baseline"}
     kwargs = {}
     for k, v in cfg.items():
         if k in skip:

@@ -18,6 +18,26 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .rng import make_rng
 
+# Largest total size of the dense n x n float64 arrays one step may hold at
+# once. The reference machine has 7 GB of RAM; the rest is left for the corpus,
+# the backbone and the other arrays of a run.
+DENSE_BUDGET_BYTES = 2 << 30
+# peak resident n x n float64 arrays of ward_tree, measured (during the cost set-up)
+WARD_DENSE_ARRAYS = 3
+# Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 3 = 1.5 GiB
+DEFAULT_SAMPLE_CAP = 8192
+
+
+def check_dense_budget(n: int, arrays: int, what: str) -> None:
+    """Raise ConfigError before allocating `arrays` dense n x n float64 arrays
+    that would not fit DENSE_BUDGET_BYTES."""
+    need = n * n * 8 * arrays
+    if need > DENSE_BUDGET_BYTES:
+        raise ConfigError(
+            f"{what} on {n} rows needs {need / 2**30:.1f} GiB for {arrays} dense "
+            f"{n}x{n} arrays, over the {DENSE_BUDGET_BYTES / 2**30:.0f} GiB budget"
+        )
+
 
 @dataclass
 class Dendrogram:
@@ -115,12 +135,15 @@ def ward_cost(size_a, mu_a, size_b, mu_b) -> float:
 def ward_tree(X) -> Dendrogram:
     """Greedy Ward agglomeration with the documented lexicographic tie-break.
 
-    O(n^2) memory, O(n^2) work per merge; fine for desk-scale superpoint counts.
+    O(n^2) memory and O(n^2) total work for typical inputs: each row's minimum
+    cost is cached, so a merge rescans only the rows whose minimum it may have
+    removed instead of the whole cost matrix.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ConfigError(f"ward_tree needs >= 2 rows, got {n}")
+    check_dense_budget(n, WARD_DENSE_ARRAYS, "ward_tree")
 
     mus = X.copy()
     sizes = np.ones(n, dtype=np.float64)
@@ -130,20 +153,22 @@ def ward_tree(X) -> Dendrogram:
     cost = _pairwise_ward_costs(mus, sizes)
     cost = np.minimum(cost, cost.T)  # summation order skews the triangles by 1 ulp
     np.fill_diagonal(cost, np.inf)
+    row_min = cost.min(axis=1)
 
     merges = []
     for step in range(n - 1):
-        best = np.min(cost)
-        ii, jj = np.nonzero(cost == best)
-        # candidate pairs as (min node id, max node id); pick lexicographic smallest
-        pairs = sorted({
-            (min(node_ids[a], node_ids[b]), max(node_ids[a], node_ids[b]),
-             min(a, b), max(a, b))
-            for a, b in zip(ii, jj)
-        })
-        left, right, a, b = pairs[0]
-        if node_ids[a] != left:
+        best = row_min.min()
+        # cost stays symmetric, so the rows holding the global minimum carry
+        # every tied pair; pick the lexicographic smallest (min id, max id)
+        rows = np.flatnonzero(row_min == best)
+        ii, jj = np.nonzero(cost[rows] == best)
+        ii = rows[ii]
+        first = np.lexsort((np.maximum(node_ids[ii], node_ids[jj]),
+                            np.minimum(node_ids[ii], node_ids[jj])))[0]
+        a, b = ii[first], jj[first]
+        if node_ids[a] > node_ids[b]:
             a, b = b, a
+        left, right = node_ids[a], node_ids[b]
 
         new_size = sizes[a] + sizes[b]
         new_mu = (sizes[a] * mus[a] + sizes[b] * mus[b]) / new_size
@@ -154,18 +179,28 @@ def ward_tree(X) -> Dendrogram:
         sizes[a] = new_size
         node_ids[a] = n + step
         active[b] = False
-        cost[b, :] = np.inf
-        cost[:, b] = np.inf
-
         others = np.flatnonzero(active)
         others = others[others != a]
+        # a row whose minimum sat in column a or b is rescanned; any other
+        # row keeps its minimum unless the new column a undercuts it
+        held = row_min[others]
+        stale = (held == cost[a, others]) | (held == cost[b, others])
+        cost[b, :] = np.inf
+        cost[:, b] = np.inf
+        row_min[b] = np.inf
+
         if others.size:
             diff = mus[others] - new_mu
             d2 = (diff * diff).sum(axis=1)
             c = sizes[others] * new_size / (sizes[others] + new_size) * d2
             cost[a, others] = c
             cost[others, a] = c
+            row_min[others] = np.minimum(held, c)
+            rescan = others[stale]
+            if rescan.size:
+                row_min[rescan] = cost[rescan].min(axis=1)
         cost[a, a] = np.inf
+        row_min[a] = cost[a].min()
     return Dendrogram(n_leaves=n, merges=merges)
 
 
@@ -214,7 +249,8 @@ def cluster_means(X, labels, k: int) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def multi_granularity_labels(X, levels, seed: int = 0, sample_cap: int = 30000):
+def multi_granularity_labels(X, levels, seed: int = 0,
+                             sample_cap: int = DEFAULT_SAMPLE_CAP):
     """Cut one Ward tree at every granularity level.
 
     Returns a list of (k, centroids (k, C), labels (n,)) in the given level

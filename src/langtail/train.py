@@ -25,7 +25,12 @@ from .bank import (
     sample_entity_batch,
     save_bank,
 )
-from .cluster import check_granularities, multi_granularity_labels
+from .cluster import (
+    DEFAULT_SAMPLE_CAP,
+    check_dense_budget,
+    check_granularities,
+    multi_granularity_labels,
+)
 from .errors import (
     ConfigError,
     DataError,
@@ -35,11 +40,13 @@ from .errors import (
     NormalizationError,
     NumericError,
     ShapeError,
-    TruncationError,
 )
 from .rng import make_rng, stream_key
 
 CHECKPOINT_MAGIC = b"LTCK"
+# peak resident n x n float64 arrays of spectral_pass, measured: affinity,
+# Laplacian, eigenvectors and the eigensolver's workspace
+SPECTRAL_DENSE_ARRAYS = 7
 
 
 @dataclass
@@ -90,7 +97,7 @@ class TrainConfig:
     beta2: float = 0.999
     align_steps: int = 500
     align_lr: float = 1e-2
-    sample_cap: int = 30000
+    sample_cap: int = DEFAULT_SAMPLE_CAP
     dump_spectral: bool = False
 
     def __post_init__(self):
@@ -301,7 +308,8 @@ class CorpusState:
 
 
 def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int,
-                        use_global: bool = True, sample_cap: int = 30000):
+                        use_global: bool = True,
+                        sample_cap: int = DEFAULT_SAMPLE_CAP):
     """Ward multi-granularity clustering of both branches' superpoint features.
 
     Returns (local ClusterModel, global ClusterModel | None); centroids become
@@ -332,6 +340,7 @@ def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int
 
 def spectral_pass(sp_features, cfg: TrainConfig):
     """Affinity -> normalized Laplacian -> Fourier basis -> refined patterns."""
+    check_dense_budget(sp_features.shape[0], SPECTRAL_DENSE_ARRAYS, "spectral_pass")
     A = spectral.build_affinity(sp_features)
     L = spectral.normalized_laplacian(A)
     basis = spectral.eigendecompose(L)
@@ -823,20 +832,23 @@ def load_checkpoint(path) -> dict:
     """Read a checkpoint back as a name -> float32 array mapping."""
     try:
         with open(path, "rb") as f:
-            magic = f.read(4)
+            magic = dm._read_exact(f, 4, f"{path} magic")
             if magic != CHECKPOINT_MAGIC:
                 raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
-            version, n = struct.unpack("<IQ", f.read(12))
+            version, n = struct.unpack("<IQ", dm._read_exact(f, 12, f"{path} header"))
             if version != 1:
                 raise FormatError(f"{path}: unsupported checkpoint version {version}")
             out = {}
             for _ in range(n):
-                (ln,) = struct.unpack("<Q", f.read(8))
-                name = f.read(ln).decode()
-                rows, cols = struct.unpack("<QQ", f.read(16))
-                buf = f.read(rows * cols * 4)
-                if len(buf) != rows * cols * 4:
-                    raise TruncationError(f"{path}: truncated tensor {name}")
+                (ln,) = struct.unpack("<Q", dm._read_exact(f, 8, f"{path} name length"))
+                raw = dm._read_exact(f, ln, f"{path} tensor name")
+                try:
+                    name = raw.decode()
+                except UnicodeDecodeError as e:
+                    raise FormatError(f"{path}: tensor name is not UTF-8: {raw!r}") from e
+                dims = dm._read_exact(f, 16, f"{path} {name} dims")
+                rows, cols = struct.unpack("<QQ", dims)
+                buf = dm._read_exact(f, rows * cols * 4, f"{path} tensor {name}")
                 out[name] = np.frombuffer(buf, dtype="<f4").reshape(rows, cols).copy()
     except OSError as e:
         raise IoError(f"cannot read checkpoint {path}: {e}") from e

@@ -1,11 +1,18 @@
-"""Independent brute-force agglomeration oracle used by the clustering tests.
+"""Agglomeration oracles used by the clustering tests.
 
-Cost is computed from the raw points each step as the increase in total
-within-cluster sum of squares, not via any recurrence, so the oracle shares
-no arithmetic shortcuts with the implementation under test.
+oracle_agglomerate is an independent brute-force oracle: cost is computed
+from the raw points each step as the increase in total within-cluster sum of
+squares, not via any recurrence, so it shares no arithmetic shortcuts with the
+implementation under test.
+
+reference_ward_scan is the plain greedy Ward loop that rescans the whole cost
+matrix on every merge. It shares the cost arithmetic of langtail.cluster on
+purpose, so ward_tree must reproduce its merges exactly, float costs included.
 """
 
 import numpy as np
+
+from langtail.cluster import Dendrogram, _pairwise_ward_costs
 
 
 def ess(points):
@@ -48,3 +55,52 @@ def oracle_agglomerate(X):
 def labels_to_partition(labels):
     labels = np.asarray(labels)
     return {frozenset(np.flatnonzero(labels == v).tolist()) for v in set(labels)}
+
+
+def reference_ward_scan(X):
+    """Greedy Ward with the (left id, right id) tie-break; O(n^2) per merge."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    mus = X.copy()
+    sizes = np.ones(n, dtype=np.float64)
+    node_ids = np.arange(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+
+    cost = _pairwise_ward_costs(mus, sizes)
+    cost = np.minimum(cost, cost.T)
+    np.fill_diagonal(cost, np.inf)
+
+    merges = []
+    for step in range(n - 1):
+        best = np.min(cost)
+        ii, jj = np.nonzero(cost == best)
+        pairs = sorted({
+            (min(node_ids[a], node_ids[b]), max(node_ids[a], node_ids[b]),
+             min(a, b), max(a, b))
+            for a, b in zip(ii, jj)
+        })
+        left, right, a, b = pairs[0]
+        if node_ids[a] != left:
+            a, b = b, a
+
+        new_size = sizes[a] + sizes[b]
+        new_mu = (sizes[a] * mus[a] + sizes[b] * mus[b]) / new_size
+        merges.append((int(left), int(right), float(best), int(new_size)))
+
+        mus[a] = new_mu
+        sizes[a] = new_size
+        node_ids[a] = n + step
+        active[b] = False
+        cost[b, :] = np.inf
+        cost[:, b] = np.inf
+
+        others = np.flatnonzero(active)
+        others = others[others != a]
+        if others.size:
+            diff = mus[others] - new_mu
+            d2 = (diff * diff).sum(axis=1)
+            c = sizes[others] * new_size / (sizes[others] + new_size) * d2
+            cost[a, others] = c
+            cost[others, a] = c
+        cost[a, a] = np.inf
+    return Dendrogram(n_leaves=n, merges=merges)

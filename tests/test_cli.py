@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from langtail import data_model as dm
-from langtail.cli import load_config_file, main, parse_granularities, SYNTH_KEYS
+from langtail.cli import TRAIN_KEYS, SYNTH_KEYS, load_config_file, main, parse_granularities
 from langtail.errors import ConfigError
 
 SMALL_SYNTH = ["--n-classes", "3", "--points-per-scene", "120",
@@ -114,3 +114,18 @@ def test_cli_data_error_on_corrupt_file(tmp_path):
     p = tmp_path / "x.ltlb"
     p.write_bytes(b"XXXX" + b"\x00" * 12)
     assert main(["eval", "--pred", str(p), "--gt", str(p)]) == 2
+
+
+def test_config_file_bad_value(tmp_path):
+    p = tmp_path / "train.cfg"
+    p.write_text("# header\nepochs = abc\n")
+    with pytest.raises(ConfigError, match=r"train\.cfg:2:"):
+        load_config_file(p, TRAIN_KEYS)
+    assert main(["train", "--config", str(p)]) == 1
+
+
+def test_config_file_threads_key_removed(tmp_path):
+    p = tmp_path / "train.cfg"
+    p.write_text("threads = 2\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config_file(p, TRAIN_KEYS)

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langtail.cluster import (
+    DEFAULT_SAMPLE_CAP,
+    WARD_DENSE_ARRAYS,
+    check_dense_budget,
     check_granularities,
     cluster_means,
     cut_tree,
@@ -16,7 +19,7 @@ from langtail.cluster import (
 )
 from langtail.errors import ConfigError
 
-from oracle_ward import labels_to_partition, oracle_agglomerate
+from oracle_ward import labels_to_partition, oracle_agglomerate, reference_ward_scan
 
 
 def test_check_granularities():
@@ -128,6 +131,33 @@ def test_ward_matches_oracle_with_exact_ties():
     assert [m[:2] for m in tree.merges[:4]] == [(0, 1), (2, 3), (4, 5), (6, 7)]
     # then three tied pair merges (cost 100 each), again smallest ids first
     assert tree.merges[4][:2] == (8, 9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 150, 300])
+@pytest.mark.parametrize("kind", ["normal", "grid", "lattice"])
+def test_ward_matches_full_scan_reference(kind, n):
+    # the cached row minimum must reproduce every merge of the full rescan,
+    # float cost included. Integer grids are full of exact ties: "grid" draws
+    # with repeats (zero-cost ties), "lattice" distinct points of a 20^d grid
+    rng = np.random.default_rng(n)
+    for d in (2, 3):
+        if kind == "normal":
+            X = rng.normal(size=(n, d))
+        elif kind == "grid":
+            X = rng.integers(0, 8, size=(n, d)).astype(np.float64)
+        else:
+            cells = rng.choice(20 ** d, size=n, replace=False)
+            X = np.stack(np.unravel_index(cells, (20,) * d), axis=1).astype(np.float64)
+        assert ward_tree(X).merges == reference_ward_scan(X).merges
+
+
+def test_dense_budget_checked_before_allocating():
+    with pytest.raises(ConfigError, match="budget"):
+        check_dense_budget(10 ** 6, 1, "test")
+    with pytest.raises(ConfigError, match="ward_tree"):
+        ward_tree(np.zeros((20000, 1)))
+    # the default subsample cap fits the budget
+    check_dense_budget(DEFAULT_SAMPLE_CAP, WARD_DENSE_ARRAYS, "ward_tree")
 
 
 def test_cut_labels_smallest_leaf_order():

@@ -7,7 +7,14 @@ import pytest
 
 from conftest import assert_grad_close, central_diff
 from langtail import train as tr
-from langtail.errors import ConfigError, EmptyBatchError, NormalizationError, ShapeError
+from langtail.errors import (
+    ConfigError,
+    EmptyBatchError,
+    FormatError,
+    NormalizationError,
+    ShapeError,
+    TruncationError,
+)
 from langtail.synth import SynthConfig, generate_corpus
 
 
@@ -33,6 +40,12 @@ def test_train_config_defaults_and_validation():
         tr.TrainConfig(lr0=1e-9, lr_min=1e-8)
     with pytest.raises(ConfigError):
         tr.TrainConfig(granularities=(20, 80))
+
+
+def test_spectral_pass_checks_memory_before_allocating():
+    # 20000 superpoints would need 7 dense 20000 x 20000 arrays (22 GB)
+    with pytest.raises(ConfigError, match="spectral_pass"):
+        tr.spectral_pass(np.ones((20000, 2)), tr.TrainConfig())
 
 
 def test_init_backbone_deterministic():
@@ -258,6 +271,30 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.allclose(back["backbone/layer0/weight"], b.weights[0], atol=1e-6)
     assert np.allclose(back["local/k3/centroids"], local.centroids[3], atol=1e-6)
     assert np.array_equal(back["local/k3/sp_labels"][0], [0, 1, 2, 0])
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "c.ltck"
+    tr.save_checkpoint(path, tr.init_backbone(4, [6], 5, seed=1))
+    return path, path.read_bytes()
+
+
+def test_checkpoint_truncation_is_typed(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    # header (16 bytes), then the first entry: name length, name, dims, payload
+    (name_len,) = np.frombuffer(data[16:24], dtype="<u8")
+    first_entry_end = 24 + int(name_len) + 16 + 4 * 6 * 4
+    for cut in range(first_entry_end + 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(TruncationError):
+            tr.load_checkpoint(path)
+
+
+def test_checkpoint_bad_name_utf8(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    path.write_bytes(data[:24] + b"\xff" + data[25:])
+    with pytest.raises(FormatError, match="UTF-8"):
+        tr.load_checkpoint(path)
 
 
 def test_predict_labels_shape(tmp_path):
