@@ -100,6 +100,12 @@ def _validate_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # n may come from the file itself: check it against the bytes left before
+    # asking read() to allocate it
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncationError(
+            f"unexpected end of file while reading {what}: {n} bytes needed, {left} left")
     buf = f.read(n)
     if len(buf) != n:
         raise TruncationError(f"unexpected end of file while reading {what}")
@@ -266,6 +272,9 @@ def read_entity_masks(path) -> list[tuple[int, np.ndarray]]:
                 idx = np.frombuffer(
                     _read_exact(f, count * 8, "mask indices"), dtype="<u8"
                 ).astype(np.int64)
+                # the sorted unique non-negative form EntityRecord gives a mask
+                if idx.size == 0 or idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
+                    raise DataError(f"{path}: entity {eid} mask is not sorted and unique")
                 out.append((int(eid), idx))
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e

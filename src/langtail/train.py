@@ -4,6 +4,13 @@ learning-by-clustering loop with distillation warmup.
 The backbone is a small MLP (ReLU hidden layers, L2-normalized output rows)
 with hand-written reverse-mode gradients; every loss here returns its
 analytic gradient and is covered by finite-difference checks in the tests.
+
+A training step scores every (branch, level) head of a scene in one
+head_ce_loss call, which reuses one logits and one gradient buffer per
+batch and adds each head's feature gradient straight into its branch's
+accumulator. Each head still runs its own matmuls, in the order and shapes
+of one call per head, so losses and gradients stay bit-identical to
+tests/oracle_heads.py, the one-call-per-head loop.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .cluster import (
     DEFAULT_SAMPLE_CAP,
     check_dense_budget,
     check_granularities,
+    cluster_means,
     multi_granularity_labels,
 )
 from .errors import (
@@ -175,34 +183,64 @@ def backbone_backward(b: Backbone, cache, grad_out):
     return grads_w, grads_b, gz
 
 
-def head_ce_loss(features, mu, labels):
-    """Mean cross-entropy of logits = features @ mu.T over non-ignored items.
+def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
+    """Cross-entropy of several linear heads on the same feature rows.
 
-    Returns (loss, grad w.r.t. features, grad w.r.t. mu).
+    Head h has logits features @ mus[h].T and labels[h]; its loss is the mean
+    cross-entropy over the rows whose label is not -1, and those ignored rows
+    must be the same for every head. weight * d loss_h / d features is added
+    into grad_out[h]; heads may share an accumulator.
+
+    scratch is an optional float64 buffer of at least n * (max k + C)
+    elements, n the non-ignored rows, that holds each head's logits (the
+    softmax overwrites them in place) and feature gradient, so a caller that
+    passes the same buffer to every call allocates them once. Every head keeps
+    its own matmuls, of the same shapes as a one-head call: a matmul against
+    the stacked centroids of all heads rounds some slices differently, so the
+    losses and gradients would depend on which heads share the call.
+
+    Returns (per-head losses, per-head grads w.r.t. mus).
     """
     F = np.asarray(features, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if F.shape[0] != labels.shape[0]:
+    mus = [np.asarray(mu, dtype=np.float64) for mu in mus]
+    labels = [np.asarray(y, dtype=np.int64) for y in labels]
+    if any(F.shape[0] != y.shape[0] for y in labels):
         raise ShapeError("feature rows and label count differ")
-    if F.shape[1] != mu.shape[1]:
+    if any(F.shape[1] != mu.shape[1] for mu in mus):
         raise ShapeError("feature dim and head dim differ")
-    valid = labels >= 0
+    valid = labels[0] >= 0
+    if any(not np.array_equal(y >= 0, valid) for y in labels[1:]):
+        raise DataError("heads ignore different rows")
     n = int(valid.sum())
     if n == 0:
         raise EmptyBatchError("all labels are ignored")
-    Fv = F[valid]
-    yv = labels[valid]
-    logits = Fv @ mu.T
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(n), yv]))
-    softmax = np.exp(logits - lse[:, None])
-    softmax[np.arange(n), yv] -= 1.0
-    grad_f = np.zeros_like(F)
-    grad_f[valid] = softmax @ mu / n
-    grad_mu = softmax.T @ Fv / n
-    return loss, grad_f, grad_mu
+    if n < F.shape[0]:
+        F = F[valid]
+        labels = [y[valid] for y in labels]
+    k_max = max(mu.shape[0] for mu in mus)
+    if scratch is None:
+        scratch = np.empty(n * (k_max + F.shape[1]))
+    g = scratch[n * k_max:n * (k_max + F.shape[1])].reshape(F.shape)
+    rows = np.arange(n)
+    losses, grad_mus = [], []
+    for mu, y, acc in zip(mus, labels, grad_out):
+        S = np.matmul(F, mu.T, out=scratch[:n * mu.shape[0]].reshape(n, -1))
+        picked = S[rows, y]
+        m = S.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
+        losses.append(float(np.mean(lse - picked)))
+        np.subtract(S, lse[:, None], out=S)
+        np.exp(S, out=S)
+        S[rows, y] -= 1.0
+        np.matmul(S, mu, out=g)
+        g /= n
+        g *= weight
+        if n < valid.size:
+            acc[valid] += g
+        else:
+            acc += g
+        grad_mus.append(S.T @ F / n)
+    return losses, grad_mus
 
 
 def distill_warmup_loss(features, targets):
@@ -329,12 +367,7 @@ def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int
     ):
         # heads must live in backbone feature space: centroids over sp_features
         glob.sp_labels[k] = labels
-        n_sp = sp_features.shape[0]
-        sums = np.zeros((k, sp_features.shape[1]))
-        np.add.at(sums, labels, np.asarray(sp_features, dtype=np.float64))
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        counts[counts == 0] = 1.0
-        glob.centroids[k] = sums / counts[:, None]
+        glob.centroids[k] = cluster_means(sp_features, labels, k)
     return local, glob
 
 
@@ -401,8 +434,48 @@ def _entity_anchor_grads(features_per_scene, bank_sample, entities,
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
         n_mask = sum(idx.size for _, idx in hits)
         for bi, idx in hits:
-            np.add.at(grads[bi], idx, gz[None, :] / n_mask)
+            # masks are sorted and unique (EntityRecord), so this adds once per row
+            grads[bi][idx] += gz / n_mask
     return loss, grads, len(keep)
+
+
+def head_step(feats, labels, mus, branches):
+    """Head cross-entropy of one batch of scenes, one head_ce_loss call per scene.
+
+    feats[j] are scene j's features and labels[j][h] its labels for head h;
+    mus[h] are head h's centroids and branches[h] its branch (0 local, 1
+    global). Losses and gradients are means over the batch's points, each
+    scene's mean weighted by its point count. Returns (loss per branch, feature
+    gradient per scene, centroid gradient per head). Each branch sums its
+    heads' feature gradients in its own accumulator before the branches are
+    added, and the logits and gradient buffers are freed on return, before the
+    backward pass.
+    """
+    n_pts = sum(f.shape[0] for f in feats)
+    n_branches = max(branches) + 1
+    scratch = np.empty(max(f.shape[0] for f in feats)
+                       * (max(mu.shape[0] for mu in mus) + feats[0].shape[1]))
+    loss_sums = [0.0] * len(mus)
+    head_grads = [np.zeros_like(mu) for mu in mus]
+    grad_feats = []
+    for f, y in zip(feats, labels):
+        n = f.shape[0]
+        accs = [np.zeros_like(f) for _ in range(n_branches)]
+        losses, gmus = head_ce_loss(f, mus, y, [accs[b] for b in branches], n, scratch)
+        for h, (loss, gmu) in enumerate(zip(losses, gmus)):
+            loss_sums[h] += loss * n
+            head_grads[h] += gmu * n
+        for acc in accs:
+            acc /= n_pts
+        for acc in accs[1:]:
+            accs[0] += acc
+        grad_feats.append(accs[0])
+    for g in head_grads:
+        g /= n_pts
+    branch_losses = [0.0] * n_branches
+    for b, s in zip(branches, loss_sums):
+        branch_losses[b] += s / n_pts
+    return branch_losses, grad_feats, head_grads
 
 
 class Trainer:
@@ -432,8 +505,7 @@ class Trainer:
             caches.append(cache)
         return feats, caches
 
-    def apply_grads(self, idxs, caches, grad_feats, lr, head_opt=None,
-                    head_params=None, head_grads=None):
+    def apply_grads(self, idxs, caches, grad_feats, lr, head_opt=None, head_grads=None):
         gw = [np.zeros_like(w) for w in self.backbone.weights]
         gb = [np.zeros_like(b) for b in self.backbone.biases]
         for cache, gf in zip(caches, grad_feats):
@@ -446,55 +518,24 @@ class Trainer:
         if head_opt is not None:
             head_opt.step(head_grads, lr)
 
-    def train_epoch(self, models, bank, head_opt, head_params, epoch: int) -> EpochReport:
+    def train_epoch(self, models, bank, head_opt, epoch: int) -> EpochReport:
         """One pass over the corpus; returns the batch-averaged loss report."""
         cfg = self.cfg
-        local_model, global_model = models
+        heads = [(b, m, k) for b, m in enumerate(models) if m is not None for k in m.levels]
         sums = np.zeros(3)
         n_batches = 0
         lr = cfg.lr0
         for step, idxs in enumerate(self.scene_batches()):
             lr = poly_lr(self.global_step, self.total_steps, cfg)
             feats, caches = self.forward_scenes(idxs)
-            grad_feats = [np.zeros_like(f) for f in feats]
-            head_grads = [np.zeros_like(p) for p in head_params]
-
-            l_local = 0.0
-            hp = 0
-            for k in local_model.levels:
-                mu = local_model.centroids[k]
-                loss_k = 0.0
-                for j, i in enumerate(idxs):
-                    labels = self.corpus.broadcast(local_model.sp_labels[k], i)
-                    loss, gf, gmu = head_ce_loss(feats[j], mu, labels)
-                    loss_k += loss * feats[j].shape[0]
-                    grad_feats[j] += gf * feats[j].shape[0]
-                    head_grads[hp] += gmu * feats[j].shape[0]
-                n_pts = sum(feats[j].shape[0] for j in range(len(idxs)))
-                l_local += loss_k / n_pts
-                head_grads[hp] /= n_pts
-                hp += 1
-            for j in range(len(idxs)):
-                grad_feats[j] /= sum(f.shape[0] for f in feats)
-
-            l_global = 0.0
-            if global_model is not None:
-                extra = [np.zeros_like(f) for f in feats]
-                for k in global_model.levels:
-                    mu = global_model.centroids[k]
-                    loss_k = 0.0
-                    for j, i in enumerate(idxs):
-                        labels = self.corpus.broadcast(global_model.sp_labels[k], i)
-                        loss, gf, gmu = head_ce_loss(feats[j], mu, labels)
-                        loss_k += loss * feats[j].shape[0]
-                        extra[j] += gf * feats[j].shape[0]
-                        head_grads[hp] += gmu * feats[j].shape[0]
-                    n_pts = sum(feats[j].shape[0] for j in range(len(idxs)))
-                    l_global += loss_k / n_pts
-                    head_grads[hp] /= n_pts
-                    hp += 1
-                for j in range(len(idxs)):
-                    grad_feats[j] += extra[j] / sum(f.shape[0] for f in feats)
+            branch_losses, grad_feats, head_grads = head_step(
+                feats,
+                [[self.corpus.broadcast(m.sp_labels[k], i) for _, m, k in heads]
+                 for i in idxs],
+                [m.centroids[k] for _, m, k in heads],
+                [b for b, _, _ in heads],
+            )
+            l_local, l_global = (*branch_losses, 0.0)[:2]
 
             l_entity = 0.0
             if bank is not None and cfg.lambda_entity > 0:
@@ -518,8 +559,7 @@ class Trainer:
                     f"local={l_local} global={l_global} entity={l_entity}"
                 )
             self.apply_grads(idxs, caches, grad_feats, lr,
-                             head_opt=head_opt, head_params=head_params,
-                             head_grads=head_grads)
+                             head_opt=head_opt, head_grads=head_grads)
             sums += (l_local, l_global, l_entity)
             n_batches += 1
             self.global_step += 1
@@ -630,11 +670,9 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
         )
         if cfg.epochs == 0:
             break
-        head_params = _flatten_heads(models)
-        head_opt = AdamW(head_params, cfg)
+        head_opt = AdamW(_flatten_heads(models), cfg)
         for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
-            reports.append(trainer.train_epoch(models, bank_obj, head_opt,
-                                               head_params, epoch))
+            reports.append(trainer.train_epoch(models, bank_obj, head_opt, epoch))
             epoch += 1
         round_idx += 1
 
@@ -652,10 +690,10 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
 
 def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
-    """Directly coded learning-by-clustering baseline: cluster superpoint
-    features at the primitive granularity, train the backbone and head with
-    plain batch-mean cross-entropy, recluster, repeat. No entity loss, no
-    global branch, no multi-granularity machinery."""
+    """Learning-by-clustering baseline: cluster superpoint features at the
+    primitive granularity, train the backbone and head with plain batch-mean
+    cross-entropy, recluster, repeat. No warmup, entity loss, global branch
+    or multi-granularity heads, whatever cfg says."""
     from .synth import read_corpus
 
     scenes, entities = read_corpus(corpus_dir)
@@ -664,23 +702,14 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
     k_prim = int(cfg.granularities[-1])
-    input_dim = scenes[0].points.shape[1]
-    backbone = init_backbone(input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed)
-    opt = AdamW(backbone.weights + backbone.biases, cfg)
-
-    n = len(scenes)
-    bs = max(1, cfg.batch_scenes)
-    batches = [list(range(i, min(i + bs, n))) for i in range(0, n, bs)]
-    total_steps = cfg.epochs * len(batches)
-
+    trainer = Trainer(corpus, entities, cfg, scenes[0].points.shape[1])
+    trainer.total_steps = cfg.epochs * len(trainer.scene_batches())
     reports = []
     models = (None, None)
-    mu = None
     epoch = 0
-    global_step = 0
     while epoch < cfg.epochs or epoch == 0:
         # recluster: forward everything, pool per superpoint, one Ward cut
-        feats = [backbone_forward(backbone, s.points)[0] for s in scenes]
+        feats, _ = trainer.forward_scenes(range(len(scenes)))
         sp_feats = corpus.pooled_superpoint_features(feats)
         ((_, mu, sp_labels),) = multi_granularity_labels(
             sp_feats, (k_prim,), seed=cfg.seed, sample_cap=cfg.sample_cap
@@ -692,57 +721,16 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
             break
         head_opt = AdamW([mu], cfg)
         for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
-            epoch_local = 0.0
-            lr = cfg.lr0
-            for idxs in batches:
-                lr = poly_lr(global_step, total_steps, cfg)
-                feats, caches = [], []
-                for i in idxs:
-                    Y, cache = backbone_forward(backbone, scenes[i].points)
-                    feats.append(Y)
-                    caches.append(cache)
-                grad_feats = [np.zeros_like(f) for f in feats]
-                grad_mu = np.zeros_like(mu)
-                loss_k = 0.0
-                for j, i in enumerate(idxs):
-                    labels = corpus.broadcast(sp_labels, i)
-                    loss, gf, gmu = head_ce_loss(feats[j], mu, labels)
-                    loss_k += loss * feats[j].shape[0]
-                    grad_feats[j] += gf * feats[j].shape[0]
-                    grad_mu += gmu * feats[j].shape[0]
-                n_pts = sum(f.shape[0] for f in feats)
-                l_local = loss_k / n_pts
-                grad_mu /= n_pts
-                for j in range(len(idxs)):
-                    grad_feats[j] /= n_pts
-                if not np.isfinite(l_local):
-                    raise NumericError(f"non-finite baseline loss at epoch {epoch}")
-                gw = [np.zeros_like(w) for w in backbone.weights]
-                gb = [np.zeros_like(b) for b in backbone.biases]
-                for cache, gf in zip(caches, grad_feats):
-                    w, b, _ = backbone_backward(backbone, cache, gf)
-                    for acc, g in zip(gw, w):
-                        acc += g
-                    for acc, g in zip(gb, b):
-                        acc += g
-                opt.step(gw + gb, lr)
-                head_opt.step([grad_mu], lr)
-                epoch_local += l_local
-                global_step += 1
-            avg = epoch_local / len(batches)
-            reports.append(EpochReport(local=avg, global_=0.0, entity=0.0,
-                                       total=avg + 0.0 + cfg.lambda_entity * 0.0,
-                                       lr=lr))
+            reports.append(trainer.train_epoch(models, None, head_opt, epoch))
             epoch += 1
 
-    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), backbone, models)
+    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, models)
     _write_losses(os.path.join(out_dir, "losses.tsv"), reports)
     protos = concat_prototypes(models)
     dm.write_feature_matrix(os.path.join(out_dir, "prototypes.ltfm"),
                             protos.astype(np.float32))
-    pred = predict_labels(backbone, corpus.scenes, protos)
-    dm.write_labels(os.path.join(out_dir, "pred.ltlb"), pred)
-    return backbone, models, reports
+    _write_predictions(trainer, corpus, protos, out_dir)
+    return trainer.backbone, models, reports
 
 
 def _load_or_build_bank(trainer, corpus, entities, cfg, bank_dir, out_dir):

@@ -133,6 +133,7 @@ def test_ward_matches_oracle_with_exact_ties():
     assert tree.merges[4][:2] == (8, 9)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 150, 300])
 @pytest.mark.parametrize("kind", ["normal", "grid", "lattice"])
 def test_ward_matches_full_scan_reference(kind, n):

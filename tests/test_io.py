@@ -176,3 +176,29 @@ def test_entity_masks_round_trip(tmp_path):
     got = dm.read_entity_masks(p)
     assert got[0][0] == 4
     assert np.array_equal(got[0][1], [1, 5])
+
+
+@pytest.mark.parametrize("indices", [[5, 1], [1, 5, 5], [2 ** 64 - 1], []])
+def test_entity_masks_reject_unsorted_repeated_or_negative(tmp_path, indices):
+    # EntityRecord masks are sorted, unique and non-negative, so a written
+    # file always is; 2^64 - 1 reads back as -1
+    p = tmp_path / "s0.bin"
+    p.write_bytes(struct.pack("<IQQQ", 1, 1, 4, len(indices))
+                  + np.array(indices, dtype="<u8").tobytes())
+    with pytest.raises(DataError, match="sorted"):
+        dm.read_entity_masks(p)
+
+
+@pytest.mark.parametrize("name,header,read", [
+    # LTFM dims of 2^31 x 2^31 declare a 2^64-byte payload
+    ("m.ltfm", b"LTFM" + struct.pack("<IQQ", 1, 2 ** 31, 2 ** 31), dm.read_feature_matrix),
+    ("l.ltlb", b"LTLB" + struct.pack("<IQ", 1, 2 ** 62), dm.read_labels),
+    ("s.ltsp", b"LTSP" + struct.pack("<IQ", 1, 2 ** 62), dm.read_superpoints),
+    ("m.bin", struct.pack("<IQQQ", 1, 1, 4, 2 ** 62), dm.read_entity_masks),
+])
+def test_huge_declared_length_is_truncation(tmp_path, name, header, read):
+    # the declared length is checked against the bytes left, never handed to read()
+    p = tmp_path / name
+    p.write_bytes(header + b"\0" * 8)
+    with pytest.raises(TruncationError, match="bytes needed"):
+        read(p)

@@ -1,14 +1,18 @@
 """Backbone gradients, optimizer, schedule, and the training loop."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, central_diff
 from langtail import train as tr
+from langtail.bank import SemanticBank, entity_contrastive_loss, sample_entity_batch
+from langtail.data_model import EntityRecord, SceneBundle
 from langtail.errors import (
     ConfigError,
+    DataError,
     EmptyBatchError,
     FormatError,
     NormalizationError,
@@ -16,6 +20,7 @@ from langtail.errors import (
     TruncationError,
 )
 from langtail.synth import SynthConfig, generate_corpus
+from oracle_heads import reference_head_step
 
 
 def small_cfg(**kw):
@@ -102,24 +107,131 @@ def test_backbone_gradient_fd():
         assert_grad_close(gx, num_x)
 
 
+def head_ce(F, mus, labels, weight=1.0):
+    """head_ce_loss with fresh accumulators: (losses, feature grads, mu grads)."""
+    grads = [np.zeros_like(F) for _ in mus]
+    losses, gmus = tr.head_ce_loss(F, mus, labels, grads, weight)
+    return losses, grads, gmus
+
+
 def test_head_ce_gradient_fd():
     rng = np.random.default_rng(6)
     F = rng.normal(size=(9, 4))
     mu = rng.normal(size=(3, 4))
     labels = rng.integers(0, 3, size=9)
     labels[2] = -1  # ignored
-    loss, gf, gmu = tr.head_ce_loss(F, mu, labels)
+    (loss,), (gf,), (gmu,) = head_ce(F, [mu], [labels])
     assert loss > 0
     assert np.allclose(gf[2], 0.0)
     assert_grad_close(gf, central_diff(
-        lambda x: tr.head_ce_loss(x, mu, labels)[0], F))
+        lambda x: head_ce(x, [mu], [labels])[0][0], F))
     assert_grad_close(gmu, central_diff(
-        lambda m: tr.head_ce_loss(F, m, labels)[0], mu))
+        lambda m: head_ce(F, [m], [labels])[0][0], mu))
+
+
+def test_head_ce_several_heads_fd():
+    # heads 0 and 2 share one accumulator; the k=1 head has zero loss and gradients
+    rng = np.random.default_rng(8)
+    F = rng.normal(size=(11, 5))
+    mus = [rng.normal(size=(k, 5)) for k in (3, 1, 4)]
+    labels = [rng.integers(0, k, size=11) for k in (3, 1, 4)]
+    for y in labels:
+        y[[0, 7]] = -1
+    shared, alone = np.zeros_like(F), np.zeros_like(F)
+    losses, gmus = tr.head_ce_loss(F, mus, labels, [shared, alone, shared], weight=2.5)
+    assert losses[1] == 0.0 and not alone.any() and not gmus[1].any()
+    assert not shared[[0, 7]].any()
+
+    def total(x, heads=(0, 2)):
+        return 2.5 * sum(head_ce(x, mus, labels)[0][h] for h in heads)
+
+    assert_grad_close(shared, central_diff(total, F))
+    for h in (0, 2):
+        assert_grad_close(gmus[h], central_diff(
+            lambda m, h=h: head_ce(F, mus[:h] + [m] + mus[h + 1:], labels)[0][h], mus[h]))
 
 
 def test_head_ce_all_ignored():
     with pytest.raises(EmptyBatchError):
-        tr.head_ce_loss(np.ones((2, 2)), np.ones((2, 2)), np.array([-1, -1]))
+        head_ce(np.ones((2, 2)), [np.ones((2, 2))], [np.array([-1, -1])])
+
+
+def test_head_ce_rejects_heads_ignoring_different_rows():
+    with pytest.raises(DataError):
+        head_ce(np.ones((2, 2)), [np.ones((2, 2))] * 2, [np.array([0, -1]), np.array([0, 1])])
+    with pytest.raises(ShapeError):
+        head_ce(np.ones((2, 2)), [np.ones((2, 3))], [np.array([0, 1])])
+
+
+def _head_case(seed, sizes, dim, ks, ignore):
+    rng = np.random.default_rng(seed)
+    feats = []
+    for n in sizes:
+        f = rng.normal(size=(n, dim))
+        feats.append(f / np.linalg.norm(f, axis=1, keepdims=True))
+    mus = [rng.normal(size=(k, dim)) for k in ks]
+    labels = []
+    for n in sizes:
+        dropped = rng.random(n) < ignore
+        scene = [rng.integers(0, k, size=n) for k in ks]
+        for y in scene:
+            y[dropped] = -1
+        labels.append(scene)
+    return feats, labels, mus
+
+
+@pytest.mark.parametrize("sizes,dim,ks,branches,ignore", [
+    ((50, 31), 8, (4, 1, 3), (0, 0, 1), 0.0),
+    ((50, 31, 7), 8, (4, 1, 3), (0, 0, 1), 0.2),
+    ((600, 300, 2000), 40, (20, 12, 1, 20, 12, 1), (0, 0, 0, 1, 1, 1), 0.1),
+    ((40,), 6, (1,), (0,), 0.0),
+    ((900, 1100), 24, (20,), (0,), 0.3),
+    # the rescue workload's shapes: 2000 points per scene, 32-dim features
+    ((2000, 2000), 32, (120, 80, 20, 120, 80, 20), (0, 0, 0, 1, 1, 1), 0.0),
+    # the dense workload's: 10,000 points per scene, 384-dim features
+    pytest.param((10000, 10000), 384, (120, 80, 20, 120, 80, 20), (0, 0, 0, 1, 1, 1), 0.0,
+                 marks=pytest.mark.slow),
+])
+def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, ignore):
+    feats, labels, mus = _head_case(len(sizes) * 7 + dim, sizes, dim, ks, ignore)
+    got = tr.head_step(feats, labels, mus, list(branches))
+    want = reference_head_step(feats, labels, mus, list(branches))
+    assert got[0] == want[0]
+    for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        assert np.array_equal(g, w)
+
+
+def test_entity_anchor_grads_match_add_at():
+    rng = np.random.default_rng(3)
+    scenes = [SceneBundle(f"s{i}", np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
+              for i, n in enumerate((30, 25))]
+    feats = [rng.normal(size=(s.n_points, 6)) for s in scenes]
+    # masks overlap within a scene and across entities, and one entity spans both scenes
+    masks = [[("s0", [0, 1, 2, 3, 4])], [("s0", [3, 4, 5, 9]), ("s1", [0, 2])],
+             [("s1", [2, 3, 4, 20])], [("s0", [4, 9, 29])]]
+    entities = [EntityRecord(e, f"e{e}", rng.normal(size=4), masks=m)
+                for e, m in enumerate(masks)]
+    sample = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)),
+                          F_e=np.zeros((4, 1)))
+    batch = sample_entity_batch(sample, 4, seed=1, class_hint=np.array([0, 0, 1, 1]))
+    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.2)
+
+    by_id = {s.scene_id: j for j, s in enumerate(scenes)}
+    pooled = [np.concatenate([feats[by_id[sid]][idx] for sid, idx in entities[e].masks]).mean(0)
+              for e in batch.entity_indices]
+    norms = np.linalg.norm(pooled, axis=1)
+    anchors = np.stack(pooled) / norms[:, None]
+    want_loss, grad_anchor = entity_contrastive_loss(anchors, batch, tau=0.2)
+    want = [np.zeros_like(f) for f in feats]
+    for a, e in enumerate(batch.entity_indices):
+        g = grad_anchor[a]
+        gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
+        hits = entities[e].masks
+        for sid, idx in hits:
+            np.add.at(want[by_id[sid]], idx, gz[None, :] / sum(i.size for _, i in hits))
+    assert n_anchors == 4 and loss == want_loss
+    for g, w in zip(grads, want):
+        assert np.array_equal(g, w)
 
 
 def test_distill_gradient_fd():
@@ -288,6 +400,13 @@ def test_checkpoint_truncation_is_typed(tmp_path):
         path.write_bytes(data[:cut])
         with pytest.raises(TruncationError):
             tr.load_checkpoint(path)
+
+
+def test_checkpoint_huge_name_length_is_truncation(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    path.write_bytes(data[:16] + struct.pack("<Q", 2 ** 62) + data[24:])
+    with pytest.raises(TruncationError, match="bytes needed"):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_bad_name_utf8(tmp_path):
