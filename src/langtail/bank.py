@@ -229,13 +229,10 @@ def save_bank(out_dir, bank: SemanticBank) -> None:
 def load_bank(out_dir, F_e=None) -> SemanticBank:
     B = np.asarray(dm.read_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm")),
                    dtype=np.float64)
-    with open(os.path.join(out_dir, "entity_ids.tsv")) as f:
-        ids = [int(line) for line in f if line.strip()]
-    trace = []
+    ids = [eid for (eid,) in dm.read_tsv(os.path.join(out_dir, "entity_ids.tsv"), int)]
     trace_path = os.path.join(out_dir, "trace.tsv")
-    if os.path.exists(trace_path):
-        with open(trace_path) as f:
-            trace = [float(line.split("\t")[1]) for line in f if line.strip()]
+    trace = ([v for _, v in dm.read_tsv(trace_path, int, float)]
+             if os.path.exists(trace_path) else [])
     if F_e is None:
         F_e = np.zeros((B.shape[0], 1))
     return SemanticBank(B=B, entity_ids=ids, F_e=np.asarray(F_e, dtype=np.float64),

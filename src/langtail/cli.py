@@ -215,18 +215,7 @@ def cmd_eval(args) -> int:
 
 def cmd_transfer(args) -> int:
     protos = dm.read_feature_matrix(args.prototypes)
-    feats = dm.read_feature_matrix(args.features)
-    if feats.shape[1] != protos.shape[1]:
-        raise ShapeError(
-            f"feature dim {feats.shape[1]} != prototype dim {protos.shape[1]}"
-        )
-    P = np.asarray(protos, dtype=np.float64)
-    norms = np.linalg.norm(P, axis=1, keepdims=True)
-    P = np.divide(P, norms, out=P.copy(), where=norms > 0)
-    F = np.asarray(feats, dtype=np.float64)
-    fn = np.linalg.norm(F, axis=1, keepdims=True)
-    F = np.divide(F, fn, out=F.copy(), where=fn > 0)
-    labels = np.argmax(F @ P.T, axis=1)
+    labels = ev.max_cosine_labels(dm.read_feature_matrix(args.features), protos)
     dm.write_labels(args.out, labels)
     log.info("wrote %d transferred labels to %s", labels.size, args.out)
     return 0

@@ -298,13 +298,33 @@ def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
         write_entity_masks(os.path.join(bank_dir, "masks", f"{sid}.bin"), sid, entities)
 
 
+def read_tsv(path, *types) -> list[tuple]:
+    """Every non-blank line of a tab-separated text file as a tuple of its
+    fields, each converted by its entry of types; a line with another field
+    count, or a field its type rejects, is a FormatError naming path:lineno."""
+    rows = []
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                try:
+                    if len(fields) != len(types):
+                        raise ValueError(f"{len(fields)} fields, expected {len(types)}")
+                    rows.append(tuple(t(x) for t, x in zip(types, fields)))
+                except ValueError as e:
+                    raise FormatError(f"{path}:{lineno}: bad row {line.strip()!r}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e}") from e
+    return rows
+
+
 def read_entity_bank(bank_dir) -> list[EntityRecord]:
     """Load a bank directory back into EntityRecord order of entities.tsv."""
-    try:
-        with open(os.path.join(bank_dir, "entities.tsv")) as f:
-            rows = [line.rstrip("\n").split("\t") for line in f if line.strip()]
-    except OSError as e:
-        raise IoError(f"cannot read entities.tsv: {e}") from e
+    rows = read_tsv(os.path.join(bank_dir, "entities.tsv"), int, str, int)
     emb = read_feature_matrix(os.path.join(bank_dir, "embeddings.ltfm"))
     if emb.shape[0] != len(rows):
         raise DataError(
@@ -312,8 +332,7 @@ def read_entity_bank(bank_dir) -> list[EntityRecord]:
         )
     records = {}
     order = []
-    for (eid_s, text, _count), vec in zip(rows, emb):
-        eid = int(eid_s)
+    for (eid, text, _count), vec in zip(rows, emb):
         records[eid] = EntityRecord(entity_id=eid, text=text, text_embedding=vec)
         order.append(eid)
     masks_dir = os.path.join(bank_dir, "masks")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .bank import _l2_rows
 from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 
 
@@ -154,22 +155,19 @@ def match_and_score(cm: ConfusionMatrix, unmatched: str = "merge") -> EvalReport
     )
 
 
+def max_cosine_labels(features, protos) -> np.ndarray:
+    """Index of the max-cosine prototype row for every feature row."""
+    F, P = _l2_rows(features), _l2_rows(protos)
+    if F.shape[1] != P.shape[1]:
+        raise ShapeError(f"feature dim {F.shape[1]} != prototype dim {P.shape[1]}")
+    return np.argmax(F @ P.T, axis=1)
+
+
 def prototype_transfer(models, target_features) -> np.ndarray:
-    """Classify rows by max-cosine against the concatenated per-branch,
-    per-level centroid matrices."""
+    """max_cosine_labels against every head's centroids (concat_prototypes)."""
     from .train import concat_prototypes  # avoids a module cycle at import time
 
-    protos = concat_prototypes(models)
-    F = np.asarray(target_features, dtype=np.float64)
-    if F.shape[1] != protos.shape[1]:
-        raise ShapeError(
-            f"feature dim {F.shape[1]} != prototype dim {protos.shape[1]}"
-        )
-    norms = np.linalg.norm(protos, axis=1, keepdims=True)
-    P = np.divide(protos, norms, out=protos.copy(), where=norms > 0)
-    fn = np.linalg.norm(F, axis=1, keepdims=True)
-    Fn = np.divide(F, fn, out=F.copy(), where=fn > 0)
-    return np.argmax(Fn @ P.T, axis=1)
+    return max_cosine_labels(target_features, concat_prototypes(models))
 
 
 ABSORBED_IOU_THRESHOLD = 0.05

@@ -6,17 +6,24 @@ with hand-written reverse-mode gradients; every loss here returns its
 analytic gradient and is covered by finite-difference checks in the tests.
 
 A training step scores every (branch, level) head of a scene in one
-head_ce_loss call, which reuses one logits and one gradient buffer per
-batch and adds each head's feature gradient straight into its branch's
+head_ce_loss call, which reuses one logits and gradient buffer for all heads
+and adds each head's feature gradient straight into its branch's
 accumulator. Each head still runs its own matmuls, in the order and shapes
 of one call per head, so losses and gradients stay bit-identical to
 tests/oracle_heads.py, the one-call-per-head loop.
+
+Per-scene work (forward, head cross-entropy, backward) runs in scene_map on
+the calling thread plus one pool thread per further CPU of the affinity set,
+with no setting; results are reduced in scene order on the calling thread, so
+outputs are byte-identical whatever the CPU count. BLAS threads are the caller's.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +32,7 @@ from . import data_model as dm
 from . import spectral
 from .bank import (
     SemanticBank,
+    _l2_rows,
     aggregate_entity_features,
     align_gram,
     entity_contrastive_loss,
@@ -55,6 +63,42 @@ CHECKPOINT_MAGIC = b"LTCK"
 # peak resident n x n float64 arrays of spectral_pass, measured: affinity,
 # Laplacian, eigenvectors and the eigensolver's workspace
 SPECTRAL_DENSE_ARRAYS = 7
+SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the caller
+_POOLS = {}  # one pool per process id: a forked child has none of its parent's threads
+
+
+def scene_map(fn, *iterables):
+    """[fn(*args) for args in zip(*iterables)] on the calling thread and up to
+    SCENE_HELPERS pool threads taking items in order from one queue. After a
+    raise no item starts; once all helpers stop, the first failed item's
+    exception is raised, as a plain loop would. fn must not call scene_map."""
+    items = list(zip(*iterables))
+    queue = iter(range(len(items)))
+    results = [None] * len(items)
+    errors, lock = [], threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*items[i])
+            except Exception as e:
+                errors.append((i, e))
+
+    pool = _POOLS.get(os.getpid()) or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(
+        max(1, SCENE_HELPERS), thread_name_prefix="langtail-scene"))
+    helpers = [pool.submit(work) for _ in range(min(SCENE_HELPERS, len(items) - 1))]
+    try:
+        work()
+    finally:
+        for h in helpers:
+            h.result()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
 @dataclass
@@ -142,20 +186,18 @@ def backbone_forward(b: Backbone, X):
         raise ShapeError(
             f"input has {X.shape[1]} columns, backbone expects {b.weights[0].shape[0]}"
         )
-    acts = [X]
+    acts = [X]  # every layer's input: all that backward reads
     h = X
     for i, (W, bias) in enumerate(zip(b.weights, b.biases)):
         h = h @ W + bias
         if i < len(b.weights) - 1:
             h = np.maximum(h, 0.0)
-        acts.append(h)
-    z = acts[-1]
-    norms = np.linalg.norm(z, axis=1)
+            acts.append(h)
+    norms = np.linalg.norm(h, axis=1)
     if np.any(norms < 1e-12):
         raise NormalizationError("backbone produced a (near-)zero output row")
-    Y = z / norms[:, None]
-    cache = {"acts": acts, "norms": norms, "Y": Y}
-    return Y, cache
+    h /= norms[:, None]
+    return h, {"acts": acts, "norms": norms, "Y": h}
 
 
 def backbone_backward(b: Backbone, cache, grad_out):
@@ -167,8 +209,11 @@ def backbone_backward(b: Backbone, cache, grad_out):
     norms = cache["norms"]
     Y = cache["Y"]
     g = np.asarray(grad_out, dtype=np.float64)
-    # d/dz of z/||z||: (g - (g.y) y) / ||z||
-    gz = (g - (g * Y).sum(axis=1, keepdims=True) * Y) / norms[:, None]
+    # d/dz of z/||z||: (g - (g.y) y) / ||z||, in one buffer
+    gz = g * Y
+    np.multiply(gz.sum(axis=1, keepdims=True), Y, out=gz)
+    np.subtract(g, gz, out=gz)
+    gz /= norms[:, None]
 
     grads_w = [None] * len(b.weights)
     grads_b = [None] * len(b.biases)
@@ -176,7 +221,7 @@ def backbone_backward(b: Backbone, cache, grad_out):
         h_in = acts[i]
         if i < len(b.weights) - 1:
             # acts[i+1] stores the post-ReLU value for hidden layers
-            gz = gz * (acts[i + 1] > 0)
+            gz *= acts[i + 1] > 0
         grads_w[i] = h_in.T @ gz
         grads_b[i] = gz.sum(axis=0)
         gz = gz @ b.weights[i].T
@@ -332,13 +377,6 @@ class CorpusState:
             off += s.n_superpoints
         self.total_superpoints = off
 
-    def pooled_superpoint_features(self, features_per_scene) -> np.ndarray:
-        pooled = [
-            dm.pool_by_superpoint(f, s.superpoints)
-            for s, f in zip(self.scenes, features_per_scene)
-        ]
-        return np.concatenate(pooled, axis=0)
-
     def broadcast(self, sp_labels, scene_index: int) -> np.ndarray:
         s = self.scenes[scene_index]
         off = self.sp_offsets[scene_index]
@@ -395,7 +433,8 @@ class EpochReport:
 def _entity_anchor_grads(features_per_scene, bank_sample, entities,
                          scenes_in_batch, tau):
     """Pool current features over each sampled entity's mask points and run the
-    contrastive loss; returns (loss, per-scene feature gradients, n_anchors).
+    contrastive loss; returns (loss, per-scene (rows, gradient), n_anchors), where
+    rows is the sorted union of the scene's masks and gradient covers those rows.
 
     Entities without mask points in the current scenes are skipped.
     """
@@ -413,7 +452,7 @@ def _entity_anchor_grads(features_per_scene, bank_sample, entities,
         pooled_rows.append(hits)
         keep.append(row)
     if not keep:
-        return 0.0, None, 0
+        return 0.0, [], 0
     keep = np.array(keep)
     Z = np.stack(pooled)
     norms = np.linalg.norm(Z, axis=1)
@@ -428,15 +467,18 @@ def _entity_anchor_grads(features_per_scene, bank_sample, entities,
     )
     loss, grad_anchor = entity_contrastive_loss(anchors, sub, tau=tau)
 
-    grads = [np.zeros_like(f) for f in features_per_scene]
+    rows = [np.unique(np.concatenate([np.zeros(0, np.int64)] + [
+        idx for hits in pooled_rows for b, idx in hits if b == bi]))
+        for bi in range(len(features_per_scene))]
+    grads = [np.zeros((r.size, anchors.shape[1])) for r in rows]
     for a, hits in enumerate(pooled_rows):
         g = grad_anchor[a]
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
         n_mask = sum(idx.size for _, idx in hits)
         for bi, idx in hits:
             # masks are sorted and unique (EntityRecord), so this adds once per row
-            grads[bi][idx] += gz / n_mask
-    return loss, grads, len(keep)
+            grads[bi][np.searchsorted(rows[bi], idx)] += gz / n_mask
+    return loss, list(zip(rows, grads)), len(keep)
 
 
 def head_step(feats, labels, mus, branches):
@@ -448,28 +490,31 @@ def head_step(feats, labels, mus, branches):
     scene's mean weighted by its point count. Returns (loss per branch, feature
     gradient per scene, centroid gradient per head). Each branch sums its
     heads' feature gradients in its own accumulator before the branches are
-    added, and the logits and gradient buffers are freed on return, before the
-    backward pass.
+    added. Each scene gets its own logits and gradient buffer (scenes run
+    through scene_map), freed when its call returns.
     """
     n_pts = sum(f.shape[0] for f in feats)
     n_branches = max(branches) + 1
-    scratch = np.empty(max(f.shape[0] for f in feats)
-                       * (max(mu.shape[0] for mu in mus) + feats[0].shape[1]))
-    loss_sums = [0.0] * len(mus)
-    head_grads = [np.zeros_like(mu) for mu in mus]
-    grad_feats = []
-    for f, y in zip(feats, labels):
-        n = f.shape[0]
+    k_max = max(mu.shape[0] for mu in mus)
+
+    def scene(f, y):
         accs = [np.zeros_like(f) for _ in range(n_branches)]
-        losses, gmus = head_ce_loss(f, mus, y, [accs[b] for b in branches], n, scratch)
-        for h, (loss, gmu) in enumerate(zip(losses, gmus)):
-            loss_sums[h] += loss * n
-            head_grads[h] += gmu * n
+        losses, gmus = head_ce_loss(f, mus, y, [accs[b] for b in branches], f.shape[0],
+                                    np.empty(f.shape[0] * (k_max + f.shape[1])))
         for acc in accs:
             acc /= n_pts
         for acc in accs[1:]:
             accs[0] += acc
-        grad_feats.append(accs[0])
+        return losses, gmus, accs[0]
+
+    loss_sums = [0.0] * len(mus)
+    head_grads = [np.zeros_like(mu) for mu in mus]
+    grad_feats = []
+    for f, (losses, gmus, gf) in zip(feats, scene_map(scene, feats, labels)):
+        for h, (loss, gmu) in enumerate(zip(losses, gmus)):
+            loss_sums[h] += loss * f.shape[0]
+            head_grads[h] += gmu * f.shape[0]
+        grad_feats.append(gf)
     for g in head_grads:
         g /= n_pts
     branch_losses = [0.0] * n_branches
@@ -498,18 +543,22 @@ class Trainer:
         return [list(range(i, min(i + bs, n))) for i in range(0, n, bs)]
 
     def forward_scenes(self, idxs):
-        feats, caches = [], []
-        for i in idxs:
-            Y, cache = backbone_forward(self.backbone, self.corpus.scenes[i].points)
-            feats.append(Y)
-            caches.append(cache)
-        return feats, caches
+        out = scene_map(lambda i: backbone_forward(self.backbone, self.corpus.scenes[i].points),
+                        idxs)
+        return [Y for Y, _ in out], [cache for _, cache in out]
+
+    def superpoint_features(self) -> np.ndarray:
+        """Every scene's features pooled per superpoint; no activations are kept."""
+        return np.concatenate(scene_map(
+            lambda s: dm.pool_by_superpoint(backbone_forward(self.backbone, s.points)[0],
+                                            s.superpoints),
+            self.corpus.scenes))
 
     def apply_grads(self, idxs, caches, grad_feats, lr, head_opt=None, head_grads=None):
         gw = [np.zeros_like(w) for w in self.backbone.weights]
         gb = [np.zeros_like(b) for b in self.backbone.biases]
-        for cache, gf in zip(caches, grad_feats):
-            w, b, _ = backbone_backward(self.backbone, cache, gf)
+        for w, b, _ in scene_map(lambda c, g: backbone_backward(self.backbone, c, g),
+                                 caches, grad_feats):
             for acc, g in zip(gw, w):
                 acc += g
             for acc, g in zip(gb, b):
@@ -548,9 +597,10 @@ class Trainer:
                 l_entity, ent_grads, _ = _entity_anchor_grads(
                     feats, sample, self.entities, scenes_in_batch, cfg.tau
                 )
-                if ent_grads is not None:
-                    for j in range(len(idxs)):
-                        grad_feats[j] += cfg.lambda_entity * ent_grads[j]
+                for gf, (rows, g) in zip(grad_feats, ent_grads):
+                    # rows covering the whole scene are 0..n-1: add them contiguously
+                    gf[rows if rows.size < len(gf) else slice(None)] += cfg.lambda_entity * g
+                del ent_grads
 
             total = l_local + l_global + cfg.lambda_entity * l_entity
             if not np.isfinite(total):
@@ -598,23 +648,14 @@ class Trainer:
 
 def _flatten_heads(models):
     """Deterministic parameter order: local levels in config order, then global."""
-    local_model, global_model = models
-    params = [local_model.centroids[k] for k in local_model.levels]
-    if global_model is not None:
-        params += [global_model.centroids[k] for k in global_model.levels]
-    return params
+    return [m.centroids[k] for m in models if m is not None for k in m.levels]
 
 
 def concat_prototypes(models) -> np.ndarray:
-    mats = []
-    for m in models:
-        if m is None:
-            continue
-        for k in m.levels:
-            mats.append(np.asarray(m.centroids[k], dtype=np.float64))
+    mats = _flatten_heads(models)
     if not mats:
         raise ConfigError("no cluster models to concatenate")
-    return np.concatenate(mats, axis=0)
+    return np.concatenate(mats, axis=0, dtype=np.float64)
 
 
 def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
@@ -646,8 +687,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     epoch = 0
     round_idx = 0
     while epoch < cfg.epochs or epoch == 0:
-        feats, _ = trainer.forward_scenes(range(len(scenes)))
-        sp_feats = corpus.pooled_superpoint_features(feats)
+        sp_feats = trainer.superpoint_features()
         if cfg.use_global and (spectral_feats is None or not cfg.freeze_spectral):
             basis, patterns = spectral_pass(sp_feats, cfg)
             spectral_feats = spectral.global_superpoint_features(patterns)
@@ -676,16 +716,11 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
             epoch += 1
         round_idx += 1
 
-    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, models)
-    _write_losses(os.path.join(out_dir, "losses.tsv"), reports)
     if warmup_losses:
         with open(os.path.join(out_dir, "warmup.tsv"), "w") as f:
             for i, v in enumerate(warmup_losses):
                 f.write(f"{i}\t{v:.10e}\n")
-    protos = concat_prototypes(models)
-    dm.write_feature_matrix(os.path.join(out_dir, "prototypes.ltfm"),
-                            protos.astype(np.float32))
-    _write_predictions(trainer, corpus, protos, out_dir)
+    _write_outputs(out_dir, trainer, models, reports)
     return trainer.backbone, models, reports
 
 
@@ -709,8 +744,7 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
     epoch = 0
     while epoch < cfg.epochs or epoch == 0:
         # recluster: forward everything, pool per superpoint, one Ward cut
-        feats, _ = trainer.forward_scenes(range(len(scenes)))
-        sp_feats = corpus.pooled_superpoint_features(feats)
+        sp_feats = trainer.superpoint_features()
         ((_, mu, sp_labels),) = multi_granularity_labels(
             sp_feats, (k_prim,), seed=cfg.seed, sample_cap=cfg.sample_cap
         )
@@ -724,12 +758,7 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
             reports.append(trainer.train_epoch(models, None, head_opt, epoch))
             epoch += 1
 
-    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, models)
-    _write_losses(os.path.join(out_dir, "losses.tsv"), reports)
-    protos = concat_prototypes(models)
-    dm.write_feature_matrix(os.path.join(out_dir, "prototypes.ltfm"),
-                            protos.astype(np.float32))
-    _write_predictions(trainer, corpus, protos, out_dir)
+    _write_outputs(out_dir, trainer, models, reports)
     return trainer.backbone, models, reports
 
 
@@ -754,28 +783,26 @@ def build_bank(backbone, scenes, entities, cfg: TrainConfig) -> SemanticBank:
 
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
-    """Assign every point of every scene to its max-cosine prototype."""
-    P = np.asarray(prototypes, dtype=np.float64)
-    norms = np.linalg.norm(P, axis=1, keepdims=True)
-    P = np.divide(P, norms, out=P.copy(), where=norms > 0)
-    out = []
-    for s in scenes:
-        Y, _ = backbone_forward(backbone, s.points)
-        out.append(np.argmax(Y @ P.T, axis=1))
-    return np.concatenate(out)
+    """Assign every point of every scene to its max-cosine prototype, one
+    scene at a time; a scene's activations are freed before its logits exist."""
+    P = _l2_rows(prototypes)
+    return np.concatenate([np.argmax(backbone_forward(backbone, s.points)[0] @ P.T, axis=1)
+                           for s in scenes])
 
 
-def _write_predictions(trainer, corpus, protos, out_dir):
-    pred = predict_labels(trainer.backbone, corpus.scenes, protos)
-    dm.write_labels(os.path.join(out_dir, "pred.ltlb"), pred)
-
-
-def _write_losses(path, reports):
-    with open(path, "w") as f:
+def _write_outputs(out_dir, trainer, models, reports):
+    """checkpoint.ltck, losses.tsv, prototypes.ltfm and pred.ltlb of a run."""
+    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, models)
+    with open(os.path.join(out_dir, "losses.tsv"), "w") as f:
         f.write("epoch\tlocal\tglobal\tentity\ttotal\tlr\n")
         for i, r in enumerate(reports):
             f.write(f"{i}\t{r.local:.10e}\t{r.global_:.10e}\t{r.entity:.10e}"
                     f"\t{r.total:.10e}\t{r.lr:.10e}\n")
+    protos = concat_prototypes(models)
+    dm.write_feature_matrix(os.path.join(out_dir, "prototypes.ltfm"),
+                            protos.astype(np.float32))
+    pred = predict_labels(trainer.backbone, trainer.corpus.scenes, protos)
+    dm.write_labels(os.path.join(out_dir, "pred.ltlb"), pred)
 
 
 # ---------------------------------------------------------------------------

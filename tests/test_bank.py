@@ -17,7 +17,7 @@ from langtail.bank import (
     sample_entity_batch,
     save_bank,
 )
-from langtail.errors import ConfigError, EmptyMaskError, ShapeError
+from langtail.errors import ConfigError, EmptyMaskError, FormatError, ShapeError
 
 
 def _scene(scene_id, n, d=3):
@@ -197,3 +197,16 @@ def test_bank_save_load_round_trip(tmp_path):
     assert np.allclose(back.B, bank.B, atol=1e-6)  # f32 on disk
     assert back.entity_ids == bank.entity_ids
     assert np.allclose(back.alignment_loss_trace, bank.alignment_loss_trace)
+
+
+@pytest.mark.parametrize("name, text, lineno", [
+    ("entity_ids.tsv", "0\n1\nthree\n", 3),
+    ("entity_ids.tsv", "0\n1\t1\n", 2),
+    ("trace.tsv", "0\t3.0\n1\n", 2),
+    ("trace.tsv", "0\tnan?\n", 1),
+])
+def test_load_bank_bad_text_row_is_format_error(tmp_path, name, text, lineno):
+    save_bank(tmp_path / "bank", _bank(T=5, C=3))
+    (tmp_path / "bank" / name).write_text(text)
+    with pytest.raises(FormatError, match=rf"{name.replace('.', '[.]')}:{lineno}: "):
+        load_bank(tmp_path / "bank")

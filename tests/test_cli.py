@@ -116,6 +116,15 @@ def test_cli_data_error_on_corrupt_file(tmp_path):
     assert main(["eval", "--pred", str(p), "--gt", str(p)]) == 2
 
 
+def test_cli_malformed_entities_tsv_exits_2(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    tsv = corpus / "bank" / "entities.tsv"
+    tsv.write_text(tsv.read_text().replace("\t", " ", 1))
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+                + SMALL_TRAIN) == 2
+
+
 def test_config_file_bad_value(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text("# header\nepochs = abc\n")

@@ -169,6 +169,27 @@ def test_entity_bank_round_trip(tmp_path):
         ]
 
 
+def _bank_dir(tmp_path):
+    ents = [dm.EntityRecord(e, f"e{e}", np.ones(4)) for e in (1, 2)]
+    dm.write_entity_bank(tmp_path / "bank", ents)
+    return tmp_path / "bank"
+
+
+@pytest.mark.parametrize("row", ["x\tlamp\t0", "2\tlamp", "2\tlamp\t0\textra", "2\tlamp\tmany"])
+def test_entity_bank_bad_row_is_format_error(tmp_path, row):
+    bank = _bank_dir(tmp_path)
+    (bank / "entities.tsv").write_text(f"1\te1\t0\n{row}\n")
+    with pytest.raises(FormatError, match=r"entities\.tsv:2: "):
+        dm.read_entity_bank(bank)
+
+
+def test_entity_bank_non_utf8_is_format_error(tmp_path):
+    bank = _bank_dir(tmp_path)
+    (bank / "entities.tsv").write_bytes(b"1\te1\t0\n2\t\xff\t0\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        dm.read_entity_bank(bank)
+
+
 def test_entity_masks_round_trip(tmp_path):
     ents = [dm.EntityRecord(4, "x", np.ones(4), masks=[("s0", np.array([1, 5]))])]
     p = tmp_path / "s0.bin"

@@ -2,6 +2,9 @@
 
 import os
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -230,8 +233,106 @@ def test_entity_anchor_grads_match_add_at():
         for sid, idx in hits:
             np.add.at(want[by_id[sid]], idx, gz[None, :] / sum(i.size for _, i in hits))
     assert n_anchors == 4 and loss == want_loss
-    for g, w in zip(grads, want):
-        assert np.array_equal(g, w)
+    for j, ((rows, g), w) in enumerate(zip(grads, want)):
+        union = sorted({int(i) for e in batch.entity_indices
+                        for sid, idx in entities[e].masks if by_id[sid] == j for i in idx})
+        assert rows.tolist() == union and g.shape == (len(union), 6)
+        full = np.zeros_like(w)
+        full[rows] = g
+        assert np.array_equal(full, w)
+
+
+def test_scene_map_returns_results_in_input_order(monkeypatch):
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 1)
+    both_running = threading.Barrier(2, timeout=10)  # the first two items run at once
+    threads = set()
+
+    def fn(i, x):
+        threads.add(threading.get_ident())
+        if i < 2:
+            both_running.wait()
+        time.sleep(0.01 * (i % 3))  # later items may finish first
+        return i, x * x
+
+    assert tr.scene_map(fn, range(7), [3, 1, 4, 1, 5, 9, 2]) == \
+        [(0, 9), (1, 1), (2, 16), (3, 1), (4, 25), (5, 81), (6, 4)]
+    assert len(threads) == 2 and threading.get_ident() in threads
+    assert tr.scene_map(fn, []) == []
+
+
+def test_scene_map_stress_takes_each_item_once(monkeypatch):
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 7)  # more threads than cores
+    monkeypatch.setattr(tr, "_POOLS", {})  # a fresh pool of that size
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        if i in fail_at:
+            raise ValueError(i)
+        return -i
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fail_at = ()
+        for n in (0, 1, 2, 50, 500):
+            calls.clear()
+            assert tr.scene_map(fn, range(n)) == [-i for i in range(n)]
+            assert sorted(calls) == list(range(n))  # a lost update repeats or drops one
+        fail_at = (37, 80)
+        for _ in range(5):
+            calls.clear()
+            with pytest.raises(ValueError) as err:
+                tr.scene_map(fn, range(500))
+            assert err.value.args == (37,)  # the first failed item, as a loop raises
+            assert set(range(38)) <= set(calls) and len(calls) == len(set(calls))
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_forward_scenes_error_waits_for_every_helper(monkeypatch, helpers):
+    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+    rng = np.random.default_rng(0)
+    points = [rng.normal(size=(20, 3)), np.zeros((20, 3)), rng.normal(size=(20, 3)),
+              np.zeros((20, 3))]
+    scenes = [SceneBundle(f"s{i}", p, np.arange(20) % 4) for i, p in enumerate(points)]
+    trainer = tr.Trainer(tr.CorpusState(scenes), [], small_cfg(), 3)
+    # one linear layer with zero bias: the all-zero scenes 1 and 3 give zero output rows
+    trainer.backbone = tr.Backbone([rng.normal(size=(3, 5))], [np.zeros(5)])
+    running, started = [], []
+    forward = tr.backbone_forward
+
+    def slow_forward(b, X):
+        running.append(1)
+        started.append(X)
+        try:
+            time.sleep(0.05)
+            return forward(b, X)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(tr, "backbone_forward", slow_forward)
+    with pytest.raises(NormalizationError):
+        trainer.forward_scenes([0, 1, 2, 3])
+    assert running == []  # every call that started has returned
+    assert len(started) <= 3  # scene 3 never starts: no item starts after a raise
+    monkeypatch.setattr(tr, "backbone_forward", forward)
+    feats, _ = trainer.forward_scenes([2, 0])
+    assert np.array_equal(feats[0], forward(trainer.backbone, points[2])[0])
+
+
+@pytest.mark.parametrize("run", ["pipeline", "baseline"])
+def test_outputs_do_not_depend_on_helper_threads(tmp_path, monkeypatch, run):
+    _mini_corpus(tmp_path, n_scenes=5, distill_dim=8)
+    cfg = small_cfg(lambda_entity=0.5, use_global=True, epochs=3, recluster_every=2,
+                    s_prime=8, granularities=(6, 3), warmup_epochs=1)
+    train_fn = tr.run_pipeline if run == "pipeline" else tr.run_baseline
+    for helpers in (0, 1):
+        monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+        train_fn(cfg, tmp_path / "corpus", tmp_path / f"h{helpers}")
+    for rel in ("checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"):
+        assert (tmp_path / "h0" / rel).read_bytes() == (tmp_path / "h1" / rel).read_bytes(), rel
 
 
 def test_distill_gradient_fd():
