@@ -218,10 +218,10 @@ def save_bank(out_dir, bank: SemanticBank) -> None:
     os.makedirs(out_dir, exist_ok=True)
     dm.write_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm"),
                             bank.B.astype(np.float32))
-    with open(os.path.join(out_dir, "trace.tsv"), "w") as f:
+    with dm.atomic_open(os.path.join(out_dir, "trace.tsv")) as f:
         for step, v in enumerate(bank.alignment_loss_trace):
             f.write(f"{step}\t{v:.10e}\n")
-    with open(os.path.join(out_dir, "entity_ids.tsv"), "w") as f:
+    with dm.atomic_open(os.path.join(out_dir, "entity_ids.tsv")) as f:
         for eid in bank.entity_ids:
             f.write(f"{eid}\n")
 

@@ -122,7 +122,7 @@ def resolve(args, schema, required=()) -> dict:
 
 def write_resolved(out_dir, cfg: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w") as f:
+    with dm.atomic_open(os.path.join(out_dir, "config.resolved")) as f:
         for key in sorted(cfg):
             f.write(f"{key} = {cfg[key]}\n")
 
@@ -233,7 +233,7 @@ def cmd_report(args) -> int:
                      f"\t{r['recall']:.6f}\t{int(r['absorbed'])}")
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as f:
+        with dm.atomic_open(out) as f:
             f.write(text)
     else:
         sys.stdout.write(text)

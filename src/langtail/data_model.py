@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,24 @@ def _validate_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@contextmanager
+def atomic_open(path, mode="w"):
+    """open(path, mode) for writing through <path>.tmp<pid>, renamed onto path
+    when the with-block ends; on any exception the temporary file is removed,
+    so path keeps its previous contents. An OSError becomes an IoError."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException as e:
+        with suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise IoError(f"cannot write {path}: {e}") from e
+        raise
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
     # n may come from the file itself: check it against the bytes left before
     # asking read() to allocate it
@@ -144,13 +163,10 @@ def write_feature_matrix(path, m: np.ndarray) -> None:
     """Write a matrix as LTFM; round-trips bit-exactly through read_feature_matrix."""
     m = _validate_matrix(m)
     data = np.ascontiguousarray(m, dtype="<f4")
-    try:
-        with open(path, "wb") as f:
-            f.write(FEATURE_MAGIC)
-            f.write(struct.pack("<IQQ", FORMAT_VERSION, m.shape[0], m.shape[1]))
-            f.write(data.tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    with atomic_open(path, "wb") as f:
+        f.write(FEATURE_MAGIC)
+        f.write(struct.pack("<IQQ", FORMAT_VERSION, m.shape[0], m.shape[1]))
+        f.write(data.tobytes())
 
 
 def read_superpoints(path) -> np.ndarray:
@@ -176,13 +192,10 @@ def write_superpoints(path, assignment: np.ndarray) -> None:
         raise ShapeError("superpoint assignment must be a non-empty vector")
     if assignment.min() < 0:
         raise DataError("superpoint ids must be non-negative")
-    try:
-        with open(path, "wb") as f:
-            f.write(SUPERPOINT_MAGIC)
-            f.write(struct.pack("<IQ", FORMAT_VERSION, assignment.size))
-            f.write(assignment.astype("<u4").tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    with atomic_open(path, "wb") as f:
+        f.write(SUPERPOINT_MAGIC)
+        f.write(struct.pack("<IQ", FORMAT_VERSION, assignment.size))
+        f.write(assignment.astype("<u4").tobytes())
 
 
 def read_labels(path) -> np.ndarray:
@@ -205,13 +218,10 @@ def write_labels(path, labels: np.ndarray) -> None:
         raise ShapeError("label vector must be 1-D")
     if labels.size and labels.min() < -1:
         raise DataError("labels must be >= -1")
-    try:
-        with open(path, "wb") as f:
-            f.write(LABEL_MAGIC)
-            f.write(struct.pack("<IQ", FORMAT_VERSION, labels.size))
-            f.write(labels.astype("<i4").tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    with atomic_open(path, "wb") as f:
+        f.write(LABEL_MAGIC)
+        f.write(struct.pack("<IQ", FORMAT_VERSION, labels.size))
+        f.write(labels.astype("<i4").tobytes())
 
 
 def densify_ids(ids: np.ndarray) -> np.ndarray:
@@ -249,14 +259,11 @@ def pool_by_superpoint(points: np.ndarray, assignment: np.ndarray) -> np.ndarray
 def write_entity_masks(path, scene_id: str, entities: list[EntityRecord]) -> None:
     """Write masks/<scene_id>.bin for the entities present in one scene."""
     present = [(e.entity_id, idx) for e in entities for sid, idx in e.masks if sid == scene_id]
-    try:
-        with open(path, "wb") as f:
-            f.write(struct.pack("<IQ", FORMAT_VERSION, len(present)))
-            for eid, idx in present:
-                f.write(struct.pack("<QQ", eid, idx.size))
-                f.write(idx.astype("<u8").tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    with atomic_open(path, "wb") as f:
+        f.write(struct.pack("<IQ", FORMAT_VERSION, len(present)))
+        for eid, idx in present:
+            f.write(struct.pack("<QQ", eid, idx.size))
+            f.write(idx.astype("<u8").tobytes())
 
 
 def read_entity_masks(path) -> list[tuple[int, np.ndarray]]:
@@ -285,12 +292,9 @@ def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
     """Persist the raw bank inputs: entities.tsv, embeddings.ltfm, masks/."""
     os.makedirs(os.path.join(bank_dir, "masks"), exist_ok=True)
     entities = sorted(entities, key=lambda e: e.entity_id)
-    try:
-        with open(os.path.join(bank_dir, "entities.tsv"), "w") as f:
-            for e in entities:
-                f.write(f"{e.entity_id}\t{e.text}\t{len(e.masks)}\n")
-    except OSError as e:
-        raise IoError(f"cannot write entities.tsv: {e}") from e
+    with atomic_open(os.path.join(bank_dir, "entities.tsv")) as f:
+        for e in entities:
+            f.write(f"{e.entity_id}\t{e.text}\t{len(e.masks)}\n")
     emb = np.stack([e.text_embedding for e in entities]).astype(np.float32)
     write_feature_matrix(os.path.join(bank_dir, "embeddings.ltfm"), emb)
     scene_ids = sorted({sid for e in entities for sid, _ in e.masks})

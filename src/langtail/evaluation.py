@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .bank import _l2_rows
+from .data_model import atomic_open
 from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 
 
@@ -51,9 +52,10 @@ def confusion(pred, gt, n_pred=None, n_gt=None) -> ConfusionMatrix:
     p, g = pred[keep], gt[keep]
     n_pred = int(n_pred if n_pred is not None else (pred.max() + 1 if pred.size else 1))
     n_gt = int(n_gt if n_gt is not None else (g.max() + 1 if g.size else 1))
-    counts = np.zeros((n_pred, n_gt), dtype=np.int64)
-    np.add.at(counts, (p, g), 1)
-    return ConfusionMatrix(counts=counts)
+    if p.size and (p.min() < 0 or p.max() >= n_pred or g.max() >= n_gt):
+        raise DataError(f"labelled point with prediction outside [0, {n_pred}) or label >= {n_gt}")
+    counts = np.bincount(p * n_gt + g, minlength=n_pred * n_gt).reshape(n_pred, n_gt)
+    return ConfusionMatrix(counts=counts.astype(np.int64, copy=False))
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
@@ -82,7 +84,13 @@ def hungarian(cost) -> list[tuple[int, int]]:
     remaining = best
     for r in range(n_rows):
         rest_rows = np.arange(r + 1, n_rows)
+        # a completion of the later rows costs at least their cheapest free
+        # columns; both float sums round by far less than tol, so with the
+        # extra tol a column skipped here is one the solve below rejects
+        bound = float(C[r + 1:, free_cols].min(axis=1).sum()) if rest_rows.size else 0.0
         for j in free_cols:
+            if C[r, j] + bound > remaining + 2 * tol:
+                continue
             rest_cols = [c for c in free_cols if c != j]
             if rest_rows.size:
                 sub = C[np.ix_(rest_rows, rest_cols)]
@@ -191,7 +199,7 @@ def tail_report(report: EvalReport):
 
 def write_report(path, report: EvalReport) -> None:
     """report.tsv: class, count, iou, recall rows plus a summary line."""
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("class\tcount\tiou\trecall\n")
         for c in range(report.per_class_iou.shape[0]):
             f.write(f"{c}\t{int(report.per_class_count[c])}"

@@ -237,7 +237,7 @@ def write_corpus(out_dir, scenes, entities) -> None:
         if s.distill_targets is not None:
             dm.write_feature_matrix(os.path.join(sdir, "distill.ltfm"), s.distill_targets)
     dm.write_entity_bank(os.path.join(out_dir, "bank"), entities)
-    with open(os.path.join(out_dir, "manifest.tsv"), "w") as f:
+    with dm.atomic_open(os.path.join(out_dir, "manifest.tsv")) as f:
         for s in scenes:
             f.write(f"{s.scene_id}\n")
     all_labels = np.concatenate(

@@ -15,7 +15,10 @@ tests/oracle_heads.py, the one-call-per-head loop.
 Per-scene work (forward, head cross-entropy, backward) runs in scene_map on
 the calling thread plus one pool thread per further CPU of the affinity set,
 with no setting; results are reduced in scene order on the calling thread, so
-outputs are byte-identical whatever the CPU count. BLAS threads are the caller's.
+outputs are byte-identical whatever the CPU count. predict_labels prefetches
+one scene ahead: a helper runs the next scene's forward pass while the caller
+scores the current one into one reused logits buffer, so its peak memory is
+that buffer plus two scenes' activations. BLAS threads are the caller's.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the call
 _POOLS = {}  # one pool per process id: a forked child has none of its parent's threads
 
 
+def _pool() -> ThreadPoolExecutor:
+    return _POOLS.get(os.getpid()) or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(
+        max(1, SCENE_HELPERS), thread_name_prefix="langtail-scene"))
+
+
 def scene_map(fn, *iterables):
     """[fn(*args) for args in zip(*iterables)] on the calling thread and up to
     SCENE_HELPERS pool threads taking items in order from one queue. After a
@@ -88,9 +96,7 @@ def scene_map(fn, *iterables):
             except Exception as e:
                 errors.append((i, e))
 
-    pool = _POOLS.get(os.getpid()) or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(
-        max(1, SCENE_HELPERS), thread_name_prefix="langtail-scene"))
-    helpers = [pool.submit(work) for _ in range(min(SCENE_HELPERS, len(items) - 1))]
+    helpers = [_pool().submit(work) for _ in range(min(SCENE_HELPERS, len(items) - 1))]
     try:
         work()
     finally:
@@ -189,11 +195,14 @@ def backbone_forward(b: Backbone, X):
     acts = [X]  # every layer's input: all that backward reads
     h = X
     for i, (W, bias) in enumerate(zip(b.weights, b.biases)):
-        h = h @ W + bias
+        h = h @ W
+        h += bias
         if i < len(b.weights) - 1:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
-    norms = np.linalg.norm(h, axis=1)
+    norms = np.empty(len(h))  # row blocks: the same per-row sums, no n x C temporary
+    for a in range(0, len(h), 4096):
+        norms[a:a + 4096] = np.linalg.norm(h[a:a + 4096], axis=1)
     if np.any(norms < 1e-12):
         raise NormalizationError("backbone produced a (near-)zero output row")
     h /= norms[:, None]
@@ -717,7 +726,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
         round_idx += 1
 
     if warmup_losses:
-        with open(os.path.join(out_dir, "warmup.tsv"), "w") as f:
+        with dm.atomic_open(os.path.join(out_dir, "warmup.tsv")) as f:
             for i, v in enumerate(warmup_losses):
                 f.write(f"{i}\t{v:.10e}\n")
     _write_outputs(out_dir, trainer, models, reports)
@@ -775,7 +784,7 @@ def _load_or_build_bank(trainer, corpus, entities, cfg, bank_dir, out_dir):
 def build_bank(backbone, scenes, entities, cfg: TrainConfig) -> SemanticBank:
     """Offline bank pass: aggregate masked features, then Gram-align them to
     the text-embedding geometry."""
-    feats = [backbone_forward(backbone, s.points)[0] for s in scenes]
+    feats = scene_map(lambda s: backbone_forward(backbone, s.points)[0], scenes)
     F_m = aggregate_entity_features(scenes, feats, entities)
     F_e = np.stack([e.text_embedding for e in entities])
     return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in entities],
@@ -783,17 +792,38 @@ def build_bank(backbone, scenes, entities, cfg: TrainConfig) -> SemanticBank:
 
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
-    """Assign every point of every scene to its max-cosine prototype, one
-    scene at a time; a scene's activations are freed before its logits exist."""
+    """Assign every point of every scene to its max-cosine prototype. Scenes
+    are scored in order, each by one whole-scene matmul into one logits buffer,
+    while a helper (if SCENE_HELPERS) runs the next scene's forward pass: peak
+    memory is that buffer plus two scenes' activations. An error is raised
+    once no helper runs."""
+    if not scenes:
+        raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)
-    return np.concatenate([np.argmax(backbone_forward(backbone, s.points)[0] @ P.T, axis=1)
-                           for s in scenes])
+    if P.shape[1] != backbone.out_dim:
+        raise ShapeError(f"prototype dim {P.shape[1]} != backbone output dim {backbone.out_dim}")
+    logits = np.empty((max(s.points.shape[0] for s in scenes), P.shape[0]))
+    pool = _pool() if SCENE_HELPERS else None
+    labels, pending = [], None
+
+    def features(s):
+        return backbone_forward(backbone, s.points)[0]
+
+    try:
+        for s, nxt in zip(scenes, [*scenes[1:], None]):
+            Y = pending.result() if pending else features(s)
+            pending = pool.submit(features, nxt) if pool and nxt is not None else None
+            labels.append(np.argmax(np.matmul(Y, P.T, out=logits[:len(Y)]), axis=1))
+    finally:
+        if pending:  # a raise while scene i+1 is in flight: wait for it
+            pending.exception()
+    return np.concatenate(labels)
 
 
 def _write_outputs(out_dir, trainer, models, reports):
     """checkpoint.ltck, losses.tsv, prototypes.ltfm and pred.ltlb of a run."""
     save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, models)
-    with open(os.path.join(out_dir, "losses.tsv"), "w") as f:
+    with dm.atomic_open(os.path.join(out_dir, "losses.tsv")) as f:
         f.write("epoch\tlocal\tglobal\tentity\ttotal\tlr\n")
         for i, r in enumerate(reports):
             f.write(f"{i}\t{r.local:.10e}\t{r.global_:.10e}\t{r.entity:.10e}"
@@ -828,19 +858,16 @@ def _named_tensors(backbone: Backbone, models):
 
 def save_checkpoint(path, backbone: Backbone, models=(None, None)) -> None:
     named = _named_tensors(backbone, models)
-    try:
-        with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<IQ", 1, len(named)))
-            for name, tensor in named:
-                nb = name.encode()
-                f.write(struct.pack("<Q", len(nb)))
-                f.write(nb)
-                t = np.atleast_2d(np.asarray(tensor, dtype="<f4"))
-                f.write(struct.pack("<QQ", t.shape[0], t.shape[1]))
-                f.write(np.ascontiguousarray(t).tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write checkpoint {path}: {e}") from e
+    with dm.atomic_open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<IQ", 1, len(named)))
+        for name, tensor in named:
+            nb = name.encode()
+            f.write(struct.pack("<Q", len(nb)))
+            f.write(nb)
+            t = np.atleast_2d(np.asarray(tensor, dtype="<f4"))
+            f.write(struct.pack("<QQ", t.shape[0], t.shape[1]))
+            f.write(np.ascontiguousarray(t).tobytes())
 
 
 def load_checkpoint(path) -> dict:

@@ -116,6 +116,14 @@ def test_cli_data_error_on_corrupt_file(tmp_path):
     assert main(["eval", "--pred", str(p), "--gt", str(p)]) == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_cli_out_of_range_prediction_exits_2(tmp_path, command):
+    pred, gt = tmp_path / "pred.ltlb", tmp_path / "gt.ltlb"
+    dm.write_labels(pred, np.array([0, -1, 1]))
+    dm.write_labels(gt, np.array([0, 1, 1]))
+    assert main([command, "--pred", str(pred), "--gt", str(gt)]) == 2
+
+
 def test_cli_malformed_entities_tsv_exits_2(tmp_path):
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0

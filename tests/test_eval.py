@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from langtail import evaluation as ev
 from langtail import train as tr
 from langtail.errors import ConfigError, DataError, EmptyBatchError, ShapeError
+from oracle_hungarian import reference_hungarian
 
 
 def test_confusion_hand_tally():
@@ -21,6 +23,34 @@ def test_confusion_hand_tally():
 def test_confusion_shape_mismatch():
     with pytest.raises(ShapeError):
         ev.confusion(np.zeros(3), np.zeros(4))
+
+
+def test_confusion_matches_add_at():
+    rng = np.random.default_rng(5)
+    for n_pred, n_gt, n in [(1, 1, 1), (3, 5, 40), (9, 4, 500), (40, 8, 2000)]:
+        pred = rng.integers(0, n_pred, size=n)
+        gt = rng.integers(-1, n_gt, size=n)
+        want = np.zeros((n_pred, n_gt), dtype=np.int64)
+        keep = gt >= 0
+        np.add.at(want, (pred[keep], gt[keep]), 1)
+        got = ev.confusion(pred, gt, n_pred=n_pred, n_gt=n_gt).counts
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pred,gt,sizes", [
+    ([0, -1, 1], [0, 1, 1], dict(n_pred=2)),  # the -1 once landed in the last row
+    ([0, -1, 1], [0, 1, 1], {}),
+    ([0, 2, 1], [0, 1, 1], dict(n_pred=2)),
+    ([0, 1, 1], [0, 2, 1], dict(n_gt=2)),
+])
+def test_confusion_out_of_range_label_is_data_error(pred, gt, sizes):
+    with pytest.raises(DataError):
+        ev.confusion(pred, gt, **sizes)
+
+
+def test_confusion_ignores_any_prediction_on_unlabelled_points():
+    cm = ev.confusion([5, -1, 1], [-1, -1, 1], n_pred=2, n_gt=2)
+    assert cm.counts.tolist() == [[0, 0], [0, 1]]
 
 
 def test_hungarian_hand_cases():
@@ -55,6 +85,41 @@ def test_hungarian_matches_brute_force():
             for c in itertools.permutations(range(m), rows)
         )
         assert sum(C[p, g] for p, g in got) == pytest.approx(best, abs=1e-9)
+
+
+def _assignment_cases(rng):
+    """Cost matrices of both orientations, 1 x m and n x 1 included: integers
+    with many ties, normal floats and negated Zipf counts (confusion-like)."""
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 9), (9, 2)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 14, size=2)) for _ in range(95)]
+    for n, m in shapes:
+        yield rng.integers(0, 3, size=(n, m)).astype(np.float64)
+        yield rng.normal(size=(n, m))
+        yield -np.minimum(rng.zipf(1.5, size=(n, m)), 10**6).astype(np.float64)
+
+
+def test_hungarian_matches_unpruned_reference():
+    rng = np.random.default_rng(23)
+    for C in _assignment_cases(rng):
+        assert ev.hungarian(C) == reference_hungarian(C), C
+
+
+def test_hungarian_prunes_columns(monkeypatch):
+    # a diagonal-heavy confusion matrix, as evaluation sees it: one solve for
+    # the optimum and at most one per row of the smaller side
+    calls = []
+
+    def counting(C):
+        calls.append(C.shape)
+        return linear_sum_assignment(C)
+
+    monkeypatch.setattr(ev, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(2)
+    counts = rng.integers(0, 40, size=(12, 8))
+    counts[np.arange(8), np.arange(8)] += 1000
+    cost = -counts.astype(np.float64)
+    assert ev.hungarian(cost) == reference_hungarian(cost)
+    assert len(calls) <= 1 + 8
 
 
 def test_hungarian_rejects_bad_input():

@@ -1,5 +1,6 @@
 """File format round trips, header layout, and pooling."""
 
+import os
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langtail import data_model as dm
-from langtail.errors import DataError, FormatError, ShapeError, TruncationError
+from langtail.errors import DataError, FormatError, IoError, ShapeError, TruncationError
 
 
 def test_feature_matrix_round_trip(tmp_path):
@@ -223,3 +224,20 @@ def test_huge_declared_length_is_truncation(tmp_path, name, header, read):
     p.write_bytes(header + b"\0" * 8)
     with pytest.raises(TruncationError, match="bytes needed"):
         read(p)
+
+
+def test_atomic_open_leaves_previous_file_when_a_write_raises(tmp_path):
+    p = tmp_path / "report.tsv"
+    p.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with dm.atomic_open(p) as f:
+            f.write("half a ro")
+            raise RuntimeError("interrupted")
+    assert p.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["report.tsv"]  # no temporary file left
+    with dm.atomic_open(p, "wb") as f:
+        f.write(b"new\n")
+    assert p.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["report.tsv"]
+    with pytest.raises(IoError):
+        dm.write_labels(tmp_path / "missing" / "pred.ltlb", np.zeros(3))

@@ -18,6 +18,7 @@ from langtail.errors import (
     DataError,
     EmptyBatchError,
     FormatError,
+    LangtailError,
     NormalizationError,
     ShapeError,
     TruncationError,
@@ -73,6 +74,22 @@ def test_backbone_forward_unit_rows():
     assert np.allclose(np.linalg.norm(Y, axis=1), 1.0, atol=1e-12)
     with pytest.raises(ShapeError):
         tr.backbone_forward(b, np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+@pytest.mark.parametrize("dims", [(6, [64], 32), (5, [16, 9], 1), (3, [8], 440)])
+def test_backbone_forward_matches_whole_array_reference(n, dims):
+    # the in-place bias and ReLU and the row-block norms give the bits of the
+    # plain expressions on the whole array
+    b = tr.init_backbone(*dims, seed=n)
+    X = np.random.default_rng(n).normal(size=(n, dims[0]))
+    h = X
+    for i, (W, bias) in enumerate(zip(b.weights, b.biases)):
+        h = h @ W + bias
+        if i < len(b.weights) - 1:
+            h = np.maximum(h, 0.0)
+    want = h / np.linalg.norm(h, axis=1)[:, None]
+    assert np.array_equal(tr.backbone_forward(b, X)[0], want)
 
 
 def test_backbone_rejects_zero_row():
@@ -331,7 +348,10 @@ def test_outputs_do_not_depend_on_helper_threads(tmp_path, monkeypatch, run):
     for helpers in (0, 1):
         monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
         train_fn(cfg, tmp_path / "corpus", tmp_path / f"h{helpers}")
-    for rel in ("checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"):
+    rels = ["checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"]
+    if run == "pipeline":
+        rels += ["bank/bank_aligned.ltfm", "bank/trace.tsv"]
+    for rel in rels:
         assert (tmp_path / "h0" / rel).read_bytes() == (tmp_path / "h1" / rel).read_bytes(), rel
 
 
@@ -492,6 +512,21 @@ def _saved_checkpoint(tmp_path):
     return path, path.read_bytes()
 
 
+def test_checkpoint_write_interrupted_midway_keeps_previous(tmp_path):
+    class Unwritable:  # fails when its turn comes, after the backbone tensors
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("interrupted")
+
+    b = tr.init_backbone(3, [4], 5, seed=0)
+    path = tmp_path / "c.ltck"
+    tr.save_checkpoint(path, b)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        tr.save_checkpoint(path, b, (tr.ClusterModel("local", [2], {2: Unwritable()}), None))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.ltck"]
+
+
 def test_checkpoint_truncation_is_typed(tmp_path):
     path, data = _saved_checkpoint(tmp_path)
     # header (16 bytes), then the first entry: name length, name, dims, payload
@@ -525,3 +560,56 @@ def test_predict_labels_shape(tmp_path):
     assert pred.shape == (sum(s.n_points for s in scenes),)
     assert pred.min() >= 0
     assert pred.max() < 5
+
+
+def _unequal_scenes(sizes, dim=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return [SceneBundle(f"s{i}", rng.normal(size=(n, dim)), np.arange(n) % 4)
+            for i, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+@pytest.mark.parametrize("sizes", [[57], [30, 91, 5, 64], [64, 1, 64]])
+def test_predict_labels_matches_serial_reference(monkeypatch, helpers, sizes):
+    # one logits buffer sized for the largest scene, sliced per scene
+    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+    scenes = _unequal_scenes(sizes)
+    b = tr.init_backbone(3, [16], 6, seed=1)
+    protos = np.random.default_rng(2).normal(size=(11, 6))
+    P = protos / np.linalg.norm(protos, axis=1, keepdims=True)
+    want = np.concatenate([np.argmax(tr.backbone_forward(b, s.points)[0] @ P.T, axis=1)
+                           for s in scenes])
+    assert np.array_equal(tr.predict_labels(b, scenes, protos), want)
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_predict_labels_error_waits_for_the_helper(monkeypatch, helpers):
+    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+    scenes = _unequal_scenes([20, 20, 20, 20])
+    scenes[1].points[:] = 0.0  # zero bias below: scene 1 gives zero output rows
+    b = tr.Backbone([np.random.default_rng(0).normal(size=(3, 5))], [np.zeros(5)])
+    running, started = [], []
+    forward = tr.backbone_forward
+
+    def slow_forward(backbone, X):
+        running.append(1)
+        started.append(X)
+        try:
+            time.sleep(0.05)
+            return forward(backbone, X)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(tr, "backbone_forward", slow_forward)
+    with pytest.raises(NormalizationError):
+        tr.predict_labels(b, scenes, np.eye(5))
+    assert running == []  # no forward pass is still running
+    assert len(started) == 2  # scenes 2 and 3 never start
+
+
+def test_predict_labels_rejects_no_scenes_and_wrong_prototype_dim():
+    b = tr.init_backbone(3, [4], 5, seed=0)
+    with pytest.raises(LangtailError):
+        tr.predict_labels(b, [], np.eye(5))
+    with pytest.raises(ShapeError):
+        tr.predict_labels(b, _unequal_scenes([4, 4]), np.eye(4))
