@@ -56,9 +56,8 @@ TRAIN_KEYS = {
     "lr0": float, "lr_min": float, "poly_power": float, "recluster_every": int,
     "tau": float, "seed": int, "feat_dim": int, "hidden_dim": int,
     "warmup_epochs": int, "s_prime": int, "entity_batch": int,
-    "use_global": str, "freeze_spectral": str, "weight_decay": float,
+    "use_global": str, "weight_decay": float,
     "align_steps": int, "align_lr": float, "sample_cap": int,
-    "dump_spectral": str,
     "corpus": str, "bank": str, "out": str, "baseline": str,
 }
 BANK_KEYS = {"corpus": str, "out": str, "seed": int, "feat_dim": int,
@@ -82,8 +81,10 @@ def load_config_file(path, schema) -> dict:
     base = os.path.dirname(os.path.abspath(path))
     out = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     except OSError as e:
         raise IoError(f"cannot read config {path}: {e}") from e
     for lineno, line in enumerate(lines, 1):
@@ -151,7 +152,7 @@ def _train_config(cfg: dict) -> tr.TrainConfig:
             kwargs["lambda_entity"] = v
         elif k == "granularities":
             kwargs["granularities"] = parse_granularities(v)
-        elif k in ("use_global", "freeze_spectral", "dump_spectral"):
+        elif k == "use_global":
             kwargs[k] = _parse_bool(v)
         else:
             kwargs[k] = v

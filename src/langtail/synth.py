@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_model as dm
-from .errors import ConfigError, IoError
+from .errors import ConfigError, EmptyBatchError
 from .rng import make_rng
 
 TEXT_EMBED_DIM = 512
@@ -249,13 +249,11 @@ def write_corpus(out_dir, scenes, entities) -> None:
 
 def read_corpus(corpus_dir):
     """Load a corpus directory written by write_corpus."""
-    try:
-        with open(os.path.join(corpus_dir, "manifest.tsv")) as f:
-            scene_ids = [line.strip() for line in f if line.strip()]
-    except OSError as e:
-        raise IoError(f"cannot read corpus manifest in {corpus_dir}: {e}") from e
+    rows = dm.read_tsv(os.path.join(corpus_dir, "manifest.tsv"), str)
+    if not rows:
+        raise EmptyBatchError(f"corpus manifest in {corpus_dir} lists no scenes")
     scenes = []
-    for sid in scene_ids:
+    for (sid,) in rows:
         sdir = os.path.join(corpus_dir, "scenes", sid)
         distill_path = os.path.join(sdir, "distill.ltfm")
         labels_path = os.path.join(sdir, "labels.ltlb")

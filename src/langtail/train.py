@@ -8,9 +8,13 @@ analytic gradient and is covered by finite-difference checks in the tests.
 A training step scores every (branch, level) head of a scene in one
 head_ce_loss call, which reuses one logits and gradient buffer for all heads
 and adds each head's feature gradient straight into its branch's
-accumulator. Each head still runs its own matmuls, in the order and shapes
-of one call per head, so losses and gradients stay bit-identical to
-tests/oracle_heads.py, the one-call-per-head loop.
+accumulator. head_ce_loss computes in the dtype of its features. head_step
+passes float32 features and centroids, so the head matmuls and the softmax's
+one exp run in float32, while the softmax row sums, the losses and every
+accumulator are float64; float64 inputs keep float64 arithmetic. Each head
+runs its own matmuls, in the order and shapes of one call per head, so losses
+and gradients are bit-identical to tests/oracle_heads.py, the
+one-call-per-head loop. The backbone and prediction stay float64.
 
 Per-scene work (forward, head cross-entropy, backward) runs in scene_map on
 the calling thread plus one pool thread per further CPU of the affinity set,
@@ -149,14 +153,12 @@ class TrainConfig:
     s_prime: int = 64
     entity_batch: int = 64
     use_global: bool = True
-    freeze_spectral: bool = False
     weight_decay: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     align_steps: int = 500
     align_lr: float = 1e-2
     sample_cap: int = DEFAULT_SAMPLE_CAP
-    dump_spectral: bool = False
 
     def __post_init__(self):
         if self.lambda_entity < 0:
@@ -245,18 +247,23 @@ def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
     must be the same for every head. weight * d loss_h / d features is added
     into grad_out[h]; heads may share an accumulator.
 
-    scratch is an optional float64 buffer of at least n * (max k + C)
-    elements, n the non-ignored rows, that holds each head's logits (the
-    softmax overwrites them in place) and feature gradient, so a caller that
-    passes the same buffer to every call allocates them once. Every head keeps
-    its own matmuls, of the same shapes as a one-head call: a matmul against
-    the stacked centroids of all heads rounds some slices differently, so the
+    The arithmetic runs in float32 for float32 features and in float64
+    otherwise; mus and scratch take that dtype. The softmax is one exp of the
+    logits less their row maximum, over float64 row sums; the losses are
+    float64, and a float64 grad_out takes float32 gradients without a float64
+    copy. scratch is an optional buffer of at least n * (max k + C) elements,
+    n the non-ignored rows, that holds each head's logits (the softmax
+    overwrites them in place) and feature gradient, so a caller that passes
+    the same buffer to every call allocates them once. Every head keeps its
+    own matmuls, of the same shapes as a one-head call: a matmul against the
+    stacked centroids of all heads rounds some slices differently, so the
     losses and gradients would depend on which heads share the call.
 
-    Returns (per-head losses, per-head grads w.r.t. mus).
+    Returns (per-head losses as floats, per-head grads w.r.t. mus in the dtype).
     """
-    F = np.asarray(features, dtype=np.float64)
-    mus = [np.asarray(mu, dtype=np.float64) for mu in mus]
+    dtype = np.float32 if np.asarray(features).dtype == np.float32 else np.float64
+    F = np.asarray(features, dtype=dtype)
+    mus = [np.asarray(mu, dtype=dtype) for mu in mus]
     labels = [np.asarray(y, dtype=np.int64) for y in labels]
     if any(F.shape[0] != y.shape[0] for y in labels):
         raise ShapeError("feature rows and label count differ")
@@ -273,22 +280,22 @@ def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
         labels = [y[valid] for y in labels]
     k_max = max(mu.shape[0] for mu in mus)
     if scratch is None:
-        scratch = np.empty(n * (k_max + F.shape[1]))
+        scratch = np.empty(n * (k_max + F.shape[1]), dtype)
     g = scratch[n * k_max:n * (k_max + F.shape[1])].reshape(F.shape)
     rows = np.arange(n)
     losses, grad_mus = [], []
     for mu, y, acc in zip(mus, labels, grad_out):
         S = np.matmul(F, mu.T, out=scratch[:n * mu.shape[0]].reshape(n, -1))
         picked = S[rows, y]
-        m = S.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
-        losses.append(float(np.mean(lse - picked)))
-        np.subtract(S, lse[:, None], out=S)
+        m = S.max(axis=1)
+        S -= m[:, None]
         np.exp(S, out=S)
+        z = S.sum(axis=1, dtype=np.float64)
+        losses.append(float(np.mean(m + np.log(z) - picked)))
+        S /= z[:, None]
         S[rows, y] -= 1.0
         np.matmul(S, mu, out=g)
-        g /= n
-        g *= weight
+        g *= weight / n
         if n < valid.size:
             acc[valid] += g
         else:
@@ -427,7 +434,7 @@ def spectral_pass(sp_features, cfg: TrainConfig):
     F_feq = spectral.graph_fourier(basis, sp_features)
     s_prime = min(cfg.s_prime, sp_features.shape[0])
     patterns = spectral.group_patterns(basis, F_feq, s_prime, seed=cfg.seed)
-    return basis, patterns
+    return patterns
 
 
 @dataclass
@@ -499,17 +506,21 @@ def head_step(feats, labels, mus, branches):
     scene's mean weighted by its point count. Returns (loss per branch, feature
     gradient per scene, centroid gradient per head). Each branch sums its
     heads' feature gradients in its own accumulator before the branches are
-    added. Each scene gets its own logits and gradient buffer (scenes run
-    through scene_map), freed when its call returns.
+    added. The heads run in float32 (features cast inside each scene's work,
+    centroids once per batch) into float64 accumulators. Each scene gets its
+    own logits and gradient buffer (scenes run through scene_map), freed when
+    its call returns.
     """
     n_pts = sum(f.shape[0] for f in feats)
     n_branches = max(branches) + 1
     k_max = max(mu.shape[0] for mu in mus)
+    mus32 = [mu.astype(np.float32) for mu in mus]
 
     def scene(f, y):
-        accs = [np.zeros_like(f) for _ in range(n_branches)]
-        losses, gmus = head_ce_loss(f, mus, y, [accs[b] for b in branches], f.shape[0],
-                                    np.empty(f.shape[0] * (k_max + f.shape[1])))
+        accs = [np.zeros(f.shape) for _ in range(n_branches)]
+        losses, gmus = head_ce_loss(f.astype(np.float32), mus32, y,
+                                    [accs[b] for b in branches], f.shape[0],
+                                    np.empty(f.shape[0] * (k_max + f.shape[1]), np.float32))
         for acc in accs:
             acc /= n_pts
         for acc in accs[1:]:
@@ -692,23 +703,12 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
     reports = []
     models = (None, None)
-    spectral_feats = None
     epoch = 0
     round_idx = 0
     while epoch < cfg.epochs or epoch == 0:
         sp_feats = trainer.superpoint_features()
-        if cfg.use_global and (spectral_feats is None or not cfg.freeze_spectral):
-            basis, patterns = spectral_pass(sp_feats, cfg)
-            spectral_feats = spectral.global_superpoint_features(patterns)
-            if cfg.dump_spectral:
-                spec_dir = os.path.join(out_dir, "spectral")
-                os.makedirs(spec_dir, exist_ok=True)
-                dm.write_feature_matrix(
-                    os.path.join(spec_dir, f"round_{round_idx:03d}_lambda.ltfm"),
-                    basis.lam[None, :].astype(np.float32))
-                dm.write_feature_matrix(
-                    os.path.join(spec_dir, f"round_{round_idx:03d}_V.ltfm"),
-                    patterns.V.astype(np.float32))
+        spectral_feats = (spectral.global_superpoint_features(spectral_pass(sp_feats, cfg))
+                          if cfg.use_global else None)
         models = build_pseudo_labels(
             sp_feats, spectral_feats, cfg.granularities, cfg.seed,
             use_global=cfg.use_global, sample_cap=cfg.sample_cap,

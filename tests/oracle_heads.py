@@ -1,11 +1,14 @@
 """Per-head reference for the fused head cross-entropy step.
 
-reference_head_ce is the one-head cross-entropy that langtail.train used
-before all heads of a scene shared one call, and reference_head_step is the
-training loop that called it once per head and per scene: local heads first,
+reference_head_ce is a one-head cross-entropy and reference_head_step the
+training loop that calls it once per head and per scene: local heads first,
 then global heads, each branch accumulated in its own per-scene arrays in
-this order. The fused langtail.train.head_step keeps this arithmetic, so it
-must reproduce these losses and gradients exactly.
+this order. Both follow langtail.train's arithmetic: the dtype follows the
+features (float32 stays float32, anything else is float64), the softmax is
+one exp of the logits less their row maximum divided by float64 row sums,
+and the step casts features and centroids to float32 and accumulates in
+float64. The fused langtail.train.head_step must reproduce these losses and
+gradients exactly.
 """
 
 import numpy as np
@@ -13,13 +16,14 @@ import numpy as np
 from langtail.errors import EmptyBatchError, ShapeError
 
 
-def reference_head_ce(features, mu, labels):
+def reference_head_ce(features, mu, labels, weight=1.0):
     """Mean cross-entropy of logits = features @ mu.T over non-ignored items.
 
-    Returns (loss, grad w.r.t. features, grad w.r.t. mu).
+    Returns (loss, weight * grad w.r.t. features, grad w.r.t. mu).
     """
-    F = np.asarray(features, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
+    dtype = np.float32 if np.asarray(features).dtype == np.float32 else np.float64
+    F = np.asarray(features, dtype=dtype)
+    mu = np.asarray(mu, dtype=dtype)
     labels = np.asarray(labels, dtype=np.int64)
     if F.shape[0] != labels.shape[0]:
         raise ShapeError("feature rows and label count differ")
@@ -32,13 +36,14 @@ def reference_head_ce(features, mu, labels):
     Fv = F[valid]
     yv = labels[valid]
     logits = Fv @ mu.T
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(n), yv]))
-    softmax = np.exp(logits - lse[:, None])
+    m = logits.max(axis=1)
+    e = np.exp(logits - m[:, None])
+    z = e.sum(axis=1, dtype=np.float64)
+    loss = float(np.mean(m + np.log(z) - logits[np.arange(n), yv]))
+    softmax = (e / z[:, None]).astype(dtype)
     softmax[np.arange(n), yv] -= 1.0
     grad_f = np.zeros_like(F)
-    grad_f[valid] = softmax @ mu / n
+    grad_f[valid] = softmax @ mu * (weight / n)
     grad_mu = softmax.T @ Fv / n
     return loss, grad_f, grad_mu
 
@@ -50,14 +55,16 @@ def reference_head_step(feats, labels, mus, branches):
     grad_feats = None
     branch_losses = []
     for b in range(max(branches) + 1):
-        acc = [np.zeros_like(f) for f in feats]
+        acc = [np.zeros(f.shape) for f in feats]
         l_branch = 0.0
         for h in [h for h, hb in enumerate(branches) if hb == b]:
             loss_k = 0.0
             for j, f in enumerate(feats):
-                loss, gf, gmu = reference_head_ce(f, mus[h], labels[j][h])
+                loss, gf, gmu = reference_head_ce(f.astype(np.float32),
+                                                  mus[h].astype(np.float32),
+                                                  labels[j][h], f.shape[0])
                 loss_k += loss * f.shape[0]
-                acc[j] += gf * f.shape[0]
+                acc[j] += gf
                 head_grads[h] += gmu * f.shape[0]
             l_branch += loss_k / n_pts
             head_grads[h] /= n_pts

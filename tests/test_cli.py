@@ -146,3 +146,29 @@ def test_config_file_threads_key_removed(tmp_path):
     p.write_text("threads = 2\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config_file(p, TRAIN_KEYS)
+
+
+@pytest.mark.parametrize("key", ["dump_spectral", "freeze_spectral"])
+def test_config_file_spectral_keys_removed(tmp_path, key):
+    p = tmp_path / "train.cfg"
+    p.write_text(f"{key} = true\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config_file(p, TRAIN_KEYS)
+
+
+def test_config_file_bad_utf8_exits_1(tmp_path):
+    p = tmp_path / "train.cfg"
+    p.write_bytes(b"epochs = 2\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"train\.cfg: not UTF-8"):
+        load_config_file(p, TRAIN_KEYS)
+    assert main(["train", "--config", str(p)]) == 1
+
+
+@pytest.mark.parametrize("manifest", [b"scene_000\n\xff\n", b"", b"\n\n"],
+                         ids=["bad_utf8", "empty", "blank_lines"])
+def test_cli_bad_manifest_exits_2(tmp_path, manifest):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    (corpus / "manifest.tsv").write_bytes(manifest)
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+                + SMALL_TRAIN) == 2

@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,63 @@ def test_head_ce_several_heads_fd():
     for h in (0, 2):
         assert_grad_close(gmus[h], central_diff(
             lambda m, h=h: head_ce(F, mus[:h] + [m] + mus[h + 1:], labels)[0][h], mus[h]))
+
+
+def test_head_ce_float32_gradient_fd():
+    # the trainer's float32 path against a float64 central difference of the
+    # float64 path on the same values; the k=1 head has zero loss and gradients
+    rng = np.random.default_rng(9)
+    F = rng.normal(size=(12, 5)).astype(np.float32)
+    mus = [rng.normal(size=(k, 5)).astype(np.float32) for k in (4, 1, 3)]
+    labels = [rng.integers(0, k, size=12) for k in (4, 1, 3)]
+    for y in labels:
+        y[[1, 8]] = -1
+    grads = [np.zeros(F.shape) for _ in mus]
+    losses, gmus = tr.head_ce_loss(F, mus, labels, grads, weight=1.5)
+    assert losses[1] == 0.0 and not grads[1].any() and not gmus[1].any()
+    F64, mus64 = F.astype(np.float64), [mu.astype(np.float64) for mu in mus]
+    for h in (0, 2):
+        assert not grads[h][[1, 8]].any()
+        assert_grad_close(grads[h], central_diff(
+            lambda x, h=h: 1.5 * head_ce(x, mus64, labels)[0][h], F64), rtol=1e-3, atol=1e-5)
+        assert_grad_close(gmus[h], central_diff(
+            lambda m, h=h: head_ce(F64, mus64[:h] + [m] + mus64[h + 1:], labels)[0][h],
+            mus64[h]), rtol=1e-3, atol=1e-5)
+
+
+def test_head_ce_dtype_follows_features():
+    rng = np.random.default_rng(10)
+    F = rng.normal(size=(7, 3))
+    mus = [rng.normal(size=(k, 3)) for k in (2, 4)]
+    labels = [rng.integers(0, k, size=7) for k in (2, 4)]
+    for dtype in (np.float64, np.float32):
+        grads = [np.zeros(F.shape) for _ in mus]
+        losses, gmus = tr.head_ce_loss(F.astype(dtype), mus, labels, grads)
+        assert all(type(loss) is float for loss in losses)
+        assert all(g.dtype == dtype for g in gmus)
+        assert all(g.dtype == np.float64 and g.any() for g in grads)
+    # float64 centroids do not lift float32 features, and int features are float64
+    assert tr.head_ce_loss(F.astype(np.int64), mus, labels, grads)[1][0].dtype == np.float64
+
+
+def test_head_step_peak_memory(monkeypatch):
+    # 2 scenes x 4,000 x 384, heads 120/80/20 on both branches, run serially.
+    # The peak is about 4.5 n x C float64 arrays: scene 0's result, scene 1's
+    # two branch accumulators, its float32 features and its float32 logits and
+    # gradient buffer. One float64 copy of a float32 product of that size
+    # (5.5) or the float64 buffers and softmax temporary of the float64 step
+    # (5.2) exceed 5.
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
+    ks = (120, 80, 20, 120, 80, 20)
+    feats, labels, mus = _head_case(4, (4000, 4000), 384, ks, 0.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr.head_step(feats, labels, mus, [0, 0, 0, 1, 1, 1])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 def test_head_ce_all_ignored():
