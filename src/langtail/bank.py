@@ -21,7 +21,6 @@ from .rng import make_rng
 class SemanticBank:
     B: np.ndarray  # (T, C) aligned prototypes
     entity_ids: list[int]
-    F_e: np.ndarray  # (T, 512) raw text embeddings
     alignment_loss_trace: list[float] = field(default_factory=list)
     categories: np.ndarray | None = None  # (T,) entity category ids
 
@@ -142,8 +141,7 @@ def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-
         trace.append(loss)
     if entity_ids is None:
         entity_ids = list(range(F.shape[0]))
-    return SemanticBank(B=F, entity_ids=list(entity_ids), F_e=F_e.copy(),
-                        alignment_loss_trace=trace,
+    return SemanticBank(B=F, entity_ids=list(entity_ids), alignment_loss_trace=trace,
                         categories=derive_categories(F))
 
 
@@ -226,15 +224,12 @@ def save_bank(out_dir, bank: SemanticBank) -> None:
             f.write(f"{eid}\n")
 
 
-def load_bank(out_dir, F_e=None) -> SemanticBank:
+def load_bank(out_dir) -> SemanticBank:
     B = np.asarray(dm.read_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm")),
                    dtype=np.float64)
     ids = [eid for (eid,) in dm.read_tsv(os.path.join(out_dir, "entity_ids.tsv"), int)]
     trace_path = os.path.join(out_dir, "trace.tsv")
     trace = ([v for _, v in dm.read_tsv(trace_path, int, float)]
              if os.path.exists(trace_path) else [])
-    if F_e is None:
-        F_e = np.zeros((B.shape[0], 1))
-    return SemanticBank(B=B, entity_ids=ids, F_e=np.asarray(F_e, dtype=np.float64),
-                        alignment_loss_trace=trace,
+    return SemanticBank(B=B, entity_ids=ids, alignment_loss_trace=trace,
                         categories=derive_categories(B))

@@ -127,11 +127,6 @@ def _sq_dists(X, C):
     return d2
 
 
-def ward_cost(size_a, mu_a, size_b, mu_b) -> float:
-    diff = np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64)
-    return float(size_a * size_b / (size_a + size_b) * (diff @ diff))
-
-
 def ward_tree(X) -> Dendrogram:
     """Greedy Ward agglomeration with the documented lexicographic tie-break.
 

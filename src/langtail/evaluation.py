@@ -1,4 +1,4 @@
-"""Hungarian-matched evaluation, long-tail reporting, and prototype transfer.
+"""Hungarian-matched evaluation and long-tail reporting.
 
 Matching protocol: pseudo classes are assigned to ground-truth classes by
 minimum-cost assignment on the negated confusion counts; with more pseudo
@@ -169,13 +169,6 @@ def max_cosine_labels(features, protos) -> np.ndarray:
     if F.shape[1] != P.shape[1]:
         raise ShapeError(f"feature dim {F.shape[1]} != prototype dim {P.shape[1]}")
     return np.argmax(F @ P.T, axis=1)
-
-
-def prototype_transfer(models, target_features) -> np.ndarray:
-    """max_cosine_labels against every head's centroids (concat_prototypes)."""
-    from .train import concat_prototypes  # avoids a module cycle at import time
-
-    return max_cosine_labels(target_features, concat_prototypes(models))
 
 
 ABSORBED_IOU_THRESHOLD = 0.05

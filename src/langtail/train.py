@@ -31,7 +31,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,6 +167,9 @@ class TrainConfig:
             raise ConfigError("need lr0 > lr_min > 0")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
+        for name, low in (("epochs", 0), ("recluster_every", 1), ("batch_scenes", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         self.granularities = tuple(check_granularities(self.granularities))
 
 
@@ -544,7 +547,7 @@ def head_step(feats, labels, mus, branches):
 
 
 class Trainer:
-    """Shared machinery for the full pipeline and the degenerate baseline."""
+    """Backbone, optimizer and the epochs of run_pipeline's training loop."""
 
     def __init__(self, corpus: CorpusState, entities, cfg: TrainConfig, input_dim: int):
         self.corpus = corpus
@@ -557,10 +560,11 @@ class Trainer:
         self.global_step = 0
         self.total_steps = 0
 
-    def scene_batches(self):
-        n = len(self.corpus.scenes)
-        bs = max(1, self.cfg.batch_scenes)
-        return [list(range(i, min(i + bs, n))) for i in range(0, n, bs)]
+    def scene_batches(self, idxs=None):
+        """idxs (default: every scene) in order, cfg.batch_scenes to a batch."""
+        idxs = list(range(len(self.corpus.scenes))) if idxs is None else idxs
+        bs = self.cfg.batch_scenes
+        return [idxs[i:i + bs] for i in range(0, len(idxs), bs)]
 
     def forward_scenes(self, idxs):
         out = scene_map(lambda i: backbone_forward(self.backbone, self.corpus.scenes[i].points),
@@ -649,8 +653,7 @@ class Trainer:
             return losses
         for _ in range(cfg.warmup_epochs):
             epoch_loss = 0.0
-            for batch in [idxs[i:i + cfg.batch_scenes]
-                          for i in range(0, len(idxs), cfg.batch_scenes)]:
+            for batch in self.scene_batches(idxs):
                 feats, caches = self.forward_scenes(batch)
                 grad_feats = []
                 batch_loss = 0.0
@@ -702,10 +705,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     trainer.total_steps = cfg.epochs * n_batches
 
     reports = []
-    models = (None, None)
-    epoch = 0
-    round_idx = 0
-    while epoch < cfg.epochs or epoch == 0:
+    for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
         sp_feats = trainer.superpoint_features()
         spectral_feats = (spectral.global_superpoint_features(spectral_pass(sp_feats, cfg))
                           if cfg.use_global else None)
@@ -717,13 +717,9 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
             os.path.join(out_dir, "checkpoints", f"round_{round_idx:03d}.ltck"),
             trainer.backbone, models,
         )
-        if cfg.epochs == 0:
-            break
         head_opt = AdamW(_flatten_heads(models), cfg)
-        for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
+        for epoch in range(start, min(start + cfg.recluster_every, cfg.epochs)):
             reports.append(trainer.train_epoch(models, bank_obj, head_opt, epoch))
-            epoch += 1
-        round_idx += 1
 
     if warmup_losses:
         with dm.atomic_open(os.path.join(out_dir, "warmup.tsv")) as f:
@@ -734,41 +730,11 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
 
 def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
-    """Learning-by-clustering baseline: cluster superpoint features at the
-    primitive granularity, train the backbone and head with plain batch-mean
-    cross-entropy, recluster, repeat. No warmup, entity loss, global branch
-    or multi-granularity heads, whatever cfg says."""
-    from .synth import read_corpus
-
-    scenes, entities = read_corpus(corpus_dir)
-    standardize_scenes(scenes)
-    corpus = CorpusState(scenes)
-    os.makedirs(out_dir, exist_ok=True)
-
-    k_prim = int(cfg.granularities[-1])
-    trainer = Trainer(corpus, entities, cfg, scenes[0].points.shape[1])
-    trainer.total_steps = cfg.epochs * len(trainer.scene_batches())
-    reports = []
-    models = (None, None)
-    epoch = 0
-    while epoch < cfg.epochs or epoch == 0:
-        # recluster: forward everything, pool per superpoint, one Ward cut
-        sp_feats = trainer.superpoint_features()
-        ((_, mu, sp_labels),) = multi_granularity_labels(
-            sp_feats, (k_prim,), seed=cfg.seed, sample_cap=cfg.sample_cap
-        )
-        local = ClusterModel(branch="local", levels=[k_prim],
-                             centroids={k_prim: mu}, sp_labels={k_prim: sp_labels})
-        models = (local, None)
-        if cfg.epochs == 0:
-            break
-        head_opt = AdamW([mu], cfg)
-        for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
-            reports.append(trainer.train_epoch(models, None, head_opt, epoch))
-            epoch += 1
-
-    _write_outputs(out_dir, trainer, models, reports)
-    return trainer.backbone, models, reports
+    """Learning-by-clustering baseline: run_pipeline at the primitive
+    granularity only, with no warmup, entity loss or global branch, whatever
+    cfg says."""
+    return run_pipeline(replace(cfg, granularities=cfg.granularities[-1:], lambda_entity=0.0,
+                                use_global=False, warmup_epochs=0), corpus_dir, out_dir)
 
 
 def _load_or_build_bank(trainer, corpus, entities, cfg, bank_dir, out_dir):

@@ -15,6 +15,12 @@ import numpy as np
 from langtail.cluster import Dendrogram, _pairwise_ward_costs
 
 
+def ward_cost(size_a, mu_a, size_b, mu_b) -> float:
+    """Ward merge cost of two clusters from their sizes and means."""
+    diff = np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64)
+    return float(size_a * size_b / (size_a + size_b) * (diff @ diff))
+
+
 def ess(points):
     mu = points.mean(axis=0)
     return float(((points - mu) ** 2).sum())

@@ -26,6 +26,7 @@ from langtail import train as tr
 from langtail.cli import main
 from langtail.synth import SynthConfig, generate_corpus
 
+from oracle_baseline import reference_baseline
 from oracle_ward import labels_to_partition, oracle_agglomerate
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "fixtures", "longtail_manifest.json")
@@ -98,8 +99,7 @@ def test_criterion_1_gradient_suite(capfd):
 
         for i in range(20):  # entity InfoNCE w.r.t. anchors
             bank = bk.SemanticBank(B=rng.normal(size=(6, 4)),
-                                   entity_ids=list(range(6)),
-                                   F_e=np.zeros((6, 1)))
+                                   entity_ids=list(range(6)))
             batch = bk.sample_entity_batch(bank, 4, seed=i,
                                            class_hint=np.array([0, 0, 1, 1, 2, 2]))
             A = rng.normal(size=(4, 4))
@@ -284,17 +284,20 @@ def test_criterion_8_baseline_degeneracy(tmp_path, capfd):
     with criterion(capfd, 8, "baseline degeneracy", 120):
         corpus = str(tmp_path / "corpus")
         generate_corpus(SynthConfig(n_classes=4, points_per_scene=400,
-                                    n_scenes=3, seed=8), corpus)
-        cfg = tr.TrainConfig(lambda_entity=0.0, granularities=(6,), epochs=6,
-                             recluster_every=3, use_global=False, feat_dim=16,
-                             hidden_dim=16, batch_scenes=2, warmup_epochs=0,
-                             seed=8)
-        _, _, rp = tr.run_pipeline(cfg, corpus, str(tmp_path / "p"))
-        _, _, rb = tr.run_baseline(cfg, corpus, str(tmp_path / "b"))
-        assert rp == rb  # dataclass equality on floats: bit-for-bit
-        for rel in ("losses.tsv", "prototypes.ltfm", "pred.ltlb"):
-            assert (tmp_path / "p" / rel).read_bytes() == \
-                (tmp_path / "b" / rel).read_bytes(), rel
+                                    n_scenes=3, seed=8, distill_dim=16), corpus)
+        # every setting the baseline must override is switched on
+        for epochs in (0, 6, 4):
+            cfg = tr.TrainConfig(lambda_entity=0.5, granularities=(12, 6), epochs=epochs,
+                                 recluster_every=3, use_global=True, s_prime=8,
+                                 feat_dim=16, hidden_dim=16, batch_scenes=2,
+                                 warmup_epochs=2, seed=8)
+            ref, got = tmp_path / f"ref{epochs}", tmp_path / f"b{epochs}"
+            _, _, rr = reference_baseline(cfg, corpus, str(ref))
+            _, _, rb = tr.run_baseline(cfg, corpus, str(got))
+            assert rr == rb  # dataclass equality on floats: bit for bit
+            for rel in ("checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"):
+                assert (ref / rel).read_bytes() == (got / rel).read_bytes(), (epochs, rel)
+            assert (got / "checkpoints" / "round_000.ltck").exists()
 
 
 # --- criterion 9: determinism ----------------------------------------------

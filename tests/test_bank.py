@@ -118,8 +118,7 @@ def test_balance_weights():
 def _bank(T=10, C=4, seed=0):
     rng = np.random.default_rng(seed)
     from langtail.bank import SemanticBank
-    return SemanticBank(B=rng.normal(size=(T, C)), entity_ids=list(range(T)),
-                        F_e=rng.normal(size=(T, 8)))
+    return SemanticBank(B=rng.normal(size=(T, C)), entity_ids=list(range(T)))
 
 
 def test_sample_entity_batch_deterministic():

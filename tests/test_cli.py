@@ -110,6 +110,12 @@ def test_cli_exit_codes(tmp_path):
     assert main([]) == 1
 
 
+def test_cli_recluster_every_zero_exits_1(tmp_path):
+    # a zero step would loop forever; the config is refused before the corpus is read
+    assert main(["train", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
+                 "--recluster-every", "0"]) == 1
+
+
 def test_cli_data_error_on_corrupt_file(tmp_path):
     p = tmp_path / "x.ltlb"
     p.write_bytes(b"XXXX" + b"\x00" * 12)

@@ -14,12 +14,11 @@ from langtail.cluster import (
     cut_tree,
     kmeans,
     multi_granularity_labels,
-    ward_cost,
     ward_tree,
 )
 from langtail.errors import ConfigError
 
-from oracle_ward import labels_to_partition, oracle_agglomerate, reference_ward_scan
+from oracle_ward import labels_to_partition, oracle_agglomerate, reference_ward_scan, ward_cost
 
 
 def test_check_granularities():

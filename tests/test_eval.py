@@ -196,13 +196,13 @@ def test_prototype_transfer_is_max_cosine():
     models = _models((5, 3), C=4)
     rng = np.random.default_rng(1)
     F = rng.normal(size=(40, 4))
-    got = ev.prototype_transfer(models, F)
     P = tr.concat_prototypes(models)
-    P = P / np.linalg.norm(P, axis=1, keepdims=True)
+    got = ev.max_cosine_labels(F, P)
+    Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
     Fn = F / np.linalg.norm(F, axis=1, keepdims=True)
-    assert np.array_equal(got, np.argmax(Fn @ P.T, axis=1))
+    assert np.array_equal(got, np.argmax(Fn @ Pn.T, axis=1))
     with pytest.raises(ShapeError):
-        ev.prototype_transfer(models, np.ones((3, 7)))
+        ev.max_cosine_labels(np.ones((3, 7)), P)
 
 
 def test_tail_report_ordering_and_absorption():

@@ -25,6 +25,7 @@ from langtail.errors import (
     TruncationError,
 )
 from langtail.synth import SynthConfig, generate_corpus
+from oracle_baseline import reference_baseline
 from oracle_heads import reference_head_step
 
 
@@ -50,6 +51,13 @@ def test_train_config_defaults_and_validation():
         tr.TrainConfig(lr0=1e-9, lr_min=1e-8)
     with pytest.raises(ConfigError):
         tr.TrainConfig(granularities=(20, 80))
+    # loop counters that would hang (a zero step, negative epochs) or crash
+    with pytest.raises(ConfigError, match="epochs"):
+        tr.TrainConfig(epochs=-1)
+    with pytest.raises(ConfigError, match="recluster_every"):
+        tr.TrainConfig(recluster_every=0)
+    with pytest.raises(ConfigError, match="batch_scenes"):
+        tr.TrainConfig(batch_scenes=0)
 
 
 def test_spectral_pass_checks_memory_before_allocating():
@@ -289,8 +297,7 @@ def test_entity_anchor_grads_match_add_at():
              [("s1", [2, 3, 4, 20])], [("s0", [4, 9, 29])]]
     entities = [EntityRecord(e, f"e{e}", rng.normal(size=4), masks=m)
                 for e, m in enumerate(masks)]
-    sample = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)),
-                          F_e=np.zeros((4, 1)))
+    sample = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)))
     batch = sample_entity_batch(sample, 4, seed=1, class_hint=np.array([0, 0, 1, 1]))
     loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.2)
 
@@ -542,13 +549,23 @@ def test_warmup_uses_distill_targets(tmp_path):
 
 
 def test_baseline_matches_degenerate_pipeline(tmp_path):
-    _mini_corpus(tmp_path)
-    cfg = small_cfg(epochs=4, recluster_every=2)
-    _, _, rp = tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "p")
-    _, _, rb = tr.run_baseline(cfg, tmp_path / "corpus", tmp_path / "b")
-    assert rp == rb
-    assert (tmp_path / "p" / "losses.tsv").read_bytes() == \
-        (tmp_path / "b" / "losses.tsv").read_bytes()
+    # run_baseline is run_pipeline with four settings overridden; the reference
+    # is the baseline's own loop, fed a config in which every one of them is on
+    _mini_corpus(tmp_path, distill_dim=8)
+    for epochs in (0, 4, 3):
+        cfg = small_cfg(lambda_entity=0.5, use_global=True, granularities=(6, 3), s_prime=8,
+                        epochs=epochs, recluster_every=2, warmup_epochs=2)
+        ref, got = tmp_path / f"r{epochs}", tmp_path / f"b{epochs}"
+        _, _, rr = reference_baseline(cfg, tmp_path / "corpus", ref)
+        _, models, rb = tr.run_baseline(cfg, tmp_path / "corpus", got)
+        assert rr == rb
+        assert models[0].levels == [3] and models[1] is None
+        for rel in ("checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"):
+            assert (ref / rel).read_bytes() == (got / rel).read_bytes(), (epochs, rel)
+        rounds = sorted(os.listdir(got / "checkpoints"))
+        assert rounds == [f"round_{i:03d}.ltck" for i in range(max(1, -(-epochs // 2)))]
+        assert not (got / "warmup.tsv").exists()
+        assert not (got / "bank").exists()
 
 
 def test_checkpoint_round_trip(tmp_path):
