@@ -17,6 +17,10 @@ from .bank import _l2_rows
 from .data_model import atomic_open
 from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 
+# rows per block wherever a row-wise pass over a whole scene or feature file
+# would otherwise build an n x k temporary
+ROW_BLOCK = 4096
+
 
 @dataclass
 class ConfusionMatrix:
@@ -163,12 +167,25 @@ def match_and_score(cm: ConfusionMatrix, unmatched: str = "merge") -> EvalReport
     )
 
 
+def argmax_scores(Y, P) -> np.ndarray:
+    """np.argmax(Y @ P.T, axis=1), one ROW_BLOCK-row matmul at a time into one
+    block buffer, so no len(Y) x len(P) matrix is built. Y of at most
+    ROW_BLOCK rows is one matmul of the whole product."""
+    n = len(Y)
+    labels = np.empty(n, np.intp)
+    buf = np.empty((min(n, ROW_BLOCK), len(P)), np.result_type(Y, P))
+    for a in range(0, n, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n)
+        np.argmax(np.matmul(Y[a:b], P.T, out=buf[:b - a]), axis=1, out=labels[a:b])
+    return labels
+
+
 def max_cosine_labels(features, protos) -> np.ndarray:
     """Index of the max-cosine prototype row for every feature row."""
     F, P = _l2_rows(features), _l2_rows(protos)
     if F.shape[1] != P.shape[1]:
         raise ShapeError(f"feature dim {F.shape[1]} != prototype dim {P.shape[1]}")
-    return np.argmax(F @ P.T, axis=1)
+    return argmax_scores(F, P)
 
 
 ABSORBED_IOU_THRESHOLD = 0.05

@@ -19,10 +19,10 @@ one-call-per-head loop. The backbone and prediction stay float64.
 Per-scene work (forward, head cross-entropy, backward) runs in scene_map on
 the calling thread plus one pool thread per further CPU of the affinity set,
 with no setting; results are reduced in scene order on the calling thread, so
-outputs are byte-identical whatever the CPU count. predict_labels prefetches
-one scene ahead: a helper runs the next scene's forward pass while the caller
-scores the current one into one reused logits buffer, so its peak memory is
-that buffer plus two scenes' activations. BLAS threads are the caller's.
+outputs are byte-identical whatever the helper count (not the BLAS thread
+count, which is the caller's). predict_labels runs whole scenes the same way:
+a thread runs a scene's forward pass and scores it in fixed ROW_BLOCK-row
+blocks, so its peak memory is one scene's activations plus one logits block.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
+from .evaluation import ROW_BLOCK, argmax_scores
 from .rng import make_rng, stream_key
 
 CHECKPOINT_MAGIC = b"LTCK"
@@ -72,11 +73,6 @@ CHECKPOINT_MAGIC = b"LTCK"
 SPECTRAL_DENSE_ARRAYS = 7
 SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the caller
 _POOLS = {}  # one pool per process id: a forked child has none of its parent's threads
-
-
-def _pool() -> ThreadPoolExecutor:
-    return _POOLS.get(os.getpid()) or _POOLS.setdefault(os.getpid(), ThreadPoolExecutor(
-        max(1, SCENE_HELPERS), thread_name_prefix="langtail-scene"))
 
 
 def scene_map(fn, *iterables):
@@ -100,7 +96,10 @@ def scene_map(fn, *iterables):
             except Exception as e:
                 errors.append((i, e))
 
-    helpers = [_pool().submit(work) for _ in range(min(SCENE_HELPERS, len(items) - 1))]
+    n_helpers = min(SCENE_HELPERS, len(items) - 1)
+    if n_helpers > 0 and os.getpid() not in _POOLS:
+        _POOLS[os.getpid()] = ThreadPoolExecutor(SCENE_HELPERS, thread_name_prefix="langtail-scene")
+    helpers = [_POOLS[os.getpid()].submit(work) for _ in range(n_helpers)]
     try:
         work()
     finally:
@@ -206,8 +205,8 @@ def backbone_forward(b: Backbone, X):
             np.maximum(h, 0.0, out=h)
             acts.append(h)
     norms = np.empty(len(h))  # row blocks: the same per-row sums, no n x C temporary
-    for a in range(0, len(h), 4096):
-        norms[a:a + 4096] = np.linalg.norm(h[a:a + 4096], axis=1)
+    for a in range(0, len(h), ROW_BLOCK):
+        norms[a:a + ROW_BLOCK] = np.linalg.norm(h[a:a + ROW_BLOCK], axis=1)
     if np.any(norms < 1e-12):
         raise NormalizationError("backbone produced a (near-)zero output row")
     h /= norms[:, None]
@@ -298,7 +297,9 @@ def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
         S /= z[:, None]
         S[rows, y] -= 1.0
         np.matmul(S, mu, out=g)
-        g *= weight / n
+        scale = weight / n
+        if scale != 1.0:  # head_step's weight is n: skip a pass that changes no bit
+            g *= scale
         if n < valid.size:
             acc[valid] += g
         else:
@@ -691,15 +692,18 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     scenes, entities = read_corpus(corpus_dir)
     standardize_scenes(scenes)
     corpus = CorpusState(scenes)
-    os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
 
     trainer = Trainer(corpus, entities, cfg, scenes[0].points.shape[1])
     warmup_losses = trainer.warmup()
 
     bank_obj = None
-    if cfg.lambda_entity > 0:
-        bank_obj = _load_or_build_bank(trainer, corpus, entities, cfg, bank_dir, out_dir)
+    if cfg.lambda_entity > 0 and bank_dir is not None and os.path.exists(
+            os.path.join(bank_dir, "bank_aligned.ltfm")):
+        bank_obj = load_bank(bank_dir)
+    elif cfg.lambda_entity > 0:
+        bank_obj = build_bank(trainer.backbone, scenes, entities, cfg)
+        save_bank(os.path.join(out_dir, "bank"), bank_obj)
 
     n_batches = len(trainer.scene_batches())
     trainer.total_steps = cfg.epochs * n_batches
@@ -737,16 +741,6 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
                                 use_global=False, warmup_epochs=0), corpus_dir, out_dir)
 
 
-def _load_or_build_bank(trainer, corpus, entities, cfg, bank_dir, out_dir):
-    if bank_dir is not None and os.path.exists(
-        os.path.join(bank_dir, "bank_aligned.ltfm")
-    ):
-        return load_bank(bank_dir)
-    bank_obj = build_bank(trainer.backbone, corpus.scenes, entities, cfg)
-    save_bank(os.path.join(out_dir, "bank"), bank_obj)
-    return bank_obj
-
-
 def build_bank(backbone, scenes, entities, cfg: TrainConfig) -> SemanticBank:
     """Offline bank pass: aggregate masked features, then Gram-align them to
     the text-embedding geometry."""
@@ -758,32 +752,17 @@ def build_bank(backbone, scenes, entities, cfg: TrainConfig) -> SemanticBank:
 
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
-    """Assign every point of every scene to its max-cosine prototype. Scenes
-    are scored in order, each by one whole-scene matmul into one logits buffer,
-    while a helper (if SCENE_HELPERS) runs the next scene's forward pass: peak
-    memory is that buffer plus two scenes' activations. An error is raised
-    once no helper runs."""
+    """Assign every point of every scene to its max-cosine prototype. Whole
+    scenes run through scene_map: a scene's forward pass, then argmax_scores,
+    so a thread's peak memory is one scene's activations plus one ROW_BLOCK x
+    prototypes block of logits."""
     if not scenes:
         raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)
     if P.shape[1] != backbone.out_dim:
         raise ShapeError(f"prototype dim {P.shape[1]} != backbone output dim {backbone.out_dim}")
-    logits = np.empty((max(s.points.shape[0] for s in scenes), P.shape[0]))
-    pool = _pool() if SCENE_HELPERS else None
-    labels, pending = [], None
-
-    def features(s):
-        return backbone_forward(backbone, s.points)[0]
-
-    try:
-        for s, nxt in zip(scenes, [*scenes[1:], None]):
-            Y = pending.result() if pending else features(s)
-            pending = pool.submit(features, nxt) if pool and nxt is not None else None
-            labels.append(np.argmax(np.matmul(Y, P.T, out=logits[:len(Y)]), axis=1))
-    finally:
-        if pending:  # a raise while scene i+1 is in flight: wait for it
-            pending.exception()
-    return np.concatenate(labels)
+    return np.concatenate(scene_map(
+        lambda s: argmax_scores(backbone_forward(backbone, s.points)[0], P), scenes))
 
 
 def _write_outputs(out_dir, trainer, models, reports):

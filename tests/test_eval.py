@@ -205,6 +205,16 @@ def test_prototype_transfer_is_max_cosine():
         ev.max_cosine_labels(np.ones((3, 7)), P)
 
 
+def test_max_cosine_labels_in_row_blocks():
+    # 9,000 rows: two full ROW_BLOCK blocks and a tail of 808 rows
+    rng = np.random.default_rng(3)
+    F = rng.normal(size=(9000, 16))
+    P = rng.normal(size=(50, 16))
+    Fn = F / np.linalg.norm(F, axis=1, keepdims=True)
+    Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
+    assert np.array_equal(ev.max_cosine_labels(F, P), np.argmax(Fn @ Pn.T, axis=1))
+
+
 def test_tail_report_ordering_and_absorption():
     r = ev.EvalReport(
         mapping=np.arange(3), oa=0.5, macc=0.5, miou=0.5,

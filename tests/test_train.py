@@ -644,9 +644,11 @@ def _unequal_scenes(sizes, dim=3, seed=0):
 
 
 @pytest.mark.parametrize("helpers", [0, 1])
-@pytest.mark.parametrize("sizes", [[57], [30, 91, 5, 64], [64, 1, 64]])
+@pytest.mark.parametrize("sizes", [[57], [30, 91, 5, 64], [64, 1, 64],
+                                   [4095, 4096, 1, 4097, 8193]])
 def test_predict_labels_matches_serial_reference(monkeypatch, helpers, sizes):
-    # one logits buffer sized for the largest scene, sliced per scene
+    # scenes of up to ROW_BLOCK rows are one matmul; larger ones are scored in
+    # blocks, with a one-row tail at 4,097 and 8,193 rows
     monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
     scenes = _unequal_scenes(sizes)
     b = tr.init_backbone(3, [16], 6, seed=1)
@@ -655,6 +657,24 @@ def test_predict_labels_matches_serial_reference(monkeypatch, helpers, sizes):
     want = np.concatenate([np.argmax(tr.backbone_forward(b, s.points)[0] @ P.T, axis=1)
                            for s in scenes])
     assert np.array_equal(tr.predict_labels(b, scenes, protos), want)
+
+
+def test_predict_labels_peak_memory(monkeypatch):
+    # one 20,000-row scene, 440 prototypes: the whole-scene logits matrix alone
+    # is 20,000 x 440 x 8 B = 67 MiB; the forward pass's activations and one
+    # 4,096-row block of logits stay well below it
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
+    scenes = _unequal_scenes([20000], dim=6)
+    b = tr.init_backbone(6, [32], 32, seed=0)
+    protos = np.random.default_rng(1).normal(size=(440, 32))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr.predict_labels(b, scenes, protos)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 20000 * 440 * 8, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("helpers", [0, 1])
@@ -678,8 +698,10 @@ def test_predict_labels_error_waits_for_the_helper(monkeypatch, helpers):
     monkeypatch.setattr(tr, "backbone_forward", slow_forward)
     with pytest.raises(NormalizationError):
         tr.predict_labels(b, scenes, np.eye(5))
-    assert running == []  # no forward pass is still running
-    assert len(started) == 2  # scenes 2 and 3 never start
+    assert running == []  # every call that started has returned
+    # scene 3 never starts: no item starts after a raise; with a helper the
+    # caller may take scene 2 before scene 1's raise is recorded
+    assert len(started) == 2 if helpers == 0 else len(started) <= 3
 
 
 def test_predict_labels_rejects_no_scenes_and_wrong_prototype_dim():
