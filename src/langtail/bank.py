@@ -95,8 +95,9 @@ def _l2_rows(X) -> np.ndarray:
 
 def align_gram_loss(F, G_target) -> tuple[float, np.ndarray]:
     """Squared-Frobenius Gram mismatch and its analytic gradient 4*(G(F)-G_t)*F."""
-    diff = gram(F) - G_target
-    return float((diff * diff).sum()), 4.0 * diff @ F
+    diff = gram(F)
+    diff -= G_target
+    return float((diff * diff).sum()), 4.0 * (diff @ F)
 
 
 def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-2) -> SemanticBank:

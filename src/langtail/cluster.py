@@ -2,7 +2,8 @@
 
 Conventions pinned here (and by the oracle tests):
   - Ward merge cost is the raw ESS increase
-    delta(a, b) = n_a * n_b / (n_a + n_b) * ||mu_a - mu_b||^2 (no square root).
+    delta(a, b) = n_a * n_b / (n_a + n_b) * ||mu_a - mu_b||^2 (no square root),
+    updated after each merge by the Lance-Williams recurrence, not from centroids.
   - Ties break on the smallest (left_node, right_node) id pair, left < right,
     with new nodes numbered n_leaves + merge_index.
   - k-means uses greedy farthest-point seeding from a seeded PRNG; empty
@@ -130,7 +131,8 @@ def _sq_dists(X, C):
 def ward_tree(X) -> Dendrogram:
     """Greedy Ward agglomeration with the documented lexicographic tie-break.
 
-    O(n^2) memory and O(n^2) total work for typical inputs: each row's minimum
+    O(n^2) memory and O(n^2) total work for typical inputs: a merge derives
+    its costs from the two merged rows (Lance-Williams), and each row's minimum
     cost is cached, so a merge rescans only the rows whose minimum it may have
     removed instead of the whole cost matrix.
     """
@@ -140,12 +142,11 @@ def ward_tree(X) -> Dendrogram:
         raise ConfigError(f"ward_tree needs >= 2 rows, got {n}")
     check_dense_budget(n, WARD_DENSE_ARRAYS, "ward_tree")
 
-    mus = X.copy()
     sizes = np.ones(n, dtype=np.float64)
     node_ids = np.arange(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
 
-    cost = _pairwise_ward_costs(mus, sizes)
+    cost = _pairwise_ward_costs(X, sizes)
     cost = np.minimum(cost, cost.T)  # summation order skews the triangles by 1 ulp
     np.fill_diagonal(cost, np.inf)
     row_min = cost.min(axis=1)
@@ -156,46 +157,39 @@ def ward_tree(X) -> Dendrogram:
         # cost stays symmetric, so the rows holding the global minimum carry
         # every tied pair; pick the lexicographic smallest (min id, max id)
         rows = np.flatnonzero(row_min == best)
-        ii, jj = np.nonzero(cost[rows] == best)
-        ii = rows[ii]
-        first = np.lexsort((np.maximum(node_ids[ii], node_ids[jj]),
-                            np.minimum(node_ids[ii], node_ids[jj])))[0]
-        a, b = ii[first], jj[first]
+        if rows.size == 2:  # a unique minimum: its two rows are the pair
+            a, b = rows
+        else:
+            ii, jj = np.nonzero(cost[rows] == best)
+            ii = rows[ii]
+            first = np.lexsort((np.maximum(node_ids[ii], node_ids[jj]),
+                                np.minimum(node_ids[ii], node_ids[jj])))[0]
+            a, b = ii[first], jj[first]
         if node_ids[a] > node_ids[b]:
             a, b = b, a
         left, right = node_ids[a], node_ids[b]
 
-        new_size = sizes[a] + sizes[b]
-        new_mu = (sizes[a] * mus[a] + sizes[b] * mus[b]) / new_size
+        sa, sb = sizes[a], sizes[b]
+        new_size = sa + sb
         merges.append((int(left), int(right), float(best), int(new_size)))
+        # Lance-Williams; the inf of dead slots and of the diagonal carries through
+        c = ((sizes + sa) * cost[a] + (sizes + sb) * cost[b] - sizes * best) / (sizes + new_size)
 
         # slot a becomes the merged cluster, slot b dies
-        mus[a] = new_mu
         sizes[a] = new_size
         node_ids[a] = n + step
         active[b] = False
-        others = np.flatnonzero(active)
-        others = others[others != a]
-        # a row whose minimum sat in column a or b is rescanned; any other
-        # row keeps its minimum unless the new column a undercuts it
-        held = row_min[others]
-        stale = (held == cost[a, others]) | (held == cost[b, others])
+        # a live row whose minimum sat in column a or b (row a's always did) is
+        # rescanned; any other row keeps its minimum unless column a undercuts it
+        stale = ((row_min == cost[a]) | (row_min == cost[b])) & active
+        cost[a, :] = c
+        cost[:, a] = c
         cost[b, :] = np.inf
         cost[:, b] = np.inf
+        np.minimum(row_min, c, out=row_min)
         row_min[b] = np.inf
-
-        if others.size:
-            diff = mus[others] - new_mu
-            d2 = (diff * diff).sum(axis=1)
-            c = sizes[others] * new_size / (sizes[others] + new_size) * d2
-            cost[a, others] = c
-            cost[others, a] = c
-            row_min[others] = np.minimum(held, c)
-            rescan = others[stale]
-            if rescan.size:
-                row_min[rescan] = cost[rescan].min(axis=1)
-        cost[a, a] = np.inf
-        row_min[a] = cost[a].min()
+        rescan = np.flatnonzero(stale)
+        row_min[rescan] = cost[rescan].min(axis=1)
     return Dendrogram(n_leaves=n, merges=merges)
 
 

@@ -7,7 +7,13 @@ implementation under test.
 
 reference_ward_scan is the plain greedy Ward loop that rescans the whole cost
 matrix on every merge. It shares the cost arithmetic of langtail.cluster on
-purpose, so ward_tree must reproduce its merges exactly, float costs included.
+purpose (initial costs, then the Lance-Williams recurrence), so ward_tree must
+reproduce its merges exactly, float costs included.
+
+reference_ward_centroid_scan is the same greedy loop, but it recomputes the
+merged cluster's cost to every other cluster from their centroids. It judges
+the recurrence: on inputs without near-ties the merge pairs must agree, with
+costs equal to rounding.
 """
 
 import numpy as np
@@ -64,7 +70,56 @@ def labels_to_partition(labels):
 
 
 def reference_ward_scan(X):
-    """Greedy Ward with the (left id, right id) tie-break; O(n^2) per merge."""
+    """Greedy Ward with the (left id, right id) tie-break; O(n^2) per merge.
+
+    Costs after a merge come from the Lance-Williams recurrence."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    sizes = np.ones(n, dtype=np.float64)
+    node_ids = np.arange(n, dtype=np.int64)
+
+    cost = _pairwise_ward_costs(X, sizes)
+    cost = np.minimum(cost, cost.T)
+    np.fill_diagonal(cost, np.inf)
+
+    merges = []
+    for step in range(n - 1):
+        best = np.min(cost)
+        left, right, a, b = _smallest_tied_pair(cost, best, node_ids)
+
+        sa, sb = sizes[a], sizes[b]
+        new_size = sa + sb
+        merges.append((int(left), int(right), float(best), int(new_size)))
+        c = ((sizes + sa) * cost[a] + (sizes + sb) * cost[b] - sizes * best) / (sizes + new_size)
+
+        sizes[a] = new_size
+        node_ids[a] = n + step
+        cost[a, :] = c
+        cost[:, a] = c
+        cost[b, :] = np.inf
+        cost[:, b] = np.inf
+    return Dendrogram(n_leaves=n, merges=merges)
+
+
+def _smallest_tied_pair(cost, best, node_ids):
+    """(left id, right id, slot of left, slot of right) of the smallest id pair
+    among the cells holding `best`."""
+    ii, jj = np.nonzero(cost == best)
+    pairs = sorted({
+        (min(node_ids[a], node_ids[b]), max(node_ids[a], node_ids[b]),
+         min(a, b), max(a, b))
+        for a, b in zip(ii, jj)
+    })
+    left, right, a, b = pairs[0]
+    if node_ids[a] != left:
+        a, b = b, a
+    return left, right, a, b
+
+
+def reference_ward_centroid_scan(X):
+    """Greedy Ward with the (left id, right id) tie-break; O(n^2) per merge.
+
+    Costs after a merge are recomputed from the centroids."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     mus = X.copy()
@@ -79,15 +134,7 @@ def reference_ward_scan(X):
     merges = []
     for step in range(n - 1):
         best = np.min(cost)
-        ii, jj = np.nonzero(cost == best)
-        pairs = sorted({
-            (min(node_ids[a], node_ids[b]), max(node_ids[a], node_ids[b]),
-             min(a, b), max(a, b))
-            for a, b in zip(ii, jj)
-        })
-        left, right, a, b = pairs[0]
-        if node_ids[a] != left:
-            a, b = b, a
+        left, right, a, b = _smallest_tied_pair(cost, best, node_ids)
 
         new_size = sizes[a] + sizes[b]
         new_mu = (sizes[a] * mus[a] + sizes[b] * mus[b]) / new_size

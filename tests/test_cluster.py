@@ -18,7 +18,13 @@ from langtail.cluster import (
 )
 from langtail.errors import ConfigError
 
-from oracle_ward import labels_to_partition, oracle_agglomerate, reference_ward_scan, ward_cost
+from oracle_ward import (
+    labels_to_partition,
+    oracle_agglomerate,
+    reference_ward_centroid_scan,
+    reference_ward_scan,
+    ward_cost,
+)
 
 
 def test_check_granularities():
@@ -149,6 +155,22 @@ def test_ward_matches_full_scan_reference(kind, n):
             cells = rng.choice(20 ** d, size=n, replace=False)
             X = np.stack(np.unravel_index(cells, (20,) * d), axis=1).astype(np.float64)
         assert ward_tree(X).merges == reference_ward_scan(X).merges
+
+
+@pytest.mark.parametrize("n", [
+    2, 17, 150, 300,
+    pytest.param(800, marks=pytest.mark.slow),
+])
+@pytest.mark.parametrize("d", [2, 3, 32])
+def test_ward_recurrence_matches_centroid_scan(d, n):
+    # the Lance-Williams costs round differently from costs recomputed from
+    # the centroids; on inputs without exact ties the merges must agree
+    X = np.random.default_rng(1000 * d + n).normal(size=(n, d))
+    got = ward_tree(X).merges
+    want = reference_ward_centroid_scan(X).merges
+    assert [(l, r, s) for l, r, _, s in got] == [(l, r, s) for l, r, _, s in want]
+    for (_, _, c1, _), (_, _, c2, _) in zip(got, want):
+        assert c1 == pytest.approx(c2, rel=1e-12, abs=0)
 
 
 def test_dense_budget_checked_before_allocating():
