@@ -13,7 +13,13 @@ import logging
 import os
 import sys
 
-import numpy as np
+# One BLAS thread unless the caller sets a count, before numpy loads its BLAS:
+# training then rounds as perfbench/ does, and no BLAS threads compete with
+# the scene helper threads for the CPUs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import data_model as dm
 from . import evaluation as ev

@@ -16,11 +16,12 @@ runs its own matmuls, in the order and shapes of one call per head, so losses
 and gradients are bit-identical to tests/oracle_heads.py, the
 one-call-per-head loop. The backbone and prediction stay float64.
 
-Per-scene work (forward, head cross-entropy, backward) runs in scene_map on
-the calling thread plus one pool thread per further CPU of the affinity set,
-with no setting; results are reduced in scene order on the calling thread, so
-outputs are byte-identical whatever the helper count (not the BLAS thread
-count, which is the caller's). predict_labels runs whole scenes the same way:
+Per-scene work (forward, head cross-entropy, then backward, which first adds
+the entity-anchor gradient into the scene's feature gradient) runs in
+scene_map on the calling thread plus one pool thread per further CPU of the
+affinity set, with no setting; results are reduced in scene order on the
+calling thread, so outputs are byte-identical whatever the helper count (not
+the BLAS thread count). predict_labels runs whole scenes the same way:
 a thread runs a scene's forward pass and scores it in fixed ROW_BLOCK-row
 blocks, so its peak memory is one scene's activations plus one logits block.
 """
@@ -453,23 +454,24 @@ class EpochReport:
 def _entity_anchor_grads(features_per_scene, bank_sample, entities,
                          scenes_in_batch, tau):
     """Pool current features over each sampled entity's mask points and run the
-    contrastive loss; returns (loss, per-scene (rows, gradient), n_anchors), where
-    rows is the sorted union of the scene's masks and gradient covers those rows.
-
-    Entities without mask points in the current scenes are skipped.
+    contrastive loss; returns (loss, per-scene (sig, vecs), n_anchors), or
+    (0.0, [], 0) if no entity has mask points here. Row r's gradient is
+    vecs[sig[r]]: sig numbers the sets of masks a row lies in (0: none, vecs[0]
+    is zero), each vector summing its masks' gradients from zero in entity order.
     """
     by_id = {s.scene_id: bi for bi, s in enumerate(scenes_in_batch)}
     pooled = []
-    pooled_rows = []  # list of (batch scene index, mask indices, weight vector len)
+    kept_hits = []  # per kept entity: its (batch scene index, mask indices) hits
     keep = []
     for row, ent_idx in enumerate(bank_sample.entity_indices):
         e = entities[int(ent_idx)]
         hits = [(by_id[sid], idx) for sid, idx in e.masks if sid in by_id]
         if not hits:
             continue
-        rows = np.concatenate([features_per_scene[bi][idx] for bi, idx in hits])
+        rows = (features_per_scene[hits[0][0]][hits[0][1]] if len(hits) == 1 else
+                np.concatenate([features_per_scene[bi][idx] for bi, idx in hits]))
         pooled.append(rows.mean(axis=0))
-        pooled_rows.append(hits)
+        kept_hits.append(hits)
         keep.append(row)
     if not keep:
         return 0.0, [], 0
@@ -487,18 +489,18 @@ def _entity_anchor_grads(features_per_scene, bank_sample, entities,
     )
     loss, grad_anchor = entity_contrastive_loss(anchors, sub, tau=tau)
 
-    rows = [np.unique(np.concatenate([np.zeros(0, np.int64)] + [
-        idx for hits in pooled_rows for b, idx in hits if b == bi]))
-        for bi in range(len(features_per_scene))]
-    grads = [np.zeros((r.size, anchors.shape[1])) for r in rows]
-    for a, hits in enumerate(pooled_rows):
+    sigs = [np.zeros(len(f), np.int64) for f in features_per_scene]
+    vecs = [[np.zeros(anchors.shape[1])] for _ in features_per_scene]
+    for a, hits in enumerate(kept_hits):
         g = grad_anchor[a]
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
-        n_mask = sum(idx.size for _, idx in hits)
+        v = gz / sum(idx.size for _, idx in hits)
         for bi, idx in hits:
-            # masks are sorted and unique (EntityRecord), so this adds once per row
-            grads[bi][np.searchsorted(rows[bi], idx)] += gz / n_mask
-    return loss, list(zip(rows, grads)), len(keep)
+            # masks are sorted and unique (EntityRecord): each row takes v once
+            old, inv = np.unique(sigs[bi][idx], return_inverse=True)
+            sigs[bi][idx] = len(vecs[bi]) + inv
+            vecs[bi] += [vecs[bi][o] + v for o in old]
+    return loss, list(zip(sigs, vecs)), len(keep)
 
 
 def head_step(feats, labels, mus, branches):
@@ -572,18 +574,31 @@ class Trainer:
                         idxs)
         return [Y for Y, _ in out], [cache for _, cache in out]
 
-    def superpoint_features(self) -> np.ndarray:
-        """Every scene's features pooled per superpoint; no activations are kept."""
+    def superpoint_features(self, feats=None) -> np.ndarray:
+        """Every scene's features (feats, else a forward pass) pooled per
+        superpoint; no activations are kept."""
         return np.concatenate(scene_map(
-            lambda s: dm.pool_by_superpoint(backbone_forward(self.backbone, s.points)[0],
-                                            s.superpoints),
-            self.corpus.scenes))
+            lambda s, f: dm.pool_by_superpoint(
+                backbone_forward(self.backbone, s.points)[0] if f is None else f, s.superpoints),
+            self.corpus.scenes, feats or [None] * len(self.corpus.scenes)))
 
-    def apply_grads(self, idxs, caches, grad_feats, lr, head_opt=None, head_grads=None):
+    def apply_grads(self, caches, grad_feats, lr, head_opt=None, head_grads=None, entity=None):
+        """Backward pass and optimizer step; entity (or None) is per scene the
+        (sig, lambda * vecs) of _entity_anchor_grads, added inside its work."""
+        def backward(c, g, ent):
+            if ent is not None:  # g[r] += lam_vecs[sig[r]] where sig[r] > 0
+                sig, lam_vecs = ent
+                rows = np.flatnonzero(sig)
+                if rows.size < len(g):
+                    g[rows] += lam_vecs[sig[rows]]
+                else:  # the whole scene, in row blocks: no n x C temporary
+                    for a in range(0, len(g), ROW_BLOCK):
+                        g[a:a + ROW_BLOCK] += lam_vecs[sig[a:a + ROW_BLOCK]]
+            return backbone_backward(self.backbone, c, g)
+
         gw = [np.zeros_like(w) for w in self.backbone.weights]
         gb = [np.zeros_like(b) for b in self.backbone.biases]
-        for w, b, _ in scene_map(lambda c, g: backbone_backward(self.backbone, c, g),
-                                 caches, grad_feats):
+        for w, b, _ in scene_map(backward, caches, grad_feats, entity or [None] * len(caches)):
             for acc, g in zip(gw, w):
                 acc += g
             for acc, g in zip(gb, b):
@@ -611,21 +626,16 @@ class Trainer:
             )
             l_local, l_global = (*branch_losses, 0.0)[:2]
 
-            l_entity = 0.0
+            l_entity, entity = 0.0, None
             if bank is not None and cfg.lambda_entity > 0:
                 bsz = min(cfg.entity_batch, bank.B.shape[0])
                 sample = sample_entity_batch(
                     bank, bsz, stream_key(cfg.seed, "entity", epoch, step),
                     class_hint=bank.categories,
                 )
-                scenes_in_batch = [self.corpus.scenes[i] for i in idxs]
-                l_entity, ent_grads, _ = _entity_anchor_grads(
-                    feats, sample, self.entities, scenes_in_batch, cfg.tau
-                )
-                for gf, (rows, g) in zip(grad_feats, ent_grads):
-                    # rows covering the whole scene are 0..n-1: add them contiguously
-                    gf[rows if rows.size < len(gf) else slice(None)] += cfg.lambda_entity * g
-                del ent_grads
+                l_entity, ent, _ = _entity_anchor_grads(
+                    feats, sample, self.entities, [self.corpus.scenes[i] for i in idxs], cfg.tau)
+                entity = [(sig, cfg.lambda_entity * np.array(vecs)) for sig, vecs in ent]
 
             total = l_local + l_global + cfg.lambda_entity * l_entity
             if not np.isfinite(total):
@@ -633,8 +643,8 @@ class Trainer:
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"local={l_local} global={l_global} entity={l_entity}"
                 )
-            self.apply_grads(idxs, caches, grad_feats, lr,
-                             head_opt=head_opt, head_grads=head_grads)
+            self.apply_grads(caches, grad_feats, lr, head_opt=head_opt,
+                             head_grads=head_grads, entity=entity)
             sums += (l_local, l_global, l_entity)
             n_batches += 1
             self.global_step += 1
@@ -656,16 +666,10 @@ class Trainer:
             epoch_loss = 0.0
             for batch in self.scene_batches(idxs):
                 feats, caches = self.forward_scenes(batch)
-                grad_feats = []
-                batch_loss = 0.0
-                for j, i in enumerate(batch):
-                    loss, gf = distill_warmup_loss(
-                        feats[j], self.corpus.scenes[i].distill_targets
-                    )
-                    batch_loss += loss
-                    grad_feats.append(gf)
-                self.apply_grads(batch, caches, grad_feats, cfg.lr0)
-                epoch_loss += batch_loss / len(batch)
+                out = [distill_warmup_loss(f, self.corpus.scenes[i].distill_targets)
+                       for f, i in zip(feats, batch)]
+                self.apply_grads(caches, [g for _, g in out], cfg.lr0)
+                epoch_loss += sum(loss for loss, _ in out) / len(batch)
             losses.append(epoch_loss)
         return losses
 
@@ -697,12 +701,14 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     trainer = Trainer(corpus, entities, cfg, scenes[0].points.shape[1])
     warmup_losses = trainer.warmup()
 
-    bank_obj = None
+    bank_obj = feats = None
     if cfg.lambda_entity > 0 and bank_dir is not None and os.path.exists(
             os.path.join(bank_dir, "bank_aligned.ltfm")):
         bank_obj = load_bank(bank_dir)
     elif cfg.lambda_entity > 0:
-        bank_obj = build_bank(trainer.backbone, scenes, entities, cfg)
+        # no step comes before round 0: its features are the bank's, forwarded once
+        feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0], scenes)
+        bank_obj = build_bank(trainer.backbone, scenes, entities, cfg, feats)
         save_bank(os.path.join(out_dir, "bank"), bank_obj)
 
     n_batches = len(trainer.scene_batches())
@@ -710,7 +716,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
-        sp_feats = trainer.superpoint_features()
+        sp_feats, feats = trainer.superpoint_features(feats), None
         spectral_feats = (spectral.global_superpoint_features(spectral_pass(sp_feats, cfg))
                           if cfg.use_global else None)
         models = build_pseudo_labels(
@@ -741,10 +747,12 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
                                 use_global=False, warmup_epochs=0), corpus_dir, out_dir)
 
 
-def build_bank(backbone, scenes, entities, cfg: TrainConfig) -> SemanticBank:
-    """Offline bank pass: aggregate masked features, then Gram-align them to
-    the text-embedding geometry."""
-    feats = scene_map(lambda s: backbone_forward(backbone, s.points)[0], scenes)
+def build_bank(backbone, scenes, entities, cfg: TrainConfig, feats=None) -> SemanticBank:
+    """Offline bank pass: aggregate masked features (feats, the scenes'
+    backbone outputs, else a forward pass), then Gram-align them to the
+    text-embedding geometry."""
+    if feats is None:
+        feats = scene_map(lambda s: backbone_forward(backbone, s.points)[0], scenes)
     F_m = aggregate_entity_features(scenes, feats, entities)
     F_e = np.stack([e.text_embedding for e in entities])
     return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in entities],

@@ -1,5 +1,9 @@
 """End-to-end CLI flows, config resolution, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,21 @@ SMALL_SYNTH = ["--n-classes", "3", "--points-per-scene", "120",
 SMALL_TRAIN = ["--granularities", "4", "--epochs", "2", "--recluster-every", "2",
                "--lambda", "0", "--use-global", "false", "--feat-dim", "8",
                "--hidden-dim", "8", "--warmup-epochs", "0", "--batch-scenes", "2"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given,want", [({}, ["1", "1", "1"]),
+                                        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
+def test_cli_pins_blas_threads_unless_set(given, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(given, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    code = ("import os, langtail.cli, numpy; "
+            f"print(*(os.environ[v] for v in {BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == want
 
 
 def test_parse_granularities():

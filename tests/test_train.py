@@ -9,10 +9,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_grad_close, central_diff
 from langtail import train as tr
-from langtail.bank import SemanticBank, entity_contrastive_loss, sample_entity_batch
+from langtail.bank import (
+    EntityBatchSample,
+    SemanticBank,
+    _l2_rows,
+    entity_contrastive_loss,
+    sample_entity_batch,
+)
 from langtail.data_model import EntityRecord, SceneBundle
 from langtail.errors import (
     ConfigError,
@@ -26,6 +34,7 @@ from langtail.errors import (
 )
 from langtail.synth import SynthConfig, generate_corpus
 from oracle_baseline import reference_baseline
+from oracle_entity import reference_entity_anchor_grads
 from oracle_heads import reference_head_step
 
 
@@ -315,13 +324,118 @@ def test_entity_anchor_grads_match_add_at():
         for sid, idx in hits:
             np.add.at(want[by_id[sid]], idx, gz[None, :] / sum(i.size for _, i in hits))
     assert n_anchors == 4 and loss == want_loss
-    for j, ((rows, g), w) in enumerate(zip(grads, want)):
+    for j, ((sig, vecs), w) in enumerate(zip(grads, want)):
         union = sorted({int(i) for e in batch.entity_indices
                         for sid, idx in entities[e].masks if by_id[sid] == j for i in idx})
-        assert rows.tolist() == union and g.shape == (len(union), 6)
-        full = np.zeros_like(w)
+        assert np.flatnonzero(sig).tolist() == union
+        assert np.array_equal(np.array(vecs)[sig], w)
+
+
+NO_HIT = [("elsewhere", np.arange(3))]  # a mask in a scene outside the batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
+    """Signatures give the row-scatter oracle's gradient bits on random,
+    alias, two-scene, two-masks-in-one-scene and whole-scene masks (so scenes
+    are covered in part and in full), and on a batch where no entity hits."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(n) for n in rng.integers(1, 40, size=rng.integers(1, 4))]
+    scenes = [SceneBundle(f"s{i}", np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
+              for i, n in enumerate(sizes)]
+    dim = int(rng.integers(2, 7))
+    feats = [rng.normal(size=(n, dim)) for n in sizes]
+
+    def mask(j, full=False):
+        n = sizes[j]
+        return f"s{j}", np.arange(n) if full else rng.choice(n, rng.integers(1, n + 1), False)
+
+    def pick():
+        return int(rng.integers(len(sizes)))
+
+    masks = []
+    for kind in rng.permutation(np.repeat(np.arange(6), rng.integers(1, 3, size=6))):
+        j = pick()
+        masks.append([[mask(j)],  # random rows, overlapping the others
+                      list(masks[-1]) if masks else [mask(j)],  # alias: the same masks again
+                      [mask(0), mask(len(sizes) - 1)],  # two scenes when there are two
+                      [mask(j, full=True)],  # the whole scene
+                      [mask(j), mask(j)],  # two masks in one scene
+                      NO_HIT][kind])
+    if no_hit:
+        masks = [NO_HIT] * len(masks)
+    entities = [EntityRecord(e, f"e{e}", rng.normal(size=4), masks=m)
+                for e, m in enumerate(masks)]
+    order = rng.permutation(len(entities))[:rng.integers(1, len(entities) + 1)]
+    batch = EntityBatchSample(entity_indices=order,
+                              prototypes=_l2_rows(rng.normal(size=(order.size, dim))),
+                              weights=rng.uniform(0.5, 2.0, order.size))
+
+    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.1)
+    want_loss, want, want_n = reference_entity_anchor_grads(feats, batch, entities, scenes, 0.1)
+    assert loss == want_loss and n_anchors == want_n and len(grads) == len(want)
+    assert (n_anchors == 0) == all(sid == "elsewhere" for e in order for sid, _ in masks[e])
+    for (sig, vecs), (rows, g), f in zip(grads, want, feats):
+        assert np.array_equal(np.flatnonzero(sig), rows)
+        full = np.zeros_like(f)
         full[rows] = g
-        assert np.array_equal(full, w)
+        assert np.array_equal(np.array(vecs)[sig], full)
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
+    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+    monkeypatch.setattr(tr, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
+    rng = np.random.default_rng(5)
+    scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
+              for i, n in enumerate((10, 9, 5))]
+    trainer = tr.Trainer(tr.CorpusState(scenes), [], small_cfg(), 3)
+    seen = {}
+
+    def backward(b, cache, g):  # record the gradient each scene's work hands on
+        seen[cache] = g.copy()
+        return [np.zeros_like(w) for w in b.weights], [np.zeros_like(x) for x in b.biases], None
+
+    monkeypatch.setattr(tr, "backbone_backward", backward)
+    grads = [rng.normal(size=(s.n_points, 3)) for s in scenes]
+    sigs = [np.arange(10) % 3 + 1, np.array([0, 2, 0, 1, 1, 0, 2, 0, 0]), np.zeros(5, np.int64)]
+    lam_vecs = [0.3 * rng.normal(size=(int(s.max()) + 1, 3)) for s in sigs]
+    for v in lam_vecs:
+        v[0] = 0.0
+    trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3,
+                        entity=list(zip(sigs, lam_vecs)))
+    for j, (g, sig, v) in enumerate(zip(grads, sigs, lam_vecs)):
+        want = g.copy()
+        rows = np.flatnonzero(sig)
+        want[rows] += v[sig[rows]]
+        assert np.array_equal(seen[j], want)
+    trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3)
+    assert all(np.array_equal(seen[j], g) for j, g in enumerate(grads))
+
+
+def test_pipeline_forwards_once_for_bank_and_round_0(tmp_path, monkeypatch):
+    _mini_corpus(tmp_path, distill_dim=8)
+    cfg = small_cfg(lambda_entity=0.5, epochs=2, warmup_epochs=1)
+    rows = []
+    forward = tr.backbone_forward
+
+    def counting_forward(b, X):
+        rows.append(len(X))
+        return forward(b, X)
+
+    monkeypatch.setattr(tr, "backbone_forward", counting_forward)
+    tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "once")
+    # warmup 1 + bank 1 + 2 epochs + prediction 1; round 0 pools the bank's pass
+    assert sum(rows) == 5 * 450
+    # recomputing round 0's features instead changes no byte
+    pooled = tr.Trainer.superpoint_features
+    monkeypatch.setattr(tr.Trainer, "superpoint_features", lambda self, feats=None: pooled(self))
+    tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "twice")
+    assert sum(rows) == 5 * 450 + 6 * 450
+    for rel in ["checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb",
+                "bank/bank_aligned.ltfm", "checkpoints/round_000.ltck"]:
+        assert (tmp_path / "once" / rel).read_bytes() == (tmp_path / "twice" / rel).read_bytes()
 
 
 def test_scene_map_returns_results_in_input_order(monkeypatch):
