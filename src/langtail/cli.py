@@ -3,15 +3,18 @@
 Config files are flat `key = value` lines with `#` comments; command-line
 flags override file values; the fully resolved config is echoed into
 out_dir/config.resolved. Paths inside a config file are resolved relative
-to the config file's directory.
+to the config file's directory, path flags relative to the working
+directory, and both are stored as absolute paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
+import typing
 
 # One BLAS thread unless the caller sets a count, before numpy loads its BLAS:
 # training then rounds as perfbench/ does, and no BLAS threads compete with
@@ -25,57 +28,40 @@ from . import data_model as dm
 from . import evaluation as ev
 from . import train as tr
 from .bank import save_bank
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateGraphError,
-    DivergenceError,
-    EmptyBatchError,
-    EmptyMaskError,
-    FormatError,
-    IoError,
-    NormalizationError,
-    NumericError,
-    ShapeError,
-    TruncationError,
-)
+from .errors import ConfigError, IoError, LangtailError
 from .synth import SynthConfig, generate_corpus, read_corpus
 
 log = logging.getLogger("langtail")
 
-USAGE_ERRORS = (ConfigError,)
-DATA_ERRORS = (FormatError, TruncationError, DataError, IoError, ShapeError,
-               DegenerateGraphError, EmptyMaskError, EmptyBatchError)
-NUMERIC_ERRORS = (DivergenceError, NumericError, NormalizationError)
+PATH_KEYS = {"out", "corpus", "bank", "pred", "gt"}
+# dataclass field -> CLI key, where they differ
+ALIASES = {"lambda_entity": "lambda"}
 
-PATH_KEYS = {"out", "corpus", "bank", "pred", "gt", "checkpoint", "features"}
 
-SYNTH_KEYS = {
-    "n_classes": int, "points_per_scene": int, "n_scenes": int,
-    "zipf_exponent": float, "input_dim": int, "class_separation": float,
-    "noise_sigma": float, "entity_alias_rate": float, "seed": int,
-    "instance_spread": float, "instance_size": int, "distill_dim": int,
-    "out": str,
-}
-TRAIN_KEYS = {
-    "lambda": float, "granularities": str, "epochs": int, "batch_scenes": int,
-    "lr0": float, "lr_min": float, "poly_power": float, "recluster_every": int,
-    "tau": float, "seed": int, "feat_dim": int, "hidden_dim": int,
-    "warmup_epochs": int, "s_prime": int, "entity_batch": int,
-    "use_global": str, "weight_decay": float,
-    "align_steps": int, "align_lr": float, "sample_cap": int,
-    "corpus": str, "bank": str, "out": str, "baseline": str,
-}
-BANK_KEYS = {"corpus": str, "out": str, "seed": int, "feat_dim": int,
-             "hidden_dim": int, "warmup_epochs": int, "align_steps": int,
-             "align_lr": float, "batch_scenes": int, "lr0": float}
+def _fields(cls):
+    """(CLI key, field name, field type) of each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return [(ALIASES.get(f.name, f.name), f.name, hints[f.name])
+            for f in dataclasses.fields(cls)]
+
+
+def _schema(cls, **extra) -> dict:
+    """CLI keys of a config dataclass: int and float fields parse as that
+    type; bool and tuple fields stay text until _build converts them."""
+    keys = {key: typ if typ in (int, float) else str for key, _, typ in _fields(cls)}
+    return {**keys, **extra}
+
+
+SYNTH_KEYS = _schema(SynthConfig, out=str)
+TRAIN_KEYS = _schema(tr.TrainConfig, corpus=str, bank=str, out=str, baseline=str)
+BANK_KEYS = {key: TRAIN_KEYS[key] for key in (
+    "corpus", "out", "seed", "feat_dim", "hidden_dim", "warmup_epochs",
+    "align_steps", "align_lr", "batch_scenes", "lr0")}
 EVAL_KEYS = {"pred": str, "gt": str, "out": str, "unmatched": str}
 
 
-def _parse_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    s = str(v).strip().lower()
+def _parse_bool(v: str) -> bool:
+    s = v.strip().lower()
     if s in ("1", "true", "yes", "on"):
         return True
     if s in ("0", "false", "no", "off"):
@@ -113,14 +99,15 @@ def load_config_file(path, schema) -> dict:
 
 
 def resolve(args, schema, required=()) -> dict:
+    """Config-file values overridden by flags; path flags become absolute,
+    so config.resolved re-runs from any directory."""
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(load_config_file(args.config, schema))
     for key in schema:
-        flag = key.replace("-", "_")
-        v = getattr(args, flag, None)
+        v = getattr(args, key, None)
         if v is not None:
-            cfg[key] = v
+            cfg[key] = os.path.abspath(v) if key in PATH_KEYS else v
     for key in required:
         if key not in cfg:
             raise ConfigError(f"missing required option --{key}")
@@ -143,45 +130,33 @@ def parse_granularities(s) -> tuple:
         raise ConfigError(f"bad granularity list {s!r}") from e
 
 
-def _synth_config(cfg: dict) -> SynthConfig:
-    fields = {k: v for k, v in cfg.items() if k not in ("out",)}
-    return SynthConfig(**fields)
+CONVERTERS = {bool: _parse_bool, tuple: parse_granularities}
 
 
-def _train_config(cfg: dict) -> tr.TrainConfig:
-    skip = {"corpus", "bank", "out", "baseline"}
-    kwargs = {}
-    for k, v in cfg.items():
-        if k in skip:
-            continue
-        if k == "lambda":
-            kwargs["lambda_entity"] = v
-        elif k == "granularities":
-            kwargs["granularities"] = parse_granularities(v)
-        elif k == "use_global":
-            kwargs[k] = _parse_bool(v)
-        else:
-            kwargs[k] = v
-    return tr.TrainConfig(**kwargs)
+def _build(cls, cfg: dict):
+    """The config dataclass from resolved values; keys that are not fields
+    are skipped, and bool and tuple text is parsed by field type."""
+    return cls(**{name: CONVERTERS.get(typ, lambda v: v)(cfg[key])
+                  for key, name, typ in _fields(cls) if key in cfg})
 
 
 def cmd_synth(args) -> int:
     cfg = resolve(args, SYNTH_KEYS, required=("out",))
+    scfg = _build(SynthConfig, cfg)
     out = cfg["out"]
     write_resolved(out, cfg)
     log.info("generating corpus in %s", out)
-    scenes, entities = generate_corpus(_synth_config(cfg), out)
+    scenes, entities = generate_corpus(scfg, out)
     log.info("wrote %d scenes, %d entities", len(scenes), len(entities))
     return 0
 
 
 def cmd_bank(args) -> int:
     cfg = resolve(args, BANK_KEYS, required=("corpus", "out"))
+    tcfg = _build(tr.TrainConfig, cfg)
     write_resolved(cfg["out"], cfg)
     scenes, entities = read_corpus(cfg["corpus"])
     tr.standardize_scenes(scenes)
-    tcfg = tr.TrainConfig(**{k: v for k, v in cfg.items()
-                             if k not in ("corpus", "out")})
     corpus = tr.CorpusState(scenes)
     trainer = tr.Trainer(corpus, entities, tcfg, scenes[0].points.shape[1])
     trainer.warmup()
@@ -194,9 +169,10 @@ def cmd_bank(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve(args, TRAIN_KEYS, required=("corpus", "out"))
+    tcfg = _build(tr.TrainConfig, cfg)
+    baseline = _parse_bool(cfg.get("baseline", "false"))
     write_resolved(cfg["out"], cfg)
-    tcfg = _train_config(cfg)
-    if _parse_bool(cfg.get("baseline", False)):
+    if baseline:
         tr.run_baseline(tcfg, cfg["corpus"], cfg["out"])
     else:
         tr.run_pipeline(tcfg, cfg["corpus"], cfg["out"], bank_dir=cfg.get("bank"))
@@ -204,12 +180,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _score(pred_path, gt_path, unmatched):
+    """Confusion of two label files and its Hungarian-matched report."""
+    cm = ev.confusion(dm.read_labels(pred_path), dm.read_labels(gt_path))
+    return cm, ev.match_and_score(cm, unmatched=unmatched)
+
+
 def cmd_eval(args) -> int:
     cfg = resolve(args, EVAL_KEYS, required=("pred", "gt"))
-    pred = dm.read_labels(cfg["pred"])
-    gt = dm.read_labels(cfg["gt"])
-    cm = ev.confusion(pred, gt)
-    report = ev.match_and_score(cm, unmatched=cfg.get("unmatched", "merge"))
+    cm, report = _score(cfg["pred"], cfg["gt"], cfg.get("unmatched", "merge"))
     out = cfg.get("out")
     if out:
         os.makedirs(out, exist_ok=True)
@@ -229,10 +208,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_report(args) -> int:
-    pred = dm.read_labels(args.pred)
-    gt = dm.read_labels(args.gt)
-    report = ev.match_and_score(ev.confusion(pred, gt), unmatched=args.unmatched)
-    rows = ev.tail_report(report)
+    rows = ev.tail_report(_score(args.pred, args.gt, args.unmatched)[1])
     out = args.out
     lines = ["class\tcount\tiou\trecall\tabsorbed"]
     for r in rows:
@@ -251,28 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="langtail")
     sub = p.add_subparsers(dest="command")
 
-    sp = sub.add_parser("synth", help="generate a synthetic long-tail corpus")
-    sp.add_argument("--config")
-    sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
-    for key, caster in SYNTH_KEYS.items():
-        if key in ("out", "seed"):
-            continue
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster)
-    sp.set_defaults(func=cmd_synth)
-
-    bp = sub.add_parser("bank", help="build and align the entity semantic bank")
-    bp.add_argument("--config")
-    for key, caster in BANK_KEYS.items():
-        bp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster)
-    bp.set_defaults(func=cmd_bank)
-
-    tp = sub.add_parser("train", help="run the iterative training pipeline")
-    tp.add_argument("--config")
-    for key, caster in TRAIN_KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        tp.add_argument(flag, dest=key, type=caster if caster is not str else str)
-    tp.set_defaults(func=cmd_train)
+    for name, keys, func, help_ in (
+            ("synth", SYNTH_KEYS, cmd_synth, "generate a synthetic long-tail corpus"),
+            ("bank", BANK_KEYS, cmd_bank, "build and align the entity semantic bank"),
+            ("train", TRAIN_KEYS, cmd_train, "run the iterative training pipeline")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--config")
+        for key, caster in keys.items():
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster)
+        sp.set_defaults(func=func)
 
     epp = sub.add_parser("eval", help="Hungarian-matched scoring of predictions")
     epp.add_argument("--config")
@@ -317,15 +280,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except USAGE_ERRORS as e:
+    except LangtailError as e:
         log.error("%s", e)
-        return 1
-    except DATA_ERRORS as e:
-        log.error("%s", e)
-        return 2
-    except NUMERIC_ERRORS as e:
-        log.error("%s", e)
-        return 3
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -1,15 +1,20 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping in the CLI: usage/config -> 1, data/format -> 2, numeric -> 3.
+Each class carries the CLI's exit code for it: usage/config 1, data/format 2
+(the default), numeric 3.
 """
 
 
 class LangtailError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class ConfigError(LangtailError):
     """Invalid parameter combination or out-of-range argument."""
+
+    exit_code = 1
 
 
 class FormatError(LangtailError):
@@ -47,10 +52,16 @@ class EmptyBatchError(LangtailError):
 class DivergenceError(LangtailError):
     """Optimization diverged; try a smaller learning rate."""
 
+    exit_code = 3
+
 
 class NumericError(LangtailError):
     """Non-finite loss or gradient encountered during training."""
 
+    exit_code = 3
+
 
 class NormalizationError(LangtailError):
     """A feature row has (near-)zero norm and cannot be L2-normalized."""
+
+    exit_code = 3

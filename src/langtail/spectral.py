@@ -106,8 +106,3 @@ def group_patterns(basis: SpectralBasis, F_feq, s_prime: int, seed: int = 0) -> 
         if members.size:  # duplicates can starve a cluster despite re-seeding
             V[:, s] = basis.U[:, members].mean(axis=1)
     return RefinedPatterns(V=V, cluster_of_pattern=assign)
-
-
-def global_superpoint_features(patterns: RefinedPatterns) -> np.ndarray:
-    """Rows of V: superpoint i's loading vector over the refined patterns."""
-    return patterns.V.copy()

@@ -54,6 +54,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
+        if self.n_scenes < 1:
+            raise ConfigError("n_scenes must be >= 1")
         if self.points_per_scene < self.n_classes:
             raise ConfigError("points_per_scene must be >= n_classes")
         if self.zipf_exponent < 0:

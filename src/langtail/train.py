@@ -154,8 +154,6 @@ class TrainConfig:
     entity_batch: int = 64
     use_global: bool = True
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     align_steps: int = 500
     align_lr: float = 1e-2
     sample_cap: int = DEFAULT_SAMPLE_CAP
@@ -167,7 +165,10 @@ class TrainConfig:
             raise ConfigError("need lr0 > lr_min > 0")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
-        for name, low in (("epochs", 0), ("recluster_every", 1), ("batch_scenes", 1)):
+        for name, low in (("epochs", 0), ("recluster_every", 1), ("batch_scenes", 1),
+                          ("warmup_epochs", 0), ("feat_dim", 1), ("hidden_dim", 1),
+                          ("s_prime", 1), ("entity_batch", 1), ("align_steps", 1),
+                          ("sample_cap", 2)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
         self.granularities = tuple(check_granularities(self.granularities))
@@ -339,13 +340,14 @@ def poly_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer over a flat parameter list."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+
     def __init__(self, params, cfg: TrainConfig, eps: float = 1e-8):
         self.params = params
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
-        self.beta1 = cfg.beta1
-        self.beta2 = cfg.beta2
         self.wd = cfg.weight_decay
         self.eps = eps
 
@@ -717,8 +719,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
         sp_feats, feats = trainer.superpoint_features(feats), None
-        spectral_feats = (spectral.global_superpoint_features(spectral_pass(sp_feats, cfg))
-                          if cfg.use_global else None)
+        spectral_feats = spectral_pass(sp_feats, cfg).V if cfg.use_global else None
         models = build_pseudo_labels(
             sp_feats, spectral_feats, cfg.granularities, cfg.seed,
             use_global=cfg.use_global, sample_cap=cfg.sample_cap,

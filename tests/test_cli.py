@@ -1,5 +1,6 @@
 """End-to-end CLI flows, config resolution, and exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,9 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+from langtail import cli
 from langtail import data_model as dm
+from langtail import train as tr
 from langtail.cli import TRAIN_KEYS, SYNTH_KEYS, load_config_file, main, parse_granularities
-from langtail.errors import ConfigError
+from langtail.errors import ConfigError, LangtailError
+from langtail.synth import SynthConfig
 
 SMALL_SYNTH = ["--n-classes", "3", "--points-per-scene", "120",
                "--n-scenes", "2", "--seed", "5"]
@@ -197,3 +201,142 @@ def test_cli_bad_manifest_exits_2(tmp_path, manifest):
     (corpus / "manifest.tsv").write_bytes(manifest)
     assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
                 + SMALL_TRAIN) == 2
+
+
+def _capture(monkeypatch, target, name):
+    """Replace target.name by a stub that records the config it is given."""
+    got = []
+    monkeypatch.setattr(target, name, lambda cfg, *a, **kw: got.append(cfg) or ([], []))
+    return got
+
+
+def _other_value(f):
+    """A valid non-default value for a config field: (CLI text, built value)."""
+    d = f.default
+    if isinstance(d, bool):
+        return str(not d).lower(), not d
+    if isinstance(d, tuple):
+        return "60,30", (60, 30)
+    want = d * 2 + 1 if isinstance(d, int) else d * 2
+    return repr(want), want
+
+
+FIELD_CASES = [(cls, f, source)
+               for cls in (SynthConfig, tr.TrainConfig)
+               for f in dataclasses.fields(cls)
+               for source in ("file", "flag")]
+
+
+@pytest.mark.parametrize("cls,field,source", FIELD_CASES,
+                         ids=[f"{c.__name__}.{f.name}-{s}" for c, f, s in FIELD_CASES])
+def test_every_config_field_reaches_the_dataclass(tmp_path, monkeypatch, cls, field, source):
+    # the CLI's keys are derived from the dataclasses, so no field is left behind
+    text, want = _other_value(field)
+    key = cli.ALIASES.get(field.name, field.name)
+    if cls is SynthConfig:
+        got = _capture(monkeypatch, cli, "generate_corpus")
+        argv = ["synth", "--out", str(tmp_path / "o")]
+    else:
+        got = _capture(monkeypatch, tr, "run_pipeline")
+        argv = ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
+    if source == "file":
+        (tmp_path / "x.cfg").write_text(f"{key} = {text}\n")
+        argv += ["--config", str(tmp_path / "x.cfg")]
+    else:
+        argv += ["--" + key.replace("_", "-"), text]
+    assert main(argv) == 0
+    assert getattr(got[0], field.name) == want
+    assert getattr(cls(), field.name) != want
+
+
+def test_train_config_resolved_golden(tmp_path, monkeypatch):
+    # keys from a file (its paths relative to the file) and from flags
+    # (relative to the working directory), a flag overriding the file
+    got = _capture(monkeypatch, tr, "run_pipeline")
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cfg" / "t.cfg").write_text(
+        "# run settings\ncorpus = ../corpus\nlambda = 0.5\ngranularities = 12,6\n"
+        "epochs = 3\nuse_global = no\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", "cfg/t.cfg", "--out", "runs/./a",
+                 "--epochs", "4", "--tau", "0.1", "--bank", "bank/"]) == 0
+    assert (tmp_path / "runs" / "a" / "config.resolved").read_text() == (
+        f"bank = {tmp_path}/bank\n"
+        f"corpus = {tmp_path}/corpus\n"
+        "epochs = 4\n"
+        "granularities = 12,6\n"
+        "lambda = 0.5\n"
+        f"out = {tmp_path}/runs/a\n"
+        "tau = 0.1\n"
+        "use_global = no\n")
+    assert got[0] == tr.TrainConfig(lambda_entity=0.5, granularities=(12, 6), epochs=4,
+                                    use_global=False, tau=0.1)
+
+
+REFUSED = [
+    ["train", "--use-global", "maybe"],
+    ["train", "--granularities", ","],
+    ["train", "--tau", "0"],
+    ["train", "--baseline", "maybe"],
+    ["train", "--hidden-dim", "0"],
+    ["train", "--feat-dim", "0"],
+    ["train", "--entity-batch", "0"],
+    ["train", "--s-prime", "0"],
+    ["train", "--sample-cap", "0"],
+    ["train", "--align-steps", "0"],
+    ["train", "--warmup-epochs", "-1"],
+    ["bank", "--hidden-dim", "0"],
+    ["bank", "--align-steps", "0"],
+    ["synth", "--n-scenes", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=[" ".join(a) for a in REFUSED])
+def test_cli_refused_config_exits_1_before_writing(tmp_path, capfd, argv):
+    # refused before the corpus is read (it does not exist: reading it would
+    # exit 2) and before <out>/config.resolved is written
+    out = tmp_path / "o"
+    if argv[0] != "synth":
+        argv = argv + ["--corpus", str(tmp_path / "nope")]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rerun_from_config_resolved(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "c"] + SMALL_SYNTH) == 0
+    assert main(["train", "--corpus", "c", "--out", "o"] + SMALL_TRAIN) == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["train", "--config", "../o/config.resolved", "--out", "../o2"]) == 0
+    assert (tmp_path / "o2" / "pred.ltlb").read_bytes() == \
+        (tmp_path / "o" / "pred.ltlb").read_bytes()
+
+
+def test_synth_rerun_from_config_resolved(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "c"] + SMALL_SYNTH) == 0
+    before = (tmp_path / "c" / "manifest.tsv").read_bytes()
+    assert main(["synth", "--config", "c/config.resolved"]) == 0
+    assert not (tmp_path / "c" / "c").exists()
+    assert (tmp_path / "c" / "manifest.tsv").read_bytes() == before
+
+
+EXIT_CODES = {"ConfigError": 1, "DivergenceError": 3, "NumericError": 3, "NormalizationError": 3,
+              "FormatError": 2, "TruncationError": 2, "DataError": 2, "IoError": 2,
+              "ShapeError": 2, "DegenerateGraphError": 2, "EmptyMaskError": 2,
+              "EmptyBatchError": 2}
+
+
+@pytest.mark.parametrize("kind", LangtailError.__subclasses__(), ids=lambda k: k.__name__)
+def test_cli_exit_code_of_every_error(monkeypatch, caplog, kind):
+    def fail(args):
+        raise kind("refused")
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert main(["report", "--pred", "p", "--gt", "g"]) == EXIT_CODES[kind.__name__]
+    assert "refused" in caplog.text
+
+
+def test_every_error_has_an_exit_code():
+    assert {k.__name__ for k in LangtailError.__subclasses__()} == set(EXIT_CODES)

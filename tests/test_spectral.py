@@ -5,10 +5,8 @@ import pytest
 
 from langtail.errors import ConfigError, DegenerateGraphError, ShapeError
 from langtail.spectral import (
-    RefinedPatterns,
     build_affinity,
     eigendecompose,
-    global_superpoint_features,
     graph_fourier,
     group_patterns,
     normalized_laplacian,
@@ -129,12 +127,3 @@ def test_group_patterns_rejects_oversized():
     basis = eigendecompose(np.eye(3))
     with pytest.raises(ConfigError):
         group_patterns(basis, np.ones((3, 2)), 4)
-
-
-def test_global_features_are_v_rows():
-    V = np.arange(6.0).reshape(3, 2)
-    p = RefinedPatterns(V=V, cluster_of_pattern=np.zeros(3, dtype=np.int64))
-    out = global_superpoint_features(p)
-    assert np.array_equal(out, V)
-    out[0, 0] = 99.0
-    assert V[0, 0] == 0.0  # defensive copy

@@ -168,3 +168,5 @@ def test_config_validation():
         SynthConfig(entity_alias_rate=1.5)
     with pytest.raises(ConfigError):
         SynthConfig(noise_sigma=-1.0)
+    with pytest.raises(ConfigError, match="n_scenes"):
+        SynthConfig(n_scenes=0)

@@ -69,6 +69,15 @@ def test_train_config_defaults_and_validation():
         tr.TrainConfig(batch_scenes=0)
 
 
+@pytest.mark.parametrize("name,low", [("warmup_epochs", 0), ("feat_dim", 1), ("hidden_dim", 1),
+                                      ("s_prime", 1), ("entity_batch", 1),
+                                      ("align_steps", 1), ("sample_cap", 2)])
+def test_train_config_refuses_small_sizes(name, low):
+    tr.TrainConfig(**{name: low})
+    with pytest.raises(ConfigError, match=f"{name} must be >= {low}"):
+        tr.TrainConfig(**{name: low - 1})
+
+
 def test_spectral_pass_checks_memory_before_allocating():
     # 20000 superpoints would need 7 dense 20000 x 20000 arrays (22 GB)
     with pytest.raises(ConfigError, match="spectral_pass"):
@@ -556,7 +565,7 @@ def test_poly_lr_schedule():
 
 
 def test_adamw_single_step_hand_computed():
-    cfg = tr.TrainConfig(weight_decay=0.1, beta1=0.9, beta2=0.999)
+    cfg = tr.TrainConfig(weight_decay=0.1)
     p = np.array([1.0])
     opt = tr.AdamW([p], cfg, eps=1e-8)
     g = np.array([2.0])
