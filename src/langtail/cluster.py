@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import pool_by_superpoint
 from .errors import ConfigError, ShapeError
 from .rng import make_rng
 
@@ -230,14 +231,6 @@ def cut_tree(d: Dendrogram, k: int) -> np.ndarray:
     return labels
 
 
-def cluster_means(X, labels, k: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, labels, X)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    return sums / counts[:, None]
-
-
 def multi_granularity_labels(X, levels, seed: int = 0,
                              sample_cap: int = DEFAULT_SAMPLE_CAP):
     """Cut one Ward tree at every granularity level.
@@ -262,7 +255,7 @@ def multi_granularity_labels(X, levels, seed: int = 0,
     out = []
     for k in levels:
         sub_labels = cut_tree(tree, k)
-        centroids = cluster_means(X[sampled], sub_labels, k)
+        centroids = pool_by_superpoint(X[sampled], sub_labels)
         if sampled.size == n:
             labels = sub_labels
         else:

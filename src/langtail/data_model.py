@@ -1,20 +1,22 @@
 """Domain types and bit-exact file I/O for the pipeline artifacts.
 
-Binary formats (all little-endian):
-  LTFM feature file:    magic "LTFM", u32 version=1, u64 rows, u64 cols,
-                        rows*cols f32 row-major
-  LTSP superpoint file: magic "LTSP", u32 version=1, u64 n_points, n_points u32
-  LTLB label file:      magic "LTLB", u32 version=1, u64 n, n i32 (-1 = ignore)
-  mask file (per scene): u32 version=1, u64 n_entities, then per entity
-                        u64 entity_id, u64 count, count u64 point indices
+Binary formats, all little-endian. Each file is its magic (none for masks),
+u32 version=1, then the fields below; readers refuse bytes after the last.
+  LTFM feature file:    magic "LTFM", u64 rows, u64 cols, rows*cols f32
+  LTSP superpoint file: magic "LTSP", u64 n_points, n_points u32
+  LTLB label file:      magic "LTLB", u64 n, n i32 (-1 = ignore)
+  mask file (per scene): u64 n_entities, then per entity u64 entity_id,
+                        u64 count, count u64 point indices
+  LTCK checkpoint:      magic "LTCK", u64 n_tensors, then per tensor u64 name
+                        length, UTF-8 name, u64 rows, u64 cols, rows*cols f32
 
 On-disk reals are f32; in-memory computation uses f64 accumulation.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -31,6 +33,7 @@ from .errors import (
 FEATURE_MAGIC = b"LTFM"
 SUPERPOINT_MAGIC = b"LTSP"
 LABEL_MAGIC = b"LTLB"
+CHECKPOINT_MAGIC = b"LTCK"
 FORMAT_VERSION = 1
 
 
@@ -123,37 +126,63 @@ def _read_exact(f, n: int, what: str) -> bytes:
     # asking read() to allocate it
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
-        raise TruncationError(
-            f"unexpected end of file while reading {what}: {n} bytes needed, {left} left")
+        raise TruncationError(f"{f.name}: unexpected end of file while reading {what}: "
+                              f"{n} bytes needed, {left} left")
     buf = f.read(n)
     if len(buf) != n:
-        raise TruncationError(f"unexpected end of file while reading {what}")
+        raise TruncationError(f"{f.name}: unexpected end of file while reading {what}")
     return buf
 
 
-def _read_header(f, magic: bytes, path) -> None:
-    got = _read_exact(f, 4, "magic")
-    if got != magic:
-        raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+def put(f, a, dtype) -> None:
+    """Write an array as its u64 dims, then its elements as dtype, row-major."""
+    a = np.asarray(a, dtype=dtype)
+    f.write(np.asarray(a.shape, dtype="<u8").tobytes())
+    f.write(a.tobytes())
 
 
-def read_feature_matrix(path) -> np.ndarray:
-    """Read an LTFM file into a float32 (rows, cols) array."""
+def take(f, dtype, ndim: int) -> np.ndarray:
+    """Read back a read-only ndim-dimensional dtype array that put wrote."""
+    dims = tuple(int(d) for d in np.frombuffer(_read_exact(f, 8 * ndim, "dims"), "<u8"))
+    size = math.prod(dims) * np.dtype(dtype).itemsize
+    return np.frombuffer(_read_exact(f, size, f"{dims} {dtype} array"), dtype).reshape(dims)
+
+
+@contextmanager
+def writing(path, magic: bytes):
+    """atomic_open(path, "wb") with the magic and the format version written."""
+    with atomic_open(path, "wb") as f:
+        f.write(magic)
+        put(f, FORMAT_VERSION, "<u4")
+        yield f
+
+
+@contextmanager
+def reading(path, magic: bytes):
+    """open(path, "rb") past a checked magic and version. The with-block must
+    read the whole body: a byte left after it is a FormatError. An OSError
+    becomes an IoError."""
     try:
         with open(path, "rb") as f:
-            _read_header(f, FEATURE_MAGIC, path)
-            rows, cols = struct.unpack("<QQ", _read_exact(f, 16, "dims"))
-            if rows < 1 or cols < 1:
-                raise FormatError(f"{path}: degenerate dims {rows}x{cols}")
-            payload = _read_exact(f, rows * cols * 4, "payload")
+            got = _read_exact(f, len(magic), "magic")
+            if got != magic:
+                raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+            version = int(take(f, "<u4", 0))
+            if version != FORMAT_VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            yield f
             if f.read(1):
                 raise FormatError(f"{path}: trailing bytes after payload")
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
-    m = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
+
+
+def read_feature_matrix(path) -> np.ndarray:
+    """Read an LTFM file into a float32 (rows, cols) array."""
+    with reading(path, FEATURE_MAGIC) as f:
+        m = take(f, "<f4", 2)
+    if m.size == 0:
+        raise FormatError(f"{path}: degenerate dims {m.shape[0]}x{m.shape[1]}")
     if not np.all(np.isfinite(m)):
         raise DataError(f"{path}: non-finite value in payload")
     return m.astype(np.float32)
@@ -162,11 +191,8 @@ def read_feature_matrix(path) -> np.ndarray:
 def write_feature_matrix(path, m: np.ndarray) -> None:
     """Write a matrix as LTFM; round-trips bit-exactly through read_feature_matrix."""
     m = _validate_matrix(m)
-    data = np.ascontiguousarray(m, dtype="<f4")
-    with atomic_open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<IQQ", FORMAT_VERSION, m.shape[0], m.shape[1]))
-        f.write(data.tobytes())
+    with writing(path, FEATURE_MAGIC) as f:
+        put(f, m, "<f4")
 
 
 def read_superpoints(path) -> np.ndarray:
@@ -175,14 +201,8 @@ def read_superpoints(path) -> np.ndarray:
     Sparse ids are re-densified in order of first numeric id; the original
     ids are not preserved.
     """
-    try:
-        with open(path, "rb") as f:
-            _read_header(f, SUPERPOINT_MAGIC, path)
-            (n,) = struct.unpack("<Q", _read_exact(f, 8, "n_points"))
-            payload = _read_exact(f, n * 4, "ids")
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    ids = np.frombuffer(payload, dtype="<u4").astype(np.int64)
+    with reading(path, SUPERPOINT_MAGIC) as f:
+        ids = take(f, "<u4", 1).astype(np.int64)
     return densify_ids(ids)
 
 
@@ -192,21 +212,13 @@ def write_superpoints(path, assignment: np.ndarray) -> None:
         raise ShapeError("superpoint assignment must be a non-empty vector")
     if assignment.min() < 0:
         raise DataError("superpoint ids must be non-negative")
-    with atomic_open(path, "wb") as f:
-        f.write(SUPERPOINT_MAGIC)
-        f.write(struct.pack("<IQ", FORMAT_VERSION, assignment.size))
-        f.write(assignment.astype("<u4").tobytes())
+    with writing(path, SUPERPOINT_MAGIC) as f:
+        put(f, assignment, "<u4")
 
 
 def read_labels(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as f:
-            _read_header(f, LABEL_MAGIC, path)
-            (n,) = struct.unpack("<Q", _read_exact(f, 8, "n"))
-            payload = _read_exact(f, n * 4, "labels")
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    labels = np.frombuffer(payload, dtype="<i4").astype(np.int64)
+    with reading(path, LABEL_MAGIC) as f:
+        labels = take(f, "<i4", 1).astype(np.int64)
     if labels.size and labels.min() < -1:
         raise DataError(f"{path}: label below -1")
     return labels
@@ -218,10 +230,8 @@ def write_labels(path, labels: np.ndarray) -> None:
         raise ShapeError("label vector must be 1-D")
     if labels.size and labels.min() < -1:
         raise DataError("labels must be >= -1")
-    with atomic_open(path, "wb") as f:
-        f.write(LABEL_MAGIC)
-        f.write(struct.pack("<IQ", FORMAT_VERSION, labels.size))
-        f.write(labels.astype("<i4").tobytes())
+    with writing(path, LABEL_MAGIC) as f:
+        put(f, labels, "<i4")
 
 
 def densify_ids(ids: np.ndarray) -> np.ndarray:
@@ -259,32 +269,24 @@ def pool_by_superpoint(points: np.ndarray, assignment: np.ndarray) -> np.ndarray
 def write_entity_masks(path, scene_id: str, entities: list[EntityRecord]) -> None:
     """Write masks/<scene_id>.bin for the entities present in one scene."""
     present = [(e.entity_id, idx) for e in entities for sid, idx in e.masks if sid == scene_id]
-    with atomic_open(path, "wb") as f:
-        f.write(struct.pack("<IQ", FORMAT_VERSION, len(present)))
+    with writing(path, b"") as f:
+        put(f, len(present), "<u8")
         for eid, idx in present:
-            f.write(struct.pack("<QQ", eid, idx.size))
-            f.write(idx.astype("<u8").tobytes())
+            put(f, eid, "<u8")
+            put(f, idx, "<u8")
 
 
 def read_entity_masks(path) -> list[tuple[int, np.ndarray]]:
     """Read one scene's mask file into (entity_id, indices) pairs."""
-    try:
-        with open(path, "rb") as f:
-            (version, n) = struct.unpack("<IQ", _read_exact(f, 12, "mask header"))
-            if version != FORMAT_VERSION:
-                raise FormatError(f"{path}: unsupported mask version {version}")
-            out = []
-            for _ in range(n):
-                eid, count = struct.unpack("<QQ", _read_exact(f, 16, "mask entry header"))
-                idx = np.frombuffer(
-                    _read_exact(f, count * 8, "mask indices"), dtype="<u8"
-                ).astype(np.int64)
-                # the sorted unique non-negative form EntityRecord gives a mask
-                if idx.size == 0 or idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
-                    raise DataError(f"{path}: entity {eid} mask is not sorted and unique")
-                out.append((int(eid), idx))
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
+    out = []
+    with reading(path, b"") as f:
+        for _ in range(int(take(f, "<u8", 0))):
+            eid = int(take(f, "<u8", 0))
+            idx = take(f, "<u8", 1).astype(np.int64)
+            # the sorted unique non-negative form EntityRecord gives a mask
+            if idx.size == 0 or idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
+                raise DataError(f"{path}: entity {eid} mask is not sorted and unique")
+            out.append((eid, idx))
     return out
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import kmeans
+from .bank import _l2_rows
+from .cluster import _sq_dists, kmeans
 from .errors import ConfigError, DegenerateGraphError, ShapeError
 
 
@@ -28,23 +29,17 @@ class RefinedPatterns:
     cluster_of_pattern: np.ndarray  # (n,), original pattern index -> refined cluster
 
 
-def build_affinity(F, normalize: bool = True) -> np.ndarray:
+def build_affinity(F) -> np.ndarray:
     """Dense affinity a_ij = exp(-||f_i - f_j||^2) with zero diagonal.
 
-    Rows are L2-normalized first by default so the squared distances stay in
-    [0, 4] and the exponential does not collapse to zero.
+    Rows are L2-normalized first so the squared distances stay in [0, 4] and
+    the exponential does not collapse to zero.
     """
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] < 2:
         raise ConfigError("affinity graph needs at least 2 superpoints")
-    if normalize:
-        norms = np.linalg.norm(F, axis=1, keepdims=True)
-        F = np.divide(F, norms, out=F.copy(), where=norms > 0)
-    diff2 = (
-        (F * F).sum(axis=1)[:, None] - 2.0 * F @ F.T + (F * F).sum(axis=1)[None, :]
-    )
-    np.maximum(diff2, 0.0, out=diff2)
-    A = np.exp(-diff2)
+    F = _l2_rows(F)
+    A = np.exp(-_sq_dists(F, F))
     np.fill_diagonal(A, 0.0)
     return A
 

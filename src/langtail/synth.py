@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_model as dm
-from .errors import ConfigError, EmptyBatchError
+from .errors import ConfigError, DataError, EmptyBatchError
 from .rng import make_rng
 
 TEXT_EMBED_DIM = 512
@@ -92,21 +92,12 @@ def zipf_class_counts(n_classes: int, exponent: float, total: int) -> np.ndarray
     return counts
 
 
-def class_text_embeddings(cfg: SynthConfig) -> np.ndarray:
-    """Fixed random unit vector per class in the 512-dim text space."""
-    out = np.empty((cfg.n_classes, TEXT_EMBED_DIM))
+def _unit_rows(cfg: SynthConfig, stream: str, dim: int) -> np.ndarray:
+    """Fixed random unit vector per class, each drawn from (seed, stream, class)."""
+    out = np.empty((cfg.n_classes, dim))
     for c in range(cfg.n_classes):
-        rng = make_rng(cfg.seed, "class-embed", c)
-        v = rng.standard_normal(TEXT_EMBED_DIM)
-        out[c] = v / np.linalg.norm(v)
-    return out
-
-
-def class_distill_directions(cfg: SynthConfig) -> np.ndarray:
-    out = np.empty((cfg.n_classes, cfg.distill_dim))
-    for c in range(cfg.n_classes):
-        rng = make_rng(cfg.seed, "distill-dir", c)
-        v = rng.standard_normal(cfg.distill_dim)
+        rng = make_rng(cfg.seed, stream, c)
+        v = rng.standard_normal(dim)
         out[c] = v / np.linalg.norm(v)
     return out
 
@@ -120,7 +111,7 @@ def generate_scene(cfg: SynthConfig, scene_index: int):
     """Build one scene plus its entity records, deterministic in (seed, scene_index)."""
     class_counts = zipf_class_counts(cfg.n_classes, cfg.zipf_exponent, cfg.points_per_scene)
     inst_counts = _instance_counts(cfg, class_counts)
-    class_emb = class_text_embeddings(cfg)
+    class_emb = _unit_rows(cfg, "class-embed", TEXT_EMBED_DIM)
     scene_id = f"scene{scene_index:04d}"
 
     rng = make_rng(cfg.seed, "scene", scene_index)
@@ -190,7 +181,7 @@ def generate_scene(cfg: SynthConfig, scene_index: int):
 
     distill = None
     if cfg.distill_dim > 0:
-        dirs = class_distill_directions(cfg)
+        dirs = _unit_rows(cfg, "distill-dir", cfg.distill_dim)
         noise = make_rng(cfg.seed, "distill-noise", scene_index)
         distill = dirs[labels] + 0.05 * noise.standard_normal(
             (cfg.points_per_scene, cfg.distill_dim)
@@ -271,4 +262,10 @@ def read_corpus(corpus_dir):
             )
         )
     entities = dm.read_entity_bank(os.path.join(corpus_dir, "bank"))
+    n_points = {s.scene_id: s.n_points for s in scenes}
+    for e in entities:
+        for sid, idx in e.masks:
+            if sid in n_points and idx[-1] >= n_points[sid]:
+                raise DataError(f"entity {e.entity_id}: mask index {idx[-1]} out of range "
+                                f"for scene {sid} of {n_points[sid]} points")
     return scenes, entities

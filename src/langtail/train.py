@@ -29,7 +29,6 @@ blocks, so its peak memory is one scene's activations plus one logits block.
 from __future__ import annotations
 
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -52,7 +51,6 @@ from .cluster import (
     DEFAULT_SAMPLE_CAP,
     check_dense_budget,
     check_granularities,
-    cluster_means,
     multi_granularity_labels,
 )
 from .errors import (
@@ -60,7 +58,6 @@ from .errors import (
     DataError,
     EmptyBatchError,
     FormatError,
-    IoError,
     NormalizationError,
     NumericError,
     ShapeError,
@@ -68,7 +65,6 @@ from .errors import (
 from .evaluation import ROW_BLOCK, argmax_scores
 from .rng import make_rng, stream_key
 
-CHECKPOINT_MAGIC = b"LTCK"
 # peak resident n x n float64 arrays of spectral_pass, measured: affinity,
 # Laplacian, eigenvectors and the eigensolver's workspace
 SPECTRAL_DENSE_ARRAYS = 7
@@ -428,7 +424,7 @@ def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int
     ):
         # heads must live in backbone feature space: centroids over sp_features
         glob.sp_labels[k] = labels
-        glob.centroids[k] = cluster_means(sp_features, labels, k)
+        glob.centroids[k] = dm.pool_by_superpoint(sp_features, labels)
     return local, glob
 
 
@@ -790,8 +786,7 @@ def _write_outputs(out_dir, trainer, models, reports):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic "LTCK", u32 version, u64 n_tensors, then per tensor a
-# length-prefixed name and an embedded LTFM block.
+# Checkpoints (LTCK; the layout is in data_model)
 
 
 def _named_tensors(backbone: Backbone, models):
@@ -812,40 +807,22 @@ def _named_tensors(backbone: Backbone, models):
 
 def save_checkpoint(path, backbone: Backbone, models=(None, None)) -> None:
     named = _named_tensors(backbone, models)
-    with dm.atomic_open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", 1, len(named)))
+    with dm.writing(path, dm.CHECKPOINT_MAGIC) as f:
+        dm.put(f, len(named), "<u8")
         for name, tensor in named:
-            nb = name.encode()
-            f.write(struct.pack("<Q", len(nb)))
-            f.write(nb)
-            t = np.atleast_2d(np.asarray(tensor, dtype="<f4"))
-            f.write(struct.pack("<QQ", t.shape[0], t.shape[1]))
-            f.write(np.ascontiguousarray(t).tobytes())
+            dm.put(f, np.frombuffer(name.encode(), "u1"), "u1")
+            dm.put(f, np.atleast_2d(tensor), "<f4")
 
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back as a name -> float32 array mapping."""
-    try:
-        with open(path, "rb") as f:
-            magic = dm._read_exact(f, 4, f"{path} magic")
-            if magic != CHECKPOINT_MAGIC:
-                raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
-            version, n = struct.unpack("<IQ", dm._read_exact(f, 12, f"{path} header"))
-            if version != 1:
-                raise FormatError(f"{path}: unsupported checkpoint version {version}")
-            out = {}
-            for _ in range(n):
-                (ln,) = struct.unpack("<Q", dm._read_exact(f, 8, f"{path} name length"))
-                raw = dm._read_exact(f, ln, f"{path} tensor name")
-                try:
-                    name = raw.decode()
-                except UnicodeDecodeError as e:
-                    raise FormatError(f"{path}: tensor name is not UTF-8: {raw!r}") from e
-                dims = dm._read_exact(f, 16, f"{path} {name} dims")
-                rows, cols = struct.unpack("<QQ", dims)
-                buf = dm._read_exact(f, rows * cols * 4, f"{path} tensor {name}")
-                out[name] = np.frombuffer(buf, dtype="<f4").reshape(rows, cols).copy()
-    except OSError as e:
-        raise IoError(f"cannot read checkpoint {path}: {e}") from e
+    out = {}
+    with dm.reading(path, dm.CHECKPOINT_MAGIC) as f:
+        for _ in range(int(dm.take(f, "<u8", 0))):
+            raw = dm.take(f, "u1", 1).tobytes()
+            try:
+                name = raw.decode()
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: tensor name is not UTF-8: {raw!r}") from e
+            out[name] = dm.take(f, "<f4", 2).copy()
     return out

@@ -44,3 +44,15 @@ def tiny_corpus(tmp_path):
     cfg = SynthConfig(n_classes=4, points_per_scene=200, n_scenes=3, seed=11)
     scenes, entities = generate_corpus(cfg, str(tmp_path / "corpus"))
     return str(tmp_path / "corpus"), scenes, entities
+
+
+def append_mask_index(corpus, scene_id, index):
+    """Append point index `index` to the first entity mask in the corpus's
+    mask file for scene_id, keeping the file well formed."""
+    from langtail import data_model as dm
+
+    path = os.path.join(corpus, "bank", "masks", f"{scene_id}.bin")
+    entries = dm.read_entity_masks(path)
+    entries[0] = (entries[0][0], np.append(entries[0][1], index))
+    dm.write_entity_masks(path, scene_id, [
+        dm.EntityRecord(eid, "", np.ones(1), masks=[(scene_id, idx)]) for eid, idx in entries])

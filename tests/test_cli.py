@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import append_mask_index
 from langtail import cli
 from langtail import data_model as dm
 from langtail import train as tr
@@ -160,6 +161,19 @@ def test_cli_malformed_entities_tsv_exits_2(tmp_path):
     tsv.write_text(tsv.read_text().replace("\t", " ", 1))
     assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
                 + SMALL_TRAIN) == 2
+
+
+def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
+    # with --bank no entity features are pooled, so the mask indices first
+    # meet the scene's rows in training, which read_corpus must guard
+    corpus, bank = tmp_path / "corpus", tmp_path / "bank"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    assert main(["bank", "--corpus", str(corpus), "--out", str(bank), "--feat-dim", "8",
+                 "--hidden-dim", "8", "--warmup-epochs", "0", "--batch-scenes", "2"]) == 0
+    append_mask_index(corpus, "scene0000", 10 ** 6)
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+                 "--bank", str(bank)] + SMALL_TRAIN + ["--lambda", "0.5"]) == 2
+    assert "mask index 1000000 out of range" in caplog.text
 
 
 def test_config_file_bad_value(tmp_path):

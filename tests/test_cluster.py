@@ -10,12 +10,12 @@ from langtail.cluster import (
     WARD_DENSE_ARRAYS,
     check_dense_budget,
     check_granularities,
-    cluster_means,
     cut_tree,
     kmeans,
     multi_granularity_labels,
     ward_tree,
 )
+from langtail.data_model import pool_by_superpoint
 from langtail.errors import ConfigError
 
 from oracle_ward import (
@@ -217,12 +217,6 @@ def test_cut_partition_sizes_and_nesting(n, d, seed):
         prev = labels
 
 
-def test_cluster_means_hand_case():
-    X = np.array([[0.0, 0.0], [2.0, 2.0], [10.0, 0.0]])
-    mu = cluster_means(X, np.array([0, 0, 1]), 2)
-    assert np.allclose(mu, [[1.0, 1.0], [10.0, 0.0]])
-
-
 def test_multi_granularity_consistent_with_single_tree():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 3))
@@ -230,7 +224,7 @@ def test_multi_granularity_consistent_with_single_tree():
     tree = ward_tree(X)
     for k, cent, labels in out:
         assert np.array_equal(labels, cut_tree(tree, k))
-        assert np.allclose(cent, cluster_means(X, labels, k))
+        assert np.allclose(cent, pool_by_superpoint(X, labels))
 
 
 def test_multi_granularity_subsample_path():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langtail import data_model as dm
+from langtail import train as tr
 from langtail.errors import DataError, FormatError, IoError, ShapeError, TruncationError
 
 
@@ -48,12 +49,61 @@ def test_feature_matrix_truncated(tmp_path):
         dm.read_feature_matrix(p)
 
 
-def test_feature_matrix_trailing_bytes(tmp_path):
-    p = tmp_path / "t.ltfm"
-    dm.write_feature_matrix(p, np.ones((2, 2), dtype=np.float32))
+def _one_mask(path):
+    ents = [dm.EntityRecord(4, "x", np.ones(4), masks=[("s0", np.array([1, 5]))])]
+    dm.write_entity_masks(path, "s0", ents)
+
+
+# (write a valid file at path, read it back) for every binary format
+FORMATS = {
+    "ltfm": (lambda p: dm.write_feature_matrix(p, np.ones((2, 2))), dm.read_feature_matrix),
+    "ltsp": (lambda p: dm.write_superpoints(p, np.array([0, 1, 1])), dm.read_superpoints),
+    "ltlb": (lambda p: dm.write_labels(p, np.array([0, -1])), dm.read_labels),
+    "mask": (_one_mask, dm.read_entity_masks),
+    "ltck": (lambda p: tr.save_checkpoint(p, tr.init_backbone(3, [4], 2, seed=0)),
+             tr.load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_trailing_bytes(tmp_path, fmt):
+    write, read = FORMATS[fmt]
+    p = tmp_path / "f"
+    write(p)
+    read(p)
     p.write_bytes(p.read_bytes() + b"\x00")
-    with pytest.raises(FormatError):
-        dm.read_feature_matrix(p)
+    with pytest.raises(FormatError, match="trailing bytes"):
+        read(p)
+
+
+# a writer call and the bytes it must write, packed by hand
+LAYOUTS = {
+    "ltsp": (lambda p: dm.write_superpoints(p, np.array([0, 2, 1])),
+             b"LTSP" + struct.pack("<IQ3I", 1, 3, 0, 2, 1)),
+    "ltlb": (lambda p: dm.write_labels(p, np.array([3, -1])),
+             b"LTLB" + struct.pack("<IQ2i", 1, 2, 3, -1)),
+    # only the entities present in scene s0, in entity order
+    "mask": (lambda p: dm.write_entity_masks(p, "s0", [
+        dm.EntityRecord(7, "a", np.ones(4), masks=[("s0", np.array([9, 2])), ("s1", [4])]),
+        dm.EntityRecord(3, "b", np.ones(4), masks=[("s0", np.array([5]))]),
+    ]), struct.pack("<IQ", 1, 2) + struct.pack("<QQ2Q", 7, 2, 2, 9)
+        + struct.pack("<QQQ", 3, 1, 5)),
+    "ltck": (lambda p: tr.save_checkpoint(p, tr.Backbone(
+        weights=[np.array([[0.5, -1.0, 2.0]])], biases=[np.array([0.25, 0.0, 3.0])])),
+        b"LTCK" + struct.pack("<IQ", 1, 2)
+        + struct.pack("<Q", 22) + b"backbone/layer0/weight"
+        + struct.pack("<QQ3f", 1, 3, 0.5, -1.0, 2.0)
+        + struct.pack("<Q", 20) + b"backbone/layer0/bias"
+        + struct.pack("<QQ3f", 1, 3, 0.25, 0.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("fmt", LAYOUTS)
+def test_binary_layout(tmp_path, fmt):
+    write, expected = LAYOUTS[fmt]
+    p = tmp_path / "f"
+    write(p)
+    assert p.read_bytes() == expected
 
 
 def test_feature_matrix_rejects_non_finite(tmp_path):

@@ -14,8 +14,9 @@ from langtail.spectral import (
 
 
 def test_affinity_known_value():
-    A = build_affinity(np.array([[0.0, 1.0], [0.0, 2.0]]), normalize=False)
-    assert A[0, 1] == pytest.approx(np.exp(-1.0))
+    # rows normalize to (1, 0) and (0, 1): squared distance 2
+    A = build_affinity(np.array([[1.0, 0.0], [0.0, 3.0]]))
+    assert A[0, 1] == pytest.approx(np.exp(-2.0))
     assert A[0, 0] == 0.0
     assert np.allclose(A, A.T)
 

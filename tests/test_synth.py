@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langtail.errors import ConfigError
+from conftest import append_mask_index
+from langtail.errors import ConfigError, DataError
 from langtail.synth import (
+    TEXT_EMBED_DIM,
     SynthConfig,
-    class_text_embeddings,
+    _unit_rows,
     generate_corpus,
     generate_scene,
     read_corpus,
@@ -48,8 +50,8 @@ def test_tail_realism():
 
 def test_class_embeddings_unit_and_deterministic():
     cfg = SynthConfig(seed=5)
-    a = class_text_embeddings(cfg)
-    b = class_text_embeddings(cfg)
+    a = _unit_rows(cfg, "class-embed", TEXT_EMBED_DIM)
+    b = _unit_rows(cfg, "class-embed", TEXT_EMBED_DIM)
     assert np.array_equal(a, b)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
     # distinct classes get near-orthogonal embeddings in 512 dims
@@ -129,7 +131,7 @@ def test_alias_rate_extremes():
     aliases = [e for e in full if "alias" in e.text]
     assert len(aliases) == len(none)
     # alias embedding is a small perturbation of the class embedding
-    emb = class_text_embeddings(SynthConfig(entity_alias_rate=1.0, **base))
+    emb = _unit_rows(SynthConfig(entity_alias_rate=1.0, **base), "class-embed", TEXT_EMBED_DIM)
     for e in aliases:
         c = int(e.text[5:7])
         assert np.linalg.norm(e.text_embedding - emb[c]) < 0.051
@@ -155,6 +157,14 @@ def test_corpus_round_trip(tmp_path):
     assert sorted(e.entity_id for e in back_entities) == sorted(
         e.entity_id for e in entities
     )
+
+
+def test_read_corpus_refuses_mask_index_past_scene(tmp_path):
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8),
+                    tmp_path / "c")
+    append_mask_index(tmp_path / "c", "scene0001", 120)
+    with pytest.raises(DataError, match="mask index 120 out of range for scene scene0001"):
+        read_corpus(tmp_path / "c")
 
 
 def test_config_validation():
