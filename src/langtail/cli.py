@@ -29,7 +29,7 @@ from . import evaluation as ev
 from . import train as tr
 from .bank import save_bank
 from .errors import ConfigError, IoError, LangtailError
-from .synth import SynthConfig, generate_corpus, read_corpus
+from .synth import SynthConfig, generate_corpus
 
 log = logging.getLogger("langtail")
 
@@ -155,12 +155,8 @@ def cmd_bank(args) -> int:
     cfg = resolve(args, BANK_KEYS, required=("corpus", "out"))
     tcfg = _build(tr.TrainConfig, cfg)
     write_resolved(cfg["out"], cfg)
-    scenes, entities = read_corpus(cfg["corpus"])
-    tr.standardize_scenes(scenes)
-    corpus = tr.CorpusState(scenes)
-    trainer = tr.Trainer(corpus, entities, tcfg, scenes[0].points.shape[1])
-    trainer.warmup()
-    bank_obj = tr.build_bank(trainer.backbone, scenes, entities, tcfg)
+    trainer, _ = tr.start_run(tcfg, cfg["corpus"])
+    bank_obj = tr.build_bank(trainer.backbone, trainer.scenes, trainer.entities, tcfg)
     save_bank(cfg["out"], bank_obj)
     log.info("aligned bank: %d entities, final loss %.3e",
              bank_obj.B.shape[0], bank_obj.alignment_loss_trace[-1])

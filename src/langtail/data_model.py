@@ -210,8 +210,8 @@ def write_superpoints(path, assignment: np.ndarray) -> None:
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.ndim != 1 or assignment.size == 0:
         raise ShapeError("superpoint assignment must be a non-empty vector")
-    if assignment.min() < 0:
-        raise DataError("superpoint ids must be non-negative")
+    if assignment.min() < 0 or assignment.max() > np.iinfo("<u4").max:
+        raise DataError("superpoint ids must lie in [0, 2**32 - 1]")
     with writing(path, SUPERPOINT_MAGIC) as f:
         put(f, assignment, "<u4")
 
@@ -228,8 +228,8 @@ def write_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ShapeError("label vector must be 1-D")
-    if labels.size and labels.min() < -1:
-        raise DataError("labels must be >= -1")
+    if labels.size and (labels.min() < -1 or labels.max() > np.iinfo("<i4").max):
+        raise DataError("labels must lie in [-1, 2**31 - 1]")
     with writing(path, LABEL_MAGIC) as f:
         put(f, labels, "<i4")
 

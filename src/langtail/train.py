@@ -31,7 +31,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .errors import (
 )
 from .evaluation import ROW_BLOCK, argmax_scores
 from .rng import make_rng, stream_key
+from .synth import read_corpus
 
 # peak resident n x n float64 arrays of spectral_pass, measured: affinity,
 # Laplacian, eigenvectors and the eigensolver's workspace
@@ -121,13 +123,14 @@ class Backbone:
 
 
 @dataclass
-class ClusterModel:
-    """Per-branch linear segmentation heads: one centroid matrix per level."""
+class Head:
+    """One linear segmentation head: a branch's Ward cut at k clusters, its
+    centroids and the corpus superpoints' pseudo-labels."""
 
-    branch: str
-    levels: list[int]
-    centroids: dict[int, np.ndarray]
-    sp_labels: dict[int, np.ndarray] = field(default_factory=dict)
+    branch: str  # "local" or "global"
+    k: int
+    centroids: np.ndarray
+    sp_labels: np.ndarray
 
 
 @dataclass
@@ -384,48 +387,22 @@ def standardize_scenes(scenes):
     return mu, sd
 
 
-class CorpusState:
-    """Loaded corpus with global superpoint indexing across scenes."""
-
-    def __init__(self, scenes):
-        self.scenes = scenes
-        self.sp_offsets = []
-        off = 0
-        for s in scenes:
-            self.sp_offsets.append(off)
-            off += s.n_superpoints
-        self.total_superpoints = off
-
-    def broadcast(self, sp_labels, scene_index: int) -> np.ndarray:
-        s = self.scenes[scene_index]
-        off = self.sp_offsets[scene_index]
-        return sp_labels[off + s.superpoints]
-
-
 def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int,
-                        use_global: bool = True,
-                        sample_cap: int = DEFAULT_SAMPLE_CAP):
+                        sample_cap: int = DEFAULT_SAMPLE_CAP) -> list[Head]:
     """Ward multi-granularity clustering of both branches' superpoint features.
 
-    Returns (local ClusterModel, global ClusterModel | None); centroids become
-    the linear segmentation heads, labels are superpoint-level pseudo-labels.
+    Returns the local heads in granularity order, then, unless
+    spectral_features is None, the global ones. Global heads cluster the
+    spectral features, but their centroids are pooled over sp_features: heads
+    live in backbone feature space.
     """
-    local = ClusterModel(branch="local", levels=list(granularities), centroids={})
-    for k, cent, labels in multi_granularity_labels(
-        sp_features, granularities, seed=seed, sample_cap=sample_cap
-    ):
-        local.centroids[k] = cent
-        local.sp_labels[k] = labels
-    if not use_global:
-        return local, None
-    glob = ClusterModel(branch="global", levels=list(granularities), centroids={})
-    for k, cent, labels in multi_granularity_labels(
-        spectral_features, granularities, seed=seed, sample_cap=sample_cap
-    ):
-        # heads must live in backbone feature space: centroids over sp_features
-        glob.sp_labels[k] = labels
-        glob.centroids[k] = dm.pool_by_superpoint(sp_features, labels)
-    return local, glob
+    heads = [Head("local", k, cent, labels) for k, cent, labels in multi_granularity_labels(
+        sp_features, granularities, seed=seed, sample_cap=sample_cap)]
+    if spectral_features is not None:
+        heads += [Head("global", k, dm.pool_by_superpoint(sp_features, labels), labels)
+                  for k, _, labels in multi_granularity_labels(
+                      spectral_features, granularities, seed=seed, sample_cap=sample_cap)]
+    return heads
 
 
 def spectral_pass(sp_features, cfg: TrainConfig):
@@ -548,27 +525,30 @@ def head_step(feats, labels, mus, branches):
 
 
 class Trainer:
-    """Backbone, optimizer and the epochs of run_pipeline's training loop."""
+    """Backbone, optimizer and the epochs of run_pipeline's training loop.
+    sp_index[i] is the corpus-wide superpoint of each point of scene i."""
 
-    def __init__(self, corpus: CorpusState, entities, cfg: TrainConfig, input_dim: int):
-        self.corpus = corpus
+    def __init__(self, scenes, entities, cfg: TrainConfig, input_dim: int):
+        self.scenes = scenes
         self.entities = entities
         self.cfg = cfg
+        offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
+        self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
         self.backbone = init_backbone(
             input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed
         )
         self.opt = AdamW(self.backbone.weights + self.backbone.biases, cfg)
         self.global_step = 0
-        self.total_steps = 0
+        self.total_steps = cfg.epochs * len(self.scene_batches())
 
     def scene_batches(self, idxs=None):
         """idxs (default: every scene) in order, cfg.batch_scenes to a batch."""
-        idxs = list(range(len(self.corpus.scenes))) if idxs is None else idxs
+        idxs = list(range(len(self.scenes))) if idxs is None else idxs
         bs = self.cfg.batch_scenes
         return [idxs[i:i + bs] for i in range(0, len(idxs), bs)]
 
     def forward_scenes(self, idxs):
-        out = scene_map(lambda i: backbone_forward(self.backbone, self.corpus.scenes[i].points),
+        out = scene_map(lambda i: backbone_forward(self.backbone, self.scenes[i].points),
                         idxs)
         return [Y for Y, _ in out], [cache for _, cache in out]
 
@@ -578,7 +558,7 @@ class Trainer:
         return np.concatenate(scene_map(
             lambda s, f: dm.pool_by_superpoint(
                 backbone_forward(self.backbone, s.points)[0] if f is None else f, s.superpoints),
-            self.corpus.scenes, feats or [None] * len(self.corpus.scenes)))
+            self.scenes, feats or [None] * len(self.scenes)))
 
     def apply_grads(self, caches, grad_feats, lr, head_opt=None, head_grads=None, entity=None):
         """Backward pass and optimizer step; entity (or None) is per scene the
@@ -605,10 +585,9 @@ class Trainer:
         if head_opt is not None:
             head_opt.step(head_grads, lr)
 
-    def train_epoch(self, models, bank, head_opt, epoch: int) -> EpochReport:
+    def train_epoch(self, heads, bank, head_opt, epoch: int) -> EpochReport:
         """One pass over the corpus; returns the batch-averaged loss report."""
         cfg = self.cfg
-        heads = [(b, m, k) for b, m in enumerate(models) if m is not None for k in m.levels]
         sums = np.zeros(3)
         n_batches = 0
         lr = cfg.lr0
@@ -617,10 +596,9 @@ class Trainer:
             feats, caches = self.forward_scenes(idxs)
             branch_losses, grad_feats, head_grads = head_step(
                 feats,
-                [[self.corpus.broadcast(m.sp_labels[k], i) for _, m, k in heads]
-                 for i in idxs],
-                [m.centroids[k] for _, m, k in heads],
-                [b for b, _, _ in heads],
+                [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
+                [h.centroids for h in heads],
+                [int(h.branch == "global") for h in heads],
             )
             l_local, l_global = (*branch_losses, 0.0)[:2]
 
@@ -632,7 +610,7 @@ class Trainer:
                     class_hint=bank.categories,
                 )
                 l_entity, ent, _ = _entity_anchor_grads(
-                    feats, sample, self.entities, [self.corpus.scenes[i] for i in idxs], cfg.tau)
+                    feats, sample, self.entities, [self.scenes[i] for i in idxs], cfg.tau)
                 entity = [(sig, cfg.lambda_entity * np.array(vecs)) for sig, vecs in ent]
 
             total = l_local + l_global + cfg.lambda_entity * l_entity
@@ -655,7 +633,7 @@ class Trainer:
     def warmup(self) -> list[float]:
         """Distillation-only epochs on scenes that carry distill targets."""
         cfg = self.cfg
-        idxs = [i for i, s in enumerate(self.corpus.scenes)
+        idxs = [i for i, s in enumerate(self.scenes)
                 if s.distill_targets is not None]
         losses = []
         if not idxs or cfg.warmup_epochs < 1:
@@ -664,7 +642,7 @@ class Trainer:
             epoch_loss = 0.0
             for batch in self.scene_batches(idxs):
                 feats, caches = self.forward_scenes(batch)
-                out = [distill_warmup_loss(f, self.corpus.scenes[i].distill_targets)
+                out = [distill_warmup_loss(f, self.scenes[i].distill_targets)
                        for f, i in zip(feats, batch)]
                 self.apply_grads(caches, [g for _, g in out], cfg.lr0)
                 epoch_loss += sum(loss for loss, _ in out) / len(batch)
@@ -672,32 +650,28 @@ class Trainer:
         return losses
 
 
-def _flatten_heads(models):
-    """Deterministic parameter order: local levels in config order, then global."""
-    return [m.centroids[k] for m in models if m is not None for k in m.levels]
+def concat_prototypes(heads) -> np.ndarray:
+    if not heads:
+        raise ConfigError("no heads to concatenate")
+    return np.concatenate([h.centroids for h in heads], axis=0, dtype=np.float64)
 
 
-def concat_prototypes(models) -> np.ndarray:
-    mats = _flatten_heads(models)
-    if not mats:
-        raise ConfigError("no cluster models to concatenate")
-    return np.concatenate(mats, axis=0, dtype=np.float64)
+def start_run(cfg: TrainConfig, corpus_dir):
+    """Read and standardise a corpus and warm a Trainer up on it; returns
+    (trainer, warmup losses). run_pipeline and `langtail bank` start here."""
+    scenes, entities = read_corpus(corpus_dir)
+    standardize_scenes(scenes)
+    trainer = Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
+    return trainer, trainer.warmup()
 
 
 def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     """Full iterative pipeline: warmup -> (recluster -> train)* -> persist.
 
-    Returns (backbone, (local, global) models, reports).
+    Returns (backbone, heads, reports).
     """
-    from .synth import read_corpus  # local import to avoid a cycle
-
-    scenes, entities = read_corpus(corpus_dir)
-    standardize_scenes(scenes)
-    corpus = CorpusState(scenes)
+    trainer, warmup_losses = start_run(cfg, corpus_dir)
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
-
-    trainer = Trainer(corpus, entities, cfg, scenes[0].points.shape[1])
-    warmup_losses = trainer.warmup()
 
     bank_obj = feats = None
     if cfg.lambda_entity > 0 and bank_dir is not None and os.path.exists(
@@ -705,35 +679,31 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
         bank_obj = load_bank(bank_dir)
     elif cfg.lambda_entity > 0:
         # no step comes before round 0: its features are the bank's, forwarded once
-        feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0], scenes)
-        bank_obj = build_bank(trainer.backbone, scenes, entities, cfg, feats)
+        feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0],
+                          trainer.scenes)
+        bank_obj = build_bank(trainer.backbone, trainer.scenes, trainer.entities, cfg, feats)
         save_bank(os.path.join(out_dir, "bank"), bank_obj)
-
-    n_batches = len(trainer.scene_batches())
-    trainer.total_steps = cfg.epochs * n_batches
 
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
         sp_feats, feats = trainer.superpoint_features(feats), None
         spectral_feats = spectral_pass(sp_feats, cfg).V if cfg.use_global else None
-        models = build_pseudo_labels(
-            sp_feats, spectral_feats, cfg.granularities, cfg.seed,
-            use_global=cfg.use_global, sample_cap=cfg.sample_cap,
-        )
+        heads = build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed,
+                                    sample_cap=cfg.sample_cap)
         save_checkpoint(
             os.path.join(out_dir, "checkpoints", f"round_{round_idx:03d}.ltck"),
-            trainer.backbone, models,
+            trainer.backbone, heads,
         )
-        head_opt = AdamW(_flatten_heads(models), cfg)
+        head_opt = AdamW([h.centroids for h in heads], cfg)
         for epoch in range(start, min(start + cfg.recluster_every, cfg.epochs)):
-            reports.append(trainer.train_epoch(models, bank_obj, head_opt, epoch))
+            reports.append(trainer.train_epoch(heads, bank_obj, head_opt, epoch))
 
     if warmup_losses:
         with dm.atomic_open(os.path.join(out_dir, "warmup.tsv")) as f:
             for i, v in enumerate(warmup_losses):
                 f.write(f"{i}\t{v:.10e}\n")
-    _write_outputs(out_dir, trainer, models, reports)
-    return trainer.backbone, models, reports
+    _write_outputs(out_dir, trainer, heads, reports)
+    return trainer.backbone, heads, reports
 
 
 def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
@@ -770,18 +740,18 @@ def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
         lambda s: argmax_scores(backbone_forward(backbone, s.points)[0], P), scenes))
 
 
-def _write_outputs(out_dir, trainer, models, reports):
+def _write_outputs(out_dir, trainer, heads, reports):
     """checkpoint.ltck, losses.tsv, prototypes.ltfm and pred.ltlb of a run."""
-    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, models)
+    save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, heads)
     with dm.atomic_open(os.path.join(out_dir, "losses.tsv")) as f:
         f.write("epoch\tlocal\tglobal\tentity\ttotal\tlr\n")
         for i, r in enumerate(reports):
             f.write(f"{i}\t{r.local:.10e}\t{r.global_:.10e}\t{r.entity:.10e}"
                     f"\t{r.total:.10e}\t{r.lr:.10e}\n")
-    protos = concat_prototypes(models)
+    protos = concat_prototypes(heads)
     dm.write_feature_matrix(os.path.join(out_dir, "prototypes.ltfm"),
                             protos.astype(np.float32))
-    pred = predict_labels(trainer.backbone, trainer.corpus.scenes, protos)
+    pred = predict_labels(trainer.backbone, trainer.scenes, protos)
     dm.write_labels(os.path.join(out_dir, "pred.ltlb"), pred)
 
 
@@ -789,24 +759,15 @@ def _write_outputs(out_dir, trainer, models, reports):
 # Checkpoints (LTCK; the layout is in data_model)
 
 
-def _named_tensors(backbone: Backbone, models):
+def save_checkpoint(path, backbone: Backbone, heads=()) -> None:
+    """The backbone's layers, then each head's centroids and superpoint
+    labels, in list order."""
     named = []
     for i, (w, b) in enumerate(zip(backbone.weights, backbone.biases)):
-        named.append((f"backbone/layer{i}/weight", w))
-        named.append((f"backbone/layer{i}/bias", b[None, :]))
-    for m in models:
-        if m is None:
-            continue
-        for k in m.levels:
-            named.append((f"{m.branch}/k{k}/centroids", m.centroids[k]))
-            if k in m.sp_labels:
-                named.append((f"{m.branch}/k{k}/sp_labels",
-                              m.sp_labels[k][None, :].astype(np.float64)))
-    return named
-
-
-def save_checkpoint(path, backbone: Backbone, models=(None, None)) -> None:
-    named = _named_tensors(backbone, models)
+        named += [(f"backbone/layer{i}/weight", w), (f"backbone/layer{i}/bias", b[None, :])]
+    for h in heads:
+        named += [(f"{h.branch}/k{h.k}/centroids", h.centroids),
+                  (f"{h.branch}/k{h.k}/sp_labels", h.sp_labels[None, :])]
     with dm.writing(path, dm.CHECKPOINT_MAGIC) as f:
         dm.put(f, len(named), "<u8")
         for name, tensor in named:

@@ -14,8 +14,7 @@ from langtail.cluster import multi_granularity_labels
 from langtail.synth import read_corpus
 from langtail.train import (
     AdamW,
-    ClusterModel,
-    CorpusState,
+    Head,
     Trainer,
     TrainConfig,
     _write_outputs,
@@ -26,14 +25,13 @@ from langtail.train import (
 def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
     scenes, entities = read_corpus(corpus_dir)
     standardize_scenes(scenes)
-    corpus = CorpusState(scenes)
     os.makedirs(out_dir, exist_ok=True)
 
     k_prim = int(cfg.granularities[-1])
-    trainer = Trainer(corpus, entities, cfg, scenes[0].points.shape[1])
+    trainer = Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
     trainer.total_steps = cfg.epochs * len(trainer.scene_batches())
     reports = []
-    models = (None, None)
+    heads = []
     epoch = 0
     while epoch < cfg.epochs or epoch == 0:
         # recluster: forward everything, pool per superpoint, one Ward cut
@@ -41,15 +39,13 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
         ((_, mu, sp_labels),) = multi_granularity_labels(
             sp_feats, (k_prim,), seed=cfg.seed, sample_cap=cfg.sample_cap
         )
-        local = ClusterModel(branch="local", levels=[k_prim],
-                             centroids={k_prim: mu}, sp_labels={k_prim: sp_labels})
-        models = (local, None)
+        heads = [Head("local", k_prim, mu, sp_labels)]
         if cfg.epochs == 0:
             break
         head_opt = AdamW([mu], cfg)
         for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
-            reports.append(trainer.train_epoch(models, None, head_opt, epoch))
+            reports.append(trainer.train_epoch(heads, None, head_opt, epoch))
             epoch += 1
 
-    _write_outputs(out_dir, trainer, models, reports)
-    return trainer.backbone, models, reports
+    _write_outputs(out_dir, trainer, heads, reports)
+    return trainer.backbone, heads, reports

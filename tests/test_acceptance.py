@@ -232,11 +232,9 @@ def test_criterion_6_eval_protocol(capfd):
         rng = np.random.default_rng(606)
         for levels, total in (((120, 80, 20), 440), ((120, 80, 12), 424),
                               ((120, 40, 12), 344), ((120, 40, 16), 352)):
-            models = tuple(
-                tr.ClusterModel(branch, list(levels),
-                                {k: rng.normal(size=(k, 4)) for k in levels})
-                for branch in ("local", "global"))
-            assert tr.concat_prototypes(models).shape[0] == total
+            heads = [tr.Head(branch, k, rng.normal(size=(k, 4)), np.zeros(0, np.int64))
+                     for branch in ("local", "global") for k in levels]
+            assert tr.concat_prototypes(heads).shape[0] == total
 
 
 # --- criterion 7: long-tail rescue -----------------------------------------

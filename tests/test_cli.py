@@ -176,6 +176,20 @@ def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
     assert "mask index 1000000 out of range" in caplog.text
 
 
+def test_cli_bank_equals_the_bank_train_builds(tmp_path):
+    # `bank` and `train` start a run the same way: read, standardise, warm up
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    shared = ["--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "2",
+              "--batch-scenes", "1", "--align-steps", "50"]
+    assert main(["bank", "--corpus", str(corpus), "--out", str(tmp_path / "bank")] + shared) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                 "--granularities", "4", "--epochs", "1", "--lambda", "0.5"] + shared) == 0
+    for name in ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv"):
+        assert ((tmp_path / "bank" / name).read_bytes()
+                == (tmp_path / "run" / "bank" / name).read_bytes()), name
+
+
 def test_config_file_bad_value(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text("# header\nepochs = abc\n")

@@ -171,14 +171,10 @@ def test_metrics_invariant_under_pseudo_relabel():
     assert r1.miou == pytest.approx(r2.miou)
 
 
-def _models(levels, C=4):
+def _heads(levels, C=4):
     rng = np.random.default_rng(0)
-    out = []
-    for branch in ("local", "global"):
-        m = tr.ClusterModel(branch, list(levels),
-                            {k: rng.normal(size=(k, C)) for k in levels})
-        out.append(m)
-    return tuple(out)
+    return [tr.Head(branch, k, rng.normal(size=(k, C)), np.zeros(0, np.int64))
+            for branch in ("local", "global") for k in levels]
 
 
 @pytest.mark.parametrize("levels,total", [
@@ -188,15 +184,15 @@ def _models(levels, C=4):
     ((120, 40, 16), 352),
 ])
 def test_prototype_totals(levels, total):
-    protos = tr.concat_prototypes(_models(levels))
+    protos = tr.concat_prototypes(_heads(levels))
     assert protos.shape[0] == total
 
 
 def test_prototype_transfer_is_max_cosine():
-    models = _models((5, 3), C=4)
+    heads = _heads((5, 3), C=4)
     rng = np.random.default_rng(1)
     F = rng.normal(size=(40, 4))
-    P = tr.concat_prototypes(models)
+    P = tr.concat_prototypes(heads)
     got = ev.max_cosine_labels(F, P)
     Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
     Fn = F / np.linalg.norm(F, axis=1, keepdims=True)

@@ -147,6 +147,26 @@ def test_labels_reject_below_ignore(tmp_path):
         dm.write_labels(tmp_path / "l.ltlb", np.array([0, -2]))
 
 
+@pytest.mark.parametrize("write,values", [
+    (dm.write_superpoints, [0, 1, 2**32]),
+    (dm.write_labels, [0, 2**32 + 5]),
+    (dm.write_labels, [0, 2**31]),
+])
+def test_writers_refuse_values_their_dtype_cannot_hold(tmp_path, write, values):
+    with pytest.raises(DataError):
+        write(tmp_path / "f.bin", np.array(values))
+    assert os.listdir(tmp_path) == []
+
+
+def test_writers_keep_the_largest_value_their_dtype_holds(tmp_path):
+    dm.write_superpoints(tmp_path / "sp.ltsp", np.array([0, 2**32 - 1, 5]))
+    with dm.reading(tmp_path / "sp.ltsp", dm.SUPERPOINT_MAGIC) as f:
+        assert dm.take(f, "<u4", 1).tolist() == [0, 2**32 - 1, 5]
+    assert dm.read_superpoints(tmp_path / "sp.ltsp").tolist() == [0, 2, 1]
+    dm.write_labels(tmp_path / "l.ltlb", np.array([-1, 2**31 - 1]))
+    assert dm.read_labels(tmp_path / "l.ltlb").tolist() == [-1, 2**31 - 1]
+
+
 def test_pool_by_superpoint_hand_case():
     pts = np.array([[1.0, 0.0], [3.0, 2.0], [0.0, 10.0]])
     pooled = dm.pool_by_superpoint(pts, np.array([0, 0, 1]))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_grad_close, central_diff
+from langtail import data_model as dm
 from langtail import train as tr
 from langtail.bank import (
     EntityBatchSample,
@@ -399,7 +400,7 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     rng = np.random.default_rng(5)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
               for i, n in enumerate((10, 9, 5))]
-    trainer = tr.Trainer(tr.CorpusState(scenes), [], small_cfg(), 3)
+    trainer = tr.Trainer(scenes, [], small_cfg(), 3)
     seen = {}
 
     def backward(b, cache, g):  # record the gradient each scene's work hands on
@@ -502,7 +503,7 @@ def test_forward_scenes_error_waits_for_every_helper(monkeypatch, helpers):
     points = [rng.normal(size=(20, 3)), np.zeros((20, 3)), rng.normal(size=(20, 3)),
               np.zeros((20, 3))]
     scenes = [SceneBundle(f"s{i}", p, np.arange(20) % 4) for i, p in enumerate(points)]
-    trainer = tr.Trainer(tr.CorpusState(scenes), [], small_cfg(), 3)
+    trainer = tr.Trainer(scenes, [], small_cfg(), 3)
     # one linear layer with zero bias: the all-zero scenes 1 and 3 give zero output rows
     trainer.backbone = tr.Backbone([rng.normal(size=(3, 5))], [np.zeros(5)])
     running, started = [], []
@@ -589,46 +590,46 @@ def _mini_corpus(tmp_path, **kw):
     return generate_corpus(SynthConfig(**base), str(tmp_path / "corpus"))
 
 
-def test_corpus_state_offsets_and_broadcast(tmp_path):
+def test_trainer_sp_index_offsets(tmp_path):
     scenes, _ = _mini_corpus(tmp_path)
-    cs = tr.CorpusState(scenes)
-    assert cs.sp_offsets[0] == 0
-    assert cs.sp_offsets[1] == scenes[0].n_superpoints
-    assert cs.total_superpoints == sum(s.n_superpoints for s in scenes)
-    sp_labels = np.arange(cs.total_superpoints)
-    got = cs.broadcast(sp_labels, 1)
-    assert np.array_equal(got, cs.sp_offsets[1] + scenes[1].superpoints)
+    trainer = tr.Trainer(scenes, [], small_cfg(), scenes[0].points.shape[1])
+    n_sp = [s.n_superpoints for s in scenes]
+    assert np.array_equal(trainer.sp_index[0], scenes[0].superpoints)
+    assert np.array_equal(trainer.sp_index[1], n_sp[0] + scenes[1].superpoints)
+    assert np.array_equal(trainer.sp_index[2], n_sp[0] + n_sp[1] + scenes[2].superpoints)
+    # every corpus superpoint is some point's, and no index reaches past the total
+    assert np.array_equal(np.unique(np.concatenate(trainer.sp_index)), np.arange(sum(n_sp)))
 
 
 def test_build_pseudo_labels_shapes(tmp_path):
     scenes, _ = _mini_corpus(tmp_path)
-    cs = tr.CorpusState(scenes)
+    n_sp = sum(s.n_superpoints for s in scenes)
     rng = np.random.default_rng(0)
-    sp = rng.normal(size=(cs.total_superpoints, 8))
-    spec = rng.normal(size=(cs.total_superpoints, 5))
-    local, glob = tr.build_pseudo_labels(sp, spec, (10, 4), seed=0)
-    for model, space_dim in ((local, 8), (glob, 8)):
-        assert model.levels == [10, 4]
-        for k in (10, 4):
-            assert model.centroids[k].shape == (k, space_dim)
-            assert model.sp_labels[k].shape == (cs.total_superpoints,)
-            assert len(set(model.sp_labels[k])) == k
+    sp = rng.normal(size=(n_sp, 8))
+    spec = rng.normal(size=(n_sp, 5))
+    heads = tr.build_pseudo_labels(sp, spec, (10, 4), seed=0)
+    assert [(h.branch, h.k) for h in heads] == [
+        ("local", 10), ("local", 4), ("global", 10), ("global", 4)]
+    for h in heads:
+        assert h.centroids.shape == (h.k, 8)
+        assert h.sp_labels.shape == (n_sp,)
+        assert len(set(h.sp_labels)) == h.k
     # global branch clusters in spectral space but its heads live in sp space
-    k = 10
+    glob = heads[2]
     want = np.stack([
-        sp[glob.sp_labels[k] == c].mean(axis=0) for c in range(k)
+        sp[glob.sp_labels == c].mean(axis=0) for c in range(glob.k)
     ])
-    assert np.allclose(glob.centroids[k], want)
-    local_only, none = tr.build_pseudo_labels(sp, None, (4,), 0, use_global=False)
-    assert none is None
+    assert np.allclose(glob.centroids, want)
+    local_only = tr.build_pseudo_labels(sp, None, (4,), 0)
+    assert [(h.branch, h.k) for h in local_only] == [("local", 4)]
 
 
 def test_pipeline_epochs_zero(tmp_path):
     _mini_corpus(tmp_path)
     cfg = small_cfg(epochs=0)
-    _, models, reports = tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "out")
+    _, heads, reports = tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "out")
     assert reports == []
-    assert models[0] is not None
+    assert [(h.branch, h.k) for h in heads] == [("local", 4)]
     assert os.path.exists(tmp_path / "out" / "checkpoint.ltck")
     assert os.path.exists(tmp_path / "out" / "prototypes.ltfm")
 
@@ -680,9 +681,9 @@ def test_baseline_matches_degenerate_pipeline(tmp_path):
                         epochs=epochs, recluster_every=2, warmup_epochs=2)
         ref, got = tmp_path / f"r{epochs}", tmp_path / f"b{epochs}"
         _, _, rr = reference_baseline(cfg, tmp_path / "corpus", ref)
-        _, models, rb = tr.run_baseline(cfg, tmp_path / "corpus", got)
+        _, heads, rb = tr.run_baseline(cfg, tmp_path / "corpus", got)
         assert rr == rb
-        assert models[0].levels == [3] and models[1] is None
+        assert [(h.branch, h.k) for h in heads] == [("local", 3)]
         for rel in ("checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"):
             assert (ref / rel).read_bytes() == (got / rel).read_bytes(), (epochs, rel)
         rounds = sorted(os.listdir(got / "checkpoints"))
@@ -691,16 +692,35 @@ def test_baseline_matches_degenerate_pipeline(tmp_path):
         assert not (got / "bank").exists()
 
 
+def test_head_order_of_checkpoints_and_prototypes(tmp_path):
+    # one flat head list sets the order of checkpoint tensors and prototype rows
+    _mini_corpus(tmp_path)
+    levels = (6, 4, 3)
+    cfg = small_cfg(use_global=True, granularities=levels, s_prime=8, epochs=3,
+                    recluster_every=2)
+    _, heads, _ = tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "out")
+    order = [(b, k) for b in ("local", "global") for k in levels]
+    assert [(h.branch, h.k) for h in heads] == order
+    want = [f"backbone/layer{i}/{p}" for i in range(2) for p in ("weight", "bias")]
+    want += [f"{b}/k{k}/{t}" for b, k in order for t in ("centroids", "sp_labels")]
+    out = tmp_path / "out"
+    for rel in ("checkpoint.ltck", "checkpoints/round_000.ltck", "checkpoints/round_001.ltck"):
+        assert list(tr.load_checkpoint(out / rel)) == want, rel
+    ck = tr.load_checkpoint(out / "checkpoint.ltck")
+    protos = dm.read_feature_matrix(out / "prototypes.ltfm")
+    assert protos.shape == (2 * sum(levels), cfg.feat_dim)
+    assert np.array_equal(protos, np.concatenate([ck[f"{b}/k{k}/centroids"] for b, k in order]))
+
+
 def test_checkpoint_round_trip(tmp_path):
     b = tr.init_backbone(4, [6], 5, seed=1)
     rng = np.random.default_rng(2)
-    local = tr.ClusterModel("local", [3], {3: rng.normal(size=(3, 5))},
-                            {3: np.array([0, 1, 2, 0])})
+    local = tr.Head("local", 3, rng.normal(size=(3, 5)), np.array([0, 1, 2, 0]))
     path = tmp_path / "c.ltck"
-    tr.save_checkpoint(path, b, (local, None))
+    tr.save_checkpoint(path, b, [local])
     back = tr.load_checkpoint(path)
     assert np.allclose(back["backbone/layer0/weight"], b.weights[0], atol=1e-6)
-    assert np.allclose(back["local/k3/centroids"], local.centroids[3], atol=1e-6)
+    assert np.allclose(back["local/k3/centroids"], local.centroids, atol=1e-6)
     assert np.array_equal(back["local/k3/sp_labels"][0], [0, 1, 2, 0])
 
 
@@ -720,7 +740,7 @@ def test_checkpoint_write_interrupted_midway_keeps_previous(tmp_path):
     tr.save_checkpoint(path, b)
     before = path.read_bytes()
     with pytest.raises(RuntimeError):
-        tr.save_checkpoint(path, b, (tr.ClusterModel("local", [2], {2: Unwritable()}), None))
+        tr.save_checkpoint(path, b, [tr.Head("local", 2, Unwritable(), np.zeros(1, np.int64))])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["c.ltck"]
 
