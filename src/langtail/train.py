@@ -730,7 +730,7 @@ def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
     """Assign every point of every scene to its max-cosine prototype. Whole
     scenes run through scene_map: a scene's forward pass, then argmax_scores,
     so a thread's peak memory is one scene's activations plus one ROW_BLOCK x
-    prototypes block of logits."""
+    prototypes block of logits (1.8 MB at 440 prototypes, in a core's L2)."""
     if not scenes:
         raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)

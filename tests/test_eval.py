@@ -1,11 +1,13 @@
 """Confusion, matching, metrics, prototype counts, and the tail report."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from langtail import data_model as dm
 from langtail import evaluation as ev
 from langtail import train as tr
 from langtail.errors import ConfigError, DataError, EmptyBatchError, ShapeError
@@ -202,13 +204,35 @@ def test_prototype_transfer_is_max_cosine():
 
 
 def test_max_cosine_labels_in_row_blocks():
-    # 9,000 rows: two full ROW_BLOCK blocks and a tail of 808 rows
+    # two full ROW_BLOCK blocks and a one-row tail
     rng = np.random.default_rng(3)
-    F = rng.normal(size=(9000, 16))
+    F = rng.normal(size=(2 * ev.ROW_BLOCK + 1, 16))
     P = rng.normal(size=(50, 16))
     Fn = F / np.linalg.norm(F, axis=1, keepdims=True)
     Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
     assert np.array_equal(ev.max_cosine_labels(F, P), np.argmax(Fn @ Pn.T, axis=1))
+
+
+def test_max_cosine_labels_peak_memory(tmp_path):
+    # a float32 feature file of 200,000 x 32: normalising it whole made two
+    # float64 copies (51 MB each); normalised block by block the peak stays
+    # below one
+    path = tmp_path / "features.ltfm"
+    rng = np.random.default_rng(4)
+    dm.write_feature_matrix(path, rng.standard_normal((200_000, 32), dtype=np.float32))
+    F = dm.read_feature_matrix(path)
+    P = rng.normal(size=(440, 32))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        labels = ev.max_cosine_labels(F, P)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < F.size * 8, f"{peak / 2**20:.1f} MiB"
+    Fn = F[:1000] / np.linalg.norm(F[:1000].astype(np.float64), axis=1, keepdims=True)
+    Pn = P / np.linalg.norm(P, axis=1, keepdims=True)
+    assert np.array_equal(labels[:1000], np.argmax(Fn @ Pn.T, axis=1))
 
 
 def test_tail_report_ordering_and_absorption():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_grad_close, central_diff
 from langtail import data_model as dm
+from langtail import evaluation as ev
 from langtail import train as tr
 from langtail.bank import (
     EntityBatchSample,
@@ -37,6 +38,8 @@ from langtail.synth import SynthConfig, generate_corpus
 from oracle_baseline import reference_baseline
 from oracle_entity import reference_entity_anchor_grads
 from oracle_heads import reference_head_step
+
+B = tr.ROW_BLOCK  # boundary sizes of the row-block tests follow the block size
 
 
 def small_cfg(**kw):
@@ -104,7 +107,9 @@ def test_backbone_forward_unit_rows():
         tr.backbone_forward(b, np.ones((3, 4)))
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+# around one block: a row short, exact, a one-row tail, two blocks and a
+# one-row tail; then scenes of many blocks
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 4095, 4096, 4097, 9000])
 @pytest.mark.parametrize("dims", [(6, [64], 32), (5, [16, 9], 1), (3, [8], 440)])
 def test_backbone_forward_matches_whole_array_reference(n, dims):
     # the in-place bias and ReLU and the row-block norms give the bits of the
@@ -788,10 +793,10 @@ def _unequal_scenes(sizes, dim=3, seed=0):
 
 @pytest.mark.parametrize("helpers", [0, 1])
 @pytest.mark.parametrize("sizes", [[57], [30, 91, 5, 64], [64, 1, 64],
-                                   [4095, 4096, 1, 4097, 8193]])
+                                   [B - 1, B, 1, B + 1, 2 * B + 1]])
 def test_predict_labels_matches_serial_reference(monkeypatch, helpers, sizes):
     # scenes of up to ROW_BLOCK rows are one matmul; larger ones are scored in
-    # blocks, with a one-row tail at 4,097 and 8,193 rows
+    # blocks, with a one-row tail at B + 1 and 2B + 1 rows
     monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
     scenes = _unequal_scenes(sizes)
     b = tr.init_backbone(3, [16], 6, seed=1)
@@ -803,9 +808,9 @@ def test_predict_labels_matches_serial_reference(monkeypatch, helpers, sizes):
 
 
 def test_predict_labels_peak_memory(monkeypatch):
-    # one 20,000-row scene, 440 prototypes: the whole-scene logits matrix alone
-    # is 20,000 x 440 x 8 B = 67 MiB; the forward pass's activations and one
-    # 4,096-row block of logits stay well below it
+    # one 20,000-row scene, 440 prototypes: the forward pass's activations
+    # (hidden and output layers, 20,000 x 32 x 8 B each) plus about 4 MiB
+    # hold a 512-row block of logits (1.8 MB) but not a 4,096-row one (14.4 MB)
     monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
     scenes = _unequal_scenes([20000], dim=6)
     b = tr.init_backbone(6, [32], 32, seed=0)
@@ -817,7 +822,29 @@ def test_predict_labels_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 20000 * 440 * 8, f"{peak / 2**20:.1f} MiB"
+    assert peak < 20000 * (32 + 32) * 8 + 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_labels_do_not_depend_on_row_block(monkeypatch):
+    # prototypes 10 + j and 16 + j are exact duplicates of point rows[j], one on
+    # each side of a block boundary at 7, 512 and 4,096 rows: the lowest index
+    # must win there, and every label must be the same at every block size
+    rows = [6, 7, 511, 512, 4095, 4096]
+    rng = np.random.default_rng(7)
+    scene = _unequal_scenes([4097])[0]
+    b = tr.init_backbone(3, [16], 6, seed=1)
+    Y = tr.backbone_forward(b, scene.points)[0]
+    F = rng.normal(size=(4097, 6)).astype(np.float32)
+    protos = [np.vstack([rng.normal(size=(10, 6)), X[rows], X[rows]]) for X in (Y, F)]
+    want = None
+    for block in (1, 7, 512, 4096):
+        monkeypatch.setattr(ev, "ROW_BLOCK", block)
+        monkeypatch.setattr(tr, "ROW_BLOCK", block)
+        got = [tr.predict_labels(b, [scene], protos[0]), ev.max_cosine_labels(F, protos[1])]
+        for labels in got:
+            assert labels[rows].tolist() == list(range(10, 16)), block
+        want = got if want is None else want
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), block
 
 
 @pytest.mark.parametrize("helpers", [0, 1])
