@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data_model as dm
-from .errors import ConfigError, DivergenceError, EmptyMaskError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, EmptyMaskError, ShapeError
 from .rng import make_rng
 
 
@@ -229,8 +229,8 @@ def load_bank(out_dir) -> SemanticBank:
     B = np.asarray(dm.read_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm")),
                    dtype=np.float64)
     ids = [eid for (eid,) in dm.read_tsv(os.path.join(out_dir, "entity_ids.tsv"), int)]
-    trace_path = os.path.join(out_dir, "trace.tsv")
-    trace = ([v for _, v in dm.read_tsv(trace_path, int, float)]
-             if os.path.exists(trace_path) else [])
+    trace = [v for _, v in dm.read_tsv(os.path.join(out_dir, "trace.tsv"), int, float)]
+    if B.shape[0] != len(ids):
+        raise DataError(f"{out_dir}: bank has {B.shape[0]} rows but {len(ids)} entity ids")
     return SemanticBank(B=B, entity_ids=ids, alignment_loss_trace=trace,
                         categories=derive_categories(B))

@@ -33,7 +33,7 @@ from .synth import SynthConfig, generate_corpus
 
 log = logging.getLogger("langtail")
 
-PATH_KEYS = {"out", "corpus", "bank", "pred", "gt"}
+PATH_KEYS = {"out", "corpus", "bank", "pred", "gt", "prototypes", "features"}
 # dataclass field -> CLI key, where they differ
 ALIASES = {"lambda_entity": "lambda"}
 
@@ -52,12 +52,30 @@ def _schema(cls, **extra) -> dict:
     return {**keys, **extra}
 
 
+def unmatched(v: str) -> str:
+    if v not in ev.UNMATCHED_MODES:
+        raise ValueError(f"{v!r} is not one of {', '.join(ev.UNMATCHED_MODES)}")
+    return v
+
+
 SYNTH_KEYS = _schema(SynthConfig, out=str)
 TRAIN_KEYS = _schema(tr.TrainConfig, corpus=str, bank=str, out=str, baseline=str)
+# corpus, out, and the TrainConfig fields that the bank of a run depends on
 BANK_KEYS = {key: TRAIN_KEYS[key] for key in (
     "corpus", "out", "seed", "feat_dim", "hidden_dim", "warmup_epochs",
-    "align_steps", "align_lr", "batch_scenes", "lr0")}
-EVAL_KEYS = {"pred": str, "gt": str, "out": str, "unmatched": str}
+    "align_steps", "align_lr", "batch_scenes", "lr0", "weight_decay")}
+EVAL_KEYS = {"pred": str, "gt": str, "out": str, "unmatched": unmatched}
+
+# name -> (keys, required keys, help); main runs cmd_<name> on the resolved keys
+COMMANDS = {
+    "synth": (SYNTH_KEYS, ("out",), "generate a synthetic long-tail corpus"),
+    "bank": (BANK_KEYS, ("corpus", "out"), "build and align the entity semantic bank"),
+    "train": (TRAIN_KEYS, ("corpus", "out"), "run the iterative training pipeline"),
+    "eval": (EVAL_KEYS, ("pred", "gt"), "Hungarian-matched scoring of predictions"),
+    "transfer": ({"prototypes": str, "features": str, "out": str},
+                 ("prototypes", "features", "out"), "nearest-prototype labelling of features"),
+    "report": (EVAL_KEYS, ("pred", "gt"), "long-tail per-class report"),
+}
 
 
 def _parse_bool(v: str) -> bool:
@@ -98,14 +116,12 @@ def load_config_file(path, schema) -> dict:
     return out
 
 
-def resolve(args, schema, required=()) -> dict:
+def resolve(args, schema, required) -> dict:
     """Config-file values overridden by flags; path flags become absolute,
     so config.resolved re-runs from any directory."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config, schema))
+    cfg = load_config_file(args.config, schema) if args.config else {}
     for key in schema:
-        v = getattr(args, key, None)
+        v = getattr(args, key)
         if v is not None:
             cfg[key] = os.path.abspath(v) if key in PATH_KEYS else v
     for key in required:
@@ -121,11 +137,9 @@ def write_resolved(out_dir, cfg: dict) -> None:
             f.write(f"{key} = {cfg[key]}\n")
 
 
-def parse_granularities(s) -> tuple:
-    if isinstance(s, (tuple, list)):
-        return tuple(int(x) for x in s)
+def parse_granularities(s: str) -> tuple:
     try:
-        return tuple(int(x) for x in str(s).split(",") if x.strip())
+        return tuple(int(x) for x in s.split(",") if x.strip())
     except ValueError as e:
         raise ConfigError(f"bad granularity list {s!r}") from e
 
@@ -140,8 +154,7 @@ def _build(cls, cfg: dict):
                   for key, name, typ in _fields(cls) if key in cfg})
 
 
-def cmd_synth(args) -> int:
-    cfg = resolve(args, SYNTH_KEYS, required=("out",))
+def cmd_synth(cfg) -> int:
     scfg = _build(SynthConfig, cfg)
     out = cfg["out"]
     write_resolved(out, cfg)
@@ -151,8 +164,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_bank(args) -> int:
-    cfg = resolve(args, BANK_KEYS, required=("corpus", "out"))
+def cmd_bank(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
     write_resolved(cfg["out"], cfg)
     trainer, _ = tr.start_run(tcfg, cfg["corpus"])
@@ -163,8 +175,7 @@ def cmd_bank(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve(args, TRAIN_KEYS, required=("corpus", "out"))
+def cmd_train(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
     baseline = _parse_bool(cfg.get("baseline", "false"))
     write_resolved(cfg["out"], cfg)
@@ -176,15 +187,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _score(pred_path, gt_path, unmatched):
-    """Confusion of two label files and its Hungarian-matched report."""
-    cm = ev.confusion(dm.read_labels(pred_path), dm.read_labels(gt_path))
-    return cm, ev.match_and_score(cm, unmatched=unmatched)
+def _score(cfg):
+    """Confusion of the pred and gt label files and its Hungarian-matched report."""
+    cm = ev.confusion(dm.read_labels(cfg["pred"]), dm.read_labels(cfg["gt"]))
+    return cm, ev.match_and_score(cm, unmatched=cfg.get("unmatched", "merge"))
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve(args, EVAL_KEYS, required=("pred", "gt"))
-    cm, report = _score(cfg["pred"], cfg["gt"], cfg.get("unmatched", "merge"))
+def cmd_eval(cfg) -> int:
+    cm, report = _score(cfg)
     out = cfg.get("out")
     if out:
         os.makedirs(out, exist_ok=True)
@@ -195,17 +205,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_transfer(args) -> int:
-    protos = dm.read_feature_matrix(args.prototypes)
-    labels = ev.max_cosine_labels(dm.read_feature_matrix(args.features), protos)
-    dm.write_labels(args.out, labels)
-    log.info("wrote %d transferred labels to %s", labels.size, args.out)
+def cmd_transfer(cfg) -> int:
+    protos = dm.read_feature_matrix(cfg["prototypes"])
+    labels = ev.max_cosine_labels(dm.read_feature_matrix(cfg["features"]), protos)
+    dm.write_labels(cfg["out"], labels)
+    log.info("wrote %d transferred labels to %s", labels.size, cfg["out"])
     return 0
 
 
-def cmd_report(args) -> int:
-    rows = ev.tail_report(_score(args.pred, args.gt, args.unmatched)[1])
-    out = args.out
+def cmd_report(cfg) -> int:
+    rows = ev.tail_report(_score(cfg)[1])
+    out = cfg.get("out")
     lines = ["class\tcount\tiou\trecall\tabsorbed"]
     for r in rows:
         lines.append(f"{r['class']}\t{r['count']}\t{r['iou']:.6f}"
@@ -222,37 +232,11 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="langtail")
     sub = p.add_subparsers(dest="command")
-
-    for name, keys, func, help_ in (
-            ("synth", SYNTH_KEYS, cmd_synth, "generate a synthetic long-tail corpus"),
-            ("bank", BANK_KEYS, cmd_bank, "build and align the entity semantic bank"),
-            ("train", TRAIN_KEYS, cmd_train, "run the iterative training pipeline")):
+    for name, (keys, _, help_) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config")
         for key, caster in keys.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster)
-        sp.set_defaults(func=func)
-
-    epp = sub.add_parser("eval", help="Hungarian-matched scoring of predictions")
-    epp.add_argument("--config")
-    epp.add_argument("--pred")
-    epp.add_argument("--gt")
-    epp.add_argument("--out")
-    epp.add_argument("--unmatched", choices=("merge", "drop"))
-    epp.set_defaults(func=cmd_eval)
-
-    trp = sub.add_parser("transfer", help="nearest-prototype labelling of features")
-    trp.add_argument("--prototypes", required=True)
-    trp.add_argument("--features", required=True)
-    trp.add_argument("--out", required=True)
-    trp.set_defaults(func=cmd_transfer)
-
-    rp = sub.add_parser("report", help="long-tail per-class report")
-    rp.add_argument("--pred", required=True)
-    rp.add_argument("--gt", required=True)
-    rp.add_argument("--out")
-    rp.add_argument("--unmatched", choices=("merge", "drop"), default="merge")
-    rp.set_defaults(func=cmd_report)
     return p
 
 
@@ -271,11 +255,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return 1
+    keys, required, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](resolve(args, keys, required))
     except LangtailError as e:
         log.error("%s", e)
         return e.exit_code

@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 # would otherwise build an n x k temporary; 512 rows x 440 prototypes of
 # float64 logits is 1.8 MB, which stays in one core's L2 cache
 ROW_BLOCK = 512
+UNMATCHED_MODES = ("merge", "drop")
 
 
 @dataclass
@@ -127,7 +128,7 @@ def match_and_score(cm: ConfusionMatrix, unmatched: str = "merge") -> EvalReport
     total = int(counts.sum())
     if total == 0:
         raise EmptyBatchError("confusion matrix is empty")
-    if unmatched not in ("merge", "drop"):
+    if unmatched not in UNMATCHED_MODES:
         raise ConfigError(f"unknown unmatched mode {unmatched!r}")
     n_pred, n_gt = counts.shape
 

@@ -674,9 +674,10 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
 
     bank_obj = feats = None
-    if cfg.lambda_entity > 0 and bank_dir is not None and os.path.exists(
-            os.path.join(bank_dir, "bank_aligned.ltfm")):
+    if cfg.lambda_entity > 0 and bank_dir is not None:
         bank_obj = load_bank(bank_dir)
+        if bank_obj.entity_ids != [e.entity_id for e in trainer.entities]:
+            raise DataError(f"{bank_dir}: the bank's entities are not the corpus's")
     elif cfg.lambda_entity > 0:
         # no step comes before round 0: its features are the bank's, forwarded once
         feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0],

@@ -17,7 +17,14 @@ from langtail.bank import (
     sample_entity_batch,
     save_bank,
 )
-from langtail.errors import ConfigError, EmptyMaskError, FormatError, ShapeError
+from langtail.errors import (
+    ConfigError,
+    DataError,
+    EmptyMaskError,
+    FormatError,
+    IoError,
+    ShapeError,
+)
 
 
 def _scene(scene_id, n, d=3):
@@ -208,4 +215,19 @@ def test_load_bank_bad_text_row_is_format_error(tmp_path, name, text, lineno):
     save_bank(tmp_path / "bank", _bank(T=5, C=3))
     (tmp_path / "bank" / name).write_text(text)
     with pytest.raises(FormatError, match=rf"{name.replace('.', '[.]')}:{lineno}: "):
+        load_bank(tmp_path / "bank")
+
+
+@pytest.mark.parametrize("name", ["bank_aligned.ltfm", "entity_ids.tsv", "trace.tsv"])
+def test_load_bank_missing_file_is_io_error(tmp_path, name):
+    save_bank(tmp_path / "bank", _bank(T=5, C=3))
+    (tmp_path / "bank" / name).unlink()
+    with pytest.raises(IoError, match=name.replace(".", "[.]")):
+        load_bank(tmp_path / "bank")
+
+
+def test_load_bank_rows_must_match_entity_ids(tmp_path):
+    save_bank(tmp_path / "bank", _bank(T=5, C=3))
+    (tmp_path / "bank" / "entity_ids.tsv").write_text("0\n1\n")
+    with pytest.raises(DataError, match="5 rows but 2 entity ids"):
         load_bank(tmp_path / "bank")

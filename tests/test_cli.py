@@ -40,7 +40,6 @@ def test_cli_pins_blas_threads_unless_set(given, want):
 
 def test_parse_granularities():
     assert parse_granularities("120,80,20") == (120, 80, 20)
-    assert parse_granularities((5, 2)) == (5, 2)
     with pytest.raises(ConfigError):
         parse_granularities("a,b")
 
@@ -120,6 +119,50 @@ def test_cli_transfer_and_report(tmp_path, capsys):
     assert text.splitlines()[0] == "class\tcount\tiou\trecall\tabsorbed"
 
 
+def test_cli_transfer_and_report_from_config_files(tmp_path):
+    # paths in a config file resolve relative to the file
+    (tmp_path / "cfg").mkdir()
+    rng = np.random.default_rng(0)
+    dm.write_feature_matrix(tmp_path / "p.ltfm", rng.normal(size=(4, 3)).astype(np.float32))
+    dm.write_feature_matrix(tmp_path / "f.ltfm", rng.normal(size=(20, 3)).astype(np.float32))
+    dm.write_labels(tmp_path / "gt.ltlb", rng.integers(0, 3, size=20))
+    (tmp_path / "cfg" / "t.cfg").write_text(
+        "prototypes = ../p.ltfm\nfeatures = ../f.ltfm\nout = ../t.ltlb\n")
+    (tmp_path / "cfg" / "r.cfg").write_text(
+        "pred = ../t.ltlb\ngt = ../gt.ltlb\nunmatched = drop\nout = ../r.tsv\n")
+    assert main(["transfer", "--config", str(tmp_path / "cfg" / "t.cfg")]) == 0
+    assert dm.read_labels(tmp_path / "t.ltlb").shape == (20,)
+    assert main(["report", "--config", str(tmp_path / "cfg" / "r.cfg")]) == 0
+    assert (tmp_path / "r.tsv").read_text().startswith("class\tcount\tiou\trecall\tabsorbed\n")
+
+
+MISSING = [(name, key) for name, (_, required, _) in cli.COMMANDS.items() for key in required]
+
+
+@pytest.mark.parametrize("command,key", MISSING, ids=[f"{c}-{k}" for c, k in MISSING])
+def test_cli_missing_required_key_exits_1(tmp_path, capfd, caplog, command, key):
+    given = [a for k in cli.COMMANDS[command][1] if k != key
+             for a in (f"--{k}", str(tmp_path / k))]
+    assert main([command] + given) == 1
+    assert f"missing required option --{key}" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_bad_unmatched_exits_1_before_reading(tmp_path, capfd, command, source):
+    # the label files do not exist: reading them would exit 2
+    argv = [command, "--pred", str(tmp_path / "p.ltlb"), "--gt", str(tmp_path / "g.ltlb")]
+    if source == "file":
+        (tmp_path / "x.cfg").write_text("unmatched = bogus\n")
+        argv += ["--config", str(tmp_path / "x.cfg")]
+    else:
+        argv += ["--unmatched", "bogus"]
+    assert main(argv) == 1
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path):
     # usage error: missing required option
     assert main(["synth", "--n-classes", "3"]) == 1
@@ -176,18 +219,84 @@ def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
     assert "mask index 1000000 out of range" in caplog.text
 
 
-def test_cli_bank_equals_the_bank_train_builds(tmp_path):
+BANK_FILES = ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv")
+
+
+@pytest.mark.parametrize("extra", [[], ["--weight-decay", "0.5"]], ids=["default", "wd0.5"])
+def test_cli_bank_equals_the_bank_train_builds(tmp_path, extra):
     # `bank` and `train` start a run the same way: read, standardise, warm up
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
     shared = ["--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "2",
-              "--batch-scenes", "1", "--align-steps", "50"]
+              "--batch-scenes", "1", "--align-steps", "50"] + extra
     assert main(["bank", "--corpus", str(corpus), "--out", str(tmp_path / "bank")] + shared) == 0
     assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
                  "--granularities", "4", "--epochs", "1", "--lambda", "0.5"] + shared) == 0
-    for name in ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv"):
+    for name in BANK_FILES:
         assert ((tmp_path / "bank" / name).read_bytes()
                 == (tmp_path / "run" / "bank" / name).read_bytes()), name
+
+
+class _BankSaved(Exception):
+    pass
+
+
+def test_bank_keys_are_the_fields_the_bank_depends_on(tmp_path, monkeypatch):
+    # a TrainConfig field whose value changes the bank a run builds must be a
+    # `bank` key, or `bank` cannot build that bank; a `bank` key that never
+    # changes it does nothing. feat_dim is the bank's width, and warm-up
+    # needs it to equal the corpus's distill width, so it is not varied.
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    save = tr.save_bank
+
+    def save_and_stop(out_dir, bank):
+        save(out_dir, bank)
+        raise _BankSaved
+
+    monkeypatch.setattr(tr, "save_bank", save_and_stop)
+
+    def bank_bytes(cfg, out):
+        with pytest.raises(_BankSaved):
+            tr.run_pipeline(cfg, corpus, out)
+        return [(out / "bank" / name).read_bytes() for name in BANK_FILES]
+
+    base = tr.TrainConfig(lambda_entity=0.5, feat_dim=8, hidden_dim=8, warmup_epochs=2,
+                          batch_scenes=1, align_steps=50)
+    want = bank_bytes(base, tmp_path / "base")
+    changes = set()
+    for f in dataclasses.fields(tr.TrainConfig):
+        if f.name == "feat_dim":
+            continue
+        cfg = dataclasses.replace(base, **{f.name: _other_value(getattr(base, f.name))[1]})
+        if bank_bytes(cfg, tmp_path / f.name) != want:
+            changes.add(cli.ALIASES.get(f.name, f.name))
+    assert changes == set(cli.BANK_KEYS) - {"corpus", "out", "feat_dim"}
+
+
+def test_cli_train_with_a_dir_without_a_bank_exits_2(tmp_path, capfd):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    (tmp_path / "empty").mkdir()
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--bank", str(tmp_path / "empty")] + SMALL_TRAIN + ["--lambda", "0.5"]) == 2
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (out / "pred.ltlb").exists()
+    assert not (out / "bank").exists()
+
+
+def test_cli_train_with_a_bank_of_another_corpus_exits_2(tmp_path, capfd, caplog):
+    # a bank of more entities than the corpus has used to end in an IndexError
+    big, small, bank = tmp_path / "big", tmp_path / "small", tmp_path / "bank"
+    assert main(["synth", "--out", str(big)] + SMALL_SYNTH + ["--n-scenes", "6"]) == 0
+    assert main(["synth", "--out", str(small)] + SMALL_SYNTH + ["--n-scenes", "3"]) == 0
+    assert main(["bank", "--corpus", str(big), "--out", str(bank), "--feat-dim", "8",
+                 "--hidden-dim", "8", "--warmup-epochs", "0", "--batch-scenes", "2"]) == 0
+    assert main(["train", "--corpus", str(small), "--out", str(tmp_path / "out"),
+                 "--bank", str(bank)] + SMALL_TRAIN + ["--lambda", "0.5"]) == 2
+    assert "the bank's entities are not the corpus's" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (tmp_path / "out" / "pred.ltlb").exists()
 
 
 def test_config_file_bad_value(tmp_path):
@@ -238,9 +347,8 @@ def _capture(monkeypatch, target, name):
     return got
 
 
-def _other_value(f):
-    """A valid non-default value for a config field: (CLI text, built value)."""
-    d = f.default
+def _other_value(d):
+    """A valid config value other than d: (CLI text, built value)."""
     if isinstance(d, bool):
         return str(not d).lower(), not d
     if isinstance(d, tuple):
@@ -259,7 +367,7 @@ FIELD_CASES = [(cls, f, source)
                          ids=[f"{c.__name__}.{f.name}-{s}" for c, f, s in FIELD_CASES])
 def test_every_config_field_reaches_the_dataclass(tmp_path, monkeypatch, cls, field, source):
     # the CLI's keys are derived from the dataclasses, so no field is left behind
-    text, want = _other_value(field)
+    text, want = _other_value(field.default)
     key = cli.ALIASES.get(field.name, field.name)
     if cls is SynthConfig:
         got = _capture(monkeypatch, cli, "generate_corpus")
