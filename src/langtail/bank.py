@@ -22,7 +22,11 @@ class SemanticBank:
     B: np.ndarray  # (T, C) aligned prototypes
     entity_ids: list[int]
     alignment_loss_trace: list[float] = field(default_factory=list)
-    categories: np.ndarray | None = None  # (T,) entity category ids
+    categories: np.ndarray | None = None  # (T,) entity category ids; derive_categories(B) if None
+
+    def __post_init__(self):
+        if self.categories is None:
+            self.categories = derive_categories(self.B)
 
 
 def derive_categories(B, threshold: float = 0.9) -> np.ndarray:
@@ -44,14 +48,6 @@ def derive_categories(B, threshold: float = 0.9) -> np.ndarray:
         leaders.append(i)
         cats[i] = len(leaders) - 1
     return cats
-
-
-@dataclass
-class EntityBatchSample:
-    entity_indices: np.ndarray  # (batch,) indices into the bank
-    prototypes: np.ndarray  # (batch, C) L2-normalized bank rows
-    weights: np.ndarray  # (batch,) per-anchor balance weight
-    # anchor i's positive is prototypes[i]; its negatives are all other rows
 
 
 def aggregate_entity_features(scenes, backbone_features, entities) -> np.ndarray:
@@ -142,60 +138,34 @@ def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-
         trace.append(loss)
     if entity_ids is None:
         entity_ids = list(range(F.shape[0]))
-    return SemanticBank(B=F, entity_ids=list(entity_ids), alignment_loss_trace=trace,
-                        categories=derive_categories(F))
+    return SemanticBank(B=F, entity_ids=list(entity_ids), alignment_loss_trace=trace)
 
 
-def balance_weights(class_counts_in_batch) -> dict:
-    """w_c = 1 / sqrt(n_c): inverse square root of in-batch category frequency."""
-    out = {}
-    for c, n in dict(class_counts_in_batch).items():
-        if n < 1:
-            raise ConfigError(f"class {c}: count must be >= 1")
-        out[c] = 1.0 / np.sqrt(float(n))
-    return out
-
-
-def sample_entity_batch(bank: SemanticBank, batch_size: int, seed: int,
-                        class_hint=None) -> EntityBatchSample:
-    """Uniform sample without replacement; weights from in-batch class counts.
-
-    Without class_hint every entity is its own singleton class (the
-    class-agnostic reading) and every weight is 1.
+def sample_entity_batch(bank: SemanticBank, batch_size: int, seed: int):
+    """Uniform sample without replacement of batch_size bank rows. Returns
+    (indices, rows, weights): the sorted bank indices, their L2-normalised
+    rows, and per row 1 / sqrt(n_c), n_c the sampled entities of its category.
     """
     T = bank.B.shape[0]
     if batch_size < 1 or batch_size > T:
         raise ConfigError(f"batch_size={batch_size} out of range for {T} entities")
     rng = make_rng(seed, "entity-batch")
     idx = np.sort(rng.choice(T, size=batch_size, replace=False))
-    if class_hint is None:
-        classes = idx
-    else:
-        classes = np.asarray(class_hint, dtype=np.int64)[idx]
-    counts = {}
-    for c in classes:
-        counts[int(c)] = counts.get(int(c), 0) + 1
-    w_of = balance_weights(counts)
-    weights = np.array([w_of[int(c)] for c in classes])
-    return EntityBatchSample(
-        entity_indices=idx,
-        prototypes=_l2_rows(bank.B[idx]),
-        weights=weights,
-    )
+    cats = bank.categories[idx]
+    return idx, _l2_rows(bank.B[idx]), 1.0 / np.sqrt(np.bincount(cats)[cats].astype(np.float64))
 
 
-def entity_contrastive_loss(anchor_features, batch: EntityBatchSample,
+def entity_contrastive_loss(anchor_features, prototypes, weights,
                             tau: float = 0.07) -> tuple[float, np.ndarray]:
-    """Weighted InfoNCE between anchors and the sampled prototypes.
-
-    anchor_features rows align one-to-one with batch.prototypes; anchor i's
-    positive is prototype i, negatives are the other batch prototypes.
-    Returns (loss, gradient w.r.t. the anchor rows).
+    """Weighted InfoNCE between anchors and prototypes, rows one-to-one:
+    anchor i's positive is prototype i, its negatives the other prototypes,
+    and weights[i] scales its term. Returns (loss, gradient w.r.t. the anchor
+    rows).
     """
     if tau <= 0:
         raise ConfigError("tau must be > 0")
     X = np.asarray(anchor_features, dtype=np.float64)
-    P = batch.prototypes
+    P = prototypes
     if X.shape != (P.shape[0], P.shape[1]):
         raise ShapeError(f"anchors {X.shape} do not match prototypes {P.shape}")
     A = X.shape[0]
@@ -204,11 +174,11 @@ def entity_contrastive_loss(anchor_features, batch: EntityBatchSample,
     logits = S - S_max
     lse = np.log(np.exp(logits).sum(axis=1, keepdims=True))
     logp = logits[np.arange(A), np.arange(A)] - lse[:, 0]
-    loss = float(np.mean(-batch.weights * logp))
+    loss = float(np.mean(-weights * logp))
     softmax = np.exp(logits - lse)
     resid = softmax.copy()
     resid[np.arange(A), np.arange(A)] -= 1.0
-    grad = (batch.weights[:, None] * resid) @ P / (tau * A)
+    grad = (weights[:, None] * resid) @ P / (tau * A)
     return loss, grad
 
 
@@ -232,5 +202,4 @@ def load_bank(out_dir) -> SemanticBank:
     trace = [v for _, v in dm.read_tsv(os.path.join(out_dir, "trace.tsv"), int, float)]
     if B.shape[0] != len(ids):
         raise DataError(f"{out_dir}: bank has {B.shape[0]} rows but {len(ids)} entity ids")
-    return SemanticBank(B=B, entity_ids=ids, alignment_loss_trace=trace,
-                        categories=derive_categories(B))
+    return SemanticBank(B=B, entity_ids=ids, alignment_loss_trace=trace)

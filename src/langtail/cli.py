@@ -167,7 +167,8 @@ def cmd_synth(cfg) -> int:
 def cmd_bank(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
     write_resolved(cfg["out"], cfg)
-    trainer, _ = tr.start_run(tcfg, cfg["corpus"])
+    trainer = tr.start_run(tcfg, cfg["corpus"])
+    trainer.warmup()
     bank_obj = tr.build_bank(trainer.backbone, trainer.scenes, trainer.entities, tcfg)
     save_bank(cfg["out"], bank_obj)
     log.info("aligned bank: %d entities, final loss %.3e",
@@ -200,7 +201,7 @@ def cmd_eval(cfg) -> int:
         os.makedirs(out, exist_ok=True)
         ev.write_report(os.path.join(out, "report.tsv"), report)
         dm.write_feature_matrix(os.path.join(out, "confusion.ltfm"),
-                                cm.counts.astype(np.float32))
+                                cm.astype(np.float32))
     print(f"OA={report.oa:.4f}\tmAcc={report.macc:.4f}\tmIoU={report.miou:.4f}")
     return 0
 

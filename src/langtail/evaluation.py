@@ -25,19 +25,6 @@ UNMATCHED_MODES = ("merge", "drop")
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (n_pred, n_gt) non-negative integers
-
-    @property
-    def n_pred(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_gt(self) -> int:
-        return self.counts.shape[1]
-
-
-@dataclass
 class EvalReport:
     mapping: np.ndarray  # (n_pred,) gt class per pseudo class, -1 = dropped
     oa: float
@@ -48,8 +35,9 @@ class EvalReport:
     per_class_count: np.ndarray  # (n_gt,) gt point counts
 
 
-def confusion(pred, gt, n_pred=None, n_gt=None) -> ConfusionMatrix:
-    """counts[p][g] = number of points with prediction p and label g != -1."""
+def confusion(pred, gt, n_pred=None, n_gt=None) -> np.ndarray:
+    """The (n_pred, n_gt) int64 counts: [p, g] is the number of points with
+    prediction p and label g != -1."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
@@ -61,7 +49,7 @@ def confusion(pred, gt, n_pred=None, n_gt=None) -> ConfusionMatrix:
     if p.size and (p.min() < 0 or p.max() >= n_pred or g.max() >= n_gt):
         raise DataError(f"labelled point with prediction outside [0, {n_pred}) or label >= {n_gt}")
     counts = np.bincount(p * n_gt + g, minlength=n_pred * n_gt).reshape(n_pred, n_gt)
-    return ConfusionMatrix(counts=counts.astype(np.int64, copy=False))
+    return counts.astype(np.int64, copy=False)
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
@@ -118,13 +106,14 @@ def hungarian(cost) -> list[tuple[int, int]]:
     return chosen
 
 
-def match_and_score(cm: ConfusionMatrix, unmatched: str = "merge") -> EvalReport:
-    """Hungarian-match pseudo classes to ground truth, then score OA/mAcc/mIoU.
+def match_and_score(counts, unmatched: str = "merge") -> EvalReport:
+    """Hungarian-match pseudo classes to ground truth on confusion's
+    (n_pred, n_gt) counts, then score OA/mAcc/mIoU.
 
     unmatched = "merge": leftover pseudo classes go to their plurality gt
     class; "drop": their points count as errors for every class.
     """
-    counts = np.asarray(cm.counts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         raise EmptyBatchError("confusion matrix is empty")

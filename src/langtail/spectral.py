@@ -8,25 +8,11 @@ positive; without this the pattern grouping would not be deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bank import _l2_rows
 from .cluster import _sq_dists, kmeans
 from .errors import ConfigError, DegenerateGraphError, ShapeError
-
-
-@dataclass
-class SpectralBasis:
-    U: np.ndarray  # (n, n), columns are eigenvectors
-    lam: np.ndarray  # (n,), ascending
-
-
-@dataclass
-class RefinedPatterns:
-    V: np.ndarray  # (n, s_prime), column = mean of its assigned eigenvectors
-    cluster_of_pattern: np.ndarray  # (n,), original pattern index -> refined cluster
 
 
 def build_affinity(F) -> np.ndarray:
@@ -58,9 +44,9 @@ def normalized_laplacian(A) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
-def eigendecompose(L) -> SpectralBasis:
-    """Full symmetric eigendecomposition with ascending eigenvalues and the
-    largest-magnitude-entry-positive sign convention."""
+def eigendecompose(L) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition: (lam, U), lam ascending and column
+    U[:, s] its eigenvector, whose largest-magnitude entry is positive."""
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ShapeError(f"matrix must be square, got {L.shape}")
@@ -71,25 +57,24 @@ def eigendecompose(L) -> SpectralBasis:
     pivots = np.argmax(np.abs(U), axis=0)
     flip = U[pivots, np.arange(U.shape[1])] < 0
     U[:, flip] *= -1.0
-    return SpectralBasis(U=U, lam=lam)
+    return lam, U
 
 
-def graph_fourier(basis: SpectralBasis, F) -> np.ndarray:
-    """Project features into the graph frequency domain: row s is the
-    frequency response of pattern u_s."""
+def graph_fourier(U, F) -> np.ndarray:
+    """Project features into the graph frequency domain of the eigenvectors
+    U: row s is the frequency response of pattern U[:, s]."""
     F = np.asarray(F, dtype=np.float64)
-    if basis.U.shape[0] != F.shape[0]:
-        raise ShapeError(
-            f"basis has {basis.U.shape[0]} nodes but features have {F.shape[0]} rows"
-        )
-    return basis.U.T @ F
+    if U.shape[0] != F.shape[0]:
+        raise ShapeError(f"basis has {U.shape[0]} nodes but features have {F.shape[0]} rows")
+    return U.T @ F
 
 
-def group_patterns(basis: SpectralBasis, F_feq, s_prime: int, seed: int = 0) -> RefinedPatterns:
+def group_patterns(U, F_feq, s_prime: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """K-means over frequency rows, then average the eigenvectors of each
-    cluster into a refined global pattern."""
+    cluster into a refined global pattern. Returns (V, assignment): V is
+    (n, s_prime), column s the mean of the eigenvectors with assignment s."""
     F_feq = np.asarray(F_feq, dtype=np.float64)
-    n = basis.U.shape[0]
+    n = U.shape[0]
     if F_feq.shape[0] != n:
         raise ShapeError("frequency feature rows must match basis size")
     if s_prime > n:
@@ -99,5 +84,5 @@ def group_patterns(basis: SpectralBasis, F_feq, s_prime: int, seed: int = 0) -> 
     for s in range(s_prime):
         members = np.flatnonzero(assign == s)
         if members.size:  # duplicates can starve a cluster despite re-seeding
-            V[:, s] = basis.U[:, members].mean(axis=1)
-    return RefinedPatterns(V=V, cluster_of_pattern=assign)
+            V[:, s] = U[:, members].mean(axis=1)
+    return V, assign

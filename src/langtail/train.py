@@ -405,16 +405,16 @@ def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int
     return heads
 
 
-def spectral_pass(sp_features, cfg: TrainConfig):
-    """Affinity -> normalized Laplacian -> Fourier basis -> refined patterns."""
+def spectral_pass(sp_features, cfg: TrainConfig) -> np.ndarray:
+    """Affinity -> normalized Laplacian -> Fourier basis -> the refined
+    patterns V, one row per superpoint."""
     check_dense_budget(sp_features.shape[0], SPECTRAL_DENSE_ARRAYS, "spectral_pass")
     A = spectral.build_affinity(sp_features)
     L = spectral.normalized_laplacian(A)
-    basis = spectral.eigendecompose(L)
-    F_feq = spectral.graph_fourier(basis, sp_features)
+    _, U = spectral.eigendecompose(L)
+    F_feq = spectral.graph_fourier(U, sp_features)
     s_prime = min(cfg.s_prime, sp_features.shape[0])
-    patterns = spectral.group_patterns(basis, F_feq, s_prime, seed=cfg.seed)
-    return patterns
+    return spectral.group_patterns(U, F_feq, s_prime, seed=cfg.seed)[0]
 
 
 @dataclass
@@ -429,16 +429,18 @@ class EpochReport:
 def _entity_anchor_grads(features_per_scene, bank_sample, entities,
                          scenes_in_batch, tau):
     """Pool current features over each sampled entity's mask points and run the
-    contrastive loss; returns (loss, per-scene (sig, vecs), n_anchors), or
+    contrastive loss; bank_sample is sample_entity_batch's (indices, prototypes,
+    weights). Returns (loss, per-scene (sig, vecs), n_anchors), or
     (0.0, [], 0) if no entity has mask points here. Row r's gradient is
     vecs[sig[r]]: sig numbers the sets of masks a row lies in (0: none, vecs[0]
     is zero), each vector summing its masks' gradients from zero in entity order.
     """
+    indices, P, w = bank_sample
     by_id = {s.scene_id: bi for bi, s in enumerate(scenes_in_batch)}
     pooled = []
     kept_hits = []  # per kept entity: its (batch scene index, mask indices) hits
     keep = []
-    for row, ent_idx in enumerate(bank_sample.entity_indices):
+    for row, ent_idx in enumerate(indices):
         e = entities[int(ent_idx)]
         hits = [(by_id[sid], idx) for sid, idx in e.masks if sid in by_id]
         if not hits:
@@ -457,12 +459,7 @@ def _entity_anchor_grads(features_per_scene, bank_sample, entities,
         raise NumericError("entity anchor collapsed to zero norm")
     anchors = Z / norms[:, None]
 
-    sub = type(bank_sample)(
-        entity_indices=bank_sample.entity_indices[keep],
-        prototypes=bank_sample.prototypes[keep],
-        weights=bank_sample.weights[keep],
-    )
-    loss, grad_anchor = entity_contrastive_loss(anchors, sub, tau=tau)
+    loss, grad_anchor = entity_contrastive_loss(anchors, P[keep], w[keep], tau=tau)
 
     sigs = [np.zeros(len(f), np.int64) for f in features_per_scene]
     vecs = [[np.zeros(anchors.shape[1])] for _ in features_per_scene]
@@ -560,7 +557,7 @@ class Trainer:
                 backbone_forward(self.backbone, s.points)[0] if f is None else f, s.superpoints),
             self.scenes, feats or [None] * len(self.scenes)))
 
-    def apply_grads(self, caches, grad_feats, lr, head_opt=None, head_grads=None, entity=None):
+    def apply_grads(self, caches, grad_feats, lr, entity=None):
         """Backward pass and optimizer step; entity (or None) is per scene the
         (sig, lambda * vecs) of _entity_anchor_grads, added inside its work."""
         def backward(c, g, ent):
@@ -582,8 +579,6 @@ class Trainer:
             for acc, g in zip(gb, b):
                 acc += g
         self.opt.step(gw + gb, lr)
-        if head_opt is not None:
-            head_opt.step(head_grads, lr)
 
     def train_epoch(self, heads, bank, head_opt, epoch: int) -> EpochReport:
         """One pass over the corpus; returns the batch-averaged loss report."""
@@ -606,9 +601,7 @@ class Trainer:
             if bank is not None and cfg.lambda_entity > 0:
                 bsz = min(cfg.entity_batch, bank.B.shape[0])
                 sample = sample_entity_batch(
-                    bank, bsz, stream_key(cfg.seed, "entity", epoch, step),
-                    class_hint=bank.categories,
-                )
+                    bank, bsz, stream_key(cfg.seed, "entity", epoch, step))
                 l_entity, ent, _ = _entity_anchor_grads(
                     feats, sample, self.entities, [self.scenes[i] for i in idxs], cfg.tau)
                 entity = [(sig, cfg.lambda_entity * np.array(vecs)) for sig, vecs in ent]
@@ -619,8 +612,8 @@ class Trainer:
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"local={l_local} global={l_global} entity={l_entity}"
                 )
-            self.apply_grads(caches, grad_feats, lr, head_opt=head_opt,
-                             head_grads=head_grads, entity=entity)
+            self.apply_grads(caches, grad_feats, lr, entity=entity)
+            head_opt.step(head_grads, lr)
             sums += (l_local, l_global, l_entity)
             n_batches += 1
             self.global_step += 1
@@ -656,13 +649,12 @@ def concat_prototypes(heads) -> np.ndarray:
     return np.concatenate([h.centroids for h in heads], axis=0, dtype=np.float64)
 
 
-def start_run(cfg: TrainConfig, corpus_dir):
-    """Read and standardise a corpus and warm a Trainer up on it; returns
-    (trainer, warmup losses). run_pipeline and `langtail bank` start here."""
+def start_run(cfg: TrainConfig, corpus_dir) -> Trainer:
+    """Read and standardise a corpus and set a Trainer on it, not yet warmed
+    up. run_pipeline and `langtail bank` start here."""
     scenes, entities = read_corpus(corpus_dir)
     standardize_scenes(scenes)
-    trainer = Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
-    return trainer, trainer.warmup()
+    return Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
 
 
 def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
@@ -670,15 +662,16 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
     Returns (backbone, heads, reports).
     """
-    trainer, warmup_losses = start_run(cfg, corpus_dir)
-    os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
-
+    trainer = start_run(cfg, corpus_dir)
     bank_obj = feats = None
-    if cfg.lambda_entity > 0 and bank_dir is not None:
+    if cfg.lambda_entity > 0 and bank_dir is not None:  # refused before the warm-up
         bank_obj = load_bank(bank_dir)
         if bank_obj.entity_ids != [e.entity_id for e in trainer.entities]:
             raise DataError(f"{bank_dir}: the bank's entities are not the corpus's")
-    elif cfg.lambda_entity > 0:
+    warmup_losses = trainer.warmup()
+    os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
+
+    if cfg.lambda_entity > 0 and bank_obj is None:
         # no step comes before round 0: its features are the bank's, forwarded once
         feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0],
                           trainer.scenes)
@@ -688,7 +681,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
         sp_feats, feats = trainer.superpoint_features(feats), None
-        spectral_feats = spectral_pass(sp_feats, cfg).V if cfg.use_global else None
+        spectral_feats = spectral_pass(sp_feats, cfg) if cfg.use_global else None
         heads = build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed,
                                     sample_cap=cfg.sample_cap)
         save_checkpoint(

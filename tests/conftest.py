@@ -3,7 +3,8 @@ import os
 # One BLAS thread, as perfbench/ pins it, set before numpy loads its BLAS:
 # training's matmuls then round as in the benchmark's recorded hashes, and
 # BLAS threads do not compete with the scene helper threads for the CPUs.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402

@@ -17,16 +17,18 @@ from langtail.errors import NumericError
 def reference_entity_anchor_grads(features_per_scene, bank_sample, entities,
                                   scenes_in_batch, tau):
     """Pool current features over each sampled entity's mask points and run the
-    contrastive loss; returns (loss, per-scene (rows, gradient), n_anchors), where
+    contrastive loss; bank_sample is sample_entity_batch's (indices, prototypes,
+    weights). Returns (loss, per-scene (rows, gradient), n_anchors), where
     rows is the sorted union of the scene's masks and gradient covers those rows.
 
     Entities without mask points in the current scenes are skipped.
     """
+    indices, prototypes, weights = bank_sample
     by_id = {s.scene_id: bi for bi, s in enumerate(scenes_in_batch)}
     pooled = []
     pooled_rows = []  # per kept entity: its (batch scene index, mask indices) hits
     keep = []
-    for row, ent_idx in enumerate(bank_sample.entity_indices):
+    for row, ent_idx in enumerate(indices):
         e = entities[int(ent_idx)]
         hits = [(by_id[sid], idx) for sid, idx in e.masks if sid in by_id]
         if not hits:
@@ -44,12 +46,8 @@ def reference_entity_anchor_grads(features_per_scene, bank_sample, entities,
         raise NumericError("entity anchor collapsed to zero norm")
     anchors = Z / norms[:, None]
 
-    sub = type(bank_sample)(
-        entity_indices=bank_sample.entity_indices[keep],
-        prototypes=bank_sample.prototypes[keep],
-        weights=bank_sample.weights[keep],
-    )
-    loss, grad_anchor = entity_contrastive_loss(anchors, sub, tau=tau)
+    loss, grad_anchor = entity_contrastive_loss(anchors, prototypes[keep], weights[keep],
+                                                tau=tau)
 
     rows = [np.unique(np.concatenate([np.zeros(0, np.int64)] + [
         idx for hits in pooled_rows for b, idx in hits if b == bi]))

@@ -6,11 +6,12 @@ import pytest
 from conftest import assert_grad_close, central_diff
 from langtail import data_model as dm
 from langtail.bank import (
-    EntityBatchSample,
+    SemanticBank,
+    _l2_rows,
     aggregate_entity_features,
     align_gram,
     align_gram_loss,
-    balance_weights,
+    derive_categories,
     entity_contrastive_loss,
     gram,
     load_bank,
@@ -114,38 +115,43 @@ def test_align_gram_row_mismatch():
         align_gram(np.ones((3, 2)), np.ones((4, 2)))
 
 
-def test_balance_weights():
-    w = balance_weights({0: 4, 1: 1})
-    assert w[0] == pytest.approx(0.5)
-    assert w[1] == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        balance_weights({0: 0})
-
-
-def _bank(T=10, C=4, seed=0):
+def _bank(T=10, C=4, seed=0, categories=None):
     rng = np.random.default_rng(seed)
-    from langtail.bank import SemanticBank
-    return SemanticBank(B=rng.normal(size=(T, C)), entity_ids=list(range(T)))
+    return SemanticBank(B=rng.normal(size=(T, C)), entity_ids=list(range(T)),
+                        categories=categories)
 
 
 def test_sample_entity_batch_deterministic():
     bank = _bank()
     s1 = sample_entity_batch(bank, 5, seed=123)
     s2 = sample_entity_batch(bank, 5, seed=123)
-    assert np.array_equal(s1.entity_indices, s2.entity_indices)
-    assert np.array_equal(s1.prototypes, s2.prototypes)
-    # sorted, unique, unit-norm prototypes, singleton weights
-    assert np.all(np.diff(s1.entity_indices) > 0)
-    assert np.allclose(np.linalg.norm(s1.prototypes, axis=1), 1.0)
-    assert np.allclose(s1.weights, 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
+    idx, P, _ = s1
+    # sorted, unique, L2-normalised rows of the bank
+    assert np.all(np.diff(idx) > 0)
+    assert np.array_equal(P, _l2_rows(bank.B[idx]))
 
 
-def test_sample_entity_batch_class_hint():
-    bank = _bank(T=4)
-    hint = [0, 0, 0, 1]
-    s = sample_entity_batch(bank, 4, seed=0, class_hint=hint)
-    want = np.where(np.array(hint)[s.entity_indices] == 0, 1.0 / np.sqrt(3.0), 1.0)
-    assert np.allclose(s.weights, want)
+@pytest.mark.parametrize("batch_size", [1, 5, 9, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_weights_are_per_category_scalars(batch_size, seed):
+    # categories of 5, 4, 1 and 2 entities: a sample holds mixed counts
+    cats = np.array([0, 1, 0, 2, 0, 1, 3, 0, 1, 3, 0, 1])
+    idx, _, w = sample_entity_batch(_bank(T=12, categories=cats), batch_size, seed=seed)
+    n_of = {c: list(cats[idx]).count(c) for c in set(cats[idx])}
+    assert w.dtype == np.float64
+    assert [float(x) for x in w] == [1.0 / np.sqrt(float(n_of[c])) for c in cats[idx]]
+
+
+def test_bank_without_categories_derives_them():
+    rng = np.random.default_rng(6)
+    B = rng.normal(size=(8, 5))
+    B[5] = 2.0 * B[1]  # an alias of row 1 shares its category
+    bank = SemanticBank(B=B, entity_ids=list(range(8)))
+    assert np.array_equal(bank.categories, derive_categories(B))
+    assert bank.categories[5] == bank.categories[1]
+    given = np.arange(8)[::-1]
+    assert SemanticBank(B=B, entity_ids=list(range(8)), categories=given).categories is given
 
 
 def test_sample_entity_batch_range_check():
@@ -157,17 +163,14 @@ def test_contrastive_loss_hand_case():
     # anchors identical to prototypes, two orthogonal entries, tau=1:
     # logits row [1, 0], loss = log(1 + e^-1)
     P = np.eye(2)
-    batch = EntityBatchSample(np.arange(2), P, np.ones(2))
-    loss, _ = entity_contrastive_loss(P, batch, tau=1.0)
+    loss, _ = entity_contrastive_loss(P, P, np.ones(2), tau=1.0)
     assert loss == pytest.approx(np.log(1.0 + np.exp(-1.0)))
 
 
 def test_contrastive_loss_weighting():
     P = np.eye(2)
-    batch1 = EntityBatchSample(np.arange(2), P, np.ones(2))
-    batch2 = EntityBatchSample(np.arange(2), P, 2.0 * np.ones(2))
-    l1, g1 = entity_contrastive_loss(P, batch1, tau=1.0)
-    l2, g2 = entity_contrastive_loss(P, batch2, tau=1.0)
+    l1, g1 = entity_contrastive_loss(P, P, np.ones(2), tau=1.0)
+    l2, g2 = entity_contrastive_loss(P, P, 2.0 * np.ones(2), tau=1.0)
     assert l2 == pytest.approx(2.0 * l1)
     assert np.allclose(g2, 2.0 * g1)
 
@@ -179,20 +182,18 @@ def test_contrastive_loss_gradient_fd():
         P = rng.normal(size=(A, C))
         P /= np.linalg.norm(P, axis=1, keepdims=True)
         w = rng.uniform(0.5, 2.0, size=A)
-        batch = EntityBatchSample(np.arange(A), P, w)
         X = rng.normal(size=(A, C))
-        _, grad = entity_contrastive_loss(X, batch, tau=0.3)
-        num = central_diff(lambda x: entity_contrastive_loss(x, batch, tau=0.3)[0], X)
+        _, grad = entity_contrastive_loss(X, P, w, tau=0.3)
+        num = central_diff(lambda x: entity_contrastive_loss(x, P, w, tau=0.3)[0], X)
         assert_grad_close(grad, num)
 
 
 def test_contrastive_loss_validation():
     P = np.eye(2)
-    batch = EntityBatchSample(np.arange(2), P, np.ones(2))
     with pytest.raises(ConfigError):
-        entity_contrastive_loss(P, batch, tau=0.0)
+        entity_contrastive_loss(P, P, np.ones(2), tau=0.0)
     with pytest.raises(ShapeError):
-        entity_contrastive_loss(np.ones((3, 2)), batch)
+        entity_contrastive_loss(np.ones((3, 2)), P, np.ones(2))
 
 
 def test_bank_save_load_round_trip(tmp_path):

@@ -299,6 +299,29 @@ def test_cli_train_with_a_bank_of_another_corpus_exits_2(tmp_path, capfd, caplog
     assert not (tmp_path / "out" / "pred.ltlb").exists()
 
 
+@pytest.mark.parametrize("bank_of, code, warmups", [
+    (None, 2, 0),  # a dir without a bank
+    ("big", 2, 0),  # a bank of another corpus
+    ("corpus", 0, 1),  # the corpus's own bank: the run warms up once
+], ids=["no-bank", "other-corpus", "own-bank"])
+def test_cli_train_checks_its_bank_before_the_warm_up(tmp_path, monkeypatch, bank_of,
+                                                      code, warmups):
+    corpus, bank, out = tmp_path / "corpus", tmp_path / "bank", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    assert main(["synth", "--out", str(tmp_path / "big")] + SMALL_SYNTH + ["--n-scenes", "6"]) == 0
+    bank.mkdir()
+    if bank_of is not None:
+        assert main(["bank", "--corpus", str(tmp_path / bank_of), "--out", str(bank),
+                     "--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "0"]) == 0
+    calls = []
+    warmup = tr.Trainer.warmup
+    monkeypatch.setattr(tr.Trainer, "warmup", lambda self: calls.append(1) or warmup(self))
+    assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--bank", str(bank)] + SMALL_TRAIN + ["--lambda", "0.5"]) == code
+    assert len(calls) == warmups
+    assert (out / "checkpoints").exists() == (code == 0)
+
+
 def test_config_file_bad_value(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text("# header\nepochs = abc\n")

@@ -61,14 +61,14 @@ def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(0)
     F = rng.normal(size=(30, 4))
     L = normalized_laplacian(build_affinity(F))
-    basis = eigendecompose(L)
-    recon = basis.U @ np.diag(basis.lam) @ basis.U.T
+    lam, U = eigendecompose(L)
+    recon = U @ np.diag(lam) @ U.T
     rel = np.linalg.norm(recon - L) / np.linalg.norm(L)
     assert rel < 1e-8
-    assert np.all(np.diff(basis.lam) >= -1e-12)
+    assert np.all(np.diff(lam) >= -1e-12)
     # sign convention: largest-magnitude entry of each column is positive
-    pivots = np.argmax(np.abs(basis.U), axis=0)
-    assert np.all(basis.U[pivots, np.arange(30)] >= 0)
+    pivots = np.argmax(np.abs(U), axis=0)
+    assert np.all(U[pivots, np.arange(30)] >= 0)
 
 
 def test_eigendecompose_rejects_asymmetric():
@@ -79,17 +79,17 @@ def test_eigendecompose_rejects_asymmetric():
 def test_graph_fourier_parseval():
     rng = np.random.default_rng(1)
     F = rng.normal(size=(25, 6))
-    basis = eigendecompose(normalized_laplacian(build_affinity(F)))
-    F_feq = graph_fourier(basis, F)
+    _, U = eigendecompose(normalized_laplacian(build_affinity(F)))
+    F_feq = graph_fourier(U, F)
     assert np.linalg.norm(F_feq) == pytest.approx(np.linalg.norm(F), rel=1e-8)
     # inverse transform recovers the signal
-    assert np.allclose(basis.U @ F_feq, F, atol=1e-8)
+    assert np.allclose(U @ F_feq, F, atol=1e-8)
 
 
 def test_graph_fourier_shape_check():
-    basis = eigendecompose(np.eye(3))
+    _, U = eigendecompose(np.eye(3))
     with pytest.raises(ShapeError):
-        graph_fourier(basis, np.ones((4, 2)))
+        graph_fourier(U, np.ones((4, 2)))
 
 
 def test_fiedler_recovers_planted_blobs():
@@ -101,8 +101,8 @@ def test_fiedler_recovers_planted_blobs():
             rng.normal(0.0, 0.05, (n1, 3)) + np.array([1.0, 0.0, 0.0]),
             rng.normal(0.0, 0.05, (n2, 3)) + np.array([0.0, 1.0, 0.0]),
         ])
-        basis = eigendecompose(normalized_laplacian(build_affinity(F)))
-        fiedler = basis.U[:, 1]
+        _, U = eigendecompose(normalized_laplacian(build_affinity(F)))
+        fiedler = U[:, 1]
         side = fiedler >= 0
         if len(set(side[:n1])) == 1 and len(set(side[n1:])) == 1 \
                 and side[0] != side[-1]:
@@ -112,19 +112,16 @@ def test_fiedler_recovers_planted_blobs():
 
 def test_group_patterns_hand_case():
     # two identical frequency rows cluster together; V column is their mean
-    basis = eigendecompose(np.diag([0.0, 1.0, 2.0]))
+    _, U = eigendecompose(np.diag([0.0, 1.0, 2.0]))
     F_feq = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-    patterns = group_patterns(basis, F_feq, 2, seed=0)
-    assert len(set(patterns.cluster_of_pattern[:2])) == 1
-    assert patterns.cluster_of_pattern[2] != patterns.cluster_of_pattern[0]
-    pair = patterns.cluster_of_pattern[0]
-    assert np.allclose(patterns.V[:, pair],
-                       basis.U[:, :2].mean(axis=1))
-    lone = patterns.cluster_of_pattern[2]
-    assert np.allclose(patterns.V[:, lone], basis.U[:, 2])
+    V, assign = group_patterns(U, F_feq, 2, seed=0)
+    assert len(set(assign[:2])) == 1
+    assert assign[2] != assign[0]
+    assert np.allclose(V[:, assign[0]], U[:, :2].mean(axis=1))
+    assert np.allclose(V[:, assign[2]], U[:, 2])
 
 
 def test_group_patterns_rejects_oversized():
-    basis = eigendecompose(np.eye(3))
+    _, U = eigendecompose(np.eye(3))
     with pytest.raises(ConfigError):
-        group_patterns(basis, np.ones((3, 2)), 4)
+        group_patterns(U, np.ones((3, 2)), 4)

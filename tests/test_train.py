@@ -17,7 +17,6 @@ from langtail import data_model as dm
 from langtail import evaluation as ev
 from langtail import train as tr
 from langtail.bank import (
-    EntityBatchSample,
     SemanticBank,
     _l2_rows,
     entity_contrastive_loss,
@@ -321,18 +320,20 @@ def test_entity_anchor_grads_match_add_at():
              [("s1", [2, 3, 4, 20])], [("s0", [4, 9, 29])]]
     entities = [EntityRecord(e, f"e{e}", rng.normal(size=4), masks=m)
                 for e, m in enumerate(masks)]
-    sample = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)))
-    batch = sample_entity_batch(sample, 4, seed=1, class_hint=np.array([0, 0, 1, 1]))
+    bank = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)),
+                        categories=np.array([0, 0, 1, 1]))
+    batch = sample_entity_batch(bank, 4, seed=1)
     loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.2)
 
     by_id = {s.scene_id: j for j, s in enumerate(scenes)}
+    order, P, w = batch
     pooled = [np.concatenate([feats[by_id[sid]][idx] for sid, idx in entities[e].masks]).mean(0)
-              for e in batch.entity_indices]
+              for e in order]
     norms = np.linalg.norm(pooled, axis=1)
     anchors = np.stack(pooled) / norms[:, None]
-    want_loss, grad_anchor = entity_contrastive_loss(anchors, batch, tau=0.2)
+    want_loss, grad_anchor = entity_contrastive_loss(anchors, P, w, tau=0.2)
     want = [np.zeros_like(f) for f in feats]
-    for a, e in enumerate(batch.entity_indices):
+    for a, e in enumerate(order):
         g = grad_anchor[a]
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
         hits = entities[e].masks
@@ -340,7 +341,7 @@ def test_entity_anchor_grads_match_add_at():
             np.add.at(want[by_id[sid]], idx, gz[None, :] / sum(i.size for _, i in hits))
     assert n_anchors == 4 and loss == want_loss
     for j, ((sig, vecs), w) in enumerate(zip(grads, want)):
-        union = sorted({int(i) for e in batch.entity_indices
+        union = sorted({int(i) for e in order
                         for sid, idx in entities[e].masks if by_id[sid] == j for i in idx})
         assert np.flatnonzero(sig).tolist() == union
         assert np.array_equal(np.array(vecs)[sig], w)
@@ -383,9 +384,8 @@ def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
     entities = [EntityRecord(e, f"e{e}", rng.normal(size=4), masks=m)
                 for e, m in enumerate(masks)]
     order = rng.permutation(len(entities))[:rng.integers(1, len(entities) + 1)]
-    batch = EntityBatchSample(entity_indices=order,
-                              prototypes=_l2_rows(rng.normal(size=(order.size, dim))),
-                              weights=rng.uniform(0.5, 2.0, order.size))
+    batch = (order, _l2_rows(rng.normal(size=(order.size, dim))),
+             rng.uniform(0.5, 2.0, order.size))
 
     loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.1)
     want_loss, want, want_n = reference_entity_anchor_grads(feats, batch, entities, scenes, 0.1)
