@@ -1,8 +1,9 @@
 """Single executable exposing the pipeline stages as subcommands.
 
 Config files are flat `key = value` lines with `#` comments; command-line
-flags override file values; the fully resolved config is echoed into
-out_dir/config.resolved. Paths inside a config file are resolved relative
+flags override file values; once a command's outputs are written, the fully
+resolved config is echoed into out_dir/config.resolved, so a refused or
+failed run leaves none. Paths inside a config file are resolved relative
 to the config file's directory, path flags relative to the working
 directory, and both are stored as absolute paths.
 """
@@ -157,20 +158,20 @@ def _build(cls, cfg: dict):
 def cmd_synth(cfg) -> int:
     scfg = _build(SynthConfig, cfg)
     out = cfg["out"]
-    write_resolved(out, cfg)
     log.info("generating corpus in %s", out)
     scenes, entities = generate_corpus(scfg, out)
+    write_resolved(out, cfg)
     log.info("wrote %d scenes, %d entities", len(scenes), len(entities))
     return 0
 
 
 def cmd_bank(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
-    write_resolved(cfg["out"], cfg)
     trainer = tr.start_run(tcfg, cfg["corpus"])
     trainer.warmup()
     bank_obj = tr.build_bank(trainer.backbone, trainer.scenes, trainer.entities, tcfg)
     save_bank(cfg["out"], bank_obj)
+    write_resolved(cfg["out"], cfg)
     log.info("aligned bank: %d entities, final loss %.3e",
              bank_obj.B.shape[0], bank_obj.alignment_loss_trace[-1])
     return 0
@@ -179,11 +180,11 @@ def cmd_bank(cfg) -> int:
 def cmd_train(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
     baseline = _parse_bool(cfg.get("baseline", "false"))
-    write_resolved(cfg["out"], cfg)
     if baseline:
         tr.run_baseline(tcfg, cfg["corpus"], cfg["out"])
     else:
         tr.run_pipeline(tcfg, cfg["corpus"], cfg["out"], bank_dir=cfg.get("bank"))
+    write_resolved(cfg["out"], cfg)
     log.info("training finished; outputs in %s", cfg["out"])
     return 0
 

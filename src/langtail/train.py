@@ -21,9 +21,10 @@ the entity-anchor gradient into the scene's feature gradient) runs in
 scene_map on the calling thread plus one pool thread per further CPU of the
 affinity set, with no setting; results are reduced in scene order on the
 calling thread, so outputs are byte-identical whatever the helper count (not
-the BLAS thread count). predict_labels runs whole scenes the same way:
-a thread runs a scene's forward pass and scores it in fixed ROW_BLOCK-row
-blocks, so its peak memory is one scene's activations plus one logits block.
+the BLAS thread count). predict_labels spreads scenes the same way: a
+thread runs a scene's forward pass and scoring one fixed ROW_BLOCK-row block
+at a time into the one output array, so its peak memory is one block of
+activations and one block of logits, with no per-scene copy of the labels.
 """
 
 from __future__ import annotations
@@ -721,17 +722,28 @@ def build_bank(backbone, scenes, entities, cfg: TrainConfig, feats=None) -> Sema
 
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
-    """Assign every point of every scene to its max-cosine prototype. Whole
-    scenes run through scene_map: a scene's forward pass, then argmax_scores,
-    so a thread's peak memory is one scene's activations plus one ROW_BLOCK x
-    prototypes block of logits (1.8 MB at 440 prototypes, in a core's L2)."""
+    """Assign every point of every scene to its max-cosine prototype. Scenes
+    run through scene_map, and a thread runs a scene's forward pass and
+    scoring one ROW_BLOCK-row block at a time, writing each block's labels
+    into the one output array: its peak memory is one block of activations
+    and one ROW_BLOCK x prototypes block of logits (1.8 MB at 440 prototypes,
+    in a core's L2) whatever the scene size. A matmul row does not depend on
+    the rows that share its call, so the labels are those of whole scenes."""
     if not scenes:
         raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)
     if P.shape[1] != backbone.out_dim:
         raise ShapeError(f"prototype dim {P.shape[1]} != backbone output dim {backbone.out_dim}")
-    return np.concatenate(scene_map(
-        lambda s: argmax_scores(backbone_forward(backbone, s.points)[0], P), scenes))
+    starts = [0, *accumulate(s.n_points for s in scenes)]
+    labels = np.empty(starts[-1], np.intp)
+
+    def label_scene(s, start):
+        for a in range(0, s.n_points, ROW_BLOCK):
+            Y = backbone_forward(backbone, s.points[a:a + ROW_BLOCK])[0]
+            labels[start + a:start + a + len(Y)] = argmax_scores(Y, P)
+
+    scene_map(label_scene, scenes, starts)
+    return labels
 
 
 def _write_outputs(out_dir, trainer, heads, reports):

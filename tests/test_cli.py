@@ -283,6 +283,7 @@ def test_cli_train_with_a_dir_without_a_bank_exits_2(tmp_path, capfd):
     assert "Traceback" not in capfd.readouterr().err
     assert not (out / "pred.ltlb").exists()
     assert not (out / "bank").exists()
+    assert not (out / "config.resolved").exists()  # written last, after the outputs
 
 
 def test_cli_train_with_a_bank_of_another_corpus_exits_2(tmp_path, capfd, caplog):
@@ -297,6 +298,14 @@ def test_cli_train_with_a_bank_of_another_corpus_exits_2(tmp_path, capfd, caplog
     assert "the bank's entities are not the corpus's" in caplog.text
     assert "Traceback" not in capfd.readouterr().err
     assert not (tmp_path / "out" / "pred.ltlb").exists()
+
+
+@pytest.mark.parametrize("command", ["bank", "train"])
+def test_cli_run_without_a_corpus_leaves_no_config_resolved(tmp_path, capfd, command):
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(tmp_path / "nope"), "--out", str(out)]) == 2
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (out / "config.resolved").exists()
 
 
 @pytest.mark.parametrize("bank_of, code, warmups", [

@@ -54,6 +54,24 @@ def test_confusion_ignores_any_prediction_on_unlabelled_points():
     assert cm.tolist() == [[0, 0], [0, 1]]
 
 
+def test_confusion_peak_memory_without_ignored_labels():
+    # 10^6 int64 labels, none -1: the codes are one n x 8-byte array, with no
+    # copy of pred or gt (copying both took the peak to about 3 x n x 8 bytes)
+    n = 10**6
+    rng = np.random.default_rng(8)
+    pred, gt = rng.integers(0, 440, size=n), rng.integers(0, 8, size=n)
+    want = np.bincount(pred * 8 + gt, minlength=440 * 8).reshape(440, 8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cm = ev.confusion(pred, gt, n_pred=440, n_gt=8)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8, f"{peak / (n * 8):.2f} x n x 8 bytes"
+    assert np.array_equal(cm, want)
+
+
 def test_hungarian_hand_cases():
     assert ev.hungarian([[1.0, 2.0], [2.0, 1.0]]) == [(0, 0), (1, 1)]
     assert ev.hungarian([[2.0, 1.0], [1.0, 2.0]]) == [(0, 1), (1, 0)]
