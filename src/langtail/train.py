@@ -723,12 +723,12 @@ def build_bank(backbone, scenes, entities, cfg: TrainConfig, feats=None) -> Sema
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
     """Assign every point of every scene to its max-cosine prototype. Scenes
-    run through scene_map, and a thread runs a scene's forward pass and
-    scoring one ROW_BLOCK-row block at a time, writing each block's labels
-    into the one output array: its peak memory is one block of activations
-    and one ROW_BLOCK x prototypes block of logits (1.8 MB at 440 prototypes,
-    in a core's L2) whatever the scene size. A matmul row does not depend on
-    the rows that share its call, so the labels are those of whole scenes."""
+    run through scene_map; a thread runs a scene's forward pass and scoring
+    one ROW_BLOCK-row block at a time into the one output array, so it holds
+    one block of activations and one ROW_BLOCK x prototypes block of logits
+    (1.8 MB at 440 prototypes, in a core's L2) whatever the scene size. A
+    matmul row does not depend on the rows sharing its call: the labels are
+    those of whole-scene passes."""
     if not scenes:
         raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)
