@@ -24,9 +24,9 @@ from .rng import make_rng
 # once. The reference machine has 7 GB of RAM; the rest is left for the corpus,
 # the backbone and the other arrays of a run.
 DENSE_BUDGET_BYTES = 2 << 30
-# peak resident n x n float64 arrays of ward_tree, measured (during the cost set-up)
-WARD_DENSE_ARRAYS = 3
-# Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 3 = 1.5 GiB
+# peak resident n x n float64 arrays of ward_tree, by ru_maxrss (cost + 2 strips: 1.35)
+WARD_DENSE_ARRAYS = 2
+# Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 2 = 1 GiB
 DEFAULT_SAMPLE_CAP = 8192
 
 
@@ -120,13 +120,29 @@ def _farthest_point_seeds(X, k, seed):
 
 
 def _sq_dists(X, C):
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        - 2.0 * X @ C.T
-        + (C * C).sum(axis=1)[None, :]
-    )
+    """||x_i - c_j||^2 clipped at 0, built in the one array (2X)C^T."""
+    d2 = (2.0 * X) @ C.T
+    np.subtract((X * X).sum(axis=1)[:, None], d2, out=d2)
+    d2 += (C * C).sum(axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _symmetrize(M, op, block=256):
+    """M[i, j] = op(M[i, j], M[j, i]) in place, one strip of rows at a time."""
+    for i in range(0, M.shape[0], block):
+        upper, lower = M[i:i + block, i:], M[i:, i:i + block].T
+        upper[...], lower[...] = op(upper, lower), op(lower, upper)
+    return M
+
+
+def _ward_costs(X):
+    """Ward costs of singleton rows, 1 * 1 / (1 + 1) * ||x_i - x_j||^2; inf diagonal."""
+    cost = _sq_dists(X, X)
+    cost *= 0.5
+    _symmetrize(cost, np.minimum)  # summation order skews the triangles by 1 ulp
+    np.fill_diagonal(cost, np.inf)
+    return cost
 
 
 def ward_tree(X) -> Dendrogram:
@@ -147,9 +163,7 @@ def ward_tree(X) -> Dendrogram:
     node_ids = np.arange(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
 
-    cost = _pairwise_ward_costs(X, sizes)
-    cost = np.minimum(cost, cost.T)  # summation order skews the triangles by 1 ulp
-    np.fill_diagonal(cost, np.inf)
+    cost = _ward_costs(X)
     row_min = cost.min(axis=1)
 
     merges = []
@@ -192,12 +206,6 @@ def ward_tree(X) -> Dendrogram:
         rescan = np.flatnonzero(stale)
         row_min[rescan] = cost[rescan].min(axis=1)
     return Dendrogram(n_leaves=n, merges=merges)
-
-
-def _pairwise_ward_costs(mus, sizes):
-    d2 = _sq_dists(mus, mus)
-    w = sizes[:, None] * sizes[None, :] / (sizes[:, None] + sizes[None, :])
-    return w * d2
 
 
 def cut_tree(d: Dendrogram, k: int) -> np.ndarray:

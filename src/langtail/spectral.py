@@ -1,17 +1,18 @@
 """Superpoint affinity graph, normalized Laplacian, and frequency-domain
 pattern grouping for the global branch.
 
-The graph spans the whole (possibly subsampled) corpus superpoint set.
-Eigenvector sign is fixed so each column's largest-magnitude entry is
-positive; without this the pattern grouping would not be deterministic.
+The graph spans every corpus superpoint; nothing subsamples it, so the
+budget check refuses 9,460 or more. Eigenvector sign is fixed so each column's
+largest-magnitude entry is positive, or pattern grouping would not be deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .bank import _l2_rows
-from .cluster import _sq_dists, kmeans
+from .cluster import _sq_dists, _symmetrize, kmeans
 from .errors import ConfigError, DegenerateGraphError, ShapeError
 
 
@@ -25,13 +26,15 @@ def build_affinity(F) -> np.ndarray:
     if F.ndim != 2 or F.shape[0] < 2:
         raise ConfigError("affinity graph needs at least 2 superpoints")
     F = _l2_rows(F)
-    A = np.exp(-_sq_dists(F, F))
+    A = _sq_dists(F, F)
+    np.exp(np.negative(A, out=A), out=A)
     np.fill_diagonal(A, 0.0)
     return A
 
 
 def normalized_laplacian(A) -> np.ndarray:
-    """L = D^{-1/2} (D - A) D^{-1/2}; symmetric, eigenvalues in [0, 2]."""
+    """L = D^{-1/2} (D - A) D^{-1/2}; symmetric, eigenvalues in [0, 2]. A
+    float64 A is overwritten: L is built in its memory."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"affinity must be square, got {A.shape}")
@@ -39,24 +42,25 @@ def normalized_laplacian(A) -> np.ndarray:
     if np.any(deg <= 0):
         raise DegenerateGraphError("graph has an isolated node (zero degree)")
     d = 1.0 / np.sqrt(deg)
-    L = -A * d[:, None] * d[None, :]
-    np.fill_diagonal(L, np.diag(L) + 1.0)
-    return 0.5 * (L + L.T)
+    A *= -d[:, None]  # -(A d_i) is (-A) d_i exactly
+    A *= d[None, :]
+    np.fill_diagonal(A, np.diag(A) + 1.0)
+    return _symmetrize(A, lambda a, b: 0.5 * (a + b))
 
 
 def eigendecompose(L) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition: (lam, U), lam ascending and column
-    U[:, s] its eigenvector, whose largest-magnitude entry is positive."""
+    U[:, s] its eigenvector, whose largest-magnitude entry is positive. dsyevd
+    writes U over a C-ordered float64 L, passed as L.T: L in Fortran order."""
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ShapeError(f"matrix must be square, got {L.shape}")
-    if not np.allclose(L, L.T, atol=1e-10):
+    strips = range(0, L.shape[0], 256)  # strips of rows, not n x n temporaries
+    if not all(np.allclose(L[i:i + 256], L[:, i:i + 256].T, atol=1e-10) for i in strips):
         raise ShapeError("matrix is not symmetric")
-    lam, U = np.linalg.eigh(L)
-    U = U.copy()
-    pivots = np.argmax(np.abs(U), axis=0)
-    flip = U[pivots, np.arange(U.shape[1])] < 0
-    U[:, flip] *= -1.0
+    lam, U = scipy.linalg.eigh(L.T, driver="evd", overwrite_a=True, check_finite=False)
+    pivots = np.concatenate([np.argmax(np.abs(U[:, i:i + 256]), axis=0) for i in strips])
+    U *= np.where(U[pivots, np.arange(U.shape[1])] < 0, -1.0, 1.0)
     return lam, U
 
 

@@ -68,9 +68,9 @@ from .evaluation import ROW_BLOCK, argmax_scores
 from .rng import make_rng, stream_key
 from .synth import read_corpus
 
-# peak resident n x n float64 arrays of spectral_pass, measured: affinity,
-# Laplacian, eigenvectors and the eigensolver's workspace
-SPECTRAL_DENSE_ARRAYS = 7
+# peak resident n x n float64 arrays of spectral_pass, measured by ru_maxrss:
+# one buffer (affinity, then L, then U) and dsyevd's 2n^2 workspace (3.1)
+SPECTRAL_DENSE_ARRAYS = 3
 SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the caller
 _POOLS = {}  # one pool per process id: a forked child has none of its parent's threads
 
@@ -410,12 +410,10 @@ def spectral_pass(sp_features, cfg: TrainConfig) -> np.ndarray:
     """Affinity -> normalized Laplacian -> Fourier basis -> the refined
     patterns V, one row per superpoint."""
     check_dense_budget(sp_features.shape[0], SPECTRAL_DENSE_ARRAYS, "spectral_pass")
-    A = spectral.build_affinity(sp_features)
-    L = spectral.normalized_laplacian(A)
-    _, U = spectral.eigendecompose(L)
+    A = spectral.build_affinity(sp_features)  # one n x n buffer: A, then L, then U
+    _, U = spectral.eigendecompose(spectral.normalized_laplacian(A))
     F_feq = spectral.graph_fourier(U, sp_features)
-    s_prime = min(cfg.s_prime, sp_features.shape[0])
-    return spectral.group_patterns(U, F_feq, s_prime, seed=cfg.seed)[0]
+    return spectral.group_patterns(U, F_feq, min(cfg.s_prime, len(U)), seed=cfg.seed)[0]
 
 
 @dataclass

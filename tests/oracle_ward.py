@@ -7,8 +7,8 @@ implementation under test.
 
 reference_ward_scan is the plain greedy Ward loop that rescans the whole cost
 matrix on every merge. It shares the cost arithmetic of langtail.cluster on
-purpose (initial costs, then the Lance-Williams recurrence), so ward_tree must
-reproduce its merges exactly, float costs included.
+purpose (the initial costs of _ward_costs, then the Lance-Williams recurrence),
+so ward_tree must reproduce its merges exactly, float costs included.
 
 reference_ward_centroid_scan is the same greedy loop, but it recomputes the
 merged cluster's cost to every other cluster from their centroids. It judges
@@ -18,7 +18,7 @@ costs equal to rounding.
 
 import numpy as np
 
-from langtail.cluster import Dendrogram, _pairwise_ward_costs
+from langtail.cluster import Dendrogram, _ward_costs
 
 
 def ward_cost(size_a, mu_a, size_b, mu_b) -> float:
@@ -78,9 +78,7 @@ def reference_ward_scan(X):
     sizes = np.ones(n, dtype=np.float64)
     node_ids = np.arange(n, dtype=np.int64)
 
-    cost = _pairwise_ward_costs(X, sizes)
-    cost = np.minimum(cost, cost.T)
-    np.fill_diagonal(cost, np.inf)
+    cost = _ward_costs(X)
 
     merges = []
     for step in range(n - 1):
@@ -127,9 +125,7 @@ def reference_ward_centroid_scan(X):
     node_ids = np.arange(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
 
-    cost = _pairwise_ward_costs(mus, sizes)
-    cost = np.minimum(cost, cost.T)
-    np.fill_diagonal(cost, np.inf)
+    cost = _ward_costs(mus)
 
     merges = []
     for step in range(n - 1):

@@ -170,7 +170,7 @@ def test_criterion_4_spectral_suite(capfd):
         for _ in range(10):
             F = rng.normal(size=(30, 5))
             L = sp.normalized_laplacian(sp.build_affinity(F))
-            lam, U = sp.eigendecompose(L)
+            lam, U = sp.eigendecompose(L.copy())
             recon = U @ np.diag(lam) @ U.T
             assert np.linalg.norm(recon - L) <= 1e-8 * np.linalg.norm(L)
             F_hat = sp.graph_fourier(U, F)
@@ -295,8 +295,10 @@ def _golden_or_skip(capfd, what):
     with open(GOLDEN) as f:
         golden = json.load(f)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     env = {"numpy": np.__version__, "scipy": scipy.__version__,
            "blas": f"{blas['name']} {blas['version']}",
+           "lapack": f"{lapack['name']} {lapack['version']}",
            **{v: os.environ.get(v) for v in BLAS_VARS}}
     differ = [f"{k} is {env[k]!r}, not {v!r}" for k, v in golden["env"].items() if env[k] != v]
     if differ:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_dense
 from langtail.cluster import (
     DEFAULT_SAMPLE_CAP,
     WARD_DENSE_ARRAYS,
+    _symmetrize,
+    _ward_costs,
     check_dense_budget,
     check_granularities,
     cut_tree,
@@ -180,6 +183,25 @@ def test_dense_budget_checked_before_allocating():
         ward_tree(np.zeros((20000, 1)))
     # the default subsample cap fits the budget
     check_dense_budget(DEFAULT_SAMPLE_CAP, WARD_DENSE_ARRAYS, "ward_tree")
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_symmetrize_matches_the_transpose_formula(n):
+    M = np.random.default_rng(n).normal(size=(n, n))
+    for op in (np.minimum, lambda a, b: 0.5 * (a + b)):
+        want = op(M, M.T)
+        got = _symmetrize(M.copy(), op)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 257, 600])
+def test_ward_costs_match_the_pairwise_formula(n):
+    # 0.5 * d2 is the general n_a * n_b / (n_a + n_b) * d2 at n_a = n_b = 1
+    X = np.random.default_rng(n).normal(size=(n, 5))
+    X[n // 2] = X[0]
+    X[-1] = X[0]
+    got, want = _ward_costs(X), oracle_dense.ward_costs(X)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 def test_cut_labels_smallest_leaf_order():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle_dense
+from langtail.cluster import _sq_dists
 from langtail.errors import ConfigError, DegenerateGraphError, ShapeError
 from langtail.spectral import (
     build_affinity,
@@ -61,7 +63,7 @@ def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(0)
     F = rng.normal(size=(30, 4))
     L = normalized_laplacian(build_affinity(F))
-    lam, U = eigendecompose(L)
+    lam, U = eigendecompose(L.copy())
     recon = U @ np.diag(lam) @ U.T
     rel = np.linalg.norm(recon - L) / np.linalg.norm(L)
     assert rel < 1e-8
@@ -125,3 +127,42 @@ def test_group_patterns_rejects_oversized():
     _, U = eigendecompose(np.eye(3))
     with pytest.raises(ConfigError):
         group_patterns(U, np.ones((3, 2)), 4)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 256, 257, 600])
+def test_in_place_stages_match_out_of_place_oracles(n):
+    # each stage reuses one n x n buffer; the values must be the plain
+    # formulas' bit for bit, a duplicate row (distance 0) included
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(n, 6))
+    F[n // 2] = F[0]
+    C = rng.normal(size=(5, 6))
+    assert_same_bits(_sq_dists(F, C), oracle_dense.sq_dists(F, C))
+    assert_same_bits(_sq_dists(F, F), oracle_dense.sq_dists(F, F))
+    A, want_A = build_affinity(F), oracle_dense.affinity(F)
+    assert_same_bits(A, want_A)
+    L, want_L = normalized_laplacian(A), oracle_dense.laplacian(want_A)
+    assert L is A
+    assert_same_bits(L, want_L)
+    lam, U = eigendecompose(L)
+    want_lam, want_U = oracle_dense.eigendecompose(want_L)
+    assert np.shares_memory(U, L)
+    assert_same_bits(lam, want_lam)
+    assert_same_bits(U, want_U)
+
+
+def test_eigendecompose_keeps_an_f_ordered_input():
+    # dsyevd overwrites only a C-ordered L (handed over as L.T); any other
+    # input is copied first and gives the same basis
+    L = normalized_laplacian(build_affinity(np.random.default_rng(3).normal(size=(20, 4))))
+    L_f = np.asfortranarray(L)
+    lam_f, U_f = eigendecompose(L_f)
+    assert np.array_equal(L_f, L)
+    lam, U = eigendecompose(L)
+    assert_same_bits(lam_f, lam)
+    assert_same_bits(U_f, U)

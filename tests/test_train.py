@@ -2,6 +2,7 @@
 
 import os
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_grad_close, central_diff
+from langtail import cluster as cl
 from langtail import data_model as dm
 from langtail import evaluation as ev
 from langtail import train as tr
@@ -82,9 +84,55 @@ def test_train_config_refuses_small_sizes(name, low):
 
 
 def test_spectral_pass_checks_memory_before_allocating():
-    # 20000 superpoints would need 7 dense 20000 x 20000 arrays (22 GB)
+    # 20000 superpoints would need 3 dense 20000 x 20000 arrays (9.6 GB)
     with pytest.raises(ConfigError, match="spectral_pass"):
         tr.spectral_pass(np.ones((20000, 2)), tr.TrainConfig())
+    # 80 scenes x 2,000 points (6,237 superpoints) fit; 9,459 is the largest graph
+    for n in (6237, 9459):
+        cl.check_dense_budget(n, tr.SPECTRAL_DENSE_ARRAYS, "spectral_pass")
+    with pytest.raises(ConfigError, match="spectral_pass"):
+        cl.check_dense_budget(9460, tr.SPECTRAL_DENSE_ARRAYS, "spectral_pass")
+
+
+PEAK_SCRIPT = """
+import sys
+import numpy as np
+from langtail import cluster, train
+
+def status(field):  # kB
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+
+stage, n = sys.argv[1], int(sys.argv[2])
+run = {"spectral_pass": lambda X: train.spectral_pass(X, train.TrainConfig()),
+       "ward_tree": cluster.ward_tree}[stage]
+rng = np.random.default_rng(0)
+run(rng.normal(size=(n // 2, 16)))  # load LAPACK and touch the BLAS buffers first
+X = rng.normal(size=(n, 16))
+resident = status("VmRSS")
+run(X)
+print((status("VmHWM") - resident) * 1024 / (n * n * 8))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the resident set from /proc")
+@pytest.mark.parametrize("stage,arrays", [("spectral_pass", 3), ("ward_tree", 2)])
+def test_dense_stage_peak_memory(stage, arrays):
+    """One call on 1,500 rows in a fresh process raises its peak resident set
+    by more than arrays - 1 and less than arrays + 1/2 dense n x n float64
+    arrays, and the budget constant is `arrays`. The peak is VmHWM, the
+    process's own part of ru_maxrss: on Linux ru_maxrss also keeps the peak of
+    the process that started it, here pytest's. glibc maps every block of
+    1 MiB or more on its own, as it always does above 32 MiB (the sizes the
+    budget is for), so freed blocks leave the resident set instead of staying
+    in its heap."""
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_=str(1 << 20),
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, stage, "1500"], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert arrays - 1 < float(out) < arrays + 0.5
+    assert {"spectral_pass": tr.SPECTRAL_DENSE_ARRAYS,
+            "ward_tree": cl.WARD_DENSE_ARRAYS}[stage] == arrays
 
 
 def test_init_backbone_deterministic():
