@@ -128,10 +128,10 @@ def _sq_dists(X, C):
     return d2
 
 
-def _symmetrize(M, op, block=256):
-    """M[i, j] = op(M[i, j], M[j, i]) in place, one strip of rows at a time."""
-    for i in range(0, M.shape[0], block):
-        upper, lower = M[i:i + block, i:], M[i:, i:i + block].T
+def _symmetrize(M, op):
+    """M[i, j] = op(M[i, j], M[j, i]) in place, a strip of 256 rows at a time."""
+    for i in range(0, M.shape[0], 256):
+        upper, lower = M[i:i + 256, i:], M[i:, i:i + 256].T
         upper[...], lower[...] = op(upper, lower), op(lower, upper)
     return M
 
