@@ -115,9 +115,6 @@ def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-
     initial = loss if loss > 0 else 1.0
     trace = [loss]
     for _ in range(steps):
-        if loss == 0.0:
-            trace.append(loss)
-            continue
         accepted = False
         for _try in range(60):
             trial = F - lr * grad

@@ -125,22 +125,15 @@ def match_and_score(counts, unmatched: str = "merge") -> EvalReport:
         raise ConfigError(f"unknown unmatched mode {unmatched!r}")
     n_pred, n_gt = counts.shape
 
-    assignment = hungarian(-counts.astype(np.float64))
+    p, g = np.array(hungarian(-counts.astype(np.float64)), np.int64).T
     mapping = np.full(n_pred, -1, dtype=np.int64)
-    for p, g in assignment:
-        mapping[p] = g
+    mapping[p] = g
     if unmatched == "merge":
-        for p in range(n_pred):
-            if mapping[p] < 0:
-                mapping[p] = int(np.argmax(counts[p]))
+        mapping = np.where(mapping < 0, counts.argmax(axis=1), mapping)
 
+    kept = mapping >= 0
     merged = np.zeros((n_gt, n_gt), dtype=np.int64)
-    dropped = np.zeros(n_gt, dtype=np.int64)
-    for p in range(n_pred):
-        if mapping[p] >= 0:
-            merged[mapping[p]] += counts[p]
-        else:
-            dropped += counts[p]
+    np.add.at(merged, mapping[kept], counts[kept])
 
     gt_totals = counts.sum(axis=0)
     tp = np.diag(merged).astype(np.float64)
@@ -162,27 +155,21 @@ def match_and_score(counts, unmatched: str = "merge") -> EvalReport:
     )
 
 
-def argmax_scores(Y, P, normalise=False) -> np.ndarray:
-    """np.argmax(Y @ P.T, axis=1), one ROW_BLOCK-row matmul at a time into one
-    block buffer that the argmax reads back from cache; normalise L2-normalises
-    each block of Y just before its matmul, so no copy of Y is built."""
-    n = len(Y)
-    labels = np.empty(n, np.intp)
-    buf = np.empty((min(n, ROW_BLOCK), len(P)), np.result_type(Y, P))
-    for a in range(0, n, ROW_BLOCK):
-        b = min(a + ROW_BLOCK, n)
-        y = _l2_rows(Y[a:b]) if normalise else Y[a:b]
-        np.argmax(np.matmul(y, P.T, out=buf[:b - a]), axis=1, out=labels[a:b])
-    return labels
-
-
 def max_cosine_labels(features, protos) -> np.ndarray:
-    """Index of the max-cosine prototype row for every feature row; features
-    are normalised one row block at a time, in float64 whatever their dtype."""
+    """Index of the max-cosine prototype row for every feature row. Features
+    are L2-normalised and scored one ROW_BLOCK-row block at a time, in float64
+    whatever their dtype, into one block of logits that the argmax reads back
+    from cache, so no copy of the features is built."""
     F, P = np.asarray(features), _l2_rows(protos)
     if F.shape[1] != P.shape[1]:
         raise ShapeError(f"feature dim {F.shape[1]} != prototype dim {P.shape[1]}")
-    return argmax_scores(F, P, normalise=True)
+    n = len(F)
+    labels = np.empty(n, np.intp)
+    buf = np.empty((min(n, ROW_BLOCK), len(P)))
+    for a in range(0, n, ROW_BLOCK):
+        y = _l2_rows(F[a:a + ROW_BLOCK])
+        np.argmax(np.matmul(y, P.T, out=buf[:len(y)]), axis=1, out=labels[a:a + len(y)])
+    return labels
 
 
 ABSORBED_IOU_THRESHOLD = 0.05

@@ -48,7 +48,6 @@ class SynthConfig:
     seed: int = 0
     # extra knobs, not part of the minimal surface; defaults match the fixtures
     instance_spread: float = 0.8
-    instance_size: int = 0  # 0 -> use the rarest class's point count
     distill_dim: int = 0  # 0 -> no distill targets
 
     def __post_init__(self):
@@ -102,15 +101,15 @@ def _unit_rows(cfg: SynthConfig, stream: str, dim: int) -> np.ndarray:
     return out
 
 
-def _instance_counts(cfg: SynthConfig, class_counts: np.ndarray) -> np.ndarray:
-    base = cfg.instance_size if cfg.instance_size > 0 else int(class_counts.min())
-    return np.maximum(1, class_counts // base).astype(np.int64)
+def _instance_counts(class_counts: np.ndarray) -> np.ndarray:
+    """Instances per class: its point count over the rarest class's, at least 1."""
+    return np.maximum(1, class_counts // int(class_counts.min())).astype(np.int64)
 
 
 def generate_scene(cfg: SynthConfig, scene_index: int):
     """Build one scene plus its entity records, deterministic in (seed, scene_index)."""
     class_counts = zipf_class_counts(cfg.n_classes, cfg.zipf_exponent, cfg.points_per_scene)
-    inst_counts = _instance_counts(cfg, class_counts)
+    inst_counts = _instance_counts(class_counts)
     class_emb = _unit_rows(cfg, "class-embed", TEXT_EMBED_DIM)
     scene_id = f"scene{scene_index:04d}"
 

@@ -64,7 +64,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .evaluation import ROW_BLOCK, argmax_scores
+from .evaluation import ROW_BLOCK
 from .rng import make_rng, stream_key
 from .synth import read_corpus
 
@@ -243,7 +243,7 @@ def backbone_backward(b: Backbone, cache, grad_out):
     return grads_w, grads_b, gz
 
 
-def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
+def head_ce_loss(features, mus, labels, grad_out, weight=1.0):
     """Cross-entropy of several linear heads on the same feature rows.
 
     Head h has logits features @ mus[h].T and labels[h]; its loss is the mean
@@ -252,16 +252,15 @@ def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
     into grad_out[h]; heads may share an accumulator.
 
     The arithmetic runs in float32 for float32 features and in float64
-    otherwise; mus and scratch take that dtype. The softmax is one exp of the
-    logits less their row maximum, over float64 row sums; the losses are
-    float64, and a float64 grad_out takes float32 gradients without a float64
-    copy. scratch is an optional buffer of at least n * (max k + C) elements,
-    n the non-ignored rows, that holds each head's logits (the softmax
-    overwrites them in place) and feature gradient, so a caller that passes
-    the same buffer to every call allocates them once. Every head keeps its
-    own matmuls, of the same shapes as a one-head call: a matmul against the
-    stacked centroids of all heads rounds some slices differently, so the
-    losses and gradients would depend on which heads share the call.
+    otherwise; mus take that dtype. The softmax is one exp of the logits less
+    their row maximum, over float64 row sums; the losses are float64, and a
+    float64 grad_out takes float32 gradients without a float64 copy. One
+    buffer of n * (max k + C) elements, n the non-ignored rows, holds each
+    head's logits in turn (the softmax overwrites them in place) and its
+    feature gradient. Every head keeps its own matmuls, of the same shapes as
+    a one-head call: a matmul against the stacked centroids of all heads
+    rounds some slices differently, so the losses and gradients would depend
+    on which heads share the call.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the dtype).
     """
@@ -283,8 +282,7 @@ def head_ce_loss(features, mus, labels, grad_out, weight=1.0, scratch=None):
         F = F[valid]
         labels = [y[valid] for y in labels]
     k_max = max(mu.shape[0] for mu in mus)
-    if scratch is None:
-        scratch = np.empty(n * (k_max + F.shape[1]), dtype)
+    scratch = np.empty(n * (k_max + F.shape[1]), dtype)
     g = scratch[n * k_max:n * (k_max + F.shape[1])].reshape(F.shape)
     rows = np.arange(n)
     losses, grad_mus = [], []
@@ -484,20 +482,18 @@ def head_step(feats, labels, mus, branches):
     gradient per scene, centroid gradient per head). Each branch sums its
     heads' feature gradients in its own accumulator before the branches are
     added. The heads run in float32 (features cast inside each scene's work,
-    centroids once per batch) into float64 accumulators. Each scene gets its
-    own logits and gradient buffer (scenes run through scene_map), freed when
-    its call returns.
+    centroids once per batch) into float64 accumulators. Scenes run through
+    scene_map, and each scene's head_ce_loss call allocates its own logits
+    and gradient buffer, freed when the call returns.
     """
     n_pts = sum(f.shape[0] for f in feats)
     n_branches = max(branches) + 1
-    k_max = max(mu.shape[0] for mu in mus)
     mus32 = [mu.astype(np.float32) for mu in mus]
 
     def scene(f, y):
         accs = [np.zeros(f.shape) for _ in range(n_branches)]
         losses, gmus = head_ce_loss(f.astype(np.float32), mus32, y,
-                                    [accs[b] for b in branches], f.shape[0],
-                                    np.empty(f.shape[0] * (k_max + f.shape[1]), np.float32))
+                                    [accs[b] for b in branches], f.shape[0])
         for acc in accs:
             acc /= n_pts
         for acc in accs[1:]:
@@ -560,14 +556,10 @@ class Trainer:
         """Backward pass and optimizer step; entity (or None) is per scene the
         (sig, lambda * vecs) of _entity_anchor_grads, added inside its work."""
         def backward(c, g, ent):
-            if ent is not None:  # g[r] += lam_vecs[sig[r]] where sig[r] > 0
-                sig, lam_vecs = ent
-                rows = np.flatnonzero(sig)
-                if rows.size < len(g):
-                    g[rows] += lam_vecs[sig[rows]]
-                else:  # the whole scene, in row blocks: no n x C temporary
-                    for a in range(0, len(g), ROW_BLOCK):
-                        g[a:a + ROW_BLOCK] += lam_vecs[sig[a:a + ROW_BLOCK]]
+            if ent is not None:  # g += lam_vecs[sig] in row blocks: no n x C temporary;
+                sig, lam_vecs = ent  # lam_vecs[0] is zero, so an uncovered row gains +0.0
+                for a in range(0, len(g), ROW_BLOCK):
+                    g[a:a + ROW_BLOCK] += lam_vecs[sig[a:a + ROW_BLOCK]]
             return backbone_backward(self.backbone, c, g)
 
         gw = [np.zeros_like(w) for w in self.backbone.weights]
@@ -738,7 +730,7 @@ def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
     def label_scene(s, start):
         for a in range(0, s.n_points, ROW_BLOCK):
             Y = backbone_forward(backbone, s.points[a:a + ROW_BLOCK])[0]
-            labels[start + a:start + a + len(Y)] = argmax_scores(Y, P)
+            np.argmax(Y @ P.T, axis=1, out=labels[start + a:start + a + len(Y)])
 
     scene_map(label_scene, scenes, starts)
     return labels

@@ -89,6 +89,15 @@ def test_align_gram_fixed_point():
     assert np.allclose(bank.B, F)
 
 
+@pytest.mark.parametrize("steps", [1, 5])
+def test_align_gram_stays_at_an_exact_fixed_point(steps):
+    # unit basis rows: _l2_rows changes no bit, so the Gram loss is exactly 0
+    F = np.eye(5)[[3, 0, 4]]
+    bank = align_gram(F, F, steps=steps)
+    assert bank.alignment_loss_trace == [0.0] * (steps + 1)
+    assert bank.B.tobytes() == F.tobytes()
+
+
 def test_align_gram_converges():
     rng = np.random.default_rng(2)
     F_e = rng.normal(size=(20, 64))

@@ -346,12 +346,18 @@ def test_config_file_threads_key_removed(tmp_path):
         load_config_file(p, TRAIN_KEYS)
 
 
-@pytest.mark.parametrize("key", ["dump_spectral", "freeze_spectral"])
-def test_config_file_spectral_keys_removed(tmp_path, key):
-    p = tmp_path / "train.cfg"
-    p.write_text(f"{key} = true\n")
+@pytest.mark.parametrize("key, command", [("dump_spectral", "train"), ("freeze_spectral", "train"),
+                                          ("instance_size", "synth")],
+                         ids=["dump_spectral", "freeze_spectral", "instance_size"])
+def test_config_file_spectral_keys_removed(tmp_path, key, command):
+    # removed keys: from a config file or a flag they are unknown (exit 1)
+    p = tmp_path / f"{command}.cfg"
+    p.write_text(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        load_config_file(p, TRAIN_KEYS)
+        load_config_file(p, cli.COMMANDS[command][0])
+    assert main([command, "--config", str(p)]) == 1
+    assert main([command, "--out", str(tmp_path / "out"), f"--{key.replace('_', '-')}", "1"]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_bad_utf8_exits_1(tmp_path):

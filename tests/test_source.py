@@ -37,3 +37,33 @@ def test_unused_imports_finds_a_leftover():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """"function:parameter" for each parameter of a function or lambda that
+    its body never reads. A read inside a nested function or lambda counts;
+    names that start with `_` are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}:{p}" for p in params if not p.startswith("_") and p not in read]
+    return unread
+
+
+def test_unread_parameters_finds_a_leftover():
+    source = ("def f(cfg, counts, _unused, *args, key=None, **kw):\n"
+              "    g = lambda x, y: x\n"
+              "    return counts, args, kw, g(key, 0)\n")
+    assert unread_parameters(source) == ["f:cfg", "lambda:y"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []

@@ -462,6 +462,7 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
 
     monkeypatch.setattr(tr, "backbone_backward", backward)
     grads = [rng.normal(size=(s.n_points, 3)) for s in scenes]
+    # scenes covered in full, in part, and by no anchor
     sigs = [np.arange(10) % 3 + 1, np.array([0, 2, 0, 1, 1, 0, 2, 0, 0]), np.zeros(5, np.int64)]
     lam_vecs = [0.3 * rng.normal(size=(int(s.max()) + 1, 3)) for s in sigs]
     for v in lam_vecs:
@@ -473,6 +474,8 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
         rows = np.flatnonzero(sig)
         want[rows] += v[sig[rows]]
         assert np.array_equal(seen[j], want)
+        # rows that no mask covers keep their bits
+        assert seen[j][sig == 0].tobytes() == g[sig == 0].tobytes()
     trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3)
     assert all(np.array_equal(seen[j], g) for j, g in enumerate(grads))
 
