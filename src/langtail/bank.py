@@ -99,9 +99,9 @@ def align_gram_loss(F, G_target) -> tuple[float, np.ndarray]:
 def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-2) -> SemanticBank:
     """Fit prototypes whose Gram matrix matches the text-embedding Gram.
 
-    Plain gradient descent with backtracking (halve the step on a loss
-    increase). Text embedding rows are L2-normalized first so the target
-    Gram holds cosine similarities.
+    Gradient descent with backtracking: the step halves on a loss increase
+    and grows 1.1-fold, to at most 1.0, after an accepted step. Text rows
+    are L2-normalized first so the target Gram holds cosine similarities.
     """
     F = np.asarray(F_m_init, dtype=np.float64).copy()
     F_e = np.asarray(F_e, dtype=np.float64)
@@ -131,7 +131,7 @@ def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-
                 f"Gram alignment diverged (loss {loss:.3e} vs initial {initial:.3e}); "
                 "use a smaller lr"
             )
-        lr *= 1.1
+        lr = min(lr * 1.1, 1.0)
         trace.append(loss)
     if entity_ids is None:
         entity_ids = list(range(F.shape[0]))

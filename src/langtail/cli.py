@@ -63,8 +63,7 @@ SYNTH_KEYS = _schema(SynthConfig, out=str)
 TRAIN_KEYS = _schema(tr.TrainConfig, corpus=str, bank=str, out=str, baseline=str)
 # corpus, out, and the TrainConfig fields that the bank of a run depends on
 BANK_KEYS = {key: TRAIN_KEYS[key] for key in (
-    "corpus", "out", "seed", "feat_dim", "hidden_dim", "warmup_epochs",
-    "align_steps", "align_lr", "batch_scenes", "lr0", "weight_decay")}
+    "corpus", "out", "seed", "feat_dim", "hidden_dim", "warmup_epochs", "batch_scenes", "lr0")}
 EVAL_KEYS = {"pred": str, "gt": str, "out": str, "unmatched": unmatched}
 
 # name -> (keys, required keys, help); main runs cmd_<name> on the resolved keys
@@ -169,7 +168,7 @@ def cmd_bank(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
     trainer = tr.start_run(tcfg, cfg["corpus"])
     trainer.warmup()
-    bank_obj = tr.build_bank(trainer.backbone, trainer.scenes, trainer.entities, tcfg)
+    bank_obj = tr.build_bank(trainer.backbone, trainer.scenes, trainer.entities)
     save_bank(cfg["out"], bank_obj)
     write_resolved(cfg["out"], cfg)
     log.info("aligned bank: %d entities, final loss %.3e",

@@ -337,10 +337,8 @@ def read_entity_bank(bank_dir) -> list[EntityRecord]:
             f"bank mismatch: {len(rows)} entities in tsv but {emb.shape[0]} embeddings"
         )
     records = {}
-    order = []
-    for (eid, text, _count), vec in zip(rows, emb):
+    for (eid, text, _), vec in zip(rows, emb):
         records[eid] = EntityRecord(entity_id=eid, text=text, text_embedding=vec)
-        order.append(eid)
     masks_dir = os.path.join(bank_dir, "masks")
     if os.path.isdir(masks_dir):
         for fname in sorted(os.listdir(masks_dir)):
@@ -351,4 +349,8 @@ def read_entity_bank(bank_dir) -> list[EntityRecord]:
                 if eid not in records:
                     raise DataError(f"mask references unknown entity {eid}")
                 records[eid].masks.append((sid, idx))
-    return [records[eid] for eid in order]
+    for eid, _, count in rows:
+        if len(records[eid].masks) != count:
+            raise DataError(f"entity {eid}: entities.tsv lists {count} masks, "
+                            f"masks/ holds {len(records[eid].masks)}")
+    return [records[eid] for eid, _, _ in rows]

@@ -50,7 +50,6 @@ from .bank import (
     save_bank,
 )
 from .cluster import (
-    DEFAULT_SAMPLE_CAP,
     check_dense_budget,
     check_granularities,
     multi_granularity_labels,
@@ -71,6 +70,7 @@ from .synth import read_corpus
 # peak resident n x n float64 arrays of spectral_pass, measured by ru_maxrss:
 # one buffer (affinity, then L, then U) and dsyevd's 2n^2 workspace (3.1)
 SPECTRAL_DENSE_ARRAYS = 3
+LR_MIN, POLY_POWER = 1e-8, 0.9  # floor and power of poly_lr's learning-rate decay
 SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the caller
 _POOLS = {}  # one pool per process id: a forked child has none of its parent's threads
 
@@ -141,8 +141,6 @@ class TrainConfig:
     epochs: int = 200
     batch_scenes: int = 8
     lr0: float = 1e-4
-    lr_min: float = 1e-8
-    poly_power: float = 0.9
     recluster_every: int = 10
     tau: float = 0.07
     seed: int = 0
@@ -153,22 +151,17 @@ class TrainConfig:
     s_prime: int = 64
     entity_batch: int = 64
     use_global: bool = True
-    weight_decay: float = 1e-4
-    align_steps: int = 500
-    align_lr: float = 1e-2
-    sample_cap: int = DEFAULT_SAMPLE_CAP
 
     def __post_init__(self):
         if self.lambda_entity < 0:
             raise ConfigError("lambda must be >= 0")
-        if not (self.lr0 > self.lr_min > 0):
-            raise ConfigError("need lr0 > lr_min > 0")
+        if not self.lr0 > LR_MIN:
+            raise ConfigError(f"need lr0 > {LR_MIN}")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
         for name, low in (("epochs", 0), ("recluster_every", 1), ("batch_scenes", 1),
                           ("warmup_epochs", 0), ("feat_dim", 1), ("hidden_dim", 1),
-                          ("s_prime", 1), ("entity_batch", 1), ("align_steps", 1),
-                          ("sample_cap", 2)):
+                          ("s_prime", 1), ("entity_batch", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
         self.granularities = tuple(check_granularities(self.granularities))
@@ -329,10 +322,8 @@ def distill_warmup_loss(features, targets):
 
 
 def poly_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    if total_steps <= 0:
-        return cfg.lr0
     frac = 1.0 - step / total_steps
-    return max(cfg.lr_min, cfg.lr0 * frac ** cfg.poly_power)
+    return max(LR_MIN, cfg.lr0 * frac ** POLY_POWER)
 
 
 class AdamW:
@@ -340,14 +331,14 @@ class AdamW:
 
     beta1 = 0.9
     beta2 = 0.999
+    wd = 1e-4
+    eps = 1e-8
 
-    def __init__(self, params, cfg: TrainConfig, eps: float = 1e-8):
+    def __init__(self, params):
         self.params = params
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
-        self.wd = cfg.weight_decay
-        self.eps = eps
 
     def step(self, grads, lr: float) -> None:
         self.t += 1
@@ -386,8 +377,7 @@ def standardize_scenes(scenes):
     return mu, sd
 
 
-def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int,
-                        sample_cap: int = DEFAULT_SAMPLE_CAP) -> list[Head]:
+def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int) -> list[Head]:
     """Ward multi-granularity clustering of both branches' superpoint features.
 
     Returns the local heads in granularity order, then, unless
@@ -396,11 +386,11 @@ def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int
     live in backbone feature space.
     """
     heads = [Head("local", k, cent, labels) for k, cent, labels in multi_granularity_labels(
-        sp_features, granularities, seed=seed, sample_cap=sample_cap)]
+        sp_features, granularities, seed=seed)]
     if spectral_features is not None:
         heads += [Head("global", k, dm.pool_by_superpoint(sp_features, labels), labels)
                   for k, _, labels in multi_granularity_labels(
-                      spectral_features, granularities, seed=seed, sample_cap=sample_cap)]
+                      spectral_features, granularities, seed=seed)]
     return heads
 
 
@@ -529,7 +519,7 @@ class Trainer:
         self.backbone = init_backbone(
             input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed
         )
-        self.opt = AdamW(self.backbone.weights + self.backbone.biases, cfg)
+        self.opt = AdamW(self.backbone.weights + self.backbone.biases)
         self.global_step = 0
         self.total_steps = cfg.epochs * len(self.scene_batches())
 
@@ -575,9 +565,9 @@ class Trainer:
         """One pass over the corpus; returns the batch-averaged loss report."""
         cfg = self.cfg
         sums = np.zeros(3)
-        n_batches = 0
+        batches = self.scene_batches()
         lr = cfg.lr0
-        for step, idxs in enumerate(self.scene_batches()):
+        for step, idxs in enumerate(batches):
             lr = poly_lr(self.global_step, self.total_steps, cfg)
             feats, caches = self.forward_scenes(idxs)
             branch_losses, grad_feats, head_grads = head_step(
@@ -606,9 +596,8 @@ class Trainer:
             self.apply_grads(caches, grad_feats, lr, entity=entity)
             head_opt.step(head_grads, lr)
             sums += (l_local, l_global, l_entity)
-            n_batches += 1
             self.global_step += 1
-        avg = sums / n_batches
+        avg = sums / len(batches)
         return EpochReport(
             local=float(avg[0]), global_=float(avg[1]), entity=float(avg[2]),
             total=float(avg[0] + avg[1] + cfg.lambda_entity * avg[2]), lr=lr,
@@ -666,20 +655,19 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
         # no step comes before round 0: its features are the bank's, forwarded once
         feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0],
                           trainer.scenes)
-        bank_obj = build_bank(trainer.backbone, trainer.scenes, trainer.entities, cfg, feats)
+        bank_obj = build_bank(trainer.backbone, trainer.scenes, trainer.entities, feats)
         save_bank(os.path.join(out_dir, "bank"), bank_obj)
 
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
         sp_feats, feats = trainer.superpoint_features(feats), None
         spectral_feats = spectral_pass(sp_feats, cfg) if cfg.use_global else None
-        heads = build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed,
-                                    sample_cap=cfg.sample_cap)
+        heads = build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed)
         save_checkpoint(
             os.path.join(out_dir, "checkpoints", f"round_{round_idx:03d}.ltck"),
             trainer.backbone, heads,
         )
-        head_opt = AdamW([h.centroids for h in heads], cfg)
+        head_opt = AdamW([h.centroids for h in heads])
         for epoch in range(start, min(start + cfg.recluster_every, cfg.epochs)):
             reports.append(trainer.train_epoch(heads, bank_obj, head_opt, epoch))
 
@@ -699,7 +687,7 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
                                 use_global=False, warmup_epochs=0), corpus_dir, out_dir)
 
 
-def build_bank(backbone, scenes, entities, cfg: TrainConfig, feats=None) -> SemanticBank:
+def build_bank(backbone, scenes, entities, feats=None) -> SemanticBank:
     """Offline bank pass: aggregate masked features (feats, the scenes'
     backbone outputs, else a forward pass), then Gram-align them to the
     text-embedding geometry."""
@@ -707,8 +695,7 @@ def build_bank(backbone, scenes, entities, cfg: TrainConfig, feats=None) -> Sema
         feats = scene_map(lambda s: backbone_forward(backbone, s.points)[0], scenes)
     F_m = aggregate_entity_features(scenes, feats, entities)
     F_e = np.stack([e.text_embedding for e in entities])
-    return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in entities],
-                      steps=cfg.align_steps, lr=cfg.align_lr)
+    return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in entities])
 
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:

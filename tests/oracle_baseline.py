@@ -36,13 +36,11 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
     while epoch < cfg.epochs or epoch == 0:
         # recluster: forward everything, pool per superpoint, one Ward cut
         sp_feats = trainer.superpoint_features()
-        ((_, mu, sp_labels),) = multi_granularity_labels(
-            sp_feats, (k_prim,), seed=cfg.seed, sample_cap=cfg.sample_cap
-        )
+        ((_, mu, sp_labels),) = multi_granularity_labels(sp_feats, (k_prim,), seed=cfg.seed)
         heads = [Head("local", k_prim, mu, sp_labels)]
         if cfg.epochs == 0:
             break
-        head_opt = AdamW([mu], cfg)
+        head_opt = AdamW([mu])
         for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
             reports.append(trainer.train_epoch(heads, None, head_opt, epoch))
             epoch += 1

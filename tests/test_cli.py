@@ -206,6 +206,17 @@ def test_cli_malformed_entities_tsv_exits_2(tmp_path):
                 + SMALL_TRAIN) == 2
 
 
+def test_cli_train_with_a_mask_file_missing_exits_2(tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    path = corpus / "bank" / "masks" / "scene0000.bin"
+    eid = dm.read_entity_masks(path)[0][0]
+    path.unlink()
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+                + SMALL_TRAIN) == 2
+    assert f"entity {eid}: entities.tsv lists" in caplog.text
+
+
 def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
     # with --bank no entity features are pooled, so the mask indices first
     # meet the scene's rows in training, which read_corpus must guard
@@ -222,13 +233,13 @@ def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
 BANK_FILES = ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv")
 
 
-@pytest.mark.parametrize("extra", [[], ["--weight-decay", "0.5"]], ids=["default", "wd0.5"])
+@pytest.mark.parametrize("extra", [[], ["--lr0", "0.05"]], ids=["default", "lr0.05"])
 def test_cli_bank_equals_the_bank_train_builds(tmp_path, extra):
     # `bank` and `train` start a run the same way: read, standardise, warm up
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
     shared = ["--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "2",
-              "--batch-scenes", "1", "--align-steps", "50"] + extra
+              "--batch-scenes", "1"] + extra
     assert main(["bank", "--corpus", str(corpus), "--out", str(tmp_path / "bank")] + shared) == 0
     assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
                  "--granularities", "4", "--epochs", "1", "--lambda", "0.5"] + shared) == 0
@@ -262,7 +273,7 @@ def test_bank_keys_are_the_fields_the_bank_depends_on(tmp_path, monkeypatch):
         return [(out / "bank" / name).read_bytes() for name in BANK_FILES]
 
     base = tr.TrainConfig(lambda_entity=0.5, feat_dim=8, hidden_dim=8, warmup_epochs=2,
-                          batch_scenes=1, align_steps=50)
+                          batch_scenes=1)
     want = bank_bytes(base, tmp_path / "base")
     changes = set()
     for f in dataclasses.fields(tr.TrainConfig):
@@ -346,9 +357,15 @@ def test_config_file_threads_key_removed(tmp_path):
         load_config_file(p, TRAIN_KEYS)
 
 
-@pytest.mark.parametrize("key, command", [("dump_spectral", "train"), ("freeze_spectral", "train"),
-                                          ("instance_size", "synth")],
-                         ids=["dump_spectral", "freeze_spectral", "instance_size"])
+REMOVED_KEYS = ([("dump_spectral", "train"), ("freeze_spectral", "train"),
+                 ("instance_size", "synth")]
+                + [(key, "train") for key in ("lr_min", "poly_power", "weight_decay",
+                                              "align_steps", "align_lr", "sample_cap")]
+                + [(key, "bank") for key in ("weight_decay", "align_steps", "align_lr")])
+
+
+@pytest.mark.parametrize("key, command", REMOVED_KEYS,
+                         ids=[f"{c}-{k}" if c == "bank" else k for k, c in REMOVED_KEYS])
 def test_config_file_spectral_keys_removed(tmp_path, key, command):
     # removed keys: from a config file or a flag they are unknown (exit 1)
     p = tmp_path / f"{command}.cfg"

@@ -240,6 +240,16 @@ def test_entity_bank_round_trip(tmp_path):
         ]
 
 
+def test_entity_bank_refuses_a_mask_count_it_cannot_load(tmp_path):
+    ents = [dm.EntityRecord(7, "lamp", np.ones(4),
+                            masks=[("a", np.array([0])), ("b", np.array([1]))]),
+            dm.EntityRecord(3, "desk", np.ones(4), masks=[("a", np.array([5]))])]
+    dm.write_entity_bank(tmp_path / "bank", ents)
+    os.remove(tmp_path / "bank" / "masks" / "b.bin")
+    with pytest.raises(DataError, match="entity 7: entities.tsv lists 2 masks, masks/ holds 1"):
+        dm.read_entity_bank(tmp_path / "bank")
+
+
 def _bank_dir(tmp_path):
     ents = [dm.EntityRecord(e, f"e{e}", np.ones(4)) for e in (1, 2)]
     dm.write_entity_bank(tmp_path / "bank", ents)
