@@ -1,11 +1,13 @@
 """K-means and Ward agglomerative clustering with multi-granularity truncation.
 
 Conventions pinned here (and by the oracle tests):
-  - Ward merge cost is the raw ESS increase
-    delta(a, b) = n_a * n_b / (n_a + n_b) * ||mu_a - mu_b||^2 (no square root),
-    updated after each merge by the Lance-Williams recurrence, not from centroids.
-  - Ties break on the smallest (left_node, right_node) id pair, left < right,
+  - The Ward tree is scipy's linkage(X, "ward"), Muellner's nearest-neighbour
+    chain in C. Its merge cost is the raw ESS increase
+    delta(a, b) = n_a * n_b / (n_a + n_b) * ||mu_a - mu_b||^2 = 0.5 * h^2 of
+    scipy's height h; merges run in order of cost, each pair as left < right,
     with new nodes numbered n_leaves + merge_index.
+  - With exact ties every merge is still a minimum-cost merge of the partition
+    at that step, but which tied pair goes first follows scipy's chain.
   - k-means uses greedy farthest-point seeding from a seeded PRNG; empty
     clusters are re-seeded at the point farthest from its centroid.
 """
@@ -15,18 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
 
 from .data_model import pool_by_superpoint
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .rng import make_rng
 
 # Largest total size of the dense n x n float64 arrays one step may hold at
 # once. The reference machine has 7 GB of RAM; the rest is left for the corpus,
 # the backbone and the other arrays of a run.
 DENSE_BUDGET_BYTES = 2 << 30
-# peak resident n x n float64 arrays of ward_tree, by ru_maxrss (cost + 2 strips: 1.35)
-WARD_DENSE_ARRAYS = 2
-# Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 2 = 1 GiB
+# peak resident n x n float64 arrays of ward_tree, by VmHWM: scipy's condensed
+# distances and nn_chain's copy of them, n(n - 1)/2 each (0.99)
+WARD_DENSE_ARRAYS = 1
+# Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 1 = 0.5 GiB
 DEFAULT_SAMPLE_CAP = 8192
 
 
@@ -136,75 +140,17 @@ def _symmetrize(M, op):
     return M
 
 
-def _ward_costs(X):
-    """Ward costs of singleton rows, 1 * 1 / (1 + 1) * ||x_i - x_j||^2; inf diagonal."""
-    cost = _sq_dists(X, X)
-    cost *= 0.5
-    _symmetrize(cost, np.minimum)  # summation order skews the triangles by 1 ulp
-    np.fill_diagonal(cost, np.inf)
-    return cost
-
-
 def ward_tree(X) -> Dendrogram:
-    """Greedy Ward agglomeration with the documented lexicographic tie-break.
-
-    O(n^2) memory and O(n^2) total work for typical inputs: a merge derives
-    its costs from the two merged rows (Lance-Williams), and each row's minimum
-    cost is cached, so a merge rescans only the rows whose minimum it may have
-    removed instead of the whole cost matrix.
-    """
+    """Ward agglomeration by scipy's C linkage, as a Dendrogram of ESS costs."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ConfigError(f"ward_tree needs >= 2 rows, got {n}")
+    if not np.isfinite(X).all():
+        raise DataError("ward_tree input holds NaN or inf")
     check_dense_budget(n, WARD_DENSE_ARRAYS, "ward_tree")
-
-    sizes = np.ones(n, dtype=np.float64)
-    node_ids = np.arange(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-
-    cost = _ward_costs(X)
-    row_min = cost.min(axis=1)
-
-    merges = []
-    for step in range(n - 1):
-        best = row_min.min()
-        # cost stays symmetric, so the rows holding the global minimum carry
-        # every tied pair; pick the lexicographic smallest (min id, max id)
-        rows = np.flatnonzero(row_min == best)
-        if rows.size == 2:  # a unique minimum: its two rows are the pair
-            a, b = rows
-        else:
-            ii, jj = np.nonzero(cost[rows] == best)
-            ii = rows[ii]
-            first = np.lexsort((np.maximum(node_ids[ii], node_ids[jj]),
-                                np.minimum(node_ids[ii], node_ids[jj])))[0]
-            a, b = ii[first], jj[first]
-        if node_ids[a] > node_ids[b]:
-            a, b = b, a
-        left, right = node_ids[a], node_ids[b]
-
-        sa, sb = sizes[a], sizes[b]
-        new_size = sa + sb
-        merges.append((int(left), int(right), float(best), int(new_size)))
-        # Lance-Williams; the inf of dead slots and of the diagonal carries through
-        c = ((sizes + sa) * cost[a] + (sizes + sb) * cost[b] - sizes * best) / (sizes + new_size)
-
-        # slot a becomes the merged cluster, slot b dies
-        sizes[a] = new_size
-        node_ids[a] = n + step
-        active[b] = False
-        # a live row whose minimum sat in column a or b (row a's always did) is
-        # rescanned; any other row keeps its minimum unless column a undercuts it
-        stale = ((row_min == cost[a]) | (row_min == cost[b])) & active
-        cost[a, :] = c
-        cost[:, a] = c
-        cost[b, :] = np.inf
-        cost[:, b] = np.inf
-        np.minimum(row_min, c, out=row_min)
-        row_min[b] = np.inf
-        rescan = np.flatnonzero(stale)
-        row_min[rescan] = cost[rescan].min(axis=1)
+    merges = [(int(left), int(right), 0.5 * h * h, int(size))
+              for left, right, h, size in linkage(X, "ward").tolist()]
     return Dendrogram(n_leaves=n, merges=merges)
 
 
@@ -215,28 +161,13 @@ def cut_tree(d: Dendrogram, k: int) -> np.ndarray:
     """
     if k < 1 or k > d.n_leaves:
         raise ConfigError(f"k={k} out of range for {d.n_leaves} leaves")
-    parent = np.arange(d.n_leaves + len(d.merges), dtype=np.int64)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step in range(d.n_leaves - k):
+    n = d.n_leaves
+    root = np.arange(n + len(d.merges), dtype=np.int64)
+    for step in range(n - k - 1, -1, -1):  # a node's root is set before its children's
         left, right, _, _ = d.merges[step]
-        new = d.n_leaves + step
-        parent[find(left)] = new
-        parent[find(right)] = new
-
-    roots = np.array([find(i) for i in range(d.n_leaves)])
-    labels = np.empty(d.n_leaves, dtype=np.int64)
-    seen = {}
-    for i, r in enumerate(roots):
-        if r not in seen:
-            seen[r] = len(seen)
-        labels[i] = seen[r]
-    return labels
+        root[left] = root[right] = root[n + step]
+    _, first, labels = np.unique(root[:n], return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[labels]
 
 
 def multi_granularity_labels(X, levels, seed: int = 0,

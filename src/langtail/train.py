@@ -67,8 +67,8 @@ from .evaluation import ROW_BLOCK
 from .rng import make_rng, stream_key
 from .synth import read_corpus
 
-# peak resident n x n float64 arrays of spectral_pass, measured by ru_maxrss:
-# one buffer (affinity, then L, then U) and dsyevd's 2n^2 workspace (3.1)
+# peak resident n x n float64 arrays of spectral_pass, by VmHWM: one buffer
+# (affinity, then L, then U) and dsyevd's 2n^2 workspace (3.1)
 SPECTRAL_DENSE_ARRAYS = 3
 LR_MIN, POLY_POWER = 1e-8, 0.9  # floor and power of poly_lr's learning-rate decay
 SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the caller

@@ -1,9 +1,10 @@
 """Out-of-place oracles for the dense n x n stages.
 
-langtail builds its squared distances, affinity, Laplacian, eigenbasis and
-initial Ward costs in one buffer each. These are the plain formulas those
-stages evaluate, one temporary per operation, with numpy's eigh; the
-in-place code must reproduce them bit for bit.
+langtail builds its squared distances, affinity, Laplacian and eigenbasis in
+one buffer each. These are the plain formulas those stages evaluate, one
+temporary per operation, with numpy's eigh; the in-place code must reproduce
+them bit for bit. ward_costs gives the reference Ward scans their initial
+costs.
 """
 
 import numpy as np

@@ -6,19 +6,24 @@ squares, not via any recurrence, so it shares no arithmetic shortcuts with the
 implementation under test.
 
 reference_ward_scan is the plain greedy Ward loop that rescans the whole cost
-matrix on every merge. It shares the cost arithmetic of langtail.cluster on
-purpose (the initial costs of _ward_costs, then the Lance-Williams recurrence),
-so ward_tree must reproduce its merges exactly, float costs included.
+matrix on every merge, with the (left id, right id) tie-break: initial costs
+from the pairwise formula, then the Lance-Williams recurrence. Where no two
+costs tie, ward_tree must reproduce its merges, costs to rounding.
 
 reference_ward_centroid_scan is the same greedy loop, but it recomputes the
 merged cluster's cost to every other cluster from their centroids. It judges
 the recurrence: on inputs without near-ties the merge pairs must agree, with
 costs equal to rounding.
+
+greedy_ward_excess judges a tree where costs tie exactly and the tie order is
+not pinned: each merge must cost no more than the cheapest merge of the
+partition at its step, costs taken from centroids.
 """
 
 import numpy as np
 
-from langtail.cluster import Dendrogram, _ward_costs
+from langtail.cluster import Dendrogram
+from oracle_dense import ward_costs
 
 
 def ward_cost(size_a, mu_a, size_b, mu_b) -> float:
@@ -78,7 +83,7 @@ def reference_ward_scan(X):
     sizes = np.ones(n, dtype=np.float64)
     node_ids = np.arange(n, dtype=np.int64)
 
-    cost = _ward_costs(X)
+    cost = ward_costs(X)
 
     merges = []
     for step in range(n - 1):
@@ -125,7 +130,7 @@ def reference_ward_centroid_scan(X):
     node_ids = np.arange(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
 
-    cost = _ward_costs(mus)
+    cost = ward_costs(mus)
 
     merges = []
     for step in range(n - 1):
@@ -153,3 +158,26 @@ def reference_ward_centroid_scan(X):
             cost[others, a] = c
         cost[a, a] = np.inf
     return Dendrogram(n_leaves=n, merges=merges)
+
+
+def greedy_ward_excess(X, merges):
+    """Per merge, its cost less the least cost of any pair of the partition at
+    that step, both from centroids: at most rounding for a greedy Ward tree."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    mus = {i: X[i] for i in range(n)}
+    sizes = {i: 1.0 for i in range(n)}
+    excess = []
+    for step, (left, right, _, size) in enumerate(merges):
+        ids = list(mus)
+        M = np.array([mus[i] for i in ids])
+        s = np.array([sizes[i] for i in ids])
+        diff = M[:, None, :] - M[None, :, :]
+        cost = s[:, None] * s[None, :] / (s[:, None] + s[None, :]) * (diff * diff).sum(axis=2)
+        np.fill_diagonal(cost, np.inf)
+        excess.append(cost[ids.index(left), ids.index(right)] - cost.min())
+        sa, sb = sizes.pop(left), sizes.pop(right)
+        assert sa + sb == size
+        mus[n + step] = (sa * mus.pop(left) + sb * mus.pop(right)) / size
+        sizes[n + step] = size
+    return np.array(excess)

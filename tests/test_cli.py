@@ -473,11 +473,11 @@ REFUSED = [
     ["train", "--feat-dim", "0"],
     ["train", "--entity-batch", "0"],
     ["train", "--s-prime", "0"],
-    ["train", "--sample-cap", "0"],
-    ["train", "--align-steps", "0"],
+    ["train", "--recluster-every", "0"],
+    ["train", "--lr0", "0"],
     ["train", "--warmup-epochs", "-1"],
     ["bank", "--hidden-dim", "0"],
-    ["bank", "--align-steps", "0"],
+    ["bank", "--batch-scenes", "0"],
     ["synth", "--n-scenes", "0"],
 ]
 

@@ -113,7 +113,7 @@ print((status("VmHWM") - resident) * 1024 / (n * n * 8))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the resident set from /proc")
-@pytest.mark.parametrize("stage,arrays", [("spectral_pass", 3), ("ward_tree", 2)])
+@pytest.mark.parametrize("stage,arrays", [("spectral_pass", 3), ("ward_tree", 1)])
 def test_dense_stage_peak_memory(stage, arrays):
     """One call on 1,500 rows in a fresh process raises its peak resident set
     by more than arrays - 1 and less than arrays + 1/2 dense n x n float64
