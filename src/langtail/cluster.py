@@ -1,11 +1,8 @@
 """K-means and Ward agglomerative clustering with multi-granularity truncation.
 
 Conventions pinned here (and by the oracle tests):
-  - The Ward tree is scipy's linkage(X, "ward"), Muellner's nearest-neighbour
-    chain in C. Its merge cost is the raw ESS increase
-    delta(a, b) = n_a * n_b / (n_a + n_b) * ||mu_a - mu_b||^2 = 0.5 * h^2 of
-    scipy's height h; merges run in order of cost, each pair as left < right,
-    with new nodes numbered n_leaves + merge_index.
+  - The Ward tree is scipy's linkage(X, "ward") matrix (Muellner's
+    nearest-neighbour chain in C); its row i merges two nodes into n_leaves + i.
   - With exact ties every merge is still a minimum-cost merge of the partition
     at that step, but which tied pair goes first follows scipy's chain.
   - k-means uses greedy farthest-point seeding from a seeded PRNG; empty
@@ -14,13 +11,11 @@ Conventions pinned here (and by the oracle tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
 from .data_model import pool_by_superpoint
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .rng import make_rng
 
 # Largest total size of the dense n x n float64 arrays one step may hold at
@@ -45,21 +40,6 @@ def check_dense_budget(n: int, arrays: int, what: str) -> None:
         )
 
 
-@dataclass
-class Dendrogram:
-    """Ward merge tree: leaves are 0..n-1, merge i creates node n_leaves + i."""
-
-    n_leaves: int
-    merges: list[tuple[int, int, float, int]]
-
-    def __post_init__(self):
-        if len(self.merges) != self.n_leaves - 1:
-            raise ShapeError(
-                f"dendrogram with {self.n_leaves} leaves needs {self.n_leaves - 1} merges, "
-                f"got {len(self.merges)}"
-            )
-
-
 def check_granularities(levels) -> list[int]:
     levels = [int(k) for k in levels]
     if not levels:
@@ -71,8 +51,11 @@ def check_granularities(levels) -> list[int]:
     return levels
 
 
-def kmeans(X, k: int, seed: int = 0, max_iters: int = 100):
-    """Lloyd's algorithm with farthest-point init.
+KMEANS_MAX_ITERS = 100
+
+
+def kmeans(X, k: int, seed: int = 0):
+    """Lloyd's algorithm with farthest-point init, at most KMEANS_MAX_ITERS rounds.
 
     Returns (centroids (k, C), assignments (n,), inertia_history).
     """
@@ -80,13 +63,11 @@ def kmeans(X, k: int, seed: int = 0, max_iters: int = 100):
     n = X.shape[0]
     if k < 1 or k > n:
         raise ConfigError(f"k={k} out of range for {n} rows")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
 
     centroids = X[_farthest_point_seeds(X, k, seed)].copy()
     assign = np.zeros(n, dtype=np.int64)
     history = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = _sq_dists(X, centroids)
         new_assign = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), new_assign].sum())
@@ -140,8 +121,8 @@ def _symmetrize(M, op):
     return M
 
 
-def ward_tree(X) -> Dendrogram:
-    """Ward agglomeration by scipy's C linkage, as a Dendrogram of ESS costs."""
+def ward_tree(X) -> np.ndarray:
+    """Ward agglomeration of the rows of X: scipy's (n - 1, 4) linkage matrix."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
@@ -149,22 +130,19 @@ def ward_tree(X) -> Dendrogram:
     if not np.isfinite(X).all():
         raise DataError("ward_tree input holds NaN or inf")
     check_dense_budget(n, WARD_DENSE_ARRAYS, "ward_tree")
-    merges = [(int(left), int(right), 0.5 * h * h, int(size))
-              for left, right, h, size in linkage(X, "ward").tolist()]
-    return Dendrogram(n_leaves=n, merges=merges)
+    return linkage(X, "ward")
 
 
-def cut_tree(d: Dendrogram, k: int) -> np.ndarray:
-    """Partition into exactly k clusters by undoing the last k-1 merges.
-
-    Labels are densified to [0, k) in order of each cluster's smallest leaf.
-    """
-    if k < 1 or k > d.n_leaves:
-        raise ConfigError(f"k={k} out of range for {d.n_leaves} leaves")
-    n = d.n_leaves
-    root = np.arange(n + len(d.merges), dtype=np.int64)
+def cut_tree(Z, k: int) -> np.ndarray:
+    """The k clusters left by undoing the last k-1 merges of linkage matrix Z,
+    labelled 0, 1, ... in order of each cluster's smallest leaf."""
+    n = len(Z) + 1
+    if k < 1 or k > n:
+        raise ConfigError(f"k={k} out of range for {n} leaves")
+    pairs = Z[:n - k, :2].astype(np.int64).tolist()
+    root = np.arange(2 * n - 1, dtype=np.int64)
     for step in range(n - k - 1, -1, -1):  # a node's root is set before its children's
-        left, right, _, _ = d.merges[step]
+        left, right = pairs[step]
         root[left] = root[right] = root[n + step]
     _, first, labels = np.unique(root[:n], return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[labels]
@@ -174,9 +152,9 @@ def multi_granularity_labels(X, levels, seed: int = 0,
                              sample_cap: int = DEFAULT_SAMPLE_CAP):
     """Cut one Ward tree at every granularity level.
 
-    Returns a list of (k, centroids (k, C), labels (n,)) in the given level
-    order. Above sample_cap rows, the tree is built on a uniform subsample and
-    held-out rows are assigned to the nearest cut-level centroid.
+    Returns one label array (n,) per level, in the given level order. Above
+    sample_cap rows, the tree is built on a uniform subsample and held-out
+    rows are assigned to the nearest centroid of the subsample's cut.
     """
     X = np.asarray(X, dtype=np.float64)
     levels = check_granularities(levels)
@@ -184,21 +162,16 @@ def multi_granularity_labels(X, levels, seed: int = 0,
     if max(levels) > n:
         raise ConfigError(f"granularity {max(levels)} exceeds {n} rows")
 
-    if n > sample_cap:
-        rng = make_rng(seed, "ward-subsample")
-        sampled = np.sort(rng.choice(n, size=sample_cap, replace=False))
-    else:
-        sampled = np.arange(n)
-
+    if n <= sample_cap:
+        tree = ward_tree(X)
+        return [cut_tree(tree, k) for k in levels]
+    rng = make_rng(seed, "ward-subsample")
+    sampled = np.sort(rng.choice(n, size=sample_cap, replace=False))
     tree = ward_tree(X[sampled])
     out = []
     for k in levels:
         sub_labels = cut_tree(tree, k)
-        centroids = pool_by_superpoint(X[sampled], sub_labels)
-        if sampled.size == n:
-            labels = sub_labels
-        else:
-            labels = np.argmin(_sq_dists(X, centroids), axis=1)
-            labels[sampled] = sub_labels
-        out.append((k, centroids, labels))
+        labels = np.argmin(_sq_dists(X, pool_by_superpoint(X[sampled], sub_labels)), axis=1)
+        labels[sampled] = sub_labels
+        out.append(labels)
     return out

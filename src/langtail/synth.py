@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_model as dm
-from .errors import ConfigError, DataError, EmptyBatchError
+from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 from .rng import make_rng
 
 TEXT_EMBED_DIM = 512
@@ -246,6 +246,8 @@ def read_corpus(corpus_dir):
         raise EmptyBatchError(f"corpus manifest in {corpus_dir} lists no scenes")
     scenes = []
     for (sid,) in rows:
+        if any(s.scene_id == sid for s in scenes):
+            raise DataError(f"corpus manifest in {corpus_dir} lists scene {sid} more than once")
         sdir = os.path.join(corpus_dir, "scenes", sid)
         distill_path = os.path.join(sdir, "distill.ltfm")
         labels_path = os.path.join(sdir, "labels.ltlb")
@@ -260,6 +262,9 @@ def read_corpus(corpus_dir):
                 gt_labels=dm.read_labels(labels_path) if os.path.exists(labels_path) else None,
             )
         )
+        if scenes[-1].points.shape[1] != scenes[0].points.shape[1]:
+            raise ShapeError(f"scene {sid}: points.ltfm has {scenes[-1].points.shape[1]} columns, "
+                             f"scene {scenes[0].scene_id}'s has {scenes[0].points.shape[1]}")
     entities = dm.read_entity_bank(os.path.join(corpus_dir, "bank"))
     n_points = {s.scene_id: s.n_points for s in scenes}
     for e in entities:

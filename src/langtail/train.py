@@ -378,20 +378,14 @@ def standardize_scenes(scenes):
 
 
 def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int) -> list[Head]:
-    """Ward multi-granularity clustering of both branches' superpoint features.
-
-    Returns the local heads in granularity order, then, unless
-    spectral_features is None, the global ones. Global heads cluster the
-    spectral features, but their centroids are pooled over sp_features: heads
-    live in backbone feature space.
-    """
-    heads = [Head("local", k, cent, labels) for k, cent, labels in multi_granularity_labels(
-        sp_features, granularities, seed=seed)]
-    if spectral_features is not None:
-        heads += [Head("global", k, dm.pool_by_superpoint(sp_features, labels), labels)
-                  for k, _, labels in multi_granularity_labels(
-                      spectral_features, granularities, seed=seed)]
-    return heads
+    """Ward multi-granularity heads of both branches: the local ones in
+    granularity order, then, unless spectral_features is None, the global ones.
+    Global heads cluster spectral_features, but every head's centroids are
+    pooled over sp_features, as heads live in backbone feature space."""
+    branches = [("local", sp_features), ("global", spectral_features)]
+    return [Head(branch, k, dm.pool_by_superpoint(sp_features, labels), labels)
+            for branch, X in branches if X is not None
+            for k, labels in zip(granularities, multi_granularity_labels(X, granularities, seed))]
 
 
 def spectral_pass(sp_features, cfg: TrainConfig) -> np.ndarray:

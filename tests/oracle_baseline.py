@@ -11,6 +11,7 @@ overridden, and must write exactly the same reports and artifacts.
 import os
 
 from langtail.cluster import multi_granularity_labels
+from langtail.data_model import pool_by_superpoint
 from langtail.synth import read_corpus
 from langtail.train import (
     AdamW,
@@ -36,7 +37,8 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
     while epoch < cfg.epochs or epoch == 0:
         # recluster: forward everything, pool per superpoint, one Ward cut
         sp_feats = trainer.superpoint_features()
-        ((_, mu, sp_labels),) = multi_granularity_labels(sp_feats, (k_prim,), seed=cfg.seed)
+        (sp_labels,) = multi_granularity_labels(sp_feats, (k_prim,), seed=cfg.seed)
+        mu = pool_by_superpoint(sp_feats, sp_labels)
         heads = [Head("local", k_prim, mu, sp_labels)]
         if cfg.epochs == 0:
             break

@@ -1,5 +1,10 @@
 """Agglomeration oracles used by the clustering tests.
 
+A merge is (left id, right id, cost, size): leaves are 0..n-1, merge i creates
+node n + i, and the cost is the raw increase in within-cluster sum of squares,
+delta(a, b) = n_a * n_b / (n_a + n_b) * ||mu_a - mu_b||^2. tree_merges reads
+these rows from a scipy linkage matrix, whose height is h = sqrt(2 * delta).
+
 oracle_agglomerate is an independent brute-force oracle: cost is computed
 from the raw points each step as the increase in total within-cluster sum of
 squares, not via any recurrence, so it shares no arithmetic shortcuts with the
@@ -22,8 +27,13 @@ partition at its step, costs taken from centroids.
 
 import numpy as np
 
-from langtail.cluster import Dendrogram
 from oracle_dense import ward_costs
+
+
+def tree_merges(Z):
+    """(left, right, cost, size) per row of linkage matrix Z, cost = 0.5 * h^2."""
+    return [(int(left), int(right), 0.5 * h * h, int(size))
+            for left, right, h, size in np.asarray(Z).tolist()]
 
 
 def ward_cost(size_a, mu_a, size_b, mu_b) -> float:
@@ -101,7 +111,7 @@ def reference_ward_scan(X):
         cost[:, a] = c
         cost[b, :] = np.inf
         cost[:, b] = np.inf
-    return Dendrogram(n_leaves=n, merges=merges)
+    return merges
 
 
 def _smallest_tied_pair(cost, best, node_ids):
@@ -157,7 +167,7 @@ def reference_ward_centroid_scan(X):
             cost[a, others] = c
             cost[others, a] = c
         cost[a, a] = np.inf
-    return Dendrogram(n_leaves=n, merges=merges)
+    return merges
 
 
 def greedy_ward_excess(X, merges):

@@ -30,7 +30,7 @@ from langtail.cli import main
 from langtail.synth import SynthConfig, generate_corpus
 
 from oracle_baseline import reference_baseline
-from oracle_ward import labels_to_partition, oracle_agglomerate
+from oracle_ward import labels_to_partition, oracle_agglomerate, tree_merges
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "fixtures", "longtail_manifest.json")
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "golden_seed0.json")
@@ -136,7 +136,7 @@ def test_criterion_2_ward_oracle(capfd):
             X = rng.normal(size=(n, d))
             want_merges, want_parts = oracle_agglomerate(X)
             tree = cl.ward_tree(X)
-            assert [(l, r, s) for l, r, _, s in tree.merges] == \
+            assert [(l, r, s) for l, r, _, s in tree_merges(tree)] == \
                 [(l, r, s) for l, r, _, s in want_merges]
             for k in range(1, n + 1):
                 assert labels_to_partition(cl.cut_tree(tree, k)) == want_parts[k]

@@ -230,6 +230,18 @@ def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
     assert "mask index 1000000 out of range" in caplog.text
 
 
+def test_cli_train_on_scenes_of_different_widths_exits_2(tmp_path, capfd, caplog):
+    # scenes of different widths cannot share one backbone: refused as the corpus is read
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    path = corpus / "scenes" / "scene0001" / "points.ltfm"
+    dm.write_feature_matrix(path, dm.read_feature_matrix(path)[:, :5])
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN) == 2
+    assert "points.ltfm has 5 columns" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 BANK_FILES = ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv")
 
 
@@ -385,8 +397,9 @@ def test_config_file_bad_utf8_exits_1(tmp_path):
     assert main(["train", "--config", str(p)]) == 1
 
 
-@pytest.mark.parametrize("manifest", [b"scene_000\n\xff\n", b"", b"\n\n"],
-                         ids=["bad_utf8", "empty", "blank_lines"])
+@pytest.mark.parametrize("manifest", [b"scene_000\n\xff\n", b"", b"\n\n",
+                                      b"scene0000\nscene0001\nscene0000\n"],
+                         ids=["bad_utf8", "empty", "blank_lines", "scene_twice"])
 def test_cli_bad_manifest_exits_2(tmp_path, manifest):
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from langtail import data_model as dm
 from langtail import train as tr
-from langtail.errors import DataError, FormatError, IoError, ShapeError, TruncationError
+from langtail.errors import (
+    DataError,
+    FormatError,
+    IoError,
+    LangtailError,
+    ShapeError,
+    TruncationError,
+)
 
 
 def test_feature_matrix_round_trip(tmp_path):
@@ -74,6 +81,19 @@ def test_trailing_bytes(tmp_path, fmt):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing bytes"):
         read(p)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_truncated_at_every_offset(tmp_path, fmt):
+    # a file cut short anywhere is refused with a typed error, never a bare one
+    write, read = FORMATS[fmt]
+    p = tmp_path / "f"
+    write(p)
+    whole = p.read_bytes()
+    for end in range(len(whole)):
+        p.write_bytes(whole[:end])
+        with pytest.raises(LangtailError):
+            read(p)
 
 
 # a writer call and the bytes it must write, packed by hand

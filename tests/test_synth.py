@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import append_mask_index
-from langtail.errors import ConfigError, DataError
+from langtail import data_model as dm
+from langtail.errors import ConfigError, DataError, ShapeError
 from langtail.synth import (
     TEXT_EMBED_DIM,
     SynthConfig,
@@ -164,6 +165,23 @@ def test_read_corpus_refuses_mask_index_past_scene(tmp_path):
                     tmp_path / "c")
     append_mask_index(tmp_path / "c", "scene0001", 120)
     with pytest.raises(DataError, match="mask index 120 out of range for scene scene0001"):
+        read_corpus(tmp_path / "c")
+
+
+def test_read_corpus_refuses_a_scene_listed_twice(tmp_path):
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8),
+                    tmp_path / "c")
+    (tmp_path / "c" / "manifest.tsv").write_text("scene0000\nscene0001\nscene0000\n")
+    with pytest.raises(DataError, match="lists scene scene0000 more than once"):
+        read_corpus(tmp_path / "c")
+
+
+def test_read_corpus_refuses_scenes_of_different_widths(tmp_path):
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8),
+                    tmp_path / "c")
+    path = tmp_path / "c" / "scenes" / "scene0001" / "points.ltfm"
+    dm.write_feature_matrix(path, dm.read_feature_matrix(path)[:, :5])
+    with pytest.raises(ShapeError, match="scene scene0001: points.ltfm has 5 columns"):
         read_corpus(tmp_path / "c")
 
 
