@@ -29,7 +29,10 @@ class SemanticBank:
             self.categories = derive_categories(self.B)
 
 
-def derive_categories(B, threshold: float = 0.9) -> np.ndarray:
+CATEGORY_COSINE = 0.9  # least cosine to a category's leader that joins the category
+
+
+def derive_categories(B) -> np.ndarray:
     """Greedy leader clustering of bank rows by cosine similarity.
 
     Entities whose prototypes are near-duplicates (aliases, co-named
@@ -42,7 +45,7 @@ def derive_categories(B, threshold: float = 0.9) -> np.ndarray:
         if leaders:
             sims = X[leaders] @ X[i]
             best = int(np.argmax(sims))
-            if sims[best] >= threshold:
+            if sims[best] >= CATEGORY_COSINE:
                 cats[i] = best
                 continue
         leaders.append(i)
@@ -96,7 +99,10 @@ def align_gram_loss(F, G_target) -> tuple[float, np.ndarray]:
     return float((diff * diff).sum()), 4.0 * (diff @ F)
 
 
-def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-2) -> SemanticBank:
+ALIGN_STEPS, ALIGN_LR = 500, 1e-2  # align_gram's step count and first step size
+
+
+def align_gram(F_m_init, F_e, entity_ids) -> SemanticBank:
     """Fit prototypes whose Gram matrix matches the text-embedding Gram.
 
     Gradient descent with backtracking: the step halves on a loss increase
@@ -107,14 +113,12 @@ def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-
     F_e = np.asarray(F_e, dtype=np.float64)
     if F.shape[0] != F_e.shape[0]:
         raise ShapeError(f"row mismatch: {F.shape[0]} prototypes vs {F_e.shape[0]} embeddings")
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
     G_target = gram(_l2_rows(F_e))
 
     loss, grad = align_gram_loss(F, G_target)
     initial = loss if loss > 0 else 1.0
-    trace = [loss]
-    for _ in range(steps):
+    trace, lr = [loss], ALIGN_LR
+    for _ in range(ALIGN_STEPS):
         accepted = False
         for _try in range(60):
             trial = F - lr * grad
@@ -129,12 +133,10 @@ def align_gram(F_m_init, F_e, entity_ids=None, steps: int = 500, lr: float = 1e-
         if loss > 1e3 * initial:
             raise DivergenceError(
                 f"Gram alignment diverged (loss {loss:.3e} vs initial {initial:.3e}); "
-                "use a smaller lr"
+                "use a smaller ALIGN_LR"
             )
         lr = min(lr * 1.1, 1.0)
         trace.append(loss)
-    if entity_ids is None:
-        entity_ids = list(range(F.shape[0]))
     return SemanticBank(B=F, entity_ids=list(entity_ids), alignment_loss_trace=trace)
 
 

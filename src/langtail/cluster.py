@@ -26,7 +26,7 @@ DENSE_BUDGET_BYTES = 2 << 30
 # distances and nn_chain's copy of them, n(n - 1)/2 each (0.99)
 WARD_DENSE_ARRAYS = 1
 # Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 1 = 0.5 GiB
-DEFAULT_SAMPLE_CAP = 8192
+SAMPLE_CAP = 8192
 
 
 def check_dense_budget(n: int, arrays: int, what: str) -> None:
@@ -148,12 +148,11 @@ def cut_tree(Z, k: int) -> np.ndarray:
     return np.argsort(np.argsort(first))[labels]
 
 
-def multi_granularity_labels(X, levels, seed: int = 0,
-                             sample_cap: int = DEFAULT_SAMPLE_CAP):
+def multi_granularity_labels(X, levels, seed: int):
     """Cut one Ward tree at every granularity level.
 
     Returns one label array (n,) per level, in the given level order. Above
-    sample_cap rows, the tree is built on a uniform subsample and held-out
+    SAMPLE_CAP rows, the tree is built on a uniform subsample and held-out
     rows are assigned to the nearest centroid of the subsample's cut.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -162,11 +161,11 @@ def multi_granularity_labels(X, levels, seed: int = 0,
     if max(levels) > n:
         raise ConfigError(f"granularity {max(levels)} exceeds {n} rows")
 
-    if n <= sample_cap:
+    if n <= SAMPLE_CAP:
         tree = ward_tree(X)
         return [cut_tree(tree, k) for k in levels]
     rng = make_rng(seed, "ward-subsample")
-    sampled = np.sort(rng.choice(n, size=sample_cap, replace=False))
+    sampled = np.sort(rng.choice(n, size=SAMPLE_CAP, replace=False))
     tree = ward_tree(X[sampled])
     out = []
     for k in levels:

@@ -198,12 +198,12 @@ def write_feature_matrix(path, m: np.ndarray) -> None:
 def read_superpoints(path) -> np.ndarray:
     """Read an LTSP file into an int64 assignment vector with dense ids.
 
-    Sparse ids are re-densified in order of first numeric id; the original
-    ids are not preserved.
+    Ids are densified in numeric order: the smallest id becomes 0, the next
+    larger one 1, and so on; the original ids are not preserved.
     """
     with reading(path, SUPERPOINT_MAGIC) as f:
-        ids = take(f, "<u4", 1).astype(np.int64)
-    return densify_ids(ids)
+        ids = take(f, "<u4", 1)
+    return np.unique(ids, return_inverse=True)[1].astype(np.int64)
 
 
 def write_superpoints(path, assignment: np.ndarray) -> None:
@@ -232,14 +232,6 @@ def write_labels(path, labels: np.ndarray) -> None:
         raise DataError("labels must lie in [-1, 2**31 - 1]")
     with writing(path, LABEL_MAGIC) as f:
         put(f, labels, "<i4")
-
-
-def densify_ids(ids: np.ndarray) -> np.ndarray:
-    """Map arbitrary non-negative ids onto dense [0, n_unique) keeping numeric order."""
-    uniq, dense = np.unique(ids, return_inverse=True)
-    if uniq.size and uniq[0] == 0 and uniq[-1] == uniq.size - 1:
-        return ids.astype(np.int64)
-    return dense.astype(np.int64)
 
 
 def pool_by_superpoint(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:

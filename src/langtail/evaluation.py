@@ -35,21 +35,22 @@ class EvalReport:
     per_class_count: np.ndarray  # (n_gt,) gt point counts
 
 
-def confusion(pred, gt, n_pred=None, n_gt=None) -> np.ndarray:
+def confusion(pred, gt, n_gt=None) -> np.ndarray:
     """The (n_pred, n_gt) int64 counts: [p, g] is the number of points with
-    prediction p and label g != -1. The pred * n_gt + gt codes are built in
-    one int64 array, and pred and gt are copied only to drop -1 labels."""
+    prediction p and label g != -1, n_pred the largest prediction + 1. The
+    pred * n_gt + gt codes are built in one int64 array, and pred and gt are
+    copied only to drop -1 labels."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise ShapeError(f"pred length {pred.shape} != gt length {gt.shape}")
-    n_pred = int(n_pred if n_pred is not None else (pred.max() + 1 if pred.size else 1))
+    n_pred = int(pred.max() + 1 if pred.size else 1)
     keep = gt >= 0
     if not keep.all():
         pred, gt = pred[keep], gt[keep]
     n_gt = int(n_gt if n_gt is not None else (gt.max() + 1 if gt.size else 1))
-    if pred.size and (pred.min() < 0 or pred.max() >= n_pred or gt.max() >= n_gt):
-        raise DataError(f"labelled point with prediction outside [0, {n_pred}) or label >= {n_gt}")
+    if pred.size and (pred.min() < 0 or gt.max() >= n_gt):
+        raise DataError(f"labelled point with negative prediction or label >= {n_gt}")
     codes = pred * n_gt
     codes += gt
     counts = np.bincount(codes, minlength=n_pred * n_gt).reshape(n_pred, n_gt)

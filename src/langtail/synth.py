@@ -51,20 +51,14 @@ class SynthConfig:
     distill_dim: int = 0  # 0 -> no distill targets
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ConfigError("n_classes must be >= 2")
-        if self.n_scenes < 1:
-            raise ConfigError("n_scenes must be >= 1")
+        for name, low in (("n_classes", 2), ("n_scenes", 1), ("zipf_exponent", 0),
+                          ("input_dim", 2), ("noise_sigma", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.points_per_scene < self.n_classes:
             raise ConfigError("points_per_scene must be >= n_classes")
-        if self.zipf_exponent < 0:
-            raise ConfigError("zipf_exponent must be >= 0")
-        if self.input_dim < 2:
-            raise ConfigError("input_dim must be >= 2")
         if self.class_separation <= 0:
             raise ConfigError("class_separation must be > 0")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.entity_alias_rate <= 1.0:
             raise ConfigError("entity_alias_rate must be in [0, 1]")
 
@@ -122,7 +116,6 @@ def generate_scene(cfg: SynthConfig, scene_index: int):
     sep = cfg.class_separation
     cursor = 0
     sp_counter = 0
-    eid_counter = 0
     for c in range(cfg.n_classes):
         center = np.zeros(cfg.input_dim)
         center[0] = c * sep
@@ -154,29 +147,15 @@ def generate_scene(cfg: SynthConfig, scene_index: int):
             sp_counter += n_blobs
             cursor += n_pts
 
-            mask = idx.copy()
-            eid = scene_index * 1_000_000 + eid_counter
-            entities.append(
-                dm.EntityRecord(
-                    entity_id=eid,
-                    text=f"class{c:02d} instance{inst}",
-                    text_embedding=class_emb[c],
-                    masks=[(scene_id, mask)],
-                )
-            )
-            eid_counter += 1
+            named = [(f"class{c:02d} instance{inst}", class_emb[c])]
             if rng.uniform() < cfg.entity_alias_rate:
                 pert = rng.standard_normal(TEXT_EMBED_DIM)
                 pert *= ALIAS_PERTURBATION / np.linalg.norm(pert)
-                entities.append(
-                    dm.EntityRecord(
-                        entity_id=scene_index * 1_000_000 + eid_counter,
-                        text=f"class{c:02d} instance{inst} alias",
-                        text_embedding=class_emb[c] + pert,
-                        masks=[(scene_id, mask)],
-                    )
-                )
-                eid_counter += 1
+                named.append((f"class{c:02d} instance{inst} alias", class_emb[c] + pert))
+            for text, embedding in named:
+                entities.append(dm.EntityRecord(
+                    entity_id=scene_index * 1_000_000 + len(entities), text=text,
+                    text_embedding=embedding, masks=[(scene_id, idx)]))
 
     distill = None
     if cfg.distill_dim > 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, central_diff
+from langtail import bank as bank_mod
 from langtail import data_model as dm
 from langtail.bank import (
     SemanticBank,
@@ -80,22 +81,24 @@ def test_align_gram_loss_gradient_fd():
     assert_grad_close(grad, num)
 
 
-def test_align_gram_fixed_point():
+def test_align_gram_fixed_point(monkeypatch):
+    monkeypatch.setattr(bank_mod, "ALIGN_STEPS", 5)
     rng = np.random.default_rng(1)
     F = rng.normal(size=(4, 4))
     F = F / np.linalg.norm(F, axis=1, keepdims=True)
-    bank = align_gram(F, F, steps=5)
+    bank = align_gram(F, F, range(4))
     assert bank.alignment_loss_trace[0] == pytest.approx(0.0, abs=1e-20)
     assert np.allclose(bank.B, F)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("steps", [1, 5, 8000])
-def test_align_gram_stays_at_an_exact_fixed_point(steps):
+def test_align_gram_stays_at_an_exact_fixed_point(monkeypatch, steps):
     # unit basis rows: _l2_rows changes no bit, so the Gram loss is exactly 0;
     # every step is accepted, and the growing step size must stay finite
+    monkeypatch.setattr(bank_mod, "ALIGN_STEPS", steps)
     F = np.eye(5)[[3, 0, 4]]
-    bank = align_gram(F, F, steps=steps)
+    bank = align_gram(F, F, [7, 8, 9])
     assert bank.alignment_loss_trace == [0.0] * (steps + 1)
     assert bank.B.tobytes() == F.tobytes()
 
@@ -105,7 +108,8 @@ def test_align_gram_converges():
     F_e = rng.normal(size=(20, 64))
     # feature dim must cover the target Gram rank or the loss floor is nonzero
     F_m = rng.normal(size=(20, 32)) * 0.1
-    bank = align_gram(F_m, F_e, steps=500, lr=1e-2)
+    assert (bank_mod.ALIGN_STEPS, bank_mod.ALIGN_LR) == (500, 1e-2)
+    bank = align_gram(F_m, F_e, range(20))
     trace = bank.alignment_loss_trace
     assert trace[-1] <= 1e-3 * trace[0]
     assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -123,7 +127,7 @@ def test_align_gram_orthogonal_invariance():
 
 def test_align_gram_row_mismatch():
     with pytest.raises(ShapeError):
-        align_gram(np.ones((3, 2)), np.ones((4, 2)))
+        align_gram(np.ones((3, 2)), np.ones((4, 2)), range(3))
 
 
 def _bank(T=10, C=4, seed=0, categories=None):

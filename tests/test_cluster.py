@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langtail import cluster
 from langtail.cluster import (
-    DEFAULT_SAMPLE_CAP,
+    SAMPLE_CAP,
     WARD_DENSE_ARRAYS,
     _symmetrize,
     check_dense_budget,
@@ -194,7 +195,7 @@ def test_dense_budget_checked_before_allocating():
     with pytest.raises(ConfigError, match="ward_tree"):
         ward_tree(np.zeros((20000, 1)))
     # the default subsample cap fits the budget
-    check_dense_budget(DEFAULT_SAMPLE_CAP, WARD_DENSE_ARRAYS, "ward_tree")
+    check_dense_budget(SAMPLE_CAP, WARD_DENSE_ARRAYS, "ward_tree")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -261,11 +262,14 @@ def test_multi_granularity_consistent_with_single_tree():
         assert np.array_equal(labels, cut_tree(tree, k))
 
 
-def test_multi_granularity_subsample_path():
+def test_multi_granularity_subsample_path(monkeypatch):
+    monkeypatch.setattr(cluster, "SAMPLE_CAP", 30)
+    tree_rows = []
+    monkeypatch.setattr(cluster, "ward_tree", lambda X: tree_rows.append(len(X)) or ward_tree(X))
     rng = np.random.default_rng(8)
     X = np.concatenate([rng.normal(0, 0.2, (40, 2)), rng.normal(8, 0.2, (40, 2))])
-    (labels,) = multi_granularity_labels(X, (2,), seed=0, sample_cap=30)
-    assert labels.shape == (80,)
+    (labels,) = multi_granularity_labels(X, (2,), seed=0)
+    assert tree_rows == [30] and labels.shape == (80,)
     # well separated blobs survive the subsample + nearest-centroid fill-in
     assert len(set(labels[:40])) == 1
     assert len(set(labels[40:])) == 1
@@ -274,4 +278,4 @@ def test_multi_granularity_subsample_path():
 
 def test_multi_granularity_rejects_oversized_level():
     with pytest.raises(ConfigError):
-        multi_granularity_labels(np.eye(3), (4,))
+        multi_granularity_labels(np.eye(3), (4,), 0)

@@ -31,18 +31,18 @@ def test_confusion_matches_add_at():
     for n_pred, n_gt, n in [(1, 1, 1), (3, 5, 40), (9, 4, 500), (40, 8, 2000)]:
         pred = rng.integers(0, n_pred, size=n)
         gt = rng.integers(-1, n_gt, size=n)
-        want = np.zeros((n_pred, n_gt), dtype=np.int64)
+        want = np.zeros((pred.max() + 1, n_gt), dtype=np.int64)
         keep = gt >= 0
         np.add.at(want, (pred[keep], gt[keep]), 1)
-        got = ev.confusion(pred, gt, n_pred=n_pred, n_gt=n_gt)
+        got = ev.confusion(pred, gt, n_gt=n_gt)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("pred,gt,sizes", [
-    ([0, -1, 1], [0, 1, 1], dict(n_pred=2)),  # the -1 once landed in the last row
-    ([0, -1, 1], [0, 1, 1], {}),
-    ([0, 2, 1], [0, 1, 1], dict(n_pred=2)),
+    ([0, -1, 1], [0, 1, 1], {}),  # the -1 once landed in the last row
+    ([0, -1, 1], [0, 1, -1], {}),  # also once the unlabelled points are dropped
     ([0, 1, 1], [0, 2, 1], dict(n_gt=2)),
+    ([0, 1, 1], [-1, 2, 1], dict(n_gt=2)),
 ])
 def test_confusion_out_of_range_label_is_data_error(pred, gt, sizes):
     with pytest.raises(DataError):
@@ -50,8 +50,8 @@ def test_confusion_out_of_range_label_is_data_error(pred, gt, sizes):
 
 
 def test_confusion_ignores_any_prediction_on_unlabelled_points():
-    cm = ev.confusion([5, -1, 1], [-1, -1, 1], n_pred=2, n_gt=2)
-    assert cm.tolist() == [[0, 0], [0, 1]]
+    cm = ev.confusion([5, -1, 1], [-1, -1, 1], n_gt=2)
+    assert cm.tolist() == [[0, 0], [0, 1]] + [[0, 0]] * 4
 
 
 def test_confusion_peak_memory_without_ignored_labels():
@@ -64,7 +64,7 @@ def test_confusion_peak_memory_without_ignored_labels():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cm = ev.confusion(pred, gt, n_pred=440, n_gt=8)
+        cm = ev.confusion(pred, gt, n_gt=8)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -181,8 +181,8 @@ def test_metrics_invariant_under_pseudo_relabel():
     gt = rng.integers(0, 4, size=500)
     pred = rng.integers(0, 9, size=500)
     perm = rng.permutation(9)
-    r1 = ev.match_and_score(ev.confusion(pred, gt, n_pred=9, n_gt=4))
-    r2 = ev.match_and_score(ev.confusion(perm[pred], gt, n_pred=9, n_gt=4))
+    r1 = ev.match_and_score(ev.confusion(pred, gt, n_gt=4))
+    r2 = ev.match_and_score(ev.confusion(perm[pred], gt, n_gt=4))
     assert r1.oa == pytest.approx(r2.oa)
     assert r1.macc == pytest.approx(r2.macc)
     assert r1.miou == pytest.approx(r2.miou)

@@ -67,3 +67,51 @@ def test_unread_parameters_finds_a_leftover():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """"module.function:parameter" for each defaulted parameter of a function
+    that no call in sources passes, by keyword or by position. Calls match
+    functions by name alone; a method's position skips `self`, and a call
+    with *args or **kwargs passes every parameter of that kind."""
+    defaults, passed = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                skip = int(id(node) in methods)
+                defaults += [(module, node.name, p.arg, i - skip) for i, p in enumerate(pos)
+                             if i >= len(pos) - len(a.defaults)]
+                defaults += [(module, node.name, p.arg, None)
+                             for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed |= {(name, i) for i in range(len(node.args))}
+                passed |= {(name, "*") for x in node.args if isinstance(x, ast.Starred)}
+                passed |= {(name, k.arg or "**") for k in node.keywords}
+    return sorted(f"{m}.{fn}:{p}" for m, fn, p, i in defaults
+                  if not {(fn, p), (fn, "**")} & passed
+                  and (i is None or not {(fn, i), (fn, "*")} & passed))
+
+
+def test_unpassed_defaults_finds_a_leftover():
+    sources = {
+        "a": ("def f(x, y=1, z=2, *, key=3, other=4):\n    return x\n"
+              "def h(v=0):\n    return v\n"
+              "class K:\n    def g(self, u=0, w=1):\n        return u\n"),
+        "b": "f(0, 1, other=5)\nK().g(2)\nh(**{'v': 1})\n",
+    }
+    assert unpassed_defaults(sources) == ["a.f:key", "a.f:z", "a.g:w"]
+
+
+# the console entry point, and the gt class count that perfbench's score and
+# criterion 7 pass
+CALLED_FROM_OUTSIDE = {"cli.main:argv", "evaluation.confusion:n_gt"}
+
+
+def test_every_default_is_passed_somewhere():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_defaults(sources) == sorted(CALLED_FROM_OUTSIDE)

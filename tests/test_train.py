@@ -676,21 +676,19 @@ def test_build_pseudo_labels_shapes(tmp_path):
     assert [(h.branch, h.k) for h in local_only] == [("local", 4)]
 
 
-@pytest.mark.parametrize("sample_cap", [cl.DEFAULT_SAMPLE_CAP, 25], ids=["full", "subsample"])
+@pytest.mark.parametrize("sample_cap", [cl.SAMPLE_CAP, 25], ids=["full", "subsample"])
 def test_build_pseudo_labels_pools_every_head_over_sp_features(monkeypatch, sample_cap):
     # local and global heads alike take their centroids from the backbone
     # superpoint features under their final labels, also where the Ward tree
     # was built on a subsample and the other rows joined its nearest centroid
-    monkeypatch.setattr(tr, "multi_granularity_labels", lambda X, levels, seed: (
-        cl.multi_granularity_labels(X, levels, seed, sample_cap=sample_cap)))
+    monkeypatch.setattr(cl, "SAMPLE_CAP", sample_cap)
     rng = np.random.default_rng(4)
     sp, spec = rng.normal(size=(60, 8)), rng.normal(size=(60, 5))
     heads = tr.build_pseudo_labels(sp, spec, (10, 4), seed=0)
     assert [(h.branch, h.k) for h in heads] == [
         ("local", 10), ("local", 4), ("global", 10), ("global", 4)]
     for h, X in zip(heads, (sp, sp, spec, spec)):
-        assert np.array_equal(h.sp_labels, cl.multi_granularity_labels(
-            X, (h.k,), 0, sample_cap=sample_cap)[0])
+        assert np.array_equal(h.sp_labels, cl.multi_granularity_labels(X, (h.k,), 0)[0])
         want = dm.pool_by_superpoint(sp, h.sp_labels)
         assert h.centroids.tobytes() == want.tobytes()
 
