@@ -283,17 +283,22 @@ def read_entity_masks(path) -> list[tuple[int, np.ndarray]]:
 
 
 def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
-    """Persist the raw bank inputs: entities.tsv, embeddings.ltfm, masks/."""
-    os.makedirs(os.path.join(bank_dir, "masks"), exist_ok=True)
+    """Persist the raw bank inputs: entities.tsv, embeddings.ltfm, masks/.
+    A masks/*.bin file of a scene no entity has a mask in is deleted."""
+    masks_dir = os.path.join(bank_dir, "masks")
+    os.makedirs(masks_dir, exist_ok=True)
     entities = sorted(entities, key=lambda e: e.entity_id)
     with atomic_open(os.path.join(bank_dir, "entities.tsv")) as f:
         for e in entities:
             f.write(f"{e.entity_id}\t{e.text}\t{len(e.masks)}\n")
     emb = np.stack([e.text_embedding for e in entities]).astype(np.float32)
     write_feature_matrix(os.path.join(bank_dir, "embeddings.ltfm"), emb)
-    scene_ids = sorted({sid for e in entities for sid, _ in e.masks})
-    for sid in scene_ids:
-        write_entity_masks(os.path.join(bank_dir, "masks", f"{sid}.bin"), sid, entities)
+    scene_ids = {sid for e in entities for sid, _ in e.masks}
+    for sid in sorted(scene_ids):
+        write_entity_masks(os.path.join(masks_dir, f"{sid}.bin"), sid, entities)
+    for name in os.listdir(masks_dir):
+        if name.endswith(".bin") and name[:-len(".bin")] not in scene_ids:
+            os.remove(os.path.join(masks_dir, name))
 
 
 def read_tsv(path, *types) -> list[tuple]:
@@ -330,6 +335,8 @@ def read_entity_bank(bank_dir) -> list[EntityRecord]:
         )
     records = {}
     for (eid, text, _), vec in zip(rows, emb):
+        if eid in records:
+            raise DataError(f"{bank_dir}: entities.tsv lists entity {eid} more than once")
         records[eid] = EntityRecord(entity_id=eid, text=text, text_embedding=vec)
     masks_dir = os.path.join(bank_dir, "masks")
     if os.path.isdir(masks_dir):

@@ -637,11 +637,18 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     Returns (backbone, heads, reports).
     """
     trainer = start_run(cfg, corpus_dir)
+    n_sp = sum(s.n_superpoints for s in trainer.scenes)
+    if max(cfg.granularities) > n_sp:  # refused before anything is written
+        raise ConfigError(f"granularity {max(cfg.granularities)} exceeds the corpus's "
+                          f"{n_sp} superpoints")
     bank_obj = feats = None
     if cfg.lambda_entity > 0 and bank_dir is not None:  # refused before the warm-up
         bank_obj = load_bank(bank_dir)
         if bank_obj.entity_ids != [e.entity_id for e in trainer.entities]:
             raise DataError(f"{bank_dir}: the bank's entities are not the corpus's")
+        if bank_obj.B.shape[1] != cfg.feat_dim:
+            raise ShapeError(f"{bank_dir}: the bank's prototypes have {bank_obj.B.shape[1]} "
+                             f"columns, the backbone's features {cfg.feat_dim}")
     warmup_losses = trainer.warmup()
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
 

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import append_mask_index
+from langtail import bank as bk
 from langtail import cli
 from langtail import data_model as dm
 from langtail import train as tr
+from langtail.bank import load_bank
 from langtail.cli import TRAIN_KEYS, SYNTH_KEYS, load_config_file, main, parse_granularities
 from langtail.errors import ConfigError, LangtailError
-from langtail.synth import SynthConfig
+from langtail.synth import SynthConfig, read_corpus
 
 SMALL_SYNTH = ["--n-classes", "3", "--points-per-scene", "120",
                "--n-scenes", "2", "--seed", "5"]
@@ -242,6 +244,48 @@ def test_cli_train_on_scenes_of_different_widths_exits_2(tmp_path, capfd, caplog
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cli_train_with_a_bank_of_another_width_exits_2_before_writing(tmp_path, capfd, caplog):
+    # the entity ids match, so this run used to exit 2 only at its first step,
+    # after checkpoints/round_000.ltck was written
+    corpus, bank, out = tmp_path / "corpus", tmp_path / "bank", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    assert main(["bank", "--corpus", str(corpus), "--out", str(bank), "--feat-dim", "16",
+                 "--hidden-dim", "8", "--warmup-epochs", "0"]) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--bank", str(bank)] + SMALL_TRAIN + ["--lambda", "0.5"]) == 2
+    assert "the bank's prototypes have 16 columns, the backbone's features 8" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_train_with_a_granularity_above_the_superpoint_count_exits_1_before_writing(
+        tmp_path, capfd, caplog):
+    # this run used to exit 1 only after <out>/bank/ and <out>/checkpoints/ existed
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    n_sp = sum(dm.read_superpoints(corpus / "scenes" / sid / "superpoints.ltsp").max() + 1
+               for sid in ("scene0000", "scene0001"))
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN
+                + ["--granularities", f"{n_sp + 1},3", "--lambda", "0.5"]) == 1
+    assert f"granularity {n_sp + 1} exceeds the corpus's {n_sp} superpoints" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN
+                + ["--granularities", f"{n_sp},3"]) == 0
+
+
+def test_cli_synth_over_a_larger_corpus_leaves_a_corpus_that_trains(tmp_path):
+    # the larger corpus's masks/scene0003.bin used to stay, and every later
+    # train exited 2 with "mask references unknown entity 3000000"
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH + ["--n-scenes", "4"]) == 0
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH + ["--n-scenes", "3"]) == 0
+    assert sorted(os.listdir(corpus / "bank" / "masks")) == [
+        f"scene000{i}.bin" for i in range(3)]
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+                + SMALL_TRAIN) == 0
+
+
 BANK_FILES = ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv")
 
 
@@ -268,7 +312,9 @@ def test_bank_keys_are_the_fields_the_bank_depends_on(tmp_path, monkeypatch):
     # a TrainConfig field whose value changes the bank a run builds must be a
     # `bank` key, or `bank` cannot build that bank; a `bank` key that never
     # changes it does nothing. feat_dim is the bank's width, and warm-up
-    # needs it to equal the corpus's distill width, so it is not varied.
+    # needs it to equal the corpus's distill width, so it is not varied;
+    # granularities must not exceed the corpus's superpoints, which
+    # run_pipeline checks first.
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
     save = tr.save_bank
@@ -284,14 +330,15 @@ def test_bank_keys_are_the_fields_the_bank_depends_on(tmp_path, monkeypatch):
             tr.run_pipeline(cfg, corpus, out)
         return [(out / "bank" / name).read_bytes() for name in BANK_FILES]
 
-    base = tr.TrainConfig(lambda_entity=0.5, feat_dim=8, hidden_dim=8, warmup_epochs=2,
-                          batch_scenes=1)
+    base = tr.TrainConfig(lambda_entity=0.5, granularities=(4,), feat_dim=8, hidden_dim=8,
+                          warmup_epochs=2, batch_scenes=1)
     want = bank_bytes(base, tmp_path / "base")
     changes = set()
     for f in dataclasses.fields(tr.TrainConfig):
         if f.name == "feat_dim":
             continue
-        cfg = dataclasses.replace(base, **{f.name: _other_value(getattr(base, f.name))[1]})
+        other = (3,) if f.name == "granularities" else _other_value(getattr(base, f.name))[1]
+        cfg = dataclasses.replace(base, **{f.name: other})
         if bank_bytes(cfg, tmp_path / f.name) != want:
             changes.add(cli.ALIASES.get(f.name, f.name))
     assert changes == set(cli.BANK_KEYS) - {"corpus", "out", "feat_dim"}
@@ -395,6 +442,48 @@ def test_config_file_bad_utf8_exits_1(tmp_path):
     with pytest.raises(ConfigError, match=r"train\.cfg: not UTF-8"):
         load_config_file(p, TRAIN_KEYS)
     assert main(["train", "--config", str(p)]) == 1
+
+
+TRAIN_CFG = ("corpus = corpus\nout = out\ngranularities = 4\nepochs = 2\nrecluster_every = 2\n"
+             "lambda = 0.5\nuse_global = false\nfeat_dim = 8\nhidden_dim = 8\n"
+             "warmup_epochs = 0\nbatch_scenes = 2\nbank = bank\n")
+# text file under tmp_path -> its reader, given tmp_path
+TEXT_FILES = {
+    "manifest.tsv": ("corpus/manifest.tsv", lambda d: read_corpus(d / "corpus")),
+    "entities.tsv": ("corpus/bank/entities.tsv", lambda d: read_corpus(d / "corpus")),
+    "entity_ids.tsv": ("bank/entity_ids.tsv", lambda d: load_bank(d / "bank")),
+    "trace.tsv": ("bank/trace.tsv", lambda d: load_bank(d / "bank")),
+    "train.cfg": ("train.cfg", lambda d: cli._build(
+        tr.TrainConfig, load_config_file(d / "train.cfg", TRAIN_KEYS))),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_FILES)
+def test_text_file_cut_short_or_not_utf8_is_refused(tmp_path, monkeypatch, capfd, name):
+    # every prefix of the file, and the file with an invalid UTF-8 byte in its
+    # middle: its reader returns or raises a LangtailError, and where it
+    # raises, `train` exits 1 or 2
+    monkeypatch.setattr(bk, "ALIGN_STEPS", 3)  # a four-line trace.tsv
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "corpus"] + SMALL_SYNTH) == 0
+    assert main(["bank", "--corpus", "corpus", "--out", "bank", "--feat-dim", "8",
+                 "--hidden-dim", "8", "--warmup-epochs", "0", "--batch-scenes", "2"]) == 0
+    (tmp_path / "train.cfg").write_text(TRAIN_CFG)
+    rel, read = TEXT_FILES[name]
+    path = tmp_path / rel
+    whole = path.read_bytes()
+    not_utf8 = whole[:len(whole) // 2] + b"\xff" + whole[len(whole) // 2:]
+    refused = []
+    for data in [whole[:end] for end in range(len(whole))] + [not_utf8]:
+        path.write_bytes(data)
+        try:
+            read(tmp_path)
+        except LangtailError:
+            refused.append(data)
+            assert main(["train", "--config", "train.cfg"]) in (1, 2)
+    assert not_utf8 in refused
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("manifest", [b"scene_000\n\xff\n", b"", b"\n\n",

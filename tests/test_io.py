@@ -270,6 +270,27 @@ def test_entity_bank_refuses_a_mask_count_it_cannot_load(tmp_path):
         dm.read_entity_bank(tmp_path / "bank")
 
 
+def test_entity_bank_rewrite_deletes_the_mask_files_it_does_not_write(tmp_path):
+    # a bank of fewer scenes written over a larger one used to keep masks/b.bin,
+    # whose entity 7 the new entities.tsv does not list
+    bank = tmp_path / "bank"
+    dm.write_entity_bank(bank, [dm.EntityRecord(
+        7, "lamp", np.ones(4), masks=[("a", np.array([0])), ("b", np.array([1]))])])
+    (bank / "masks" / "notes.txt").write_text("not a mask file")
+    dm.write_entity_bank(bank, [dm.EntityRecord(3, "desk", np.ones(4),
+                                                masks=[("a", np.array([5]))])])
+    assert sorted(os.listdir(bank / "masks")) == ["a.bin", "notes.txt"]
+    assert [e.entity_id for e in dm.read_entity_bank(bank)] == [3]
+
+
+def test_entity_bank_refuses_an_entity_listed_twice(tmp_path):
+    # the second row used to replace the first, dropping the first's embedding
+    bank = _bank_dir(tmp_path)
+    (bank / "entities.tsv").write_text("1\te1\t0\n1\te1 again\t0\n")
+    with pytest.raises(DataError, match="lists entity 1 more than once"):
+        dm.read_entity_bank(bank)
+
+
 def _bank_dir(tmp_path):
     ents = [dm.EntityRecord(e, f"e{e}", np.ones(4)) for e in (1, 2)]
     dm.write_entity_bank(tmp_path / "bank", ents)
