@@ -196,6 +196,15 @@ def generate_corpus(cfg: SynthConfig, out_dir=None):
     return scenes, entities
 
 
+def _write_optional(path, a, write) -> None:
+    """write(path, a), or, when a is None, remove the file an earlier corpus
+    left at path, which read_corpus would load."""
+    if a is not None:
+        write(path, a)
+    elif os.path.exists(path):
+        os.remove(path)
+
+
 def write_corpus(out_dir, scenes, entities) -> None:
     os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
     for s in scenes:
@@ -203,10 +212,9 @@ def write_corpus(out_dir, scenes, entities) -> None:
         os.makedirs(sdir, exist_ok=True)
         dm.write_feature_matrix(os.path.join(sdir, "points.ltfm"), s.points)
         dm.write_superpoints(os.path.join(sdir, "superpoints.ltsp"), s.superpoints)
-        if s.gt_labels is not None:
-            dm.write_labels(os.path.join(sdir, "labels.ltlb"), s.gt_labels)
-        if s.distill_targets is not None:
-            dm.write_feature_matrix(os.path.join(sdir, "distill.ltfm"), s.distill_targets)
+        _write_optional(os.path.join(sdir, "labels.ltlb"), s.gt_labels, dm.write_labels)
+        _write_optional(os.path.join(sdir, "distill.ltfm"), s.distill_targets,
+                        dm.write_feature_matrix)
     dm.write_entity_bank(os.path.join(out_dir, "bank"), entities)
     with dm.atomic_open(os.path.join(out_dir, "manifest.tsv")) as f:
         for s in scenes:
@@ -214,8 +222,8 @@ def write_corpus(out_dir, scenes, entities) -> None:
     all_labels = np.concatenate(
         [s.gt_labels for s in scenes if s.gt_labels is not None] or [np.empty(0, np.int64)]
     )
-    if all_labels.size:
-        dm.write_labels(os.path.join(out_dir, "labels.ltlb"), all_labels)
+    _write_optional(os.path.join(out_dir, "labels.ltlb"),
+                    all_labels if all_labels.size else None, dm.write_labels)
 
 
 def read_corpus(corpus_dir):

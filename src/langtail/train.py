@@ -6,15 +6,18 @@ with hand-written reverse-mode gradients; every loss here returns its
 analytic gradient and is covered by finite-difference checks in the tests.
 
 A training step scores every (branch, level) head of a scene in one
-head_ce_loss call, which reuses one logits and gradient buffer for all heads
-and adds each head's feature gradient straight into its branch's
-accumulator. head_ce_loss computes in the dtype of its features. head_step
-passes float32 features and centroids, so the head matmuls and the softmax's
-one exp run in float32, while the softmax row sums, the losses and every
-accumulator are float64; float64 inputs keep float64 arithmetic. Each head
-runs its own matmuls, in the order and shapes of one call per head, so losses
-and gradients are bit-identical to tests/oracle_heads.py, the
-one-call-per-head loop. The backbone and prediction stay float64.
+head_ce_loss call, the whole per-scene head kernel: per branch it keeps every
+head's softmax gradient in one buffer, then builds the branch's feature
+gradient ROW_BLOCK rows at a time into the scene's one float64 result, so it
+makes no per-branch n x C accumulator. head_ce_loss computes in the dtype of
+its features. head_step passes float32 features and centroids, so the head
+matmuls and the softmax's one exp run in float32, while the softmax row sums,
+the losses and the gradient blocks are float64; float64 inputs keep float64
+arithmetic. Each head runs its own matmuls, of the shapes of one call per
+head, and row blocks change no matmul row, so losses and gradients are
+bit-identical to tests/oracle_heads.py, the one-call-per-head loop.
+backbone_backward consumes its forward pass's cache, writing its gradients
+over the features and activations. The backbone and prediction stay float64.
 
 Per-scene work (forward, head cross-entropy, then backward, which first adds
 the entity-anchor gradient into the scene's feature gradient) runs in
@@ -185,7 +188,8 @@ def init_backbone(input_dim: int, hidden_dims, out_dim: int, seed: int) -> Backb
 
 
 def backbone_forward(b: Backbone, X):
-    """Forward pass; returns (normalized output (N, C), cache for backward)."""
+    """Forward pass; returns (normalized output (N, C), cache for backward).
+    backbone_backward writes over the output and the hidden activations."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != b.weights[0].shape[0]:
         raise ShapeError(
@@ -211,51 +215,66 @@ def backbone_forward(b: Backbone, X):
 def backbone_backward(b: Backbone, cache, grad_out):
     """Exact reverse-mode gradients, including the row-normalization Jacobian.
 
+    Consumes cache, so it runs once per forward pass: the Jacobian's output
+    is written over cache["Y"] (the forward pass's features) one ROW_BLOCK-row
+    block at a time, and each hidden layer's input gradient over that layer's
+    activations once its ReLU mask is taken. Beside the weight gradients it
+    allocates one block, one mask and the input gradient. grad_out is only
+    read. Every row and column sum stays a whole-array reduction, so the bits
+    are those of one expression per step.
+
     Returns (grads_w, grads_b, grad_in).
     """
     acts = cache["acts"]
     norms = cache["norms"]
-    Y = cache["Y"]
+    gz = cache["Y"]
     g = np.asarray(grad_out, dtype=np.float64)
-    # d/dz of z/||z||: (g - (g.y) y) / ||z||, in one buffer
-    gz = g * Y
-    np.multiply(gz.sum(axis=1, keepdims=True), Y, out=gz)
-    np.subtract(g, gz, out=gz)
-    gz /= norms[:, None]
+    # d/dz of z/||z||: (g - (g.y) y) / ||z||
+    for a in range(0, len(gz), ROW_BLOCK):
+        y, gy = gz[a:a + ROW_BLOCK], g[a:a + ROW_BLOCK]
+        np.multiply((gy * y).sum(axis=1, keepdims=True), y, out=y)
+        np.subtract(gy, y, out=y)
+        y /= norms[a:a + ROW_BLOCK, None]
 
     grads_w = [None] * len(b.weights)
     grads_b = [None] * len(b.biases)
-    for i in reversed(range(len(b.weights))):
-        h_in = acts[i]
-        if i < len(b.weights) - 1:
-            # acts[i+1] stores the post-ReLU value for hidden layers
-            gz *= acts[i + 1] > 0
-        grads_w[i] = h_in.T @ gz
+    for i in reversed(range(1, len(b.weights))):
+        grads_w[i] = acts[i].T @ gz
         grads_b[i] = gz.sum(axis=0)
-        gz = gz @ b.weights[i].T
-    return grads_w, grads_b, gz
+        mask = acts[i] > 0  # acts[i] is hidden layer i's post-ReLU output
+        gz = np.matmul(gz, b.weights[i].T, out=acts[i])
+        gz *= mask
+    grads_w[0] = acts[0].T @ gz
+    grads_b[0] = gz.sum(axis=0)
+    return grads_w, grads_b, gz @ b.weights[0].T
 
 
-def head_ce_loss(features, mus, labels, grad_out, weight=1.0):
-    """Cross-entropy of several linear heads on the same feature rows.
+def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
+    """Cross-entropy of several linear heads on the same feature rows: one
+    scene's work in head_step.
 
-    Head h has logits features @ mus[h].T and labels[h]; its loss is the mean
-    cross-entropy over the rows whose label is not -1, and those ignored rows
-    must be the same for every head. weight * d loss_h / d features is added
-    into grad_out[h]; heads may share an accumulator.
+    Head h has logits features @ mus[h].T, labels[h] and branch branches[h];
+    its loss is the mean cross-entropy over the rows whose label is not -1,
+    and those ignored rows must be the same for every head. The float64
+    feature gradient adds, branch by branch in ascending order, (the sum of
+    weight * d loss_h / d features over the branch's heads in list order) /
+    n_pts; ignored rows are zero.
 
     The arithmetic runs in float32 for float32 features and in float64
     otherwise; mus take that dtype. The softmax is one exp of the logits less
-    their row maximum, over float64 row sums; the losses are float64, and a
-    float64 grad_out takes float32 gradients without a float64 copy. One
-    buffer of n * (max k + C) elements, n the non-ignored rows, holds each
-    head's logits in turn (the softmax overwrites them in place) and its
-    feature gradient. Every head keeps its own matmuls, of the same shapes as
-    a one-head call: a matmul against the stacked centroids of all heads
-    rounds some slices differently, so the losses and gradients would depend
-    on which heads share the call.
+    their row maximum, over float64 row sums; the losses are float64. A
+    branch's heads keep their logits, then softmax gradients, in one buffer
+    of n x (the branch's summed k) elements, n the non-ignored rows; the
+    branch's feature gradient is then summed ROW_BLOCK rows at a time in one
+    float64 block, so the result is the only n x C array. Every head keeps
+    its own matmuls, of the shapes of a one-head call: a matmul against the
+    stacked centroids of all heads rounds some slices differently. A matmul
+    row does not depend on the rows sharing its call, except that numpy
+    computes a one-row product with gemv, which rounds differently: a
+    one-row last block joins the block before it.
 
-    Returns (per-head losses as floats, per-head grads w.r.t. mus in the dtype).
+    Returns (per-head losses as floats, per-head grads w.r.t. mus in the
+    dtype, the feature gradient).
     """
     dtype = np.float32 if np.asarray(features).dtype == np.float32 else np.float64
     F = np.asarray(features, dtype=dtype)
@@ -271,34 +290,50 @@ def head_ce_loss(features, mus, labels, grad_out, weight=1.0):
     n = int(valid.sum())
     if n == 0:
         raise EmptyBatchError("all labels are ignored")
+    grad = np.zeros(F.shape)  # ignored rows stay zero
+    dst = np.flatnonzero(valid)
     if n < F.shape[0]:
         F = F[valid]
         labels = [y[valid] for y in labels]
-    k_max = max(mu.shape[0] for mu in mus)
-    scratch = np.empty(n * (k_max + F.shape[1]), dtype)
-    g = scratch[n * k_max:n * (k_max + F.shape[1])].reshape(F.shape)
+    groups = [[h for h, hb in enumerate(branches) if hb == b] for b in sorted(set(branches))]
+    scratch = np.empty(n * max(sum(len(mus[h]) for h in g) for g in groups), dtype)
+    stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]
+    blocks = list(zip([0, *stops], stops))
+    block = np.empty((max(b - a for a, b in blocks), F.shape[1]))  # float64 sums
+    prod = np.empty(block.shape, dtype)  # one head's product
     rows = np.arange(n)
-    losses, grad_mus = [], []
-    for mu, y, acc in zip(mus, labels, grad_out):
-        S = np.matmul(F, mu.T, out=scratch[:n * mu.shape[0]].reshape(n, -1))
-        picked = S[rows, y]
-        m = S.max(axis=1)
-        S -= m[:, None]
-        np.exp(S, out=S)
-        z = S.sum(axis=1, dtype=np.float64)
-        losses.append(float(np.mean(m + np.log(z) - picked)))
-        S /= z[:, None]
-        S[rows, y] -= 1.0
-        np.matmul(S, mu, out=g)
-        scale = weight / n
-        if scale != 1.0:  # head_step's weight is n: skip a pass that changes no bit
-            g *= scale
-        if n < valid.size:
-            acc[valid] += g
-        else:
-            acc += g
-        grad_mus.append(S.T @ F / n)
-    return losses, grad_mus
+    scale = weight / n
+    losses, grad_mus = [0.0] * len(mus), [None] * len(mus)
+    for bi, heads in enumerate(groups):
+        softmaxes, off = [], 0
+        for h in heads:
+            S = np.matmul(F, mus[h].T, out=scratch[off:off + n * len(mus[h])].reshape(n, -1))
+            off += S.size
+            picked = S[rows, labels[h]]
+            m = S.max(axis=1)
+            S -= m[:, None]
+            np.exp(S, out=S)
+            z = S.sum(axis=1, dtype=np.float64)
+            losses[h] = float(np.mean(m + np.log(z) - picked))
+            S /= z[:, None]
+            S[rows, labels[h]] -= 1.0
+            grad_mus[h] = S.T @ F / n
+            softmaxes.append(S)
+        for a, b in blocks:
+            acc = block[:b - a]
+            acc.fill(0.0)
+            for h, S in zip(heads, softmaxes):
+                g = np.matmul(S[a:b], mus[h], out=prod[:b - a])
+                if scale != 1.0:  # head_step's weight is n: skip a pass that changes no bit
+                    g *= scale
+                acc += g
+            acc /= n_pts
+            out = slice(a, b) if n == len(grad) else dst[a:b]
+            if bi == 0:
+                grad[out] = acc
+            else:
+                grad[out] += acc
+    return losses, grad_mus, grad
 
 
 def distill_warmup_loss(features, targets):
@@ -463,38 +498,27 @@ def head_step(feats, labels, mus, branches):
     mus[h] are head h's centroids and branches[h] its branch (0 local, 1
     global). Losses and gradients are means over the batch's points, each
     scene's mean weighted by its point count. Returns (loss per branch, feature
-    gradient per scene, centroid gradient per head). Each branch sums its
-    heads' feature gradients in its own accumulator before the branches are
-    added. The heads run in float32 (features cast inside each scene's work,
-    centroids once per batch) into float64 accumulators. Scenes run through
-    scene_map, and each scene's head_ce_loss call allocates its own logits
-    and gradient buffer, freed when the call returns.
+    gradient per scene, centroid gradient per head). The heads run in float32
+    (features cast inside each scene's work, centroids once per batch); a
+    scene's feature gradient is head_ce_loss's float64 result, already
+    divided by the batch's point count. Scenes run through scene_map, so a
+    thread holds its scene's float32 features, softmax buffer and result.
     """
     n_pts = sum(f.shape[0] for f in feats)
-    n_branches = max(branches) + 1
     mus32 = [mu.astype(np.float32) for mu in mus]
-
-    def scene(f, y):
-        accs = [np.zeros(f.shape) for _ in range(n_branches)]
-        losses, gmus = head_ce_loss(f.astype(np.float32), mus32, y,
-                                    [accs[b] for b in branches], f.shape[0])
-        for acc in accs:
-            acc /= n_pts
-        for acc in accs[1:]:
-            accs[0] += acc
-        return losses, gmus, accs[0]
-
     loss_sums = [0.0] * len(mus)
     head_grads = [np.zeros_like(mu) for mu in mus]
     grad_feats = []
-    for f, (losses, gmus, gf) in zip(feats, scene_map(scene, feats, labels)):
+    for f, (losses, gmus, gf) in zip(feats, scene_map(
+            lambda f, y: head_ce_loss(f.astype(np.float32), mus32, y, branches,
+                                      f.shape[0], n_pts), feats, labels)):
         for h, (loss, gmu) in enumerate(zip(losses, gmus)):
             loss_sums[h] += loss * f.shape[0]
             head_grads[h] += gmu * f.shape[0]
         grad_feats.append(gf)
     for g in head_grads:
         g /= n_pts
-    branch_losses = [0.0] * n_branches
+    branch_losses = [0.0] * (max(branches) + 1)
     for b, s in zip(branches, loss_sums):
         branch_losses[b] += s / n_pts
     return branch_losses, grad_feats, head_grads

@@ -96,6 +96,21 @@ def test_truncated_at_every_offset(tmp_path, fmt):
             read(p)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_corrupt_magic_or_version_is_refused(tmp_path, fmt):
+    # the low bit, the high bit and all bits of each byte of the magic and the
+    # u32 version (masks have no magic) flipped: a typed error each time
+    write, read = FORMATS[fmt]
+    p = tmp_path / "f"
+    write(p)
+    whole = p.read_bytes()
+    for i in range(4 if fmt == "mask" else 8):
+        for flip in (0x01, 0x80, 0xFF):
+            p.write_bytes(whole[:i] + bytes([whole[i] ^ flip]) + whole[i + 1:])
+            with pytest.raises(LangtailError):
+                read(p)
+
+
 # a writer call and the bytes it must write, packed by hand
 LAYOUTS = {
     "ltsp": (lambda p: dm.write_superpoints(p, np.array([0, 2, 1])),

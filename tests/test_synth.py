@@ -1,5 +1,8 @@
 """Synthetic long-tail corpus generator: distributions, determinism, geometry."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from langtail.synth import (
     generate_corpus,
     generate_scene,
     read_corpus,
+    write_corpus,
     zipf_class_counts,
 )
 
@@ -144,6 +148,23 @@ def test_distill_targets_optional():
     assert scene.distill_targets is None
     scene, _ = generate_scene(SynthConfig(distill_dim=16, **base), 0)
     assert scene.distill_targets.shape == (90, 16)
+
+
+def test_corpus_rewrite_deletes_the_optional_files_it_does_not_write(tmp_path):
+    # a corpus without distill targets or labels written over one with them
+    # used to keep the old distill.ltfm and labels.ltlb, which read_corpus loaded
+    out = tmp_path / "c"
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=90, n_scenes=2, seed=0,
+                                distill_dim=8), out)
+    scenes, entities = read_corpus(out)
+    assert all(s.distill_targets is not None for s in scenes)
+    scene = replace(generate_scene(SynthConfig(n_classes=3, points_per_scene=90, n_scenes=1,
+                                               seed=1), 0)[0], gt_labels=None)
+    write_corpus(out, [scene], entities)
+    (back,), _ = read_corpus(out)
+    assert back.distill_targets is None and back.gt_labels is None
+    assert sorted(os.listdir(out / "scenes" / "scene0000")) == ["points.ltfm", "superpoints.ltsp"]
+    assert not (out / "labels.ltlb").exists()
 
 
 def test_corpus_round_trip(tmp_path):
