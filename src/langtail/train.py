@@ -6,18 +6,15 @@ with hand-written reverse-mode gradients; every loss here returns its
 analytic gradient and is covered by finite-difference checks in the tests.
 
 A training step scores every (branch, level) head of a scene in one
-head_ce_loss call, the whole per-scene head kernel: per branch it keeps every
-head's softmax gradient in one buffer, then builds the branch's feature
-gradient ROW_BLOCK rows at a time into the scene's one float64 result, so it
-makes no per-branch n x C accumulator. head_ce_loss computes in the dtype of
-its features. head_step passes float32 features and centroids, so the head
-matmuls and the softmax's one exp run in float32, while the softmax row sums,
-the losses and the gradient blocks are float64; float64 inputs keep float64
-arithmetic. Each head runs its own matmuls, of the shapes of one call per
-head, and row blocks change no matmul row, so losses and gradients are
-bit-identical to tests/oracle_heads.py, the one-call-per-head loop.
-backbone_backward consumes its forward pass's cache, writing its gradients
-over the features and activations. The backbone and prediction stay float64.
+head_ce_loss call, which sums each branch's feature gradient ROW_BLOCK rows
+at a time into the scene's one float64 result. head_ce_loss computes in the
+dtype of its features. head_step passes float32 features and centroids, so
+the head matmuls and the softmax's one exp run in float32, while the softmax
+row sums, the losses and the gradient sums are float64; float64 inputs keep
+float64 arithmetic. Each head runs its own matmuls, and a row block changes
+no matmul row, so losses and gradients are bit-identical to
+tests/oracle_heads.py, the one-call-per-head loop. backbone_backward writes
+its gradients over its cache. The backbone and prediction stay float64.
 
 Per-scene work (forward, head cross-entropy, then backward, which first adds
 the entity-anchor gradient into the scene's feature gradient) runs in
@@ -215,13 +212,10 @@ def backbone_forward(b: Backbone, X):
 def backbone_backward(b: Backbone, cache, grad_out):
     """Exact reverse-mode gradients, including the row-normalization Jacobian.
 
-    Consumes cache, so it runs once per forward pass: the Jacobian's output
-    is written over cache["Y"] (the forward pass's features) one ROW_BLOCK-row
-    block at a time, and each hidden layer's input gradient over that layer's
-    activations once its ReLU mask is taken. Beside the weight gradients it
-    allocates one block, one mask and the input gradient. grad_out is only
-    read. Every row and column sum stays a whole-array reduction, so the bits
-    are those of one expression per step.
+    Consumes cache (run it once per forward pass): the Jacobian is formed
+    ROW_BLOCK rows at a time over cache["Y"], the forward pass's features,
+    and each hidden layer's input gradient is written over its activations
+    once its ReLU mask is taken. grad_out is only read.
 
     Returns (grads_w, grads_b, grad_in).
     """
@@ -263,14 +257,12 @@ def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
     The arithmetic runs in float32 for float32 features and in float64
     otherwise; mus take that dtype. The softmax is one exp of the logits less
     their row maximum, over float64 row sums; the losses are float64. A
-    branch's heads keep their logits, then softmax gradients, in one buffer
-    of n x (the branch's summed k) elements, n the non-ignored rows; the
-    branch's feature gradient is then summed ROW_BLOCK rows at a time in one
-    float64 block, so the result is the only n x C array. Every head keeps
-    its own matmuls, of the shapes of a one-head call: a matmul against the
-    stacked centroids of all heads rounds some slices differently. A matmul
-    row does not depend on the rows sharing its call, except that numpy
-    computes a one-row product with gemv, which rounds differently: a
+    branch's softmax gradients share one buffer of n x (its summed k), n the
+    non-ignored rows, and its feature gradient is summed ROW_BLOCK rows at a
+    time in one float64 block, so the result is the only n x C array. Each
+    head keeps its own matmuls: a matmul against the stacked centroids of all
+    heads rounds some slices differently. numpy computes a one-row product
+    with gemv, which rounds differently from a row of a longer product, so a
     one-row last block joins the block before it.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the
@@ -506,12 +498,12 @@ def head_step(feats, labels, mus, branches):
     """
     n_pts = sum(f.shape[0] for f in feats)
     mus32 = [mu.astype(np.float32) for mu in mus]
+    out = scene_map(lambda f, y: head_ce_loss(f.astype(np.float32), mus32, y, branches,
+                                              f.shape[0], n_pts), feats, labels)
     loss_sums = [0.0] * len(mus)
     head_grads = [np.zeros_like(mu) for mu in mus]
     grad_feats = []
-    for f, (losses, gmus, gf) in zip(feats, scene_map(
-            lambda f, y: head_ce_loss(f.astype(np.float32), mus32, y, branches,
-                                      f.shape[0], n_pts), feats, labels)):
+    for f, (losses, gmus, gf) in zip(feats, out):
         for h, (loss, gmu) in enumerate(zip(losses, gmus)):
             loss_sums[h] += loss * f.shape[0]
             head_grads[h] += gmu * f.shape[0]
