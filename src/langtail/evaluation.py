@@ -24,6 +24,15 @@ ROW_BLOCK = 512
 UNMATCHED_MODES = ("merge", "drop")
 
 
+def row_blocks(n):
+    """(start, stop) of each ROW_BLOCK-row block of n rows, in order. numpy
+    computes a one-row matmul with gemv, which rounds differently from a row of
+    a longer product, so a one-row last block joins the block before it: a
+    blocked pass gives the rows of a whole pass at any n."""
+    stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n] if n else []
+    return list(zip([0, *stops], stops))
+
+
 @dataclass
 class EvalReport:
     mapping: np.ndarray  # (n_pred,) gt class per pseudo class, -1 = dropped
@@ -157,19 +166,19 @@ def match_and_score(counts, unmatched: str = "merge") -> EvalReport:
 
 
 def max_cosine_labels(features, protos) -> np.ndarray:
-    """Index of the max-cosine prototype row for every feature row. Features
-    are L2-normalised and scored one ROW_BLOCK-row block at a time, in float64
-    whatever their dtype, into one block of logits that the argmax reads back
-    from cache, so no copy of the features is built."""
+    """Index of the max-cosine prototype row of each feature row, as one whole
+    pass gives it at any row count. Features are L2-normalised in float64 and
+    scored one row_blocks block at a time into one block of logits that the
+    argmax reads back from cache, so no copy of the features is built."""
     F, P = np.asarray(features), _l2_rows(protos)
     if F.shape[1] != P.shape[1]:
         raise ShapeError(f"feature dim {F.shape[1]} != prototype dim {P.shape[1]}")
-    n = len(F)
-    labels = np.empty(n, np.intp)
-    buf = np.empty((min(n, ROW_BLOCK), len(P)))
-    for a in range(0, n, ROW_BLOCK):
-        y = _l2_rows(F[a:a + ROW_BLOCK])
-        np.argmax(np.matmul(y, P.T, out=buf[:len(y)]), axis=1, out=labels[a:a + len(y)])
+    blocks = row_blocks(len(F))
+    labels = np.empty(len(F), np.intp)
+    buf = np.empty((max((hi - lo for lo, hi in blocks), default=0), len(P)))
+    for lo, hi in blocks:
+        y = _l2_rows(F[lo:hi])
+        np.argmax(np.matmul(y, P.T, out=buf[:hi - lo]), axis=1, out=labels[lo:hi])
     return labels
 
 

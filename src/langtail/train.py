@@ -6,11 +6,11 @@ with hand-written reverse-mode gradients; every loss here returns its
 analytic gradient and is covered by finite-difference checks in the tests.
 
 A training step scores every (branch, level) head of a scene in one
-head_ce_loss call, which sums each branch's feature gradient ROW_BLOCK rows
-at a time into the scene's one float64 result. head_ce_loss computes in the
-dtype of its features. head_step passes float32 features and centroids, so
-the head matmuls and the softmax's one exp run in float32, while the softmax
-row sums, the losses and the gradient sums are float64; float64 inputs keep
+head_ce_loss call, which sums each branch's feature gradient in row blocks
+into the scene's one float64 result. head_ce_loss computes in the dtype of
+its features. head_step passes float32 features and centroids, so the head
+matmuls and the softmax's one exp run in float32, while the softmax row
+sums, the losses and the gradient sums are float64; float64 inputs keep
 float64 arithmetic. Each head runs its own matmuls, and a row block changes
 no matmul row, so losses and gradients are bit-identical to
 tests/oracle_heads.py, the one-call-per-head loop. backbone_backward writes
@@ -21,10 +21,9 @@ the entity-anchor gradient into the scene's feature gradient) runs in
 scene_map on the calling thread plus one pool thread per further CPU of the
 affinity set, with no setting; results are reduced in scene order on the
 calling thread, so outputs are byte-identical whatever the helper count (not
-the BLAS thread count). predict_labels spreads scenes the same way: a
-thread runs a scene's forward pass and scoring one fixed ROW_BLOCK-row block
-at a time into the one output array, so its peak memory is one block of
-activations and one block of logits, with no per-scene copy of the labels.
+the BLAS thread count). predict_labels spreads scenes the same way: a thread
+forwards and scores a scene one row_blocks block at a time into the one
+output array, and its labels are those of whole-scene passes at any size.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .evaluation import ROW_BLOCK
+from .evaluation import row_blocks
 from .rng import make_rng, stream_key
 from .synth import read_corpus
 
@@ -201,8 +200,8 @@ def backbone_forward(b: Backbone, X):
             np.maximum(h, 0.0, out=h)
             acts.append(h)
     norms = np.empty(len(h))  # row blocks: the same per-row sums, no n x C temporary
-    for a in range(0, len(h), ROW_BLOCK):
-        norms[a:a + ROW_BLOCK] = np.linalg.norm(h[a:a + ROW_BLOCK], axis=1)
+    for lo, hi in row_blocks(len(h)):
+        norms[lo:hi] = np.linalg.norm(h[lo:hi], axis=1)
     if np.any(norms < 1e-12):
         raise NormalizationError("backbone produced a (near-)zero output row")
     h /= norms[:, None]
@@ -212,10 +211,10 @@ def backbone_forward(b: Backbone, X):
 def backbone_backward(b: Backbone, cache, grad_out):
     """Exact reverse-mode gradients, including the row-normalization Jacobian.
 
-    Consumes cache (run it once per forward pass): the Jacobian is formed
-    ROW_BLOCK rows at a time over cache["Y"], the forward pass's features,
-    and each hidden layer's input gradient is written over its activations
-    once its ReLU mask is taken. grad_out is only read.
+    Consumes cache (run it once per forward pass): the Jacobian is formed in
+    row blocks over cache["Y"], the forward pass's features, and each hidden
+    layer's input gradient is written over its activations once its ReLU
+    mask is taken. grad_out is only read.
 
     Returns (grads_w, grads_b, grad_in).
     """
@@ -224,11 +223,11 @@ def backbone_backward(b: Backbone, cache, grad_out):
     gz = cache["Y"]
     g = np.asarray(grad_out, dtype=np.float64)
     # d/dz of z/||z||: (g - (g.y) y) / ||z||
-    for a in range(0, len(gz), ROW_BLOCK):
-        y, gy = gz[a:a + ROW_BLOCK], g[a:a + ROW_BLOCK]
+    for lo, hi in row_blocks(len(gz)):
+        y, gy = gz[lo:hi], g[lo:hi]
         np.multiply((gy * y).sum(axis=1, keepdims=True), y, out=y)
         np.subtract(gy, y, out=y)
-        y /= norms[a:a + ROW_BLOCK, None]
+        y /= norms[lo:hi, None]
 
     grads_w = [None] * len(b.weights)
     grads_b = [None] * len(b.biases)
@@ -258,12 +257,10 @@ def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
     otherwise; mus take that dtype. The softmax is one exp of the logits less
     their row maximum, over float64 row sums; the losses are float64. A
     branch's softmax gradients share one buffer of n x (its summed k), n the
-    non-ignored rows, and its feature gradient is summed ROW_BLOCK rows at a
-    time in one float64 block, so the result is the only n x C array. Each
-    head keeps its own matmuls: a matmul against the stacked centroids of all
-    heads rounds some slices differently. numpy computes a one-row product
-    with gemv, which rounds differently from a row of a longer product, so a
-    one-row last block joins the block before it.
+    non-ignored rows, and its feature gradient is summed one row_blocks block
+    at a time in one float64 block, so the result is the only n x C array.
+    Each head keeps its own matmuls: a matmul against the stacked centroids of
+    all heads rounds some slices differently.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the
     dtype, the feature gradient).
@@ -289,9 +286,8 @@ def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
         labels = [y[valid] for y in labels]
     groups = [[h for h, hb in enumerate(branches) if hb == b] for b in sorted(set(branches))]
     scratch = np.empty(n * max(sum(len(mus[h]) for h in g) for g in groups), dtype)
-    stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]
-    blocks = list(zip([0, *stops], stops))
-    block = np.empty((max(b - a for a, b in blocks), F.shape[1]))  # float64 sums
+    blocks = row_blocks(n)
+    block = np.empty((max(hi - lo for lo, hi in blocks), F.shape[1]))  # float64 sums
     prod = np.empty(block.shape, dtype)  # one head's product
     rows = np.arange(n)
     scale = weight / n
@@ -311,16 +307,16 @@ def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
             S[rows, labels[h]] -= 1.0
             grad_mus[h] = S.T @ F / n
             softmaxes.append(S)
-        for a, b in blocks:
-            acc = block[:b - a]
+        for lo, hi in blocks:
+            acc = block[:hi - lo]
             acc.fill(0.0)
             for h, S in zip(heads, softmaxes):
-                g = np.matmul(S[a:b], mus[h], out=prod[:b - a])
+                g = np.matmul(S[lo:hi], mus[h], out=prod[:hi - lo])
                 if scale != 1.0:  # head_step's weight is n: skip a pass that changes no bit
                     g *= scale
                 acc += g
             acc /= n_pts
-            out = slice(a, b) if n == len(grad) else dst[a:b]
+            out = slice(lo, hi) if n == len(grad) else dst[lo:hi]
             if bi == 0:
                 grad[out] = acc
             else:
@@ -453,9 +449,7 @@ def _entity_anchor_grads(features_per_scene, bank_sample, entities,
         hits = [(by_id[sid], idx) for sid, idx in e.masks if sid in by_id]
         if not hits:
             continue
-        rows = (features_per_scene[hits[0][0]][hits[0][1]] if len(hits) == 1 else
-                np.concatenate([features_per_scene[bi][idx] for bi, idx in hits]))
-        pooled.append(rows.mean(axis=0))
+        pooled.append(np.concatenate([features_per_scene[bi][idx] for bi, idx in hits]).mean(0))
         kept_hits.append(hits)
         keep.append(row)
     if not keep:
@@ -558,8 +552,8 @@ class Trainer:
         def backward(c, g, ent):
             if ent is not None:  # g += lam_vecs[sig] in row blocks: no n x C temporary;
                 sig, lam_vecs = ent  # lam_vecs[0] is zero, so an uncovered row gains +0.0
-                for a in range(0, len(g), ROW_BLOCK):
-                    g[a:a + ROW_BLOCK] += lam_vecs[sig[a:a + ROW_BLOCK]]
+                for lo, hi in row_blocks(len(g)):
+                    g[lo:hi] += lam_vecs[sig[lo:hi]]
             return backbone_backward(self.backbone, c, g)
 
         gw = [np.zeros_like(w) for w in self.backbone.weights]
@@ -718,11 +712,10 @@ def build_bank(backbone, scenes, entities, feats=None) -> SemanticBank:
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
     """Assign every point of every scene to its max-cosine prototype. Scenes
     run through scene_map; a thread runs a scene's forward pass and scoring
-    one ROW_BLOCK-row block at a time into the one output array, so it holds
-    one block of activations and one ROW_BLOCK x prototypes block of logits
-    (1.8 MB at 440 prototypes, in a core's L2) whatever the scene size. A
-    matmul row does not depend on the rows sharing its call: the labels are
-    those of whole-scene passes."""
+    one row_blocks block at a time into the one output array, so it holds one
+    block of activations and one block x prototypes of logits (1.8 MB at 440
+    prototypes, in a core's L2) whatever the scene size. The labels are those
+    of whole-scene passes at any scene size (see row_blocks)."""
     if not scenes:
         raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)
@@ -732,9 +725,9 @@ def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
     labels = np.empty(starts[-1], np.intp)
 
     def label_scene(s, start):
-        for a in range(0, s.n_points, ROW_BLOCK):
-            Y = backbone_forward(backbone, s.points[a:a + ROW_BLOCK])[0]
-            np.argmax(Y @ P.T, axis=1, out=labels[start + a:start + a + len(Y)])
+        for lo, hi in row_blocks(s.n_points):
+            Y = backbone_forward(backbone, s.points[lo:hi])[0]
+            np.argmax(Y @ P.T, axis=1, out=labels[start + lo:start + hi])
 
     scene_map(label_scene, scenes, starts)
     return labels

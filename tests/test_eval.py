@@ -219,7 +219,7 @@ def test_prototype_transfer_is_max_cosine():
 
 
 def test_max_cosine_labels_in_row_blocks():
-    # two full ROW_BLOCK blocks and a one-row tail
+    # a full ROW_BLOCK block, then a one-row tail joined to the block before
     rng = np.random.default_rng(3)
     F = rng.normal(size=(2 * ev.ROW_BLOCK + 1, 16))
     P = rng.normal(size=(50, 16))

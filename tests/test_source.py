@@ -69,6 +69,42 @@ def test_module_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
 
 
+def row_block_reads(source: str) -> list[str]:
+    """The function (or "<module>") of each read of ROW_BLOCK, by name,
+    attribute or import, outside row_blocks: every row-blocked pass takes its
+    blocks from evaluation.row_blocks. A nested function counts as its own."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        names = ([node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else
+                 [node.attr] if isinstance(node, ast.Attribute) else
+                 [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+        if "ROW_BLOCK" in names and where != "row_blocks":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_row_block_reads_finds_a_leftover():
+    source = ("from .evaluation import ROW_BLOCK\n"
+              "from . import evaluation as ev\n"
+              "ROW_BLOCK = 512\n"
+              "def row_blocks(n):\n    return range(0, n, ROW_BLOCK)\n"
+              "def scan(x):\n    def inner():\n        return ev.ROW_BLOCK\n"
+              "    return x[:ROW_BLOCK], inner\n")
+    assert row_block_reads(source) == ["<module>", "inner", "scan"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_row_blocks_reads_row_block(path):
+    assert row_block_reads(path.read_text()) == []
+
+
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """"module.function:parameter" for each defaulted parameter of a function
     that no call in sources passes, by keyword or by position. Calls match

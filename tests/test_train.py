@@ -40,7 +40,7 @@ from oracle_baseline import reference_baseline
 from oracle_entity import reference_entity_anchor_grads
 from oracle_heads import reference_head_step
 
-B = tr.ROW_BLOCK  # boundary sizes of the row-block tests follow the block size
+B = ev.ROW_BLOCK  # boundary sizes of the row-block tests follow the block size
 
 
 def small_cfg(**kw):
@@ -408,7 +408,7 @@ def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes
                                                               branches, ignore):
     # many blocks per scene, short last blocks, one-row tails (50 rows) joined
     # to the block before, and blocks of rows between ignored ones
-    monkeypatch.setattr(tr, "ROW_BLOCK", 7)
+    monkeypatch.setattr(ev, "ROW_BLOCK", 7)
     test_head_step_matches_per_head_reference(sizes, dim, ks, branches, ignore)
 
 
@@ -503,7 +503,7 @@ def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
 @pytest.mark.parametrize("helpers", [0, 1])
 def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
-    monkeypatch.setattr(tr, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
+    monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
     rng = np.random.default_rng(5)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
               for i, n in enumerate((10, 9, 5))]
@@ -917,7 +917,7 @@ def _unequal_scenes(sizes, dim=3, seed=0):
                                    [B - 1, B, 1, B + 1, 2 * B + 1]])
 def test_predict_labels_matches_serial_reference(monkeypatch, helpers, sizes):
     # scenes of up to ROW_BLOCK rows are one matmul; larger ones are scored in
-    # blocks, with a one-row tail at B + 1 and 2B + 1 rows
+    # blocks, with a one-row tail joined to the block before at B + 1 and 2B + 1 rows
     monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
     scenes = _unequal_scenes(sizes)
     b = tr.init_backbone(3, [16], 6, seed=1)
@@ -947,6 +947,45 @@ def test_predict_labels_peak_memory(monkeypatch):
     assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
+def test_row_blocks_tile_rows_with_no_one_row_tail(monkeypatch):
+    for block in (ev.ROW_BLOCK, 1, 2, 7):
+        monkeypatch.setattr(ev, "ROW_BLOCK", block)
+        for n in sorted({1, 2, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1}):
+            blocks = ev.row_blocks(n)
+            assert [lo for lo, _ in blocks] == [0, *(hi for _, hi in blocks[:-1])]
+            assert blocks[-1][1] == n
+            assert all(hi - lo == block for lo, hi in blocks[:-1]), (block, n)
+            assert min(n, 2) <= blocks[-1][1] - blocks[-1][0] <= block + 1, (block, n)
+    assert ev.row_blocks(0) == []
+
+
+def test_blocked_passes_score_no_one_row_block(monkeypatch):
+    # at B + 1 and 2B + 1 rows a one-row last block would be a gemv call,
+    # which rounds differently from a row of the whole-scene matmul
+    rows = []
+    forward, l2_rows = tr.backbone_forward, ev._l2_rows
+
+    def counting_forward(b, X):
+        rows.append(len(X))
+        return forward(b, X)
+
+    def counting_l2_rows(X):
+        rows.append(len(X))
+        return l2_rows(X)
+
+    monkeypatch.setattr(tr, "backbone_forward", counting_forward)
+    monkeypatch.setattr(ev, "_l2_rows", counting_l2_rows)
+    scenes = _unequal_scenes([B + 1, 2 * B + 1])
+    b = tr.init_backbone(3, [16], 6, seed=1)
+    protos = np.random.default_rng(2).normal(size=(11, 6))
+    tr.predict_labels(b, scenes, protos)
+    assert sorted(rows) == [B, B + 1, B + 1]  # B + 1 rows: one block; 2B + 1: B, then B + 1
+    rows.clear()
+    F = np.random.default_rng(3).normal(size=(2 * B + 1, 6))
+    ev.max_cosine_labels(F, protos)
+    assert sorted(rows) == [11, B, B + 1]  # the prototypes, then the feature blocks
+
+
 def test_labels_do_not_depend_on_row_block(monkeypatch):
     # prototypes 10 + j and 16 + j are exact duplicates of point rows[j], one on
     # each side of a block boundary at 7, 512 and 4,096 rows: the lowest index
@@ -961,7 +1000,6 @@ def test_labels_do_not_depend_on_row_block(monkeypatch):
     want = None
     for block in (1, 7, 512, 4096):
         monkeypatch.setattr(ev, "ROW_BLOCK", block)
-        monkeypatch.setattr(tr, "ROW_BLOCK", block)
         got = [tr.predict_labels(b, [scene], protos[0]), ev.max_cosine_labels(F, protos[1])]
         for labels in got:
             assert labels[rows].tolist() == list(range(10, 16)), block
