@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import data_model as dm
 from .errors import ConfigError, DataError, DivergenceError, EmptyMaskError, ShapeError
@@ -53,32 +54,49 @@ def derive_categories(B) -> np.ndarray:
     return cats
 
 
-def aggregate_entity_features(scenes, backbone_features, entities) -> np.ndarray:
-    """Mask-guided double average: per entity, mean over scenes of the mean
-    backbone feature over the entity's mask points.
-
-    Only scenes where the entity has a non-empty mask enter the outer mean.
-    """
-    by_id = {s.scene_id: i for i, s in enumerate(scenes)}
-    for s, f in zip(scenes, backbone_features):
-        if f.shape[0] != s.n_points:
-            raise ShapeError(f"scene {s.scene_id}: feature rows != point count")
-    out = np.zeros((len(entities), backbone_features[0].shape[1]))
+def mask_incidence(scenes, entities) -> list:
+    """Each scene's entities x points incidence: a scipy.sparse CSR of ones, a
+    row's entries its entity's mask points there in mask order (a point of two
+    overlapping masks is two entries). The one reader of EntityRecord.masks
+    outside data_model and synth."""
+    by_id = {s.scene_id: j for j, s in enumerate(scenes)}
+    cols = [[] for _ in scenes]  # per scene, mask points in entity, then mask, order
+    sizes = np.zeros((len(scenes), len(entities) + 1), dtype=np.int64)
     for t, e in enumerate(entities):
-        scene_means = []
-        for sid, idx in e.masks:
-            if sid not in by_id:
-                continue
-            feats = backbone_features[by_id[sid]]
-            if idx.size == 0 or idx.max() >= feats.shape[0]:
-                raise EmptyMaskError(
-                    f"entity {e.entity_id}: invalid mask for scene {sid}"
-                )
-            scene_means.append(np.asarray(feats, dtype=np.float64)[idx].mean(axis=0))
-        if not scene_means:
+        for sid, idx in [m for m in e.masks if m[0] in by_id]:
+            if idx[-1] >= scenes[by_id[sid]].n_points:  # masks are sorted (EntityRecord)
+                raise EmptyMaskError(f"entity {e.entity_id}: invalid mask for scene {sid}")
+            cols[by_id[sid]].append(idx)
+            sizes[by_id[sid], t + 1] += idx.size
+    return [sparse.csr_array((np.ones(n[-1]), np.concatenate([np.zeros(0, np.int64)] + c), n),
+                             shape=(len(entities), s.n_points))
+            for s, c, n in zip(scenes, cols, sizes.cumsum(1))]
+
+
+def pool_masks(incidence, features) -> tuple[np.ndarray, np.ndarray]:
+    """The bank's and the training anchors' one rule: per incidence row, the mean
+    over scenes of the mean feature over its entries there (zero if in none).
+    Returns (pooled, counts), counts[j] each row's entries in scene j. Sums run
+    from zero in entry order: one mask in one scene pools to F[mask].mean(0)."""
+    counts = np.stack([np.diff(M.indptr) for M in incidence])
+    pooled = np.zeros((counts.shape[1], features[0].shape[1]))
+    for M, F, n in zip(incidence, features, counts):
+        if F.shape[0] != M.shape[1]:
+            raise ShapeError(f"{F.shape[0]} feature rows for a scene of {M.shape[1]} points")
+        sums = M @ np.asarray(F, dtype=np.float64)
+        pooled += np.divide(sums, n[:, None], out=sums, where=n[:, None] > 0)
+    pooled /= np.maximum((counts > 0).sum(0), 1)[:, None]
+    return pooled, counts
+
+
+def aggregate_entity_features(scenes, backbone_features, entities) -> np.ndarray:
+    """Each entity's pool_masks of the scenes' backbone features; an entity
+    with no mask point in these scenes is refused."""
+    pooled, counts = pool_masks(mask_incidence(scenes, entities), backbone_features)
+    for e, n in zip(entities, counts.sum(0)):
+        if n == 0:
             raise EmptyMaskError(f"entity {e.entity_id}: no effective mask in any scene")
-        out[t] = np.mean(scene_means, axis=0)
-    return out
+    return pooled
 
 
 def gram(X) -> np.ndarray:

@@ -15,15 +15,18 @@ float64 arithmetic. Each head runs its own matmuls, and a row block changes
 no matmul row, so losses and gradients are bit-identical to
 tests/oracle_heads.py, the one-call-per-head loop. backbone_backward writes
 its gradients over its cache. The backbone and prediction stay float64.
+A step pools its entity anchors by the bank's rule (bank.pool_masks over
+each scene's mask_incidence M, read once) and returns their gradient as M.T @ V.
 
 Per-scene work (forward, head cross-entropy, then backward, which first adds
-the entity-anchor gradient into the scene's feature gradient) runs in
-scene_map on the calling thread plus one pool thread per further CPU of the
-affinity set, with no setting; results are reduced in scene order on the
-calling thread, so outputs are byte-identical whatever the helper count (not
-the BLAS thread count). predict_labels spreads scenes the same way: a thread
-forwards and scores a scene one row_blocks block at a time into the one
-output array, and its labels are those of whole-scene passes at any size.
+the entity-anchor gradient into the scene's feature gradient one row block
+at a time) runs in scene_map on the calling thread plus one pool thread per
+further CPU of the affinity set, with no setting; results are reduced in
+scene order on the calling thread, so outputs are byte-identical whatever
+the helper count (not the BLAS thread count). predict_labels spreads scenes
+the same way: a thread forwards and scores a scene one row_blocks block at a
+time into the one output array, and its labels are those of whole-scene
+passes at any size.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .bank import (
     align_gram,
     entity_contrastive_loss,
     load_bank,
+    mask_incidence,
+    pool_masks,
     sample_entity_batch,
     save_bank,
 )
@@ -430,51 +435,29 @@ class EpochReport:
     lr: float
 
 
-def _entity_anchor_grads(features_per_scene, bank_sample, entities,
-                         scenes_in_batch, tau):
-    """Pool current features over each sampled entity's mask points and run the
-    contrastive loss; bank_sample is sample_entity_batch's (indices, prototypes,
-    weights). Returns (loss, per-scene (sig, vecs), n_anchors), or
-    (0.0, [], 0) if no entity has mask points here. Row r's gradient is
-    vecs[sig[r]]: sig numbers the sets of masks a row lies in (0: none, vecs[0]
-    is zero), each vector summing its masks' gradients from zero in entity order.
-    """
+def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
+    """Contrastive loss of the sampled entities' pool_masks anchors; incidence[j]
+    is scene j's mask_incidence, bank_sample sample_entity_batch's (indices,
+    prototypes, weights). Returns (loss, per scene (M, V), n_anchors), or
+    (0.0, [], 0) if no anchor has mask points here. M.T @ V is the scene's
+    feature gradient: M holds its incidence rows in anchor order, V the anchors'
+    gradients over their scenes and entries there; rows sum from zero in anchor order."""
     indices, P, w = bank_sample
-    by_id = {s.scene_id: bi for bi, s in enumerate(scenes_in_batch)}
-    pooled = []
-    kept_hits = []  # per kept entity: its (batch scene index, mask indices) hits
-    keep = []
-    for row, ent_idx in enumerate(indices):
-        e = entities[int(ent_idx)]
-        hits = [(by_id[sid], idx) for sid, idx in e.masks if sid in by_id]
-        if not hits:
-            continue
-        pooled.append(np.concatenate([features_per_scene[bi][idx] for bi, idx in hits]).mean(0))
-        kept_hits.append(hits)
-        keep.append(row)
-    if not keep:
+    sampled = [M[indices] for M in incidence]
+    pooled, counts = pool_masks(sampled, features_per_scene)
+    n_scenes = (counts > 0).sum(0)
+    keep = n_scenes > 0
+    if not keep.any():
         return 0.0, [], 0
-    keep = np.array(keep)
-    Z = np.stack(pooled)
-    norms = np.linalg.norm(Z, axis=1)
+    norms = np.linalg.norm(pooled[keep], axis=1)
     if np.any(norms < 1e-12):
         raise NumericError("entity anchor collapsed to zero norm")
-    anchors = Z / norms[:, None]
-
+    anchors = pooled[keep] / norms[:, None]
     loss, grad_anchor = entity_contrastive_loss(anchors, P[keep], w[keep], tau=tau)
-
-    sigs = [np.zeros(len(f), np.int64) for f in features_per_scene]
-    vecs = [[np.zeros(anchors.shape[1])] for _ in features_per_scene]
-    for a, hits in enumerate(kept_hits):
-        g = grad_anchor[a]
-        gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
-        v = gz / sum(idx.size for _, idx in hits)
-        for bi, idx in hits:
-            # masks are sorted and unique (EntityRecord): each row takes v once
-            old, inv = np.unique(sigs[bi][idx], return_inverse=True)
-            sigs[bi][idx] = len(vecs[bi]) + inv
-            vecs[bi] += [vecs[bi][o] + v for o in old]
-    return loss, list(zip(sigs, vecs)), len(keep)
+    gz = np.zeros_like(pooled)
+    gz[keep] = [(g - (g @ z) * z) / n for g, z, n in zip(grad_anchor, anchors, norms)]
+    return loss, [(M, np.divide(gz, d[:, None], out=np.zeros_like(gz), where=d[:, None] > 0))
+                  for M, d in zip(sampled, n_scenes * counts)], len(anchors)
 
 
 def head_step(feats, labels, mus, branches):
@@ -520,9 +503,8 @@ class Trainer:
         self.cfg = cfg
         offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
         self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
-        self.backbone = init_backbone(
-            input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed
-        )
+        self.incidence = mask_incidence(scenes, entities)
+        self.backbone = init_backbone(input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed)
         self.opt = AdamW(self.backbone.weights + self.backbone.biases)
         self.global_step = 0
         self.total_steps = cfg.epochs * len(self.scene_batches())
@@ -548,12 +530,13 @@ class Trainer:
 
     def apply_grads(self, caches, grad_feats, lr, entity=None):
         """Backward pass and optimizer step; entity (or None) is per scene the
-        (sig, lambda * vecs) of _entity_anchor_grads, added inside its work."""
+        (M, V) of _entity_anchor_grads, whose product M.T @ V, times
+        lambda_entity, is added inside the scene's work."""
         def backward(c, g, ent):
-            if ent is not None:  # g += lam_vecs[sig] in row blocks: no n x C temporary;
-                sig, lam_vecs = ent  # lam_vecs[0] is zero, so an uncovered row gains +0.0
+            if ent is not None:  # one row block at a time: no n x C temporary
+                MT, V = ent[0].T.tocsr(), ent[1]
                 for lo, hi in row_blocks(len(g)):
-                    g[lo:hi] += lam_vecs[sig[lo:hi]]
+                    g[lo:hi] += self.cfg.lambda_entity * (MT[lo:hi] @ V)
             return backbone_backward(self.backbone, c, g)
 
         gw = [np.zeros_like(w) for w in self.backbone.weights]
@@ -584,12 +567,10 @@ class Trainer:
 
             l_entity, entity = 0.0, None
             if bank is not None and cfg.lambda_entity > 0:
-                bsz = min(cfg.entity_batch, bank.B.shape[0])
-                sample = sample_entity_batch(
-                    bank, bsz, stream_key(cfg.seed, "entity", epoch, step))
-                l_entity, ent, _ = _entity_anchor_grads(
-                    feats, sample, self.entities, [self.scenes[i] for i in idxs], cfg.tau)
-                entity = [(sig, cfg.lambda_entity * np.array(vecs)) for sig, vecs in ent]
+                sample = sample_entity_batch(bank, min(cfg.entity_batch, bank.B.shape[0]),
+                                             stream_key(cfg.seed, "entity", epoch, step))
+                l_entity, entity, _ = _entity_anchor_grads(
+                    feats, sample, [self.incidence[i] for i in idxs], cfg.tau)
 
             total = l_local + l_global + cfg.lambda_entity * l_entity
             if not np.isfinite(total):

@@ -1,9 +1,11 @@
 """Row-scatter reference for the entity-anchor gradient of a training step.
 
 reference_entity_anchor_grads pools the current features over each sampled
-entity's mask rows, runs the contrastive loss, and scatters every anchor's
-feature gradient into a zero buffer over the sorted union of each scene's
-mask rows, one `+= gz / n_mask` per mask, in entity order.
+entity's mask rows scene by scene (the mean of each scene's concatenated
+mask rows, then the mean over the scenes), runs the contrastive loss, and
+scatters every anchor's feature gradient into a zero buffer over the sorted
+union of each scene's mask rows, one `+= gz / (n_scenes * n_rows)` per mask
+(n_rows: the entity's mask rows in that scene), in entity order.
 langtail.train._entity_anchor_grads must give the same loss and anchor count
 and, row for row, the same gradient bits.
 """
@@ -16,10 +18,11 @@ from langtail.errors import NumericError
 
 def reference_entity_anchor_grads(features_per_scene, bank_sample, entities,
                                   scenes_in_batch, tau):
-    """Pool current features over each sampled entity's mask points and run the
-    contrastive loss; bank_sample is sample_entity_batch's (indices, prototypes,
-    weights). Returns (loss, per-scene (rows, gradient), n_anchors), where
-    rows is the sorted union of the scene's masks and gradient covers those rows.
+    """Pool current features over each sampled entity's mask points, per scene
+    and then over scenes, and run the contrastive loss; bank_sample is
+    sample_entity_batch's (indices, prototypes, weights). Returns (loss,
+    per-scene (rows, gradient), n_anchors), where rows is the sorted union of
+    the scene's masks and gradient covers those rows.
 
     Entities without mask points in the current scenes are skipped.
     """
@@ -33,8 +36,10 @@ def reference_entity_anchor_grads(features_per_scene, bank_sample, entities,
         hits = [(by_id[sid], idx) for sid, idx in e.masks if sid in by_id]
         if not hits:
             continue
-        rows = np.concatenate([features_per_scene[bi][idx] for bi, idx in hits])
-        pooled.append(rows.mean(axis=0))
+        scene_means = [
+            np.concatenate([features_per_scene[bi][idx] for b, idx in hits if b == bi]).mean(0)
+            for bi in sorted({b for b, _ in hits})]
+        pooled.append(np.mean(scene_means, axis=0))
         pooled_rows.append(hits)
         keep.append(row)
     if not keep:
@@ -56,8 +61,9 @@ def reference_entity_anchor_grads(features_per_scene, bank_sample, entities,
     for a, hits in enumerate(pooled_rows):
         g = grad_anchor[a]
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
-        n_mask = sum(idx.size for _, idx in hits)
+        n_scenes = len({bi for bi, _ in hits})
         for bi, idx in hits:
+            n_rows = sum(i.size for b, i in hits if b == bi)
             # masks are sorted and unique (EntityRecord), so this adds once per row
-            grads[bi][np.searchsorted(rows[bi], idx)] += gz / n_mask
+            grads[bi][np.searchsorted(rows[bi], idx)] += gz / (n_scenes * n_rows)
     return loss, list(zip(rows, grads)), len(keep)

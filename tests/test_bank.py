@@ -6,6 +6,7 @@ import pytest
 from conftest import assert_grad_close, central_diff
 from langtail import bank as bank_mod
 from langtail import data_model as dm
+from langtail import train as tr
 from langtail.bank import (
     SemanticBank,
     _l2_rows,
@@ -16,6 +17,7 @@ from langtail.bank import (
     entity_contrastive_loss,
     gram,
     load_bank,
+    mask_incidence,
     sample_entity_batch,
     save_bank,
 )
@@ -40,9 +42,25 @@ def test_aggregate_double_average():
     fb = np.array([[10.0, 0], [0, 0], [20, 10]])
     e = dm.EntityRecord(1, "x", np.ones(4),
                         masks=[("a", np.array([0, 1, 2])), ("b", np.array([0, 2]))])
-    out = aggregate_entity_features(scenes, [fa, fb], [e])
+    # two overlapping masks in one scene pool as one mask of 5 entries, so
+    # point 1 counts twice
+    twice = dm.EntityRecord(2, "y", np.ones(4),
+                            masks=[("a", np.array([0, 1, 2])), ("a", np.array([1, 3])),
+                                   ("b", np.array([1]))])
+    out = aggregate_entity_features(scenes, [fa, fb], [e, twice])
     # scene means (2, 2/3) and (15, 5); entity mean (8.5, 17/6)
     assert np.allclose(out[0], [8.5, 17.0 / 6.0])
+    # scene means (17/5, 13/5) and (0, 0); entity mean (1.7, 1.3)
+    assert np.allclose(out[1], [1.7, 1.3])
+
+    # the training anchors pool by the same rule: the entity loss of a step
+    # is the contrastive loss of the L2-normalised bank features
+    rng = np.random.default_rng(0)
+    P, w = _l2_rows(rng.normal(size=(2, 2))), np.array([1.0, 0.5])
+    loss, _, n_anchors = tr._entity_anchor_grads(
+        [fa, fb], (np.array([0, 1]), P, w), mask_incidence(scenes, [e, twice]), tau=0.5)
+    assert n_anchors == 2
+    assert loss == entity_contrastive_loss(_l2_rows(out), P, w, tau=0.5)[0]
 
 
 def test_aggregate_skips_absent_scenes():

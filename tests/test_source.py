@@ -105,6 +105,38 @@ def test_only_row_blocks_reads_row_block(path):
     assert row_block_reads(path.read_text()) == []
 
 
+def mask_reads(source: str) -> list[str]:
+    """The function (or "<module>") of each read of a `.masks` attribute
+    outside mask_incidence: the bank and the training anchors pool masks
+    through its incidence matrices. A nested function counts as its own."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "masks" and where != "mask_incidence":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_mask_reads_finds_a_leftover():
+    source = ("FIRST = ENTITIES[0].masks\n"
+              "def mask_incidence(scenes, entities):\n"
+              "    return [e.masks for e in entities]\n"
+              "def pool(e):\n    def inner():\n        return len(e.masks)\n"
+              "    return [idx for _, idx in e.masks], inner\n")
+    assert mask_reads(source) == ["<module>", "inner", "pool"]
+
+
+@pytest.mark.parametrize("name", ["bank.py", "train.py"])
+def test_only_mask_incidence_reads_masks(name):
+    assert mask_reads((SRC / name).read_text()) == []
+
+
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """"module.function:parameter" for each defaulted parameter of a function
     that no call in sources passes, by keyword or by position. Calls match

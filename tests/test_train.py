@@ -22,6 +22,7 @@ from langtail.bank import (
     SemanticBank,
     _l2_rows,
     entity_contrastive_loss,
+    mask_incidence,
     sample_entity_batch,
 )
 from langtail.data_model import EntityRecord, SceneBundle
@@ -412,6 +413,11 @@ def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes
     test_head_step_matches_per_head_reference(sizes, dim, ks, branches, ignore)
 
 
+def _entity_feature_grads(grads):
+    """Each scene's feature gradient M.T @ V, as apply_grads forms it."""
+    return [M.T.tocsr() @ V for M, V in grads]
+
+
 def test_entity_anchor_grads_match_add_at():
     rng = np.random.default_rng(3)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
@@ -425,11 +431,13 @@ def test_entity_anchor_grads_match_add_at():
     bank = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)),
                         categories=np.array([0, 0, 1, 1]))
     batch = sample_entity_batch(bank, 4, seed=1)
-    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.2)
+    loss, grads, n_anchors = tr._entity_anchor_grads(
+        feats, batch, mask_incidence(scenes, entities), tau=0.2)
 
     by_id = {s.scene_id: j for j, s in enumerate(scenes)}
     order, P, w = batch
-    pooled = [np.concatenate([feats[by_id[sid]][idx] for sid, idx in entities[e].masks]).mean(0)
+    # the mean over an entity's scenes of its mean feature over its mask rows there
+    pooled = [np.mean([feats[by_id[sid]][idx].mean(0) for sid, idx in entities[e].masks], axis=0)
               for e in order]
     norms = np.linalg.norm(pooled, axis=1)
     anchors = np.stack(pooled) / norms[:, None]
@@ -440,13 +448,10 @@ def test_entity_anchor_grads_match_add_at():
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
         hits = entities[e].masks
         for sid, idx in hits:
-            np.add.at(want[by_id[sid]], idx, gz[None, :] / sum(i.size for _, i in hits))
+            np.add.at(want[by_id[sid]], idx, gz[None, :] / (len(hits) * idx.size))
     assert n_anchors == 4 and loss == want_loss
-    for j, ((sig, vecs), w) in enumerate(zip(grads, want)):
-        union = sorted({int(i) for e in order
-                        for sid, idx in entities[e].masks if by_id[sid] == j for i in idx})
-        assert np.flatnonzero(sig).tolist() == union
-        assert np.array_equal(np.array(vecs)[sig], w)
+    for got, w in zip(_entity_feature_grads(grads), want):
+        assert np.array_equal(got, w)
 
 
 NO_HIT = [("elsewhere", np.arange(3))]  # a mask in a scene outside the batch
@@ -455,7 +460,7 @@ NO_HIT = [("elsewhere", np.arange(3))]  # a mask in a scene outside the batch
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.booleans())
 def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
-    """Signatures give the row-scatter oracle's gradient bits on random,
+    """M.T @ V gives the row-scatter oracle's gradient bits on random,
     alias, two-scene, two-masks-in-one-scene and whole-scene masks (so scenes
     are covered in part and in full), and on a batch where no entity hits."""
     rng = np.random.default_rng(seed)
@@ -489,15 +494,15 @@ def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
     batch = (order, _l2_rows(rng.normal(size=(order.size, dim))),
              rng.uniform(0.5, 2.0, order.size))
 
-    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, entities, scenes, tau=0.1)
+    loss, grads, n_anchors = tr._entity_anchor_grads(
+        feats, batch, mask_incidence(scenes, entities), tau=0.1)
     want_loss, want, want_n = reference_entity_anchor_grads(feats, batch, entities, scenes, 0.1)
     assert loss == want_loss and n_anchors == want_n and len(grads) == len(want)
     assert (n_anchors == 0) == all(sid == "elsewhere" for e in order for sid, _ in masks[e])
-    for (sig, vecs), (rows, g), f in zip(grads, want, feats):
-        assert np.array_equal(np.flatnonzero(sig), rows)
+    for got, (rows, g), f in zip(_entity_feature_grads(grads), want, feats):
         full = np.zeros_like(f)
         full[rows] = g
-        assert np.array_equal(np.array(vecs)[sig], full)
+        assert np.array_equal(got, full)
 
 
 @pytest.mark.parametrize("helpers", [0, 1])
@@ -507,7 +512,13 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     rng = np.random.default_rng(5)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
               for i, n in enumerate((10, 9, 5))]
-    trainer = tr.Trainer(scenes, [], small_cfg(), 3)
+    # scenes covered in full, in part (an entity in two scenes, one with two
+    # overlapping masks in one scene, aliases), and by no mask
+    masks = [[("s0", np.arange(10))], [("s0", [2, 5, 7]), ("s1", [1, 3, 4])],
+             [("s1", [3, 4, 6]), ("s1", [4, 8])], [("s1", [3, 4, 6]), ("s1", [4, 8])]]
+    entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
+    lam = 0.3
+    trainer = tr.Trainer(scenes, entities, small_cfg(lambda_entity=lam), 3)
     seen = {}
 
     def backward(b, cache, g):  # record the gradient each scene's work hands on
@@ -516,20 +527,22 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
 
     monkeypatch.setattr(tr, "backbone_backward", backward)
     grads = [rng.normal(size=(s.n_points, 3)) for s in scenes]
-    # scenes covered in full, in part, and by no anchor
-    sigs = [np.arange(10) % 3 + 1, np.array([0, 2, 0, 1, 1, 0, 2, 0, 0]), np.zeros(5, np.int64)]
-    lam_vecs = [0.3 * rng.normal(size=(int(s.max()) + 1, 3)) for s in sigs]
-    for v in lam_vecs:
-        v[0] = 0.0
+    vs = [rng.normal(size=(len(entities), 3)) for _ in scenes]
     trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3,
-                        entity=list(zip(sigs, lam_vecs)))
-    for j, (g, sig, v) in enumerate(zip(grads, sigs, lam_vecs)):
+                        entity=list(zip(trainer.incidence, vs)))
+    for j, (g, v, M) in enumerate(zip(grads, vs, trainer.incidence)):
         want = g.copy()
-        rows = np.flatnonzero(sig)
-        want[rows] += v[sig[rows]]
+        entries = M.toarray()  # a point of two overlapping masks counts twice
+        for r in np.flatnonzero(entries.sum(0)):
+            acc = np.zeros(3)  # summed from zero in entity order, then scaled
+            for t in range(len(entities)):
+                for _ in range(int(entries[t, r])):
+                    acc = acc + v[t]
+            want[r] += lam * acc
         assert np.array_equal(seen[j], want)
         # rows that no mask covers keep their bits
-        assert seen[j][sig == 0].tobytes() == g[sig == 0].tobytes()
+        assert seen[j][entries.sum(0) == 0].tobytes() == g[entries.sum(0) == 0].tobytes()
+    assert not trainer.incidence[2].nnz
     trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3)
     assert all(np.array_equal(seen[j], g) for j, g in enumerate(grads))
 
