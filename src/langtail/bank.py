@@ -89,10 +89,11 @@ def pool_masks(incidence, features) -> tuple[np.ndarray, np.ndarray]:
     return pooled, counts
 
 
-def aggregate_entity_features(scenes, backbone_features, entities) -> np.ndarray:
-    """Each entity's pool_masks of the scenes' backbone features; an entity
-    with no mask point in these scenes is refused."""
-    pooled, counts = pool_masks(mask_incidence(scenes, entities), backbone_features)
+def aggregate_entity_features(incidence, backbone_features, entities) -> np.ndarray:
+    """Each entity's pool_masks of the scenes' backbone features, through
+    incidence, the scenes' mask_incidence of entities; an entity with no mask
+    point in these scenes is refused."""
+    pooled, counts = pool_masks(incidence, backbone_features)
     for e, n in zip(entities, counts.sum(0)):
         if n == 0:
             raise EmptyMaskError(f"entity {e.entity_id}: no effective mask in any scene")

@@ -168,7 +168,7 @@ def cmd_bank(cfg) -> int:
     tcfg = _build(tr.TrainConfig, cfg)
     trainer = tr.start_run(tcfg, cfg["corpus"])
     trainer.warmup()
-    bank_obj = tr.build_bank(trainer.backbone, trainer.scenes, trainer.entities)
+    bank_obj, _ = tr.build_bank(trainer)
     save_bank(cfg["out"], bank_obj)
     write_resolved(cfg["out"], cfg)
     log.info("aligned bank: %d entities, final loss %.3e",

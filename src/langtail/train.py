@@ -6,7 +6,9 @@ with hand-written reverse-mode gradients; every loss here returns its
 analytic gradient and is covered by finite-difference checks in the tests.
 
 A training step scores every (branch, level) head of a scene in one
-head_ce_loss call, which sums each branch's feature gradient in row blocks
+head_ce_loss call; every point carries a label of every head (the heads'
+Ward cuts label every superpoint), and head_ce_loss refuses one outside
+its head's range. The call sums each branch's feature gradient in row blocks
 into the scene's one float64 result. head_ce_loss computes in the dtype of
 its features. head_step passes float32 features and centroids, so the head
 matmuls and the softmax's one exp run in float32, while the softmax row
@@ -15,8 +17,9 @@ float64 arithmetic. Each head runs its own matmuls, and a row block changes
 no matmul row, so losses and gradients are bit-identical to
 tests/oracle_heads.py, the one-call-per-head loop. backbone_backward writes
 its gradients over its cache. The backbone and prediction stay float64.
-A step pools its entity anchors by the bank's rule (bank.pool_masks over
-each scene's mask_incidence M, read once) and returns their gradient as M.T @ V.
+The Trainer builds each scene's mask_incidence M once; the bank pass and
+every step pool entity features through it by one rule (bank.pool_masks),
+and a step returns its anchors' gradient as M.T @ V.
 
 Per-scene work (forward, head cross-entropy, then backward, which first adds
 the entity-anchor gradient into the scene's feature gradient one row block
@@ -247,25 +250,25 @@ def backbone_backward(b: Backbone, cache, grad_out):
     return grads_w, grads_b, gz @ b.weights[0].T
 
 
-def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
+def head_ce_loss(features, mus, labels, branches, n_pts=1):
     """Cross-entropy of several linear heads on the same feature rows: one
     scene's work in head_step.
 
-    Head h has logits features @ mus[h].T, labels[h] and branch branches[h];
-    its loss is the mean cross-entropy over the rows whose label is not -1,
-    and those ignored rows must be the same for every head. The float64
-    feature gradient adds, branch by branch in ascending order, (the sum of
-    weight * d loss_h / d features over the branch's heads in list order) /
-    n_pts; ignored rows are zero.
+    Head h has logits features @ mus[h].T, labels[h] in [0, len(mus[h])) for
+    every row and branch branches[h]; its loss is the mean cross-entropy over
+    the rows. The float64 feature gradient adds, branch by branch in
+    ascending order, (the sum of S_h @ mus[h] over the branch's heads in list
+    order) / n_pts, S_h head h's softmax less its one-hot labels: the
+    gradient of the heads' summed-over-rows losses over n_pts.
 
     The arithmetic runs in float32 for float32 features and in float64
     otherwise; mus take that dtype. The softmax is one exp of the logits less
     their row maximum, over float64 row sums; the losses are float64. A
-    branch's softmax gradients share one buffer of n x (its summed k), n the
-    non-ignored rows, and its feature gradient is summed one row_blocks block
-    at a time in one float64 block, so the result is the only n x C array.
-    Each head keeps its own matmuls: a matmul against the stacked centroids of
-    all heads rounds some slices differently.
+    branch's softmax gradients share one buffer of n x (its summed k), and
+    its feature gradient is summed one row_blocks block at a time in one
+    float64 block, so the result is the only n x C array. Each head keeps its
+    own matmuls: a matmul against the stacked centroids of all heads rounds
+    some slices differently.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the
     dtype, the feature gradient).
@@ -278,24 +281,19 @@ def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
         raise ShapeError("feature rows and label count differ")
     if any(F.shape[1] != mu.shape[1] for mu in mus):
         raise ShapeError("feature dim and head dim differ")
-    valid = labels[0] >= 0
-    if any(not np.array_equal(y >= 0, valid) for y in labels[1:]):
-        raise DataError("heads ignore different rows")
-    n = int(valid.sum())
+    n = F.shape[0]
     if n == 0:
-        raise EmptyBatchError("all labels are ignored")
-    grad = np.zeros(F.shape)  # ignored rows stay zero
-    dst = np.flatnonzero(valid)
-    if n < F.shape[0]:
-        F = F[valid]
-        labels = [y[valid] for y in labels]
+        raise EmptyBatchError("no feature rows")
+    for y, mu in zip(labels, mus):
+        if y.min() < 0 or y.max() >= len(mu):
+            raise DataError(f"a label outside [0, {len(mu)}) for a head of {len(mu)} centroids")
+    grad = np.empty(F.shape)
     groups = [[h for h, hb in enumerate(branches) if hb == b] for b in sorted(set(branches))]
     scratch = np.empty(n * max(sum(len(mus[h]) for h in g) for g in groups), dtype)
     blocks = row_blocks(n)
     block = np.empty((max(hi - lo for lo, hi in blocks), F.shape[1]))  # float64 sums
     prod = np.empty(block.shape, dtype)  # one head's product
     rows = np.arange(n)
-    scale = weight / n
     losses, grad_mus = [0.0] * len(mus), [None] * len(mus)
     for bi, heads in enumerate(groups):
         softmaxes, off = [], 0
@@ -316,16 +314,12 @@ def head_ce_loss(features, mus, labels, branches, weight=1.0, n_pts=1):
             acc = block[:hi - lo]
             acc.fill(0.0)
             for h, S in zip(heads, softmaxes):
-                g = np.matmul(S[lo:hi], mus[h], out=prod[:hi - lo])
-                if scale != 1.0:  # head_step's weight is n: skip a pass that changes no bit
-                    g *= scale
-                acc += g
+                acc += np.matmul(S[lo:hi], mus[h], out=prod[:hi - lo])
             acc /= n_pts
-            out = slice(lo, hi) if n == len(grad) else dst[lo:hi]
             if bi == 0:
-                grad[out] = acc
+                grad[lo:hi] = acc
             else:
-                grad[out] += acc
+                grad[lo:hi] += acc
     return losses, grad_mus, grad
 
 
@@ -463,20 +457,21 @@ def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
 def head_step(feats, labels, mus, branches):
     """Head cross-entropy of one batch of scenes, one head_ce_loss call per scene.
 
-    feats[j] are scene j's features and labels[j][h] its labels for head h;
-    mus[h] are head h's centroids and branches[h] its branch (0 local, 1
-    global). Losses and gradients are means over the batch's points, each
-    scene's mean weighted by its point count. Returns (loss per branch, feature
-    gradient per scene, centroid gradient per head). The heads run in float32
-    (features cast inside each scene's work, centroids once per batch); a
-    scene's feature gradient is head_ce_loss's float64 result, already
-    divided by the batch's point count. Scenes run through scene_map, so a
-    thread holds its scene's float32 features, softmax buffer and result.
+    feats[j] are scene j's features and labels[j][h] its labels for head h,
+    one in [0, k_h) per point; mus[h] are head h's k_h centroids and
+    branches[h] its branch (0 local, 1 global). Losses and gradients are
+    means over the batch's points, each scene's mean weighted by its point
+    count. Returns (loss per branch, feature gradient per scene, centroid
+    gradient per head). The heads run in float32 (features cast inside each
+    scene's work, centroids once per batch); a scene's feature gradient is
+    head_ce_loss's float64 result, already divided by the batch's point
+    count. Scenes run through scene_map, so a thread holds its scene's
+    float32 features, softmax buffer and result.
     """
     n_pts = sum(f.shape[0] for f in feats)
     mus32 = [mu.astype(np.float32) for mu in mus]
-    out = scene_map(lambda f, y: head_ce_loss(f.astype(np.float32), mus32, y, branches,
-                                              f.shape[0], n_pts), feats, labels)
+    out = scene_map(lambda f, y: head_ce_loss(f.astype(np.float32), mus32, y, branches, n_pts),
+                    feats, labels)
     loss_sums = [0.0] * len(mus)
     head_grads = [np.zeros_like(mu) for mu in mus]
     grad_feats = []
@@ -645,9 +640,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
     if cfg.lambda_entity > 0 and bank_obj is None:
         # no step comes before round 0: its features are the bank's, forwarded once
-        feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0],
-                          trainer.scenes)
-        bank_obj = build_bank(trainer.backbone, trainer.scenes, trainer.entities, feats)
+        bank_obj, feats = build_bank(trainer)
         save_bank(os.path.join(out_dir, "bank"), bank_obj)
 
     reports = []
@@ -679,15 +672,14 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
                                 use_global=False, warmup_epochs=0), corpus_dir, out_dir)
 
 
-def build_bank(backbone, scenes, entities, feats=None) -> SemanticBank:
-    """Offline bank pass: aggregate masked features (feats, the scenes'
-    backbone outputs, else a forward pass), then Gram-align them to the
-    text-embedding geometry."""
-    if feats is None:
-        feats = scene_map(lambda s: backbone_forward(backbone, s.points)[0], scenes)
-    F_m = aggregate_entity_features(scenes, feats, entities)
-    F_e = np.stack([e.text_embedding for e in entities])
-    return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in entities])
+def build_bank(trainer: Trainer) -> tuple[SemanticBank, list]:
+    """Offline bank pass: forward every scene once, pool its features over
+    trainer.incidence, then Gram-align them to the text-embedding geometry.
+    Returns (bank, each scene's features)."""
+    feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0], trainer.scenes)
+    F_m = aggregate_entity_features(trainer.incidence, feats, trainer.entities)
+    F_e = np.stack([e.text_embedding for e in trainer.entities])
+    return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in trainer.entities]), feats
 
 
 def predict_labels(backbone, scenes, prototypes) -> np.ndarray:

@@ -57,3 +57,20 @@ def append_mask_index(corpus, scene_id, index):
     entries[0] = (entries[0][0], np.append(entries[0][1], index))
     dm.write_entity_masks(path, scene_id, [
         dm.EntityRecord(eid, "", np.ones(1), masks=[(scene_id, idx)]) for eid, idx in entries])
+
+
+def count_incidence_builds(monkeypatch) -> list:
+    """Count every bank.mask_incidence call, whether made through train's
+    import of it or bank's own name: the returned list grows by one a call."""
+    from langtail import bank, train
+
+    calls = []
+    for module in (bank, train):
+        build = module.mask_incidence
+
+        def counted(*args, build=build):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(module, "mask_incidence", counted)
+    return calls

@@ -16,10 +16,11 @@ import numpy as np
 from langtail.errors import EmptyBatchError, ShapeError
 
 
-def reference_head_ce(features, mu, labels, weight=1.0):
-    """Mean cross-entropy of logits = features @ mu.T over non-ignored items.
+def reference_head_ce(features, mu, labels):
+    """Mean cross-entropy of logits = features @ mu.T over every row.
 
-    Returns (loss, weight * grad w.r.t. features, grad w.r.t. mu).
+    Returns (loss, the gradient of the summed-over-rows loss w.r.t. features,
+    grad w.r.t. mu).
     """
     dtype = np.float32 if np.asarray(features).dtype == np.float32 else np.float64
     F = np.asarray(features, dtype=dtype)
@@ -29,23 +30,17 @@ def reference_head_ce(features, mu, labels, weight=1.0):
         raise ShapeError("feature rows and label count differ")
     if F.shape[1] != mu.shape[1]:
         raise ShapeError("feature dim and head dim differ")
-    valid = labels >= 0
-    n = int(valid.sum())
+    n = F.shape[0]
     if n == 0:
-        raise EmptyBatchError("all labels are ignored")
-    Fv = F[valid]
-    yv = labels[valid]
-    logits = Fv @ mu.T
+        raise EmptyBatchError("no feature rows")
+    logits = F @ mu.T
     m = logits.max(axis=1)
     e = np.exp(logits - m[:, None])
     z = e.sum(axis=1, dtype=np.float64)
-    loss = float(np.mean(m + np.log(z) - logits[np.arange(n), yv]))
+    loss = float(np.mean(m + np.log(z) - logits[np.arange(n), labels]))
     softmax = (e / z[:, None]).astype(dtype)
-    softmax[np.arange(n), yv] -= 1.0
-    grad_f = np.zeros_like(F)
-    grad_f[valid] = softmax @ mu * (weight / n)
-    grad_mu = softmax.T @ Fv / n
-    return loss, grad_f, grad_mu
+    softmax[np.arange(n), labels] -= 1.0
+    return loss, softmax @ mu, softmax.T @ F / n
 
 
 def reference_head_step(feats, labels, mus, branches):
@@ -62,7 +57,7 @@ def reference_head_step(feats, labels, mus, branches):
             for j, f in enumerate(feats):
                 loss, gf, gmu = reference_head_ce(f.astype(np.float32),
                                                   mus[h].astype(np.float32),
-                                                  labels[j][h], f.shape[0])
+                                                  labels[j][h])
                 loss_k += loss * f.shape[0]
                 acc[j] += gf
                 head_grads[h] += gmu * f.shape[0]

@@ -47,7 +47,8 @@ def test_aggregate_double_average():
     twice = dm.EntityRecord(2, "y", np.ones(4),
                             masks=[("a", np.array([0, 1, 2])), ("a", np.array([1, 3])),
                                    ("b", np.array([1]))])
-    out = aggregate_entity_features(scenes, [fa, fb], [e, twice])
+    M = mask_incidence(scenes, [e, twice])
+    out = aggregate_entity_features(M, [fa, fb], [e, twice])
     # scene means (2, 2/3) and (15, 5); entity mean (8.5, 17/6)
     assert np.allclose(out[0], [8.5, 17.0 / 6.0])
     # scene means (17/5, 13/5) and (0, 0); entity mean (1.7, 1.3)
@@ -57,8 +58,7 @@ def test_aggregate_double_average():
     # is the contrastive loss of the L2-normalised bank features
     rng = np.random.default_rng(0)
     P, w = _l2_rows(rng.normal(size=(2, 2))), np.array([1.0, 0.5])
-    loss, _, n_anchors = tr._entity_anchor_grads(
-        [fa, fb], (np.array([0, 1]), P, w), mask_incidence(scenes, [e, twice]), tau=0.5)
+    loss, _, n_anchors = tr._entity_anchor_grads([fa, fb], (np.array([0, 1]), P, w), M, tau=0.5)
     assert n_anchors == 2
     assert loss == entity_contrastive_loss(_l2_rows(out), P, w, tau=0.5)[0]
 
@@ -68,7 +68,7 @@ def test_aggregate_skips_absent_scenes():
     fa = np.array([[1.0, 1], [3, 3]])
     e = dm.EntityRecord(1, "x", np.ones(4),
                         masks=[("a", np.array([0])), ("zzz", np.array([0]))])
-    out = aggregate_entity_features(scenes, [fa], [e])
+    out = aggregate_entity_features(mask_incidence(scenes, [e]), [fa], [e])
     assert np.allclose(out[0], [1.0, 1.0])
 
 
@@ -77,12 +77,12 @@ def test_aggregate_errors():
     fa = np.ones((2, 2))
     orphan = dm.EntityRecord(1, "x", np.ones(4), masks=[("zzz", np.array([0]))])
     with pytest.raises(EmptyMaskError):
-        aggregate_entity_features(scenes, [fa], [orphan])
+        aggregate_entity_features(mask_incidence(scenes, [orphan]), [fa], [orphan])
     out_of_range = dm.EntityRecord(2, "y", np.ones(4), masks=[("a", np.array([5]))])
     with pytest.raises(EmptyMaskError):
-        aggregate_entity_features(scenes, [fa], [out_of_range])
+        mask_incidence(scenes, [out_of_range])
     with pytest.raises(ShapeError):
-        aggregate_entity_features(scenes, [np.ones((3, 2))], [orphan])
+        aggregate_entity_features(mask_incidence(scenes, [orphan]), [np.ones((3, 2))], [orphan])
 
 
 def test_gram():

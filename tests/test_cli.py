@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import append_mask_index
+from conftest import append_mask_index, count_incidence_builds
 from langtail import bank as bk
 from langtail import cli
 from langtail import data_model as dm
@@ -302,6 +302,15 @@ def test_cli_bank_equals_the_bank_train_builds(tmp_path, extra):
     for name in BANK_FILES:
         assert ((tmp_path / "bank" / name).read_bytes()
                 == (tmp_path / "run" / "bank" / name).read_bytes()), name
+
+
+def test_cli_bank_builds_each_incidence_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    calls = count_incidence_builds(monkeypatch)
+    assert main(["bank", "--corpus", str(corpus), "--out", str(tmp_path / "bank"),
+                 "--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "0"]) == 0
+    assert len(calls) == 1
 
 
 class _BankSaved(Exception):

@@ -137,6 +137,46 @@ def test_only_mask_incidence_reads_masks(name):
     assert mask_reads((SRC / name).read_text()) == []
 
 
+def incidence_builds(source: str) -> list[str]:
+    """The function (or "<module>") of each call of mask_incidence, by name or
+    attribute, outside Trainer.__init__: a run builds each scene's incidence
+    matrix once, and the bank pass and training steps pool through it. A
+    method is "Class.method"; a nested function counts as its own."""
+    found = []
+
+    def visit(node, where, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, cls = f"{cls}.{node.name}" if cls else node.name, None
+        if isinstance(node, ast.Call) and where != "Trainer.__init__" and "mask_incidence" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, cls)
+
+    visit(ast.parse(source), "<module>", None)
+    return found
+
+
+def test_incidence_builds_finds_a_leftover():
+    source = ("M = mask_incidence([], [])\n"
+              "class Trainer:\n"
+              "    def __init__(self, scenes, entities):\n"
+              "        self.incidence = mask_incidence(scenes, entities)\n"
+              "    def warmup(self):\n"
+              "        return bank.mask_incidence(self.scenes, self.entities)\n"
+              "def build_bank(trainer):\n"
+              "    def inner():\n        return mask_incidence(trainer.scenes, [])\n"
+              "    return mask_incidence, inner\n")
+    assert incidence_builds(source) == ["<module>", "Trainer.warmup", "inner"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_trainer_builds_incidence(path):
+    assert incidence_builds(path.read_text()) == []
+
+
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """"module.function:parameter" for each defaulted parameter of a function
     that no call in sources passes, by keyword or by position. Calls match

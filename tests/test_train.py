@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grad_close, central_diff
+from conftest import assert_grad_close, central_diff, count_incidence_builds
 from langtail import cluster as cl
 from langtail import data_model as dm
 from langtail import evaluation as ev
@@ -250,9 +250,11 @@ def test_backbone_gradient_fd():
         assert_grad_close(gx, num_x)
 
 
-def head_ce(F, mus, labels, weight=1.0):
-    """head_ce_loss with every head on branch 0: (losses, feature grad, mu grads)."""
-    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0] * len(mus), weight)
+def head_ce(F, mus, labels):
+    """head_ce_loss with every head on branch 0 and n_pts its rows, so the
+    feature gradient is that of the heads' summed losses: (losses, feature
+    grad, mu grads)."""
+    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0] * len(mus), len(F))
     return losses, grad, gmus
 
 
@@ -261,10 +263,8 @@ def test_head_ce_gradient_fd():
     F = rng.normal(size=(9, 4))
     mu = rng.normal(size=(3, 4))
     labels = rng.integers(0, 3, size=9)
-    labels[2] = -1  # ignored
     (loss,), gf, (gmu,) = head_ce(F, [mu], [labels])
     assert loss > 0
-    assert np.allclose(gf[2], 0.0)
     assert_grad_close(gf, central_diff(
         lambda x: head_ce(x, [mu], [labels])[0][0], F))
     assert_grad_close(gmu, central_diff(
@@ -279,15 +279,12 @@ def test_head_ce_several_heads_fd():
     F = rng.normal(size=(11, 5))
     mus = [rng.normal(size=(k, 5)) for k in (3, 1, 4)]
     labels = [rng.integers(0, k, size=11) for k in (3, 1, 4)]
-    for y in labels:
-        y[[0, 7]] = -1
-    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 1, 0], weight=2.5, n_pts=4)
+    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 1, 0], n_pts=4)
     assert losses[1] == 0.0 and not gmus[1].any()
     assert not tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2].any()
-    assert not grad[[0, 7]].any()
 
     def total(x):
-        return 2.5 / 4 * sum(head_ce(x, mus, labels)[0])
+        return 11 / 4 * sum(head_ce(x, mus, labels)[0])
 
     assert_grad_close(grad, central_diff(total, F))
     for h in (0, 2):
@@ -302,15 +299,13 @@ def test_head_ce_float32_gradient_fd():
     F = rng.normal(size=(12, 5)).astype(np.float32)
     mus = [rng.normal(size=(k, 5)).astype(np.float32) for k in (4, 1, 3)]
     labels = [rng.integers(0, k, size=12) for k in (4, 1, 3)]
-    for y in labels:
-        y[[1, 8]] = -1
-    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 0, 1], weight=1.5)
+    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 0, 1], n_pts=8)
     assert losses[1] == 0.0 and not gmus[1].any()
     assert not tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2].any()
-    assert grad.dtype == np.float64 and not grad[[1, 8]].any()
+    assert grad.dtype == np.float64
     F64, mus64 = F.astype(np.float64), [mu.astype(np.float64) for mu in mus]
     assert_grad_close(grad, central_diff(
-        lambda x: 1.5 * sum(head_ce(x, mus64, labels)[0]), F64), rtol=1e-3, atol=1e-5)
+        lambda x: 12 / 8 * sum(head_ce(x, mus64, labels)[0]), F64), rtol=1e-3, atol=1e-5)
     for h in (0, 2):
         assert_grad_close(gmus[h], central_diff(
             lambda m, h=h: head_ce(F64, mus64[:h] + [m] + mus64[h + 1:], labels)[0][h],
@@ -351,19 +346,26 @@ def test_head_step_peak_memory(monkeypatch):
     assert peak < 3.5 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
 
 
-def test_head_ce_all_ignored():
-    with pytest.raises(EmptyBatchError):
-        head_ce(np.ones((2, 2)), [np.ones((2, 2))], [np.array([-1, -1])])
-
-
-def test_head_ce_rejects_heads_ignoring_different_rows():
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_head_ce_refuses_a_label_outside_its_head(bad):
+    # a head of k = 2 centroids takes labels 0 and 1 only, in any head of the call
     with pytest.raises(DataError):
-        head_ce(np.ones((2, 2)), [np.ones((2, 2))] * 2, [np.array([0, -1]), np.array([0, 1])])
+        head_ce(np.ones((2, 2)), [np.ones((2, 2))], [np.array([0, bad])])
+    with pytest.raises(DataError):
+        head_ce(np.ones((2, 2)), [np.ones((3, 2)), np.ones((2, 2))],
+                [np.array([0, 2]), np.array([bad, 1])])
+
+
+def test_head_ce_refuses_no_rows_and_mismatched_shapes():
+    with pytest.raises(EmptyBatchError):
+        head_ce(np.ones((0, 2)), [np.ones((2, 2))], [np.zeros(0, np.int64)])
     with pytest.raises(ShapeError):
         head_ce(np.ones((2, 2)), [np.ones((2, 3))], [np.array([0, 1])])
 
 
-def _head_case(seed, sizes, dim, ks, ignore):
+def _head_case(seed, sizes, dim, ks, skew):
+    """Unit feature rows and uniform labels, except that a share skew of each
+    scene's rows takes label 0 in every head: a long-tailed label mix."""
     rng = np.random.default_rng(seed)
     feats = []
     for n in sizes:
@@ -372,10 +374,10 @@ def _head_case(seed, sizes, dim, ks, ignore):
     mus = [rng.normal(size=(k, dim)) for k in ks]
     labels = []
     for n in sizes:
-        dropped = rng.random(n) < ignore
+        common = rng.random(n) < skew
         scene = [rng.integers(0, k, size=n) for k in ks]
         for y in scene:
-            y[dropped] = -1
+            y[common] = 0
         labels.append(scene)
     return feats, labels, mus
 
@@ -394,9 +396,9 @@ HEAD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("sizes,dim,ks,branches,ignore", HEAD_CASES)
-def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, ignore):
-    feats, labels, mus = _head_case(len(sizes) * 7 + dim, sizes, dim, ks, ignore)
+@pytest.mark.parametrize("sizes,dim,ks,branches,skew", HEAD_CASES)
+def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew):
+    feats, labels, mus = _head_case(len(sizes) * 7 + dim, sizes, dim, ks, skew)
     got = tr.head_step(feats, labels, mus, list(branches))
     want = reference_head_step(feats, labels, mus, list(branches))
     assert got[0] == want[0]
@@ -404,13 +406,13 @@ def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, ignore):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("sizes,dim,ks,branches,ignore", HEAD_CASES[:-1])
+@pytest.mark.parametrize("sizes,dim,ks,branches,skew", HEAD_CASES[:-1])
 def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes, dim, ks,
-                                                              branches, ignore):
-    # many blocks per scene, short last blocks, one-row tails (50 rows) joined
-    # to the block before, and blocks of rows between ignored ones
+                                                              branches, skew):
+    # many blocks per scene, short last blocks and one-row tails (50 rows)
+    # joined to the block before
     monkeypatch.setattr(ev, "ROW_BLOCK", 7)
-    test_head_step_matches_per_head_reference(sizes, dim, ks, branches, ignore)
+    test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew)
 
 
 def _entity_feature_grads(grads):
@@ -569,6 +571,14 @@ def test_pipeline_forwards_once_for_bank_and_round_0(tmp_path, monkeypatch):
     for rel in ["checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb",
                 "bank/bank_aligned.ltfm", "checkpoints/round_000.ltck"]:
         assert (tmp_path / "once" / rel).read_bytes() == (tmp_path / "twice" / rel).read_bytes()
+
+
+def test_pipeline_builds_each_incidence_once(tmp_path, monkeypatch):
+    # the bank pass pools over the Trainer's incidence matrices
+    _mini_corpus(tmp_path)
+    calls = count_incidence_builds(monkeypatch)
+    tr.run_pipeline(small_cfg(lambda_entity=0.5, epochs=1), tmp_path / "corpus", tmp_path / "run")
+    assert len(calls) == 1
 
 
 def test_scene_map_returns_results_in_input_order(monkeypatch):
