@@ -64,8 +64,10 @@ def mask_incidence(scenes, entities) -> list:
     sizes = np.zeros((len(scenes), len(entities) + 1), dtype=np.int64)
     for t, e in enumerate(entities):
         for sid, idx in [m for m in e.masks if m[0] in by_id]:
-            if idx[-1] >= scenes[by_id[sid]].n_points:  # masks are sorted (EntityRecord)
-                raise EmptyMaskError(f"entity {e.entity_id}: invalid mask for scene {sid}")
+            n = scenes[by_id[sid]].n_points
+            if idx[-1] >= n:  # masks are sorted (EntityRecord)
+                raise DataError(f"entity {e.entity_id}: mask index {idx[-1]} out of range "
+                                f"for scene {sid} of {n} points")
             cols[by_id[sid]].append(idx)
             sizes[by_id[sid], t + 1] += idx.size
     return [sparse.csr_array((np.ones(n[-1]), np.concatenate([np.zeros(0, np.int64)] + c), n),

@@ -51,6 +51,8 @@ class EntityRecord:
     masks: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
+        if any(c in self.text for c in "\t\r\n"):  # entities.tsv could not be read back
+            raise DataError(f"entity {self.entity_id}: text {self.text!r} holds a tab or newline")
         self.text_embedding = np.asarray(self.text_embedding, dtype=np.float64)
         if float(np.linalg.norm(self.text_embedding)) <= 0.0:
             raise DataError(f"entity {self.entity_id}: text embedding has zero norm")

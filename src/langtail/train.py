@@ -1,5 +1,6 @@
 """Backbone, segmentation heads, losses, and the iterative
-learning-by-clustering loop with distillation warmup.
+learning-by-clustering loop with distillation warmup. A round reclusters
+(Trainer.recluster) and trains; the Trainer carries the state between rounds.
 
 The backbone is a small MLP (ReLU hidden layers, L2-normalized output rows)
 with hand-written reverse-mode gradients; every loss here returns its
@@ -489,8 +490,11 @@ def head_step(feats, labels, mus, branches):
 
 
 class Trainer:
-    """Backbone, optimizer and the epochs of run_pipeline's training loop.
-    sp_index[i] is the corpus-wide superpoint of each point of scene i."""
+    """The run's whole carried state. Heads and their AdamW are rebuilt each
+    round, a step's lr is poly_lr of (epoch, step), and every draw comes from a
+    stateless stream_key, so a round hands the next only backbone, opt and bank
+    (None unless lambda_entity > 0). No method but __init__ sets an attribute.
+    sp_index[i] is the corpus superpoint of each point of scene i."""
 
     def __init__(self, scenes, entities, cfg: TrainConfig, input_dim: int):
         self.scenes = scenes
@@ -501,8 +505,7 @@ class Trainer:
         self.incidence = mask_incidence(scenes, entities)
         self.backbone = init_backbone(input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed)
         self.opt = AdamW(self.backbone.weights + self.backbone.biases)
-        self.global_step = 0
-        self.total_steps = cfg.epochs * len(self.scene_batches())
+        self.bank = None
 
     def scene_batches(self, idxs=None):
         """idxs (default: every scene) in order, cfg.batch_scenes to a batch."""
@@ -515,13 +518,17 @@ class Trainer:
                         idxs)
         return [Y for Y, _ in out], [cache for _, cache in out]
 
-    def superpoint_features(self, feats=None) -> np.ndarray:
-        """Every scene's features (feats, else a forward pass) pooled per
-        superpoint; no activations are kept."""
-        return np.concatenate(scene_map(
+    def recluster(self, feats=None) -> list[Head]:
+        """A round's heads: every scene's features (feats, else a forward pass;
+        no activations are kept) pooled per superpoint, the spectral pass if
+        use_global is set, then build_pseudo_labels."""
+        sp_feats = np.concatenate(scene_map(
             lambda s, f: dm.pool_by_superpoint(
                 backbone_forward(self.backbone, s.points)[0] if f is None else f, s.superpoints),
             self.scenes, feats or [None] * len(self.scenes)))
+        cfg = self.cfg
+        spectral_feats = spectral_pass(sp_feats, cfg) if cfg.use_global else None
+        return build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed)
 
     def apply_grads(self, caches, grad_feats, lr, entity=None):
         """Backward pass and optimizer step; entity (or None) is per scene the
@@ -543,25 +550,23 @@ class Trainer:
                 acc += g
         self.opt.step(gw + gb, lr)
 
-    def train_epoch(self, heads, bank, head_opt, epoch: int) -> EpochReport:
-        """One pass over the corpus; returns the batch-averaged loss report."""
-        cfg = self.cfg
+    def train_epoch(self, heads, head_opt, epoch: int) -> EpochReport:
+        """One pass over the corpus, step s of n at poly_lr(epoch * n + s, epochs * n),
+        with the entity loss if self.bank is set; returns the batch-averaged
+        loss report, whose lr is the last step's."""
+        cfg, bank = self.cfg, self.bank
         sums = np.zeros(3)
         batches = self.scene_batches()
-        lr = cfg.lr0
         for step, idxs in enumerate(batches):
-            lr = poly_lr(self.global_step, self.total_steps, cfg)
+            lr = poly_lr(epoch * len(batches) + step, cfg.epochs * len(batches), cfg)
             feats, caches = self.forward_scenes(idxs)
             branch_losses, grad_feats, head_grads = head_step(
-                feats,
-                [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
-                [h.centroids for h in heads],
-                [int(h.branch == "global") for h in heads],
-            )
+                feats, [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
+                [h.centroids for h in heads], [int(h.branch == "global") for h in heads])
             l_local, l_global = (*branch_losses, 0.0)[:2]
 
             l_entity, entity = 0.0, None
-            if bank is not None and cfg.lambda_entity > 0:
+            if bank is not None:
                 sample = sample_entity_batch(bank, min(cfg.entity_batch, bank.B.shape[0]),
                                              stream_key(cfg.seed, "entity", epoch, step))
                 l_entity, entity, _ = _entity_anchor_grads(
@@ -576,22 +581,16 @@ class Trainer:
             self.apply_grads(caches, grad_feats, lr, entity=entity)
             head_opt.step(head_grads, lr)
             sums += (l_local, l_global, l_entity)
-            self.global_step += 1
         avg = sums / len(batches)
-        return EpochReport(
-            local=float(avg[0]), global_=float(avg[1]), entity=float(avg[2]),
-            total=float(avg[0] + avg[1] + cfg.lambda_entity * avg[2]), lr=lr,
-        )
+        return EpochReport(local=float(avg[0]), global_=float(avg[1]), entity=float(avg[2]),
+                           total=float(avg[0] + avg[1] + cfg.lambda_entity * avg[2]), lr=lr)
 
     def warmup(self) -> list[float]:
         """Distillation-only epochs on scenes that carry distill targets."""
         cfg = self.cfg
-        idxs = [i for i, s in enumerate(self.scenes)
-                if s.distill_targets is not None]
+        idxs = [i for i, s in enumerate(self.scenes) if s.distill_targets is not None]
         losses = []
-        if not idxs or cfg.warmup_epochs < 1:
-            return losses
-        for _ in range(cfg.warmup_epochs):
+        for _ in range(cfg.warmup_epochs if idxs else 0):
             epoch_loss = 0.0
             for batch in self.scene_batches(idxs):
                 feats, caches = self.forward_scenes(batch)
@@ -627,34 +626,30 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     if max(cfg.granularities) > n_sp:  # refused before anything is written
         raise ConfigError(f"granularity {max(cfg.granularities)} exceeds the corpus's "
                           f"{n_sp} superpoints")
-    bank_obj = feats = None
     if cfg.lambda_entity > 0 and bank_dir is not None:  # refused before the warm-up
-        bank_obj = load_bank(bank_dir)
-        if bank_obj.entity_ids != [e.entity_id for e in trainer.entities]:
+        trainer.bank = bank = load_bank(bank_dir)
+        if bank.entity_ids != [e.entity_id for e in trainer.entities]:
             raise DataError(f"{bank_dir}: the bank's entities are not the corpus's")
-        if bank_obj.B.shape[1] != cfg.feat_dim:
-            raise ShapeError(f"{bank_dir}: the bank's prototypes have {bank_obj.B.shape[1]} "
+        if bank.B.shape[1] != cfg.feat_dim:
+            raise ShapeError(f"{bank_dir}: the bank's prototypes have {bank.B.shape[1]} "
                              f"columns, the backbone's features {cfg.feat_dim}")
     warmup_losses = trainer.warmup()
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
 
-    if cfg.lambda_entity > 0 and bank_obj is None:
+    feats = None
+    if cfg.lambda_entity > 0 and trainer.bank is None:
         # no step comes before round 0: its features are the bank's, forwarded once
-        bank_obj, feats = build_bank(trainer)
-        save_bank(os.path.join(out_dir, "bank"), bank_obj)
+        trainer.bank, feats = build_bank(trainer)
+        save_bank(os.path.join(out_dir, "bank"), trainer.bank)
 
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
-        sp_feats, feats = trainer.superpoint_features(feats), None
-        spectral_feats = spectral_pass(sp_feats, cfg) if cfg.use_global else None
-        heads = build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed)
-        save_checkpoint(
-            os.path.join(out_dir, "checkpoints", f"round_{round_idx:03d}.ltck"),
-            trainer.backbone, heads,
-        )
+        heads, feats = trainer.recluster(feats), None
+        save_checkpoint(os.path.join(out_dir, "checkpoints", f"round_{round_idx:03d}.ltck"),
+                        trainer.backbone, heads)
         head_opt = AdamW([h.centroids for h in heads])
         for epoch in range(start, min(start + cfg.recluster_every, cfg.epochs)):
-            reports.append(trainer.train_epoch(heads, bank_obj, head_opt, epoch))
+            reports.append(trainer.train_epoch(heads, head_opt, epoch))
 
     if warmup_losses:
         with dm.atomic_open(os.path.join(out_dir, "warmup.tsv")) as f:

@@ -10,6 +10,8 @@ overridden, and must write exactly the same reports and artifacts.
 
 import os
 
+import numpy as np
+
 from langtail.cluster import multi_granularity_labels
 from langtail.data_model import pool_by_superpoint
 from langtail.synth import read_corpus
@@ -19,6 +21,7 @@ from langtail.train import (
     Trainer,
     TrainConfig,
     _write_outputs,
+    backbone_forward,
     standardize_scenes,
 )
 
@@ -30,13 +33,14 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
 
     k_prim = int(cfg.granularities[-1])
     trainer = Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
-    trainer.total_steps = cfg.epochs * len(trainer.scene_batches())
     reports = []
     heads = []
     epoch = 0
     while epoch < cfg.epochs or epoch == 0:
-        # recluster: forward everything, pool per superpoint, one Ward cut
-        sp_feats = trainer.superpoint_features()
+        # recluster: forward each scene in turn, pool per superpoint, one Ward cut
+        sp_feats = np.concatenate([
+            pool_by_superpoint(backbone_forward(trainer.backbone, s.points)[0], s.superpoints)
+            for s in scenes])
         (sp_labels,) = multi_granularity_labels(sp_feats, (k_prim,), seed=cfg.seed)
         mu = pool_by_superpoint(sp_feats, sp_labels)
         heads = [Head("local", k_prim, mu, sp_labels)]
@@ -44,7 +48,7 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
             break
         head_opt = AdamW([mu])
         for _ in range(min(cfg.recluster_every, cfg.epochs - epoch)):
-            reports.append(trainer.train_epoch(heads, None, head_opt, epoch))
+            reports.append(trainer.train_epoch(heads, head_opt, epoch))
             epoch += 1
 
     _write_outputs(out_dir, trainer, heads, reports)

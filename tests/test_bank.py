@@ -79,7 +79,7 @@ def test_aggregate_errors():
     with pytest.raises(EmptyMaskError):
         aggregate_entity_features(mask_incidence(scenes, [orphan]), [fa], [orphan])
     out_of_range = dm.EntityRecord(2, "y", np.ones(4), masks=[("a", np.array([5]))])
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(DataError, match="mask index 5 out of range for scene a of 2 points"):
         mask_incidence(scenes, [out_of_range])
     with pytest.raises(ShapeError):
         aggregate_entity_features(mask_incidence(scenes, [orphan]), [np.ones((3, 2))], [orphan])

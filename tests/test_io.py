@@ -245,6 +245,20 @@ def test_entity_record_rejections():
         dm.EntityRecord(1, "x", np.ones(4), masks=[("s", np.array([-1]))])
 
 
+@pytest.mark.parametrize("text", ["desk\tlamp", "desk\rlamp", "desk\nlamp", "lamp\r\n"])
+def test_entity_record_refuses_text_that_entities_tsv_cannot_hold(text):
+    # such a record used to be written, and read_entity_bank then refused the
+    # file it had written ("4 fields, expected 3") or split the entity's row
+    with pytest.raises(DataError, match="entity 1: text .* holds a tab or newline"):
+        dm.EntityRecord(1, text, np.ones(4))
+
+
+def test_entity_bank_round_trips_every_text_a_record_holds(tmp_path):
+    texts = ["", " floor lamp ", "lampe \u00e0 pied", "lamp\x0bshade", "lamp\u2028shade", "#"]
+    dm.write_entity_bank(tmp_path, [dm.EntityRecord(i, t, np.ones(4)) for i, t in enumerate(texts)])
+    assert [e.text for e in dm.read_entity_bank(tmp_path)] == texts
+
+
 def test_scene_bundle_shape_checks():
     with pytest.raises(ShapeError):
         dm.SceneBundle("s", np.ones((3, 2)), np.zeros(2, dtype=np.int64))

@@ -177,6 +177,46 @@ def test_only_the_trainer_builds_incidence(path):
     assert incidence_builds(path.read_text()) == []
 
 
+def trainer_state_writes(source: str) -> list[str]:
+    """"Trainer.method" for each assignment (=, += or annotated, also inside a
+    tuple target or a nested function) to an attribute of self in a Trainer
+    method other than __init__: the Trainer is a run's whole carried state,
+    and a round changes it only through the objects __init__ set."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "Trainer"):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                targets = (node.targets if isinstance(node, ast.Assign) else [node.target]
+                           if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+                found += [f"Trainer.{fn.name}" for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return found
+
+
+def test_trainer_state_writes_finds_a_leftover():
+    source = ("class Trainer:\n"
+              "    def __init__(self, cfg):\n        self.cfg, self.step = cfg, 0\n"
+              "    def train_epoch(self, batches):\n"
+              "        for _ in batches:\n            self.step += 1\n"
+              "        self.opt.t = self.cfg.x[0] = 0\n"
+              "    def recluster(self):\n"
+              "        def inner():\n            self.heads: list = []\n"
+              "        feats, self.feats = inner(), None\n"
+              "        return feats\n"
+              "class Other:\n    def reset(self):\n        self.step = 0\n")
+    assert trainer_state_writes(source) == ["Trainer.train_epoch", "Trainer.recluster",
+                                            "Trainer.recluster"]
+
+
+def test_trainer_methods_do_not_assign_its_attributes():
+    assert trainer_state_writes((SRC / "train.py").read_text()) == []
+
+
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """"module.function:parameter" for each defaulted parameter of a function
     that no call in sources passes, by keyword or by position. Calls match

@@ -564,8 +564,8 @@ def test_pipeline_forwards_once_for_bank_and_round_0(tmp_path, monkeypatch):
     # warmup 1 + bank 1 + 2 epochs + prediction 1; round 0 pools the bank's pass
     assert sum(rows) == 5 * 450
     # recomputing round 0's features instead changes no byte
-    pooled = tr.Trainer.superpoint_features
-    monkeypatch.setattr(tr.Trainer, "superpoint_features", lambda self, feats=None: pooled(self))
+    recluster = tr.Trainer.recluster
+    monkeypatch.setattr(tr.Trainer, "recluster", lambda self, feats=None: recluster(self))
     tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "twice")
     assert sum(rows) == 5 * 450 + 6 * 450
     for rel in ["checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb",
@@ -695,6 +695,30 @@ def test_poly_lr_schedule():
     assert tr.poly_lr(0, 100, cfg) == pytest.approx(1e-4)
     assert tr.poly_lr(50, 100, cfg) == pytest.approx(1e-4 * 0.5 ** 0.9)
     assert tr.poly_lr(100, 100, cfg) == pytest.approx(1e-8)  # floor
+
+
+@pytest.mark.parametrize("run", [tr.run_pipeline, tr.run_baseline], ids=["pipeline", "baseline"])
+def test_losses_lr_follows_the_poly_schedule_across_rounds(tmp_path, monkeypatch, run):
+    # 3 scenes, 2 to a batch: nb = 2 steps an epoch, 5 epochs in 3 rounds, after
+    # 2 warm-up epochs (the baseline skips them) that must not move the schedule
+    _mini_corpus(tmp_path, distill_dim=8)
+    cfg = small_cfg(epochs=5, recluster_every=2, warmup_epochs=2, lambda_entity=0.5)
+    nb, lrs = 2, []
+    apply_grads = tr.Trainer.apply_grads
+
+    def recording(self, caches, grad_feats, lr, entity=None):
+        lrs.append(lr)
+        return apply_grads(self, caches, grad_feats, lr, entity=entity)
+
+    monkeypatch.setattr(tr.Trainer, "apply_grads", recording)
+    run(cfg, tmp_path / "corpus", tmp_path / "run")
+    warm = 2 * nb if run is tr.run_pipeline else 0
+    assert lrs == [cfg.lr0] * warm + [tr.poly_lr(s, cfg.epochs * nb, cfg)
+                                      for s in range(cfg.epochs * nb)]
+    rows = (tmp_path / "run" / "losses.tsv").read_text().splitlines()[1:]
+    assert [r.split("\t")[-1] for r in rows] == [
+        f"{tr.poly_lr((e + 1) * nb - 1, cfg.epochs * nb, cfg):.10e}" for e in range(cfg.epochs)]
+    assert len(list((tmp_path / "run" / "checkpoints").iterdir())) == 3
 
 
 def test_adamw_single_step_hand_computed():
