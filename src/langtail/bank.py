@@ -75,27 +75,11 @@ def mask_incidence(scenes, entities) -> list:
             for s, c, n in zip(scenes, cols, sizes.cumsum(1))]
 
 
-def pool_masks(incidence, features) -> tuple[np.ndarray, np.ndarray]:
-    """The bank's and the training anchors' one rule: per incidence row, the mean
-    over scenes of the mean feature over its entries there (zero if in none).
-    Returns (pooled, counts), counts[j] each row's entries in scene j. Sums run
-    from zero in entry order: one mask in one scene pools to F[mask].mean(0)."""
-    counts = np.stack([np.diff(M.indptr) for M in incidence])
-    pooled = np.zeros((counts.shape[1], features[0].shape[1]))
-    for M, F, n in zip(incidence, features, counts):
-        if F.shape[0] != M.shape[1]:
-            raise ShapeError(f"{F.shape[0]} feature rows for a scene of {M.shape[1]} points")
-        sums = M @ np.asarray(F, dtype=np.float64)
-        pooled += np.divide(sums, n[:, None], out=sums, where=n[:, None] > 0)
-    pooled /= np.maximum((counts > 0).sum(0), 1)[:, None]
-    return pooled, counts
-
-
 def aggregate_entity_features(incidence, backbone_features, entities) -> np.ndarray:
-    """Each entity's pool_masks of the scenes' backbone features, through
+    """Each entity's dm.pool_masks of the scenes' backbone features, through
     incidence, the scenes' mask_incidence of entities; an entity with no mask
     point in these scenes is refused."""
-    pooled, counts = pool_masks(incidence, backbone_features)
+    pooled, counts = dm.pool_masks(incidence, backbone_features)
     for e, n in zip(entities, counts.sum(0)):
         if n == 0:
             raise EmptyMaskError(f"entity {e.entity_id}: no effective mask in any scene")
@@ -204,7 +188,7 @@ def entity_contrastive_loss(anchor_features, prototypes, weights,
 
 def save_bank(out_dir, bank: SemanticBank) -> None:
     """Persist bank_aligned.ltfm, trace.tsv, and an entities.tsv id copy."""
-    os.makedirs(out_dir, exist_ok=True)
+    dm.make_dirs(out_dir)
     dm.write_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm"),
                             bank.B.astype(np.float32))
     with dm.atomic_open(os.path.join(out_dir, "trace.tsv")) as f:

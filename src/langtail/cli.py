@@ -127,11 +127,15 @@ def resolve(args, schema, required) -> dict:
     for key in required:
         if key not in cfg:
             raise ConfigError(f"missing required option --{key}")
+    for key, v in cfg.items():  # config.resolved must read back as the same value
+        if any(c in str(v) for c in "#\r\n") or str(v) != str(v).strip():
+            raise ConfigError(f"{key} {v!r}: a '#', a line break or whitespace at an end "
+                              "cannot be written to config.resolved")
     return cfg
 
 
 def write_resolved(out_dir, cfg: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    dm.make_dirs(out_dir)
     with dm.atomic_open(os.path.join(out_dir, "config.resolved")) as f:
         for key in sorted(cfg):
             f.write(f"{key} = {cfg[key]}\n")
@@ -198,7 +202,7 @@ def cmd_eval(cfg) -> int:
     cm, report = _score(cfg)
     out = cfg.get("out")
     if out:
-        os.makedirs(out, exist_ok=True)
+        dm.make_dirs(out)
         ev.write_report(os.path.join(out, "report.tsv"), report)
         dm.write_feature_matrix(os.path.join(out, "confusion.ltfm"),
                                 cm.astype(np.float32))

@@ -87,8 +87,7 @@ def kmeans(X, k: int, seed: int = 0):
             assign = new_assign
             break
         assign = new_assign
-        for c in range(k):
-            centroids[c] = X[assign == c].mean(axis=0)
+        centroids = pool_by_superpoint(X, assign)  # every cluster has a point
     return centroids, assign, history
 
 

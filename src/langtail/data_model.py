@@ -1,4 +1,5 @@
-"""Domain types and bit-exact file I/O for the pipeline artifacts.
+"""Domain types, bit-exact file I/O for the pipeline artifacts, and
+pool_masks, the one rule for a float group mean.
 
 Binary formats, all little-endian. Each file is its magic (none for masks),
 u32 version=1, then the fields below; readers refuse bytes after the last.
@@ -21,6 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DataError,
@@ -236,24 +238,50 @@ def write_labels(path, labels: np.ndarray) -> None:
         put(f, labels, "<i4")
 
 
-def pool_by_superpoint(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Mean-pool point features per superpoint; row s is the mean of group s.
+def pool_masks(incidence, features) -> tuple[np.ndarray, np.ndarray]:
+    """Every float group mean's one rule: per row of incidence, scenes' CSRs of
+    ones, the mean over scenes of the mean feature over its entries there (zero
+    if in none). Returns (pooled, counts), counts[j] each row's entries in scene j.
+    Sums run from zero in entry order: one group in one scene pools to F[group].mean(0)."""
+    counts = np.stack([np.diff(M.indptr) for M in incidence])
+    pooled = np.zeros((counts.shape[1], features[0].shape[1]))
+    for M, F, n in zip(incidence, features, counts):
+        if F.shape[0] != M.shape[1]:
+            raise ShapeError(f"{F.shape[0]} feature rows for a scene of {M.shape[1]} points")
+        sums = M @ np.asarray(F, dtype=np.float64)
+        pooled += np.divide(sums, n[:, None], out=sums, where=n[:, None] > 0)
+    pooled /= np.maximum((counts > 0).sum(0), 1)[:, None]
+    return pooled, counts
 
-    Accumulates in float64 so large superpoints do not drift.
-    """
+
+def group_incidence(labels, n_groups: int):
+    """The n_groups x len(labels) CSR of ones; row g holds the i with labels[i] == g, ascending."""
+    n = len(labels)
+    return sparse.csr_array((np.ones(n), (labels, np.arange(n))), shape=(n_groups, n))
+
+
+def pool_by_superpoint(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """pool_masks of one scene's points over its superpoints: row s is the
+    float64 mean of the points with superpoint id s, summed in point order.
+    Ids must be dense: an id with no point is a DataError."""
     points = _validate_matrix(points)
     assignment = np.asarray(assignment, dtype=np.int64)
     if points.shape[0] != assignment.shape[0]:
         raise ShapeError(
             f"{points.shape[0]} feature rows but {assignment.shape[0]} superpoint ids"
         )
-    n_sp = int(assignment.max()) + 1
-    sums = np.zeros((n_sp, points.shape[1]), dtype=np.float64)
-    np.add.at(sums, assignment, points.astype(np.float64))
-    counts = np.bincount(assignment, minlength=n_sp).astype(np.float64)
+    pooled, counts = pool_masks([group_incidence(assignment, assignment.max() + 1)], [points])
     if np.any(counts == 0):
         raise DataError("superpoint ids are not dense: empty group encountered")
-    return sums / counts[:, None]
+    return pooled
+
+
+def make_dirs(path) -> None:
+    """os.makedirs(path, exist_ok=True); an OSError becomes an IoError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create directory {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +316,7 @@ def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
     """Persist the raw bank inputs: entities.tsv, embeddings.ltfm, masks/.
     A masks/*.bin file of a scene no entity has a mask in is deleted."""
     masks_dir = os.path.join(bank_dir, "masks")
-    os.makedirs(masks_dir, exist_ok=True)
+    make_dirs(masks_dir)
     entities = sorted(entities, key=lambda e: e.entity_id)
     with atomic_open(os.path.join(bank_dir, "entities.tsv")) as f:
         for e in entities:

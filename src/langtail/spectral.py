@@ -13,6 +13,7 @@ import scipy.linalg
 
 from .bank import _l2_rows
 from .cluster import _sq_dists, _symmetrize, kmeans
+from .data_model import group_incidence, pool_masks
 from .errors import ConfigError, DegenerateGraphError, ShapeError
 
 
@@ -76,7 +77,8 @@ def graph_fourier(U, F) -> np.ndarray:
 def group_patterns(U, F_feq, s_prime: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """K-means over frequency rows, then average the eigenvectors of each
     cluster into a refined global pattern. Returns (V, assignment): V is
-    (n, s_prime), column s the mean of the eigenvectors with assignment s."""
+    (n, s_prime), column s the mean of the eigenvectors with assignment s (zero
+    if duplicate rows starved cluster s despite k-means' re-seeding)."""
     F_feq = np.asarray(F_feq, dtype=np.float64)
     n = U.shape[0]
     if F_feq.shape[0] != n:
@@ -84,9 +86,4 @@ def group_patterns(U, F_feq, s_prime: int, seed: int = 0) -> tuple[np.ndarray, n
     if s_prime > n:
         raise ConfigError(f"s_prime={s_prime} exceeds {n} patterns")
     _, assign, _ = kmeans(F_feq, s_prime, seed=seed)
-    V = np.zeros((n, s_prime))
-    for s in range(s_prime):
-        members = np.flatnonzero(assign == s)
-        if members.size:  # duplicates can starve a cluster despite re-seeding
-            V[:, s] = U[:, members].mean(axis=1)
-    return V, assign
+    return pool_masks([group_incidence(assign, s_prime)], [U.T])[0].T, assign

@@ -206,10 +206,10 @@ def _write_optional(path, a, write) -> None:
 
 
 def write_corpus(out_dir, scenes, entities) -> None:
-    os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
+    dm.make_dirs(os.path.join(out_dir, "scenes"))
     for s in scenes:
         sdir = os.path.join(out_dir, "scenes", s.scene_id)
-        os.makedirs(sdir, exist_ok=True)
+        dm.make_dirs(sdir)
         dm.write_feature_matrix(os.path.join(sdir, "points.ltfm"), s.points)
         dm.write_superpoints(os.path.join(sdir, "superpoints.ltsp"), s.superpoints)
         _write_optional(os.path.join(sdir, "labels.ltlb"), s.gt_labels, dm.write_labels)

@@ -18,9 +18,10 @@ float64 arithmetic. Each head runs its own matmuls, and a row block changes
 no matmul row, so losses and gradients are bit-identical to
 tests/oracle_heads.py, the one-call-per-head loop. backbone_backward writes
 its gradients over its cache. The backbone and prediction stay float64.
-The Trainer builds each scene's mask_incidence M once; the bank pass and
-every step pool entity features through it by one rule (bank.pool_masks),
-and a step returns its anchors' gradient as M.T @ V.
+Every group mean is data_model.pool_masks: superpoint features, head
+centroids and, through the Trainer's one mask_incidence M per scene, the
+bank's and every step's entity features; a step returns its anchors'
+gradient as M.T @ V.
 
 Per-scene work (forward, head cross-entropy, then backward, which first adds
 the entity-anchor gradient into the scene's feature gradient one row block
@@ -53,7 +54,6 @@ from .bank import (
     entity_contrastive_loss,
     load_bank,
     mask_incidence,
-    pool_masks,
     sample_entity_batch,
     save_bank,
 )
@@ -439,7 +439,7 @@ def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     gradients over their scenes and entries there; rows sum from zero in anchor order."""
     indices, P, w = bank_sample
     sampled = [M[indices] for M in incidence]
-    pooled, counts = pool_masks(sampled, features_per_scene)
+    pooled, counts = dm.pool_masks(sampled, features_per_scene)
     n_scenes = (counts > 0).sum(0)
     keep = n_scenes > 0
     if not keep.any():
@@ -634,7 +634,7 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
             raise ShapeError(f"{bank_dir}: the bank's prototypes have {bank.B.shape[1]} "
                              f"columns, the backbone's features {cfg.feat_dim}")
     warmup_losses = trainer.warmup()
-    os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
+    dm.make_dirs(os.path.join(out_dir, "checkpoints"))
 
     feats = None
     if cfg.lambda_entity > 0 and trainer.bank is None:

@@ -625,6 +625,53 @@ def test_synth_rerun_from_config_resolved(tmp_path, monkeypatch):
     assert (tmp_path / "c" / "manifest.tsv").read_bytes() == before
 
 
+# a value that config.resolved, `key = value` lines with `#` comments read
+# back stripped, would read back as another value
+UNWRITABLE = ["c#1", "c ", "c\nd", "c\rd", " c\t"]
+UNWRITABLE_FLAGS = ([("train", "out", v) for v in UNWRITABLE]
+                    + [("train", "corpus", v) for v in UNWRITABLE]
+                    + [("train", "granularities", v) for v in ("4 ", " 4", "4,2\n")]
+                    # a re-run from c#1/config.resolved would write to <abs>/c
+                    + [("synth", "out", "c#1")])
+
+
+@pytest.mark.parametrize("command,key,value", UNWRITABLE_FLAGS, ids=repr)
+def test_cli_refuses_a_value_config_resolved_cannot_hold(tmp_path, monkeypatch, capfd,
+                                                         command, key, value):
+    # refused with exit 1 before the corpus is read (it does not exist:
+    # reading it would exit 2) and before anything is written
+    monkeypatch.chdir(tmp_path)
+    flags = {"synth": {"out": "o"}, "train": {"corpus": "nope", "out": "o"}}[command]
+    flags[key] = value
+    assert main([command] + [a for k, v in flags.items() for a in (f"--{k}", v)]) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+SMALL_BANK = ["--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "0",
+              "--batch-scenes", "2"]
+OUT_RUNS = {
+    "synth": SMALL_SYNTH,
+    "bank": ["--corpus", "{corpus}"] + SMALL_BANK,
+    "train": ["--corpus", "{corpus}"] + SMALL_TRAIN,
+    "train --baseline": ["--corpus", "{corpus}", "--baseline", "true"] + SMALL_TRAIN,
+    "eval": ["--pred", "{corpus}/labels.ltlb", "--gt", "{corpus}/labels.ltlb"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("run", OUT_RUNS)
+def test_cli_out_at_an_existing_file_exits_2(tmp_path, capfd, run, under):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    (tmp_path / "f").write_text("kept\n")
+    out = tmp_path / "f" / "o" if under else tmp_path / "f"
+    argv = [a.replace("{corpus}", str(corpus)) for a in OUT_RUNS[run]]
+    assert main(run.split()[:1] + argv + ["--out", str(out)]) == 2
+    assert "Traceback" not in capfd.readouterr().err
+    assert (tmp_path / "f").read_text() == "kept\n"
+
+
 EXIT_CODES = {"ConfigError": 1, "DivergenceError": 3, "NumericError": 3, "NormalizationError": 3,
               "FormatError": 2, "TruncationError": 2, "DataError": 2, "IoError": 2,
               "ShapeError": 2, "DegenerateGraphError": 2, "EmptyMaskError": 2,

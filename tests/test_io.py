@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_pool
 from langtail import data_model as dm
 from langtail import train as tr
 from langtail.errors import (
@@ -229,6 +230,22 @@ def test_pool_permutation_invariant(n, d, seed):
     a = dm.pool_by_superpoint(pts, assign)
     b = dm.pool_by_superpoint(pts[perm], assign[perm])
     assert np.allclose(a, b, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(1, 40),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 10 ** 6))
+def test_pool_by_superpoint_has_the_bits_of_the_reference_means(n, d, k, dtype, seed):
+    # labels in no order, float32 or float64 rows over six decades of scale
+    rng = np.random.default_rng(seed)
+    pts = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+    assign = np.unique(rng.integers(0, k, size=n), return_inverse=True)[1]
+    got = dm.pool_by_superpoint(pts, assign)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, oracle_pool.pool_add_at(pts, assign))
+    if d > 1:  # see oracle_pool.kmeans_update
+        X = pts.astype(np.float64)
+        assert np.array_equal(got, oracle_pool.kmeans_update(X, assign, assign.max() + 1))
 
 
 def test_entity_record_normalizes_masks():

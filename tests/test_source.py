@@ -263,3 +263,38 @@ CALLED_FROM_OUTSIDE = {"cli.main:argv", "evaluation.confusion:n_gt"}
 def test_every_default_is_passed_somewhere():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unpassed_defaults(sources) == sorted(CALLED_FROM_OUTSIDE)
+
+
+def ufunc_at_calls(source: str) -> list[str]:
+    """The function (or "<module>") of each `.at(...)` call, a ufunc's
+    unbuffered scatter such as np.add.at: every float group mean is
+    data_model.pool_masks. A nested function counts as its own."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "at":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_ufunc_at_calls_finds_a_leftover():
+    source = ("np.add.at(sums, [0], 1.0)\n"
+              "def pool(x, a):\n"
+              "    def inner():\n        np.maximum.at(x, a, 0.0)\n"
+              "    at(x)\n    return x.at, np.add.at(x, a, 1.0), inner\n")
+    assert ufunc_at_calls(source) == ["<module>", "inner", "pool"]
+
+
+# match_and_score merges int64 counts, which sum exactly in any order
+UFUNC_AT_ALLOWED = {"evaluation.py": ["match_and_score"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_ufunc_at_outside_the_label_merge(path):
+    assert ufunc_at_calls(path.read_text()) == UFUNC_AT_ALLOWED.get(path.name, [])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_dense
+import oracle_pool
 from langtail.cluster import _sq_dists
 from langtail.errors import ConfigError, DegenerateGraphError, ShapeError
 from langtail.spectral import (
@@ -121,6 +124,30 @@ def test_group_patterns_hand_case():
     assert assign[2] != assign[0]
     assert np.allclose(V[:, assign[0]], U[:, :2].mean(axis=1))
     assert np.allclose(V[:, assign[2]], U[:, 2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 60), st.integers(2, 6), st.integers(0, 10 ** 6))
+def test_group_patterns_has_the_bits_of_the_per_column_mean(n, d, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(n, d))
+    _, U = eigendecompose(normalized_laplacian(build_affinity(F)))
+    assert U.flags.f_contiguous  # eigh's layout, which the reference needs
+    s_prime = int(rng.integers(1, n + 1))
+    V, assign = group_patterns(U, graph_fourier(U, F), s_prime, seed=seed)
+    assert np.array_equal(V, oracle_pool.pattern_means(U, assign, s_prime))
+
+
+def test_group_patterns_gives_a_starved_pattern_a_zero_column():
+    # two distinct frequency rows cannot fill three patterns: k-means re-seeds
+    # its empty clusters in vain, and a pattern with no eigenvector is zero
+    _, U = eigendecompose(np.diag([0.0, 1.0, 2.0, 3.0]))
+    F_feq = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
+    V, assign = group_patterns(U, F_feq, 3, seed=0)
+    starved = sorted(set(range(3)) - set(assign.tolist()))
+    assert starved
+    assert not V[:, starved].any()
+    assert np.array_equal(V, oracle_pool.pattern_means(U, assign, 3))
 
 
 def test_group_patterns_rejects_oversized():
