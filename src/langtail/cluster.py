@@ -6,7 +6,8 @@ Conventions pinned here (and by the oracle tests):
   - With exact ties every merge is still a minimum-cost merge of the partition
     at that step, but which tied pair goes first follows scipy's chain.
   - k-means uses greedy farthest-point seeding from a seeded PRNG; empty
-    clusters are re-seeded at the point farthest from its centroid.
+    clusters are re-seeded at the point farthest from its centroid, and once
+    every point sits on its centroid, k-means stops with the empty clusters.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
-from .data_model import pool_by_superpoint
+from .data_model import group_incidence, pool_by_superpoint, pool_masks
 from .errors import ConfigError, DataError
 from .rng import make_rng
 
@@ -57,7 +58,9 @@ KMEANS_MAX_ITERS = 100
 def kmeans(X, k: int, seed: int = 0):
     """Lloyd's algorithm with farthest-point init, at most KMEANS_MAX_ITERS rounds.
 
-    Returns (centroids (k, C), assignments (n,), inertia_history).
+    Returns (centroids (k, C), assignments (n,), inertia_history). Rows with
+    fewer distinct values than k leave clusters empty: their centroid rows
+    are zero, the others the means of their points.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -77,6 +80,8 @@ def kmeans(X, k: int, seed: int = 0):
         if np.any(counts == 0):
             # re-seed each empty cluster at the currently worst-fit point
             worst = d2[np.arange(n), new_assign]
+            if not worst.max() > 0:  # no point to re-seed on: every one sits on its centroid
+                return pool_masks([group_incidence(new_assign, k)], [X])[0], new_assign, history
             for c in np.flatnonzero(counts == 0):
                 far = int(np.argmax(worst))
                 centroids[c] = X[far]

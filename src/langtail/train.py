@@ -9,26 +9,28 @@ analytic gradient and is covered by finite-difference checks in the tests.
 A training step scores every (branch, level) head of a scene in one
 head_ce_loss call; every point carries a label of every head (the heads'
 Ward cuts label every superpoint), and head_ce_loss refuses one outside
-its head's range. The call sums each branch's feature gradient in row blocks
-into the scene's one float64 result. head_ce_loss computes in the dtype of
-its features. head_step passes float32 features and centroids, so the head
-matmuls and the softmax's one exp run in float32, while the softmax row
-sums, the losses and the gradient sums are float64; float64 inputs keep
-float64 arithmetic. Each head runs its own matmuls, and a row block changes
-no matmul row, so losses and gradients are bit-identical to
-tests/oracle_heads.py, the one-call-per-head loop. backbone_backward writes
-its gradients over its cache. The backbone and prediction stay float64.
-Every group mean is data_model.pool_masks: superpoint features, head
-centroids and, through the Trainer's one mask_incidence M per scene, the
-bank's and every step's entity features; a step returns its anchors'
-gradient as M.T @ V.
+its head's range. head_ce_loss computes in the dtype of its features.
+head_step passes float32 features and centroids, so the head matmuls and
+the softmax's one exp run in float32, while the softmax row sums, the
+losses and the gradient sums are float64; float64 inputs keep float64
+arithmetic. Each head runs its own matmuls, and a row block changes no
+matmul row, so losses and gradients are bit-identical to
+tests/oracle_heads.py, the one-call-per-head loop. The backbone and
+prediction stay float64. Every group mean is data_model.pool_masks:
+superpoint features, head centroids and, through the Trainer's one
+mask_incidence M per scene, the bank's and every step's entity features;
+a step's anchor gradient is M.T @ V, a point's entries summed in entity order.
 
-Per-scene work (forward, head cross-entropy, then backward, which first adds
-the entity-anchor gradient into the scene's feature gradient one row block
-at a time) runs in scene_map on the calling thread plus one pool thread per
-further CPU of the affinity set, with no setting; results are reduced in
-scene order on the calling thread, so outputs are byte-identical whatever
-the helper count (not the BLAS thread count). predict_labels spreads scenes
+A step is two scene_map passes. The first forwards each scene, and the
+calling thread then finds the entity anchors' gradients from those
+features. The second runs each scene's head_ce_loss and then its backward
+pass, which forms the feature gradient one row block at a time (each
+branch's head sums, the anchors' rows, the normalisation Jacobian written
+over the forward features), so no n x C gradient is made. scene_map runs
+on the calling thread plus one pool thread per further CPU of the affinity
+set, with no setting; results are reduced in scene order on the calling
+thread, so outputs are byte-identical whatever the helper count (not the
+BLAS thread count). predict_labels spreads scenes
 the same way: a thread forwards and scores a scene one row_blocks block at a
 time into the one output array, and its labels are those of whole-scene
 passes at any size.
@@ -220,20 +222,22 @@ def backbone_forward(b: Backbone, X):
 def backbone_backward(b: Backbone, cache, grad_out):
     """Exact reverse-mode gradients, including the row-normalization Jacobian.
 
-    Consumes cache (run it once per forward pass): the Jacobian is formed in
-    row blocks over cache["Y"], the forward pass's features, and each hidden
-    layer's input gradient is written over its activations once its ReLU
-    mask is taken. grad_out is only read.
+    grad_out, the (N, C) output gradient, is only read: an array, or a
+    function returning its rows lo:hi, called once per row_blocks block in
+    order. Consumes cache (run it once per forward pass): the Jacobian is
+    formed in row blocks over cache["Y"], the forward pass's features, and
+    each hidden layer's input gradient is written over its activations once
+    its ReLU mask is taken.
 
     Returns (grads_w, grads_b, grad_in).
     """
     acts = cache["acts"]
     norms = cache["norms"]
     gz = cache["Y"]
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = grad_out if callable(grad_out) else np.asarray(grad_out, dtype=np.float64)
     # d/dz of z/||z||: (g - (g.y) y) / ||z||
     for lo, hi in row_blocks(len(gz)):
-        y, gy = gz[lo:hi], g[lo:hi]
+        y, gy = gz[lo:hi], g(lo, hi) if callable(g) else g[lo:hi]
         np.multiply((gy * y).sum(axis=1, keepdims=True), y, out=y)
         np.subtract(gy, y, out=y)
         y /= norms[lo:hi, None]
@@ -253,26 +257,28 @@ def backbone_backward(b: Backbone, cache, grad_out):
 
 def head_ce_loss(features, mus, labels, branches, n_pts=1):
     """Cross-entropy of several linear heads on the same feature rows: one
-    scene's work in head_step.
+    scene's head work in head_step.
 
     Head h has logits features @ mus[h].T, labels[h] in [0, len(mus[h])) for
     every row and branch branches[h]; its loss is the mean cross-entropy over
-    the rows. The float64 feature gradient adds, branch by branch in
-    ascending order, (the sum of S_h @ mus[h] over the branch's heads in list
-    order) / n_pts, S_h head h's softmax less its one-hot labels: the
-    gradient of the heads' summed-over-rows losses over n_pts.
+    the rows. The float64 feature gradient is, branch by branch in ascending
+    order, (the sum of S_h @ mus[h] over the branch's heads in list order) /
+    n_pts, the first branch's value plus each later one's, S_h head h's
+    softmax less its one-hot labels: the gradient of the heads'
+    summed-over-rows losses over n_pts.
 
     The arithmetic runs in float32 for float32 features and in float64
     otherwise; mus take that dtype. The softmax is one exp of the logits less
-    their row maximum, over float64 row sums; the losses are float64. A
-    branch's softmax gradients share one buffer of n x (its summed k), and
-    its feature gradient is summed one row_blocks block at a time in one
-    float64 block, so the result is the only n x C array. Each head keeps its
-    own matmuls: a matmul against the stacked centroids of all heads rounds
-    some slices differently.
+    their row maximum, over float64 row sums; the losses are float64. Every
+    head's softmax gradient is computed here, into one buffer of n x (the
+    summed k), and the features are not read again. The feature gradient is
+    returned as grad(lo, hi), its rows lo:hi for a row_blocks block, summed
+    when asked into one float64 block that the next call writes over, so no
+    n x C array is made. Each head keeps its own matmuls: a matmul against
+    the stacked centroids of all heads rounds some slices differently.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the
-    dtype, the feature gradient).
+    dtype, grad).
     """
     dtype = np.float32 if np.asarray(features).dtype == np.float32 else np.float64
     F = np.asarray(features, dtype=dtype)
@@ -288,39 +294,39 @@ def head_ce_loss(features, mus, labels, branches, n_pts=1):
     for y, mu in zip(labels, mus):
         if y.min() < 0 or y.max() >= len(mu):
             raise DataError(f"a label outside [0, {len(mu)}) for a head of {len(mu)} centroids")
-    grad = np.empty(F.shape)
-    groups = [[h for h, hb in enumerate(branches) if hb == b] for b in sorted(set(branches))]
-    scratch = np.empty(n * max(sum(len(mus[h]) for h in g) for g in groups), dtype)
-    blocks = row_blocks(n)
-    block = np.empty((max(hi - lo for lo, hi in blocks), F.shape[1]))  # float64 sums
-    prod = np.empty(block.shape, dtype)  # one head's product
+    scratch = np.empty(n * sum(len(mu) for mu in mus), dtype)
     rows = np.arange(n)
-    losses, grad_mus = [0.0] * len(mus), [None] * len(mus)
-    for bi, heads in enumerate(groups):
-        softmaxes, off = [], 0
-        for h in heads:
-            S = np.matmul(F, mus[h].T, out=scratch[off:off + n * len(mus[h])].reshape(n, -1))
-            off += S.size
-            picked = S[rows, labels[h]]
-            m = S.max(axis=1)
-            S -= m[:, None]
-            np.exp(S, out=S)
-            z = S.sum(axis=1, dtype=np.float64)
-            losses[h] = float(np.mean(m + np.log(z) - picked))
-            S /= z[:, None]
-            S[rows, labels[h]] -= 1.0
-            grad_mus[h] = S.T @ F / n
-            softmaxes.append(S)
-        for lo, hi in blocks:
-            acc = block[:hi - lo]
+    losses, grad_mus, softmaxes, off = [], [], [], 0
+    for mu, y in zip(mus, labels):
+        S = np.matmul(F, mu.T, out=scratch[off:off + n * len(mu)].reshape(n, -1))
+        off += S.size
+        picked = S[rows, y]
+        m = S.max(axis=1)
+        S -= m[:, None]
+        np.exp(S, out=S)
+        z = S.sum(axis=1, dtype=np.float64)
+        losses.append(float(np.mean(m + np.log(z) - picked)))
+        S /= z[:, None]
+        S[rows, y] -= 1.0
+        grad_mus.append(S.T @ F / n)
+        softmaxes.append(S)
+    groups = [[h for h, hb in enumerate(branches) if hb == b] for b in sorted(set(branches))]
+    # float64 sums: the gradient block, and a later branch's block added to it
+    block = np.empty((min(len(groups), 2), max(hi - lo for lo, hi in row_blocks(n)), F.shape[1]))
+    prod = np.empty(block.shape[1:], dtype)  # one head's product
+
+    def grad(lo, hi):
+        out = block[0, :hi - lo]
+        for bi, heads in enumerate(groups):
+            acc = block[min(bi, 1), :hi - lo]
             acc.fill(0.0)
-            for h, S in zip(heads, softmaxes):
-                acc += np.matmul(S[lo:hi], mus[h], out=prod[:hi - lo])
+            for h in heads:
+                acc += np.matmul(softmaxes[h][lo:hi], mus[h], out=prod[:hi - lo])
             acc /= n_pts
-            if bi == 0:
-                grad[lo:hi] = acc
-            else:
-                grad[lo:hi] += acc
+            if bi:
+                out += acc
+        return out
+
     return losses, grad_mus, grad
 
 
@@ -433,10 +439,10 @@ class EpochReport:
 def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     """Contrastive loss of the sampled entities' pool_masks anchors; incidence[j]
     is scene j's mask_incidence, bank_sample sample_entity_batch's (indices,
-    prototypes, weights). Returns (loss, per scene (M, V), n_anchors), or
-    (0.0, [], 0) if no anchor has mask points here. M.T @ V is the scene's
-    feature gradient: M holds its incidence rows in anchor order, V the anchors'
-    gradients over their scenes and entries there; rows sum from zero in anchor order."""
+    prototypes, weights). Returns (loss, per scene V, n_anchors), or (0.0, [], 0)
+    if no anchor has mask points here. V's row a is sampled entity a's anchor
+    gradient over its scenes and its entries in the scene (zero if none there),
+    so M.T @ V, which add_entity_grad forms, is the scene's feature gradient."""
     indices, P, w = bank_sample
     sampled = [M[indices] for M in incidence]
     pooled, counts = dm.pool_masks(sampled, features_per_scene)
@@ -451,42 +457,74 @@ def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     loss, grad_anchor = entity_contrastive_loss(anchors, P[keep], w[keep], tau=tau)
     gz = np.zeros_like(pooled)
     gz[keep] = [(g - (g @ z) * z) / n for g, z, n in zip(grad_anchor, anchors, norms)]
-    return loss, [(M, np.divide(gz, d[:, None], out=np.zeros_like(gz), where=d[:, None] > 0))
-                  for M, d in zip(sampled, n_scenes * counts)], len(anchors)
+    return loss, [np.divide(gz, d[:, None], out=np.zeros_like(gz), where=d[:, None] > 0)
+                  for d in n_scenes * counts], len(anchors)
 
 
-def head_step(feats, labels, mus, branches):
-    """Head cross-entropy of one batch of scenes, one head_ce_loss call per scene.
+def entity_blocks(M):
+    """A scene's mask_incidence M as add_entity_grad reads it: (the entities
+    with a mask point in the scene, ascending; for each row_blocks block
+    (lo, hi), rows lo:hi of the CSR of its points x those entities). A point's
+    entries are in entity order, one per mask entry, as in M."""
+    ents = np.flatnonzero(np.diff(M.indptr))
+    MT = M[ents].T.tocsr()
+    return ents, {(lo, hi): MT[lo:hi] for lo, hi in row_blocks(M.shape[1])}
+
+
+def add_entity_grad(grad, blocks, indices, V, lam):
+    """grad, a function of row_blocks' (lo, hi) as backbone_backward takes it,
+    plus lam * (M.T @ V) in its rows: blocks is entity_blocks(M), and V's rows
+    the gradients of the distinct entities indices (_entity_anchor_grads'),
+    scattered into a zero matrix over the scene's entities. So a point's
+    entries sum from zero in entity order, and an unsampled entity adds +0.0."""
+    ents, MT = blocks
+    Vs = np.zeros((len(ents), V.shape[1]))
+    hit = np.isin(indices, ents)
+    Vs[np.searchsorted(ents, indices[hit])] = V[hit]
+
+    def rows(lo, hi):
+        g = grad(lo, hi)
+        g += lam * (MT[lo, hi] @ Vs)
+        return g
+
+    return rows
+
+
+def head_step(feats, labels, mus, branches, backward):
+    """Head cross-entropy of one batch of scenes, and each scene's backward
+    pass: one scene_map item per scene, head_ce_loss then backward.
 
     feats[j] are scene j's features and labels[j][h] its labels for head h,
     one in [0, k_h) per point; mus[h] are head h's k_h centroids and
     branches[h] its branch (0 local, 1 global). Losses and gradients are
     means over the batch's points, each scene's mean weighted by its point
-    count. Returns (loss per branch, feature gradient per scene, centroid
-    gradient per head). The heads run in float32 (features cast inside each
-    scene's work, centroids once per batch); a scene's feature gradient is
-    head_ce_loss's float64 result, already divided by the batch's point
-    count. Scenes run through scene_map, so a thread holds its scene's
-    float32 features, softmax buffer and result.
+    count. backward(j, grad) runs in scene j's work on head_ce_loss's grad,
+    already divided by the batch's point count. Returns (loss per branch,
+    backward's result per scene, centroid gradient per head). The heads run
+    in float32 (features cast inside each scene's work and freed before
+    backward, centroids once per batch), so a thread holds its scene's
+    float32 features and softmax buffer, then the buffer and grad's blocks.
     """
     n_pts = sum(f.shape[0] for f in feats)
     mus32 = [mu.astype(np.float32) for mu in mus]
-    out = scene_map(lambda f, y: head_ce_loss(f.astype(np.float32), mus32, y, branches, n_pts),
-                    feats, labels)
+
+    def scene(j, f, y):
+        losses, gmus, grad = head_ce_loss(f.astype(np.float32), mus32, y, branches, n_pts)
+        return losses, gmus, backward(j, grad)
+
+    out = scene_map(scene, range(len(feats)), feats, labels)
     loss_sums = [0.0] * len(mus)
     head_grads = [np.zeros_like(mu) for mu in mus]
-    grad_feats = []
-    for f, (losses, gmus, gf) in zip(feats, out):
+    for f, (losses, gmus, _) in zip(feats, out):
         for h, (loss, gmu) in enumerate(zip(losses, gmus)):
             loss_sums[h] += loss * f.shape[0]
             head_grads[h] += gmu * f.shape[0]
-        grad_feats.append(gf)
     for g in head_grads:
         g /= n_pts
     branch_losses = [0.0] * (max(branches) + 1)
     for b, s in zip(branches, loss_sums):
         branch_losses[b] += s / n_pts
-    return branch_losses, grad_feats, head_grads
+    return branch_losses, [r for _, _, r in out], head_grads
 
 
 class Trainer:
@@ -503,6 +541,7 @@ class Trainer:
         offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
         self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
         self.incidence = mask_incidence(scenes, entities)
+        self.entity_blocks = [entity_blocks(M) for M in self.incidence]
         self.backbone = init_backbone(input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed)
         self.opt = AdamW(self.backbone.weights + self.backbone.biases)
         self.bank = None
@@ -530,55 +569,50 @@ class Trainer:
         spectral_feats = spectral_pass(sp_feats, cfg) if cfg.use_global else None
         return build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed)
 
-    def apply_grads(self, caches, grad_feats, lr, entity=None):
-        """Backward pass and optimizer step; entity (or None) is per scene the
-        (M, V) of _entity_anchor_grads, whose product M.T @ V, times
-        lambda_entity, is added inside the scene's work."""
-        def backward(c, g, ent):
-            if ent is not None:  # one row block at a time: no n x C temporary
-                MT, V = ent[0].T.tocsr(), ent[1]
-                for lo, hi in row_blocks(len(g)):
-                    g[lo:hi] += self.cfg.lambda_entity * (MT[lo:hi] @ V)
-            return backbone_backward(self.backbone, c, g)
-
-        gw = [np.zeros_like(w) for w in self.backbone.weights]
-        gb = [np.zeros_like(b) for b in self.backbone.biases]
-        for w, b, _ in scene_map(backward, caches, grad_feats, entity or [None] * len(caches)):
-            for acc, g in zip(gw, w):
-                acc += g
-            for acc, g in zip(gb, b):
-                acc += g
-        self.opt.step(gw + gb, lr)
+    def apply_grads(self, grads, lr):
+        """Optimizer step on the scenes' backbone_backward results, each
+        parameter's gradients summed from zero in scene order."""
+        gw, gb, _ = zip(*grads)
+        self.opt.step([sum(g) for g in zip(*gw)] + [sum(g) for g in zip(*gb)], lr)
 
     def train_epoch(self, heads, head_opt, epoch: int) -> EpochReport:
         """One pass over the corpus, step s of n at poly_lr(epoch * n + s, epochs * n),
         with the entity loss if self.bank is set; returns the batch-averaged
-        loss report, whose lr is the last step's."""
+        loss report, whose lr is the last step's. A step forwards its scenes,
+        then runs head_step into backward passes; neither optimizer moves
+        before the step's loss is known to be finite."""
         cfg, bank = self.cfg, self.bank
         sums = np.zeros(3)
         batches = self.scene_batches()
         for step, idxs in enumerate(batches):
             lr = poly_lr(epoch * len(batches) + step, cfg.epochs * len(batches), cfg)
             feats, caches = self.forward_scenes(idxs)
-            branch_losses, grad_feats, head_grads = head_step(
-                feats, [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
-                [h.centroids for h in heads], [int(h.branch == "global") for h in heads])
-            l_local, l_global = (*branch_losses, 0.0)[:2]
-
-            l_entity, entity = 0.0, None
+            l_entity, entity = 0.0, [None] * len(idxs)
             if bank is not None:
                 sample = sample_entity_batch(bank, min(cfg.entity_batch, bank.B.shape[0]),
                                              stream_key(cfg.seed, "entity", epoch, step))
-                l_entity, entity, _ = _entity_anchor_grads(
+                l_entity, V, _ = _entity_anchor_grads(
                     feats, sample, [self.incidence[i] for i in idxs], cfg.tau)
+                entity = [(sample[0], v) for v in V] or entity
 
+            def backward(j, grad):
+                if entity[j] is not None:
+                    grad = add_entity_grad(grad, self.entity_blocks[idxs[j]], *entity[j],
+                                           cfg.lambda_entity)
+                return backbone_backward(self.backbone, caches[j], grad)
+
+            branch_losses, grads, head_grads = head_step(
+                feats, [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
+                [h.centroids for h in heads], [int(h.branch == "global") for h in heads],
+                backward)
+            l_local, l_global = (*branch_losses, 0.0)[:2]
             total = l_local + l_global + cfg.lambda_entity * l_entity
             if not np.isfinite(total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"local={l_local} global={l_global} entity={l_entity}"
                 )
-            self.apply_grads(caches, grad_feats, lr, entity=entity)
+            self.apply_grads(grads, lr)
             head_opt.step(head_grads, lr)
             sums += (l_local, l_global, l_entity)
         avg = sums / len(batches)
@@ -596,7 +630,8 @@ class Trainer:
                 feats, caches = self.forward_scenes(batch)
                 out = [distill_warmup_loss(f, self.scenes[i].distill_targets)
                        for f, i in zip(feats, batch)]
-                self.apply_grads(caches, [g for _, g in out], cfg.lr0)
+                self.apply_grads(scene_map(lambda c, g: backbone_backward(self.backbone, c, g),
+                                           caches, [g for _, g in out]), cfg.lr0)
                 epoch_loss += sum(loss for loss, _ in out) / len(batch)
             losses.append(epoch_loss)
         return losses

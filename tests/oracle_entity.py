@@ -5,7 +5,8 @@ entity's mask rows scene by scene (the mean of each scene's concatenated
 mask rows, then the mean over the scenes), runs the contrastive loss, and
 scatters every anchor's feature gradient into a zero buffer over the sorted
 union of each scene's mask rows, one `+= gz / (n_scenes * n_rows)` per mask
-(n_rows: the entity's mask rows in that scene), in entity order.
+(n_rows: the entity's mask rows in that scene), in ascending entity order
+whatever the order of the sample.
 langtail.train._entity_anchor_grads must give the same loss and anchor count
 and, row for row, the same gradient bits.
 """
@@ -58,7 +59,8 @@ def reference_entity_anchor_grads(features_per_scene, bank_sample, entities,
         idx for hits in pooled_rows for b, idx in hits if b == bi]))
         for bi in range(len(features_per_scene))]
     grads = [np.zeros((r.size, anchors.shape[1])) for r in rows]
-    for a, hits in enumerate(pooled_rows):
+    for a in np.argsort(indices[keep]):  # entity order
+        hits = pooled_rows[a]
         g = grad_anchor[a]
         gz = (g - (g @ anchors[a]) * anchors[a]) / norms[a]
         n_scenes = len({bi for bi, _ in hits})

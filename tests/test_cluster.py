@@ -66,6 +66,19 @@ def test_kmeans_k_equals_n():
     assert hist[-1] == 0.0
 
 
+def test_kmeans_stops_when_no_point_can_fill_an_empty_cluster():
+    # two distinct rows for three clusters: re-seeding cannot fill the third,
+    # so k-means stops at once with the distinct rows apart, and its
+    # centroids are the means of that assignment (zero for the empty one)
+    X = np.array([[5.0, 5.0], [5.0, 5.0], [1.0, 0.0], [1.0, 0.0]])
+    centroids, assign, hist = kmeans(X, 3, seed=0)
+    assert len(hist) == 1 and hist[-1] == 0.0
+    assert assign[0] == assign[1] != assign[2] == assign[3]
+    assert np.array_equal(centroids[assign], X)
+    empty = sorted(set(range(3)) - set(assign.tolist()))
+    assert len(empty) == 1 and not centroids[empty].any()
+
+
 def test_kmeans_validation():
     X = np.ones((3, 2))
     with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grad_close, central_diff, count_incidence_builds
+from conftest import assert_grad_close, central_diff, count_incidence_builds, whole_grad
 from langtail import cluster as cl
 from langtail import data_model as dm
 from langtail import evaluation as ev
@@ -33,6 +33,7 @@ from langtail.errors import (
     FormatError,
     LangtailError,
     NormalizationError,
+    NumericError,
     ShapeError,
     TruncationError,
 )
@@ -255,7 +256,7 @@ def head_ce(F, mus, labels):
     feature gradient is that of the heads' summed losses: (losses, feature
     grad, mu grads)."""
     losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0] * len(mus), len(F))
-    return losses, grad, gmus
+    return losses, whole_grad(grad, len(F)), gmus
 
 
 def test_head_ce_gradient_fd():
@@ -280,8 +281,9 @@ def test_head_ce_several_heads_fd():
     mus = [rng.normal(size=(k, 5)) for k in (3, 1, 4)]
     labels = [rng.integers(0, k, size=11) for k in (3, 1, 4)]
     losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 1, 0], n_pts=4)
+    grad = whole_grad(grad, len(F))
     assert losses[1] == 0.0 and not gmus[1].any()
-    assert not tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2].any()
+    assert not whole_grad(tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2], len(F)).any()
 
     def total(x):
         return 11 / 4 * sum(head_ce(x, mus, labels)[0])
@@ -300,8 +302,9 @@ def test_head_ce_float32_gradient_fd():
     mus = [rng.normal(size=(k, 5)).astype(np.float32) for k in (4, 1, 3)]
     labels = [rng.integers(0, k, size=12) for k in (4, 1, 3)]
     losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 0, 1], n_pts=8)
+    grad = whole_grad(grad, len(F))
     assert losses[1] == 0.0 and not gmus[1].any()
-    assert not tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2].any()
+    assert not whole_grad(tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2], len(F)).any()
     assert grad.dtype == np.float64
     F64, mus64 = F.astype(np.float64), [mu.astype(np.float64) for mu in mus]
     assert_grad_close(grad, central_diff(
@@ -327,23 +330,48 @@ def test_head_ce_dtype_follows_features():
 
 
 def test_head_step_peak_memory(monkeypatch):
-    # 2 scenes x 4,000 x 384, heads 120/80/20 on both branches, run serially.
-    # The peak is about 3.3 n x C float64 arrays: scene 0's result, scene 1's
-    # result, its float32 features (0.5) and softmax buffer (n x 220 float32,
-    # 0.29), one 512-row float64 block and float32 product (0.19), and the
-    # centroids' float32 copies and gradients (0.15). An n x C float32
-    # gradient buffer (+0.5) or a float64 branch accumulator (+1) exceeds 3.5.
+    # 2 scenes x 4,000 x 384, heads 120/80/20 on both branches, run serially,
+    # each scene's gradient left unread. The peak is about 1.6 n x C float64
+    # arrays: scene 1's float32 features (0.5), every head's softmax (n x 440
+    # float32, 0.57), the two float64 gradient blocks and float32 product
+    # (0.32), and the centroids' float32 copies and gradients (0.2). Holding
+    # scene 0's softmaxes (+0.57) or an n x C float32 buffer (+0.5) exceeds 2.
     monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
     ks = (120, 80, 20, 120, 80, 20)
     feats, labels, mus = _head_case(4, (4000, 4000), 384, ks, 0.0)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tr.head_step(feats, labels, mus, [0, 0, 0, 1, 1, 1])
+        tr.head_step(feats, labels, mus, [0, 0, 0, 1, 1, 1], lambda j, grad: None)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
+    assert peak < 2.0 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
+
+
+def test_scene_step_peak_memory(monkeypatch):
+    # one scene's step at the paper's widths: 4,000 rows, 256 hidden units,
+    # 384 outputs, heads 120/80/20 on both branches, head_step into
+    # backbone_backward. The peak is about 1.5 n x C float64 arrays: the
+    # float32 features (0.5), every head's softmax (n x 440 float32, 0.57),
+    # the gradient blocks (0.32) and the centroids' copies and gradients. A
+    # whole n x C float64 feature gradient (+1) exceeds 2.
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
+    ks = (120, 80, 20, 120, 80, 20)
+    b = tr.init_backbone(6, [256], 384, seed=0)
+    rng = np.random.default_rng(0)
+    Y, cache = tr.backbone_forward(b, rng.normal(size=(4000, 6)))
+    labels = [rng.integers(0, k, size=len(Y)) for k in ks]
+    mus = [rng.normal(size=(k, 384)) for k in ks]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr.head_step([Y], [labels], mus, [0, 0, 0, 1, 1, 1],
+                     lambda j, grad: tr.backbone_backward(b, cache, grad))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * Y.nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -399,7 +427,8 @@ HEAD_CASES = [
 @pytest.mark.parametrize("sizes,dim,ks,branches,skew", HEAD_CASES)
 def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew):
     feats, labels, mus = _head_case(len(sizes) * 7 + dim, sizes, dim, ks, skew)
-    got = tr.head_step(feats, labels, mus, list(branches))
+    got = tr.head_step(feats, labels, mus, list(branches),
+                       lambda j, grad: whole_grad(grad, sizes[j]))
     want = reference_head_step(feats, labels, mus, list(branches))
     assert got[0] == want[0]
     for g, w in zip(got[1] + got[2], want[1] + want[2]):
@@ -415,9 +444,11 @@ def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes
     test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew)
 
 
-def _entity_feature_grads(grads):
-    """Each scene's feature gradient M.T @ V, as apply_grads forms it."""
-    return [M.T.tocsr() @ V for M, V in grads]
+def _entity_feature_grads(incidence, indices, grads):
+    """Each scene's feature gradient M.T @ V, as add_entity_grad adds it."""
+    return [whole_grad(tr.add_entity_grad(lambda lo, hi, v=v: np.zeros((hi - lo, v.shape[1])),
+                                          tr.entity_blocks(M), indices, v, 1.0), M.shape[1])
+            for M, v in zip(incidence, grads)]
 
 
 def test_entity_anchor_grads_match_add_at():
@@ -433,8 +464,8 @@ def test_entity_anchor_grads_match_add_at():
     bank = SemanticBank(B=rng.normal(size=(4, 6)), entity_ids=list(range(4)),
                         categories=np.array([0, 0, 1, 1]))
     batch = sample_entity_batch(bank, 4, seed=1)
-    loss, grads, n_anchors = tr._entity_anchor_grads(
-        feats, batch, mask_incidence(scenes, entities), tau=0.2)
+    incidence = mask_incidence(scenes, entities)
+    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, incidence, tau=0.2)
 
     by_id = {s.scene_id: j for j, s in enumerate(scenes)}
     order, P, w = batch
@@ -452,7 +483,7 @@ def test_entity_anchor_grads_match_add_at():
         for sid, idx in hits:
             np.add.at(want[by_id[sid]], idx, gz[None, :] / (len(hits) * idx.size))
     assert n_anchors == 4 and loss == want_loss
-    for got, w in zip(_entity_feature_grads(grads), want):
+    for got, w in zip(_entity_feature_grads(incidence, order, grads), want):
         assert np.array_equal(got, w)
 
 
@@ -464,7 +495,8 @@ NO_HIT = [("elsewhere", np.arange(3))]  # a mask in a scene outside the batch
 def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
     """M.T @ V gives the row-scatter oracle's gradient bits on random,
     alias, two-scene, two-masks-in-one-scene and whole-scene masks (so scenes
-    are covered in part and in full), and on a batch where no entity hits."""
+    are covered in part and in full), and on a batch where no entity hits.
+    The draws come in any order; both sum a point's entries in entity order."""
     rng = np.random.default_rng(seed)
     sizes = [int(n) for n in rng.integers(1, 40, size=rng.integers(1, 4))]
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
@@ -496,20 +528,18 @@ def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
     batch = (order, _l2_rows(rng.normal(size=(order.size, dim))),
              rng.uniform(0.5, 2.0, order.size))
 
-    loss, grads, n_anchors = tr._entity_anchor_grads(
-        feats, batch, mask_incidence(scenes, entities), tau=0.1)
+    incidence = mask_incidence(scenes, entities)
+    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, incidence, tau=0.1)
     want_loss, want, want_n = reference_entity_anchor_grads(feats, batch, entities, scenes, 0.1)
     assert loss == want_loss and n_anchors == want_n and len(grads) == len(want)
     assert (n_anchors == 0) == all(sid == "elsewhere" for e in order for sid, _ in masks[e])
-    for got, (rows, g), f in zip(_entity_feature_grads(grads), want, feats):
+    for got, (rows, g), f in zip(_entity_feature_grads(incidence, order, grads), want, feats):
         full = np.zeros_like(f)
         full[rows] = g
         assert np.array_equal(got, full)
 
 
-@pytest.mark.parametrize("helpers", [0, 1])
-def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
-    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+def test_add_entity_grad_sums_in_entity_order(monkeypatch):
     monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
     rng = np.random.default_rng(5)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
@@ -521,32 +551,52 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
     lam = 0.3
     trainer = tr.Trainer(scenes, entities, small_cfg(lambda_entity=lam), 3)
-    seen = {}
-
-    def backward(b, cache, g):  # record the gradient each scene's work hands on
-        seen[cache] = g.copy()
-        return [np.zeros_like(w) for w in b.weights], [np.zeros_like(x) for x in b.biases], None
-
-    monkeypatch.setattr(tr, "backbone_backward", backward)
-    grads = [rng.normal(size=(s.n_points, 3)) for s in scenes]
-    vs = [rng.normal(size=(len(entities), 3)) for _ in scenes]
-    trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3,
-                        entity=list(zip(trainer.incidence, vs)))
-    for j, (g, v, M) in enumerate(zip(grads, vs, trainer.incidence)):
+    assert not trainer.incidence[2].nnz
+    # a draw out of entity order that leaves entity 2 out: it adds +0.0
+    indices = np.array([3, 0, 1])
+    for j, (s, M) in enumerate(zip(scenes, trainer.incidence)):
+        g = rng.normal(size=(s.n_points, 3))
+        V = rng.normal(size=(len(indices), 3))
+        got = whole_grad(tr.add_entity_grad(lambda lo, hi, G=g.copy(): G[lo:hi],
+                                            trainer.entity_blocks[j], indices, V, lam),
+                         s.n_points)
         want = g.copy()
         entries = M.toarray()  # a point of two overlapping masks counts twice
         for r in np.flatnonzero(entries.sum(0)):
             acc = np.zeros(3)  # summed from zero in entity order, then scaled
             for t in range(len(entities)):
                 for _ in range(int(entries[t, r])):
-                    acc = acc + v[t]
+                    acc = acc + (V[list(indices).index(t)] if t in indices else 0.0)
             want[r] += lam * acc
-        assert np.array_equal(seen[j], want)
+        assert np.array_equal(got, want)
         # rows that no mask covers keep their bits
-        assert seen[j][entries.sum(0) == 0].tobytes() == g[entries.sum(0) == 0].tobytes()
-    assert not trainer.incidence[2].nnz
-    trainer.apply_grads([0, 1, 2], [g.copy() for g in grads], 1e-3)
-    assert all(np.array_equal(seen[j], g) for j, g in enumerate(grads))
+        assert got[entries.sum(0) == 0].tobytes() == g[entries.sum(0) == 0].tobytes()
+
+
+@pytest.mark.parametrize("where", ["head", "entity"])
+def test_non_finite_loss_raises_before_any_optimizer_moves(tmp_path, where):
+    # the backward passes run before the loss is summed, but neither AdamW
+    # steps: the backbone, the centroids, both optimizers' moments and t stay
+    _mini_corpus(tmp_path)
+    trainer = tr.start_run(small_cfg(lambda_entity=0.5, use_global=True, s_prime=4),
+                           tmp_path / "corpus")
+    trainer.bank, feats = tr.build_bank(trainer)
+    heads = trainer.recluster(feats)
+    head_opt = tr.AdamW([h.centroids for h in heads])
+    trainer.train_epoch(heads, head_opt, 0)  # moments and t that are not zero
+    if where == "head":
+        heads[1].centroids[0, 0] = np.nan
+    else:
+        trainer.bank.B[:] = np.nan
+
+    def state():
+        return [a.copy() for opt in (trainer.opt, head_opt) for a in opt.params + opt.m + opt.v]
+
+    before, ts = state(), (trainer.opt.t, head_opt.t)
+    with pytest.raises(NumericError, match="non-finite loss at epoch 1 step 0"):
+        trainer.train_epoch(heads, head_opt, 1)
+    assert (trainer.opt.t, head_opt.t) == ts == (2, 2)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(state(), before))
 
 
 def test_pipeline_forwards_once_for_bank_and_round_0(tmp_path, monkeypatch):
@@ -706,9 +756,9 @@ def test_losses_lr_follows_the_poly_schedule_across_rounds(tmp_path, monkeypatch
     nb, lrs = 2, []
     apply_grads = tr.Trainer.apply_grads
 
-    def recording(self, caches, grad_feats, lr, entity=None):
+    def recording(self, grads, lr):
         lrs.append(lr)
-        return apply_grads(self, caches, grad_feats, lr, entity=entity)
+        return apply_grads(self, grads, lr)
 
     monkeypatch.setattr(tr.Trainer, "apply_grads", recording)
     run(cfg, tmp_path / "corpus", tmp_path / "run")
