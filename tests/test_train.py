@@ -573,6 +573,67 @@ def test_add_entity_grad_sums_in_entity_order(monkeypatch):
         assert got[entries.sum(0) == 0].tobytes() == g[entries.sum(0) == 0].tobytes()
 
 
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
+    # a training step hands each scene's backward pass, in the scene's own
+    # work, its head gradient plus lambda_entity * M.T @ V, summed in entity order
+    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+    monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
+    rng = np.random.default_rng(5)
+    scenes = [SceneBundle(f"s{i}", rng.normal(size=(n, 3)), np.arange(n) % 3)
+              for i, n in enumerate((10, 9, 5))]
+    # scenes covered in full, in part (an entity in two scenes, one with two
+    # overlapping masks in one scene, aliases), and by no mask
+    masks = [[("s0", np.arange(10))], [("s0", [2, 5, 7]), ("s1", [1, 3, 4])],
+             [("s1", [3, 4, 6]), ("s1", [4, 8])], [("s1", [3, 4, 6]), ("s1", [4, 8])]]
+    entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
+    lam = 0.3
+    cfg = small_cfg(lambda_entity=lam, batch_scenes=3, entity_batch=3)  # one entity unsampled
+    trainer = tr.Trainer(scenes, entities, cfg, 3)
+    trainer.bank = SemanticBank(B=rng.normal(size=(4, cfg.feat_dim)),
+                                entity_ids=list(range(4)), categories=np.array([0, 0, 1, 1]))
+    heads = trainer.recluster()
+    head_grads, seen, drawn = {}, {}, []  # head_grads and seen keyed by scene size
+    head_ce_loss, anchor_grads, backward = (
+        tr.head_ce_loss, tr._entity_anchor_grads, tr.backbone_backward)
+
+    def recording_head_ce(F, *args):
+        losses, gmus, grad = head_ce_loss(F, *args)
+        head_grads[len(F)] = whole_grad(grad, len(F))
+        return losses, gmus, grad
+
+    def recording_anchors(feats, sample, *args):
+        out = anchor_grads(feats, sample, *args)
+        drawn.append((sample[0], out[1]))
+        return out
+
+    def recording_backward(b, cache, grad):
+        n = len(cache["norms"])
+        seen[n] = whole_grad(grad, n)
+        return backward(b, cache, seen[n])
+
+    monkeypatch.setattr(tr, "head_ce_loss", recording_head_ce)
+    monkeypatch.setattr(tr, "_entity_anchor_grads", recording_anchors)
+    monkeypatch.setattr(tr, "backbone_backward", recording_backward)
+    trainer.train_epoch(heads, tr.AdamW([h.centroids for h in heads]), 0)
+    [(indices, vs)] = drawn
+    assert len(indices) == 3 and len(vs) == len(scenes)
+    for s, v, M in zip(scenes, vs, trainer.incidence):
+        g = head_grads[s.n_points]
+        want = g.copy()
+        entries = M.toarray()  # a point of two overlapping masks counts twice
+        for r in np.flatnonzero(entries.sum(0)):
+            acc = np.zeros(g.shape[1])  # summed from zero in entity order, then scaled
+            for t in range(len(entities)):
+                for _ in range(int(entries[t, r])):
+                    acc = acc + (v[list(indices).index(t)] if t in indices else 0.0)
+            want[r] += lam * acc
+        assert np.array_equal(seen[s.n_points], want)
+        # rows that no mask covers keep their bits
+        assert seen[s.n_points][entries.sum(0) == 0].tobytes() == \
+            g[entries.sum(0) == 0].tobytes()
+
+
 @pytest.mark.parametrize("where", ["head", "entity"])
 def test_non_finite_loss_raises_before_any_optimizer_moves(tmp_path, where):
     # the backward passes run before the loss is summed, but neither AdamW
