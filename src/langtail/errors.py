@@ -49,12 +49,6 @@ class EmptyBatchError(LangtailError):
     """Every item in the batch is ignored; the loss is undefined."""
 
 
-class DivergenceError(LangtailError):
-    """Optimization diverged; try a smaller learning rate."""
-
-    exit_code = 3
-
-
 class NumericError(LangtailError):
     """Non-finite loss or gradient encountered during training."""
 

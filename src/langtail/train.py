@@ -19,7 +19,9 @@ tests/oracle_heads.py, the one-call-per-head loop. The backbone and
 prediction stay float64. Every group mean is data_model.pool_masks:
 superpoint features, head centroids and, through the Trainer's one
 mask_incidence M per scene, the bank's and every step's entity features;
-a step's anchor gradient is M.T @ V, a point's entries summed in entity order.
+a step's anchor gradient is M.T @ V, V indexed by corpus entity, added from
+Trainer.mask_rows (M.T's row blocks, split once per run) with a point's
+entries summed in entity order.
 
 A step is two scene_map passes. The first forwards each scene, and the
 calling thread then finds the entity anchors' gradients from those
@@ -370,12 +372,13 @@ class AdamW:
         self.t = 0
 
     def step(self, grads, lr: float) -> None:
+        """One update; a non-finite gradient raises before anything moves."""
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            raise NumericError("non-finite gradient in optimizer step")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient in optimizer step")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -439,17 +442,18 @@ class EpochReport:
 def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     """Contrastive loss of the sampled entities' pool_masks anchors; incidence[j]
     is scene j's mask_incidence, bank_sample sample_entity_batch's (indices,
-    prototypes, weights). Returns (loss, per scene V, n_anchors), or (0.0, [], 0)
-    if no anchor has mask points here. V's row a is sampled entity a's anchor
-    gradient over its scenes and its entries in the scene (zero if none there),
-    so M.T @ V, which add_entity_grad forms, is the scene's feature gradient."""
+    prototypes, weights). Returns (loss, V, n_anchors), or (0.0, None, 0) if no
+    anchor has mask points here. V is scenes x corpus entities x C: V[j, t] is
+    sampled entity t's anchor gradient over its scenes and its entries in scene
+    j, zero if t is unsampled or not there, so M.T @ V[j] is scene j's feature
+    gradient."""
     indices, P, w = bank_sample
     sampled = [M[indices] for M in incidence]
     pooled, counts = dm.pool_masks(sampled, features_per_scene)
     n_scenes = (counts > 0).sum(0)
     keep = n_scenes > 0
     if not keep.any():
-        return 0.0, [], 0
+        return 0.0, None, 0
     norms = np.linalg.norm(pooled[keep], axis=1)
     if np.any(norms < 1e-12):
         raise NumericError("entity anchor collapsed to zero norm")
@@ -457,37 +461,10 @@ def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     loss, grad_anchor = entity_contrastive_loss(anchors, P[keep], w[keep], tau=tau)
     gz = np.zeros_like(pooled)
     gz[keep] = [(g - (g @ z) * z) / n for g, z, n in zip(grad_anchor, anchors, norms)]
-    return loss, [np.divide(gz, d[:, None], out=np.zeros_like(gz), where=d[:, None] > 0)
-                  for d in n_scenes * counts], len(anchors)
-
-
-def entity_blocks(M):
-    """A scene's mask_incidence M as add_entity_grad reads it: (the entities
-    with a mask point in the scene, ascending; for each row_blocks block
-    (lo, hi), rows lo:hi of the CSR of its points x those entities). A point's
-    entries are in entity order, one per mask entry, as in M."""
-    ents = np.flatnonzero(np.diff(M.indptr))
-    MT = M[ents].T.tocsr()
-    return ents, {(lo, hi): MT[lo:hi] for lo, hi in row_blocks(M.shape[1])}
-
-
-def add_entity_grad(grad, blocks, indices, V, lam):
-    """grad, a function of row_blocks' (lo, hi) as backbone_backward takes it,
-    plus lam * (M.T @ V) in its rows: blocks is entity_blocks(M), and V's rows
-    the gradients of the distinct entities indices (_entity_anchor_grads'),
-    scattered into a zero matrix over the scene's entities. So a point's
-    entries sum from zero in entity order, and an unsampled entity adds +0.0."""
-    ents, MT = blocks
-    Vs = np.zeros((len(ents), V.shape[1]))
-    hit = np.isin(indices, ents)
-    Vs[np.searchsorted(ents, indices[hit])] = V[hit]
-
-    def rows(lo, hi):
-        g = grad(lo, hi)
-        g += lam * (MT[lo, hi] @ Vs)
-        return g
-
-    return rows
+    d = (n_scenes * counts)[:, :, None]
+    V = np.zeros((len(incidence), incidence[0].shape[0], gz.shape[1]))
+    V[:, indices] = np.divide(gz, d, out=np.zeros((len(incidence), *gz.shape)), where=d > 0)
+    return loss, V, len(anchors)
 
 
 def head_step(feats, labels, mus, branches, backward):
@@ -541,7 +518,9 @@ class Trainer:
         offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
         self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
         self.incidence = mask_incidence(scenes, entities)
-        self.entity_blocks = [entity_blocks(M) for M in self.incidence]
+        # each scene's points x entities CSR, split once per run into row_blocks blocks
+        self.mask_rows = [{(lo, hi): MT[lo:hi] for lo, hi in row_blocks(MT.shape[0])}
+                          for MT in (M.T.tocsr() for M in self.incidence)]
         self.backbone = init_backbone(input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed)
         self.opt = AdamW(self.backbone.weights + self.backbone.biases)
         self.bank = None
@@ -587,18 +566,20 @@ class Trainer:
         for step, idxs in enumerate(batches):
             lr = poly_lr(epoch * len(batches) + step, cfg.epochs * len(batches), cfg)
             feats, caches = self.forward_scenes(idxs)
-            l_entity, entity = 0.0, [None] * len(idxs)
+            l_entity, V = 0.0, None
             if bank is not None:
                 sample = sample_entity_batch(bank, min(cfg.entity_batch, bank.B.shape[0]),
                                              stream_key(cfg.seed, "entity", epoch, step))
                 l_entity, V, _ = _entity_anchor_grads(
                     feats, sample, [self.incidence[i] for i in idxs], cfg.tau)
-                entity = [(sample[0], v) for v in V] or entity
 
-            def backward(j, grad):
-                if entity[j] is not None:
-                    grad = add_entity_grad(grad, self.entity_blocks[idxs[j]], *entity[j],
-                                           cfg.lambda_entity)
+            def backward(j, head_grad):
+                def grad(lo, hi):  # plus lambda * (M.T @ V[j]) in rows lo:hi
+                    g = head_grad(lo, hi)
+                    if V is not None:
+                        g += cfg.lambda_entity * (self.mask_rows[idxs[j]][lo, hi] @ V[j])
+                    return g
+
                 return backbone_backward(self.backbone, caches[j], grad)
 
             branch_losses, grads, head_grads = head_step(

@@ -39,8 +39,8 @@ def assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-6):
 
 def whole_grad(grad, n):
     """The (n, C) array of grad(lo, hi), a row-block gradient as
-    head_ce_loss and add_entity_grad return it, taken block by block (each
-    call may write over the last block) over row_blocks(n)."""
+    head_ce_loss returns it and backbone_backward takes it, taken block by
+    block (each call may write over the last block) over row_blocks(n)."""
     from langtail.evaluation import row_blocks
 
     return np.concatenate([grad(lo, hi).copy() for lo, hi in row_blocks(n)])

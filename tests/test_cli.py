@@ -672,7 +672,7 @@ def test_cli_out_at_an_existing_file_exits_2(tmp_path, capfd, run, under):
     assert (tmp_path / "f").read_text() == "kept\n"
 
 
-EXIT_CODES = {"ConfigError": 1, "DivergenceError": 3, "NumericError": 3, "NormalizationError": 3,
+EXIT_CODES = {"ConfigError": 1, "NumericError": 3, "NormalizationError": 3,
               "FormatError": 2, "TruncationError": 2, "DataError": 2, "IoError": 2,
               "ShapeError": 2, "DegenerateGraphError": 2, "EmptyMaskError": 2,
               "EmptyBatchError": 2}

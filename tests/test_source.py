@@ -139,9 +139,10 @@ def test_only_mask_incidence_reads_masks(name):
 
 def incidence_builds(source: str) -> list[str]:
     """The function (or "<module>") of each call of mask_incidence, by name or
-    attribute, outside Trainer.__init__: a run builds each scene's incidence
-    matrix once, and the bank pass and training steps pool through it. A
-    method is "Class.method"; a nested function counts as its own."""
+    attribute, or of a .tocsr() conversion, outside Trainer.__init__: a run
+    builds each scene's incidence matrix and its transpose's row blocks once,
+    and the bank pass and training steps read them. A method is
+    "Class.method"; a nested function counts as its own."""
     found = []
 
     def visit(node, where, cls):
@@ -149,8 +150,9 @@ def incidence_builds(source: str) -> list[str]:
             cls = node.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where, cls = f"{cls}.{node.name}" if cls else node.name, None
-        if isinstance(node, ast.Call) and where != "Trainer.__init__" and "mask_incidence" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        called = ({getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                  if isinstance(node, ast.Call) else set())
+        if where != "Trainer.__init__" and called & {"mask_incidence", "tocsr"}:
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where, cls)
@@ -166,10 +168,12 @@ def test_incidence_builds_finds_a_leftover():
               "        self.incidence = mask_incidence(scenes, entities)\n"
               "    def warmup(self):\n"
               "        return bank.mask_incidence(self.scenes, self.entities)\n"
+              "    def train_epoch(self):\n        return self.incidence[0].T.tocsr()\n"
               "def build_bank(trainer):\n"
               "    def inner():\n        return mask_incidence(trainer.scenes, [])\n"
               "    return mask_incidence, inner\n")
-    assert incidence_builds(source) == ["<module>", "Trainer.warmup", "inner"]
+    assert incidence_builds(source) == ["<module>", "Trainer.warmup", "Trainer.train_epoch",
+                                        "inner"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

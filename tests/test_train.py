@@ -444,11 +444,9 @@ def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes
     test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew)
 
 
-def _entity_feature_grads(incidence, indices, grads):
-    """Each scene's feature gradient M.T @ V, as add_entity_grad adds it."""
-    return [whole_grad(tr.add_entity_grad(lambda lo, hi, v=v: np.zeros((hi - lo, v.shape[1])),
-                                          tr.entity_blocks(M), indices, v, 1.0), M.shape[1])
-            for M, v in zip(incidence, grads)]
+def _entity_feature_grads(incidence, V):
+    """Each scene's feature gradient M.T @ V[j]; none if no anchor has a mask point."""
+    return [] if V is None else [M.T @ v for M, v in zip(incidence, V)]
 
 
 def test_entity_anchor_grads_match_add_at():
@@ -465,7 +463,7 @@ def test_entity_anchor_grads_match_add_at():
                         categories=np.array([0, 0, 1, 1]))
     batch = sample_entity_batch(bank, 4, seed=1)
     incidence = mask_incidence(scenes, entities)
-    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, incidence, tau=0.2)
+    loss, V, n_anchors = tr._entity_anchor_grads(feats, batch, incidence, tau=0.2)
 
     by_id = {s.scene_id: j for j, s in enumerate(scenes)}
     order, P, w = batch
@@ -483,7 +481,7 @@ def test_entity_anchor_grads_match_add_at():
         for sid, idx in hits:
             np.add.at(want[by_id[sid]], idx, gz[None, :] / (len(hits) * idx.size))
     assert n_anchors == 4 and loss == want_loss
-    for got, w in zip(_entity_feature_grads(incidence, order, grads), want):
+    for got, w in zip(_entity_feature_grads(incidence, V), want):
         assert np.array_equal(got, w)
 
 
@@ -529,17 +527,20 @@ def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
              rng.uniform(0.5, 2.0, order.size))
 
     incidence = mask_incidence(scenes, entities)
-    loss, grads, n_anchors = tr._entity_anchor_grads(feats, batch, incidence, tau=0.1)
+    loss, V, n_anchors = tr._entity_anchor_grads(feats, batch, incidence, tau=0.1)
     want_loss, want, want_n = reference_entity_anchor_grads(feats, batch, entities, scenes, 0.1)
+    grads = _entity_feature_grads(incidence, V)
     assert loss == want_loss and n_anchors == want_n and len(grads) == len(want)
     assert (n_anchors == 0) == all(sid == "elsewhere" for e in order for sid, _ in masks[e])
-    for got, (rows, g), f in zip(_entity_feature_grads(incidence, order, grads), want, feats):
+    for got, (rows, g), f in zip(grads, want, feats):
         full = np.zeros_like(f)
         full[rows] = g
         assert np.array_equal(got, full)
 
 
-def test_add_entity_grad_sums_in_entity_order(monkeypatch):
+def test_mask_rows_add_sums_in_entity_order(monkeypatch):
+    # a step's entity add, lam * (Trainer.mask_rows[i][lo, hi] @ V[j]) into
+    # each head-gradient block, sums a point's entries from zero in entity order
     monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
     rng = np.random.default_rng(5)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
@@ -556,44 +557,31 @@ def test_add_entity_grad_sums_in_entity_order(monkeypatch):
     indices = np.array([3, 0, 1])
     for j, (s, M) in enumerate(zip(scenes, trainer.incidence)):
         g = rng.normal(size=(s.n_points, 3))
-        V = rng.normal(size=(len(indices), 3))
-        got = whole_grad(tr.add_entity_grad(lambda lo, hi, G=g.copy(): G[lo:hi],
-                                            trainer.entity_blocks[j], indices, V, lam),
-                         s.n_points)
+        V = np.zeros((len(entities), 3))  # indexed by corpus entity
+        V[indices] = rng.normal(size=(len(indices), 3))
+        assert sorted(trainer.mask_rows[j]) == list(ev.row_blocks(s.n_points))
+        got = g.copy()
+        for (lo, hi), rows in trainer.mask_rows[j].items():
+            got[lo:hi] += lam * (rows @ V)
         want = g.copy()
         entries = M.toarray()  # a point of two overlapping masks counts twice
         for r in np.flatnonzero(entries.sum(0)):
             acc = np.zeros(3)  # summed from zero in entity order, then scaled
             for t in range(len(entities)):
                 for _ in range(int(entries[t, r])):
-                    acc = acc + (V[list(indices).index(t)] if t in indices else 0.0)
+                    acc = acc + (V[t] if t in indices else 0.0)
             want[r] += lam * acc
         assert np.array_equal(got, want)
         # rows that no mask covers keep their bits
         assert got[entries.sum(0) == 0].tobytes() == g[entries.sum(0) == 0].tobytes()
 
 
-@pytest.mark.parametrize("helpers", [0, 1])
-def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
-    # a training step hands each scene's backward pass, in the scene's own
-    # work, its head gradient plus lambda_entity * M.T @ V, summed in entity order
-    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
-    monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
-    rng = np.random.default_rng(5)
-    scenes = [SceneBundle(f"s{i}", rng.normal(size=(n, 3)), np.arange(n) % 3)
-              for i, n in enumerate((10, 9, 5))]
-    # scenes covered in full, in part (an entity in two scenes, one with two
-    # overlapping masks in one scene, aliases), and by no mask
-    masks = [[("s0", np.arange(10))], [("s0", [2, 5, 7]), ("s1", [1, 3, 4])],
-             [("s1", [3, 4, 6]), ("s1", [4, 8])], [("s1", [3, 4, 6]), ("s1", [4, 8])]]
-    entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
-    lam = 0.3
-    cfg = small_cfg(lambda_entity=lam, batch_scenes=3, entity_batch=3)  # one entity unsampled
-    trainer = tr.Trainer(scenes, entities, cfg, 3)
-    trainer.bank = SemanticBank(B=rng.normal(size=(4, cfg.feat_dim)),
-                                entity_ids=list(range(4)), categories=np.array([0, 0, 1, 1]))
+def _recorded_step(monkeypatch, trainer):
+    """Run one train_epoch of one step; returns (each scene's head gradient,
+    the gradient its backward pass received, both keyed by scene size, and the
+    step's (sampled indices, V))."""
     heads = trainer.recluster()
-    head_grads, seen, drawn = {}, {}, []  # head_grads and seen keyed by scene size
+    head_grads, seen, drawn = {}, {}, []
     head_ce_loss, anchor_grads, backward = (
         tr.head_ce_loss, tr._entity_anchor_grads, tr.backbone_backward)
 
@@ -616,6 +604,29 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     monkeypatch.setattr(tr, "_entity_anchor_grads", recording_anchors)
     monkeypatch.setattr(tr, "backbone_backward", recording_backward)
     trainer.train_epoch(heads, tr.AdamW([h.centroids for h in heads]), 0)
+    return head_grads, seen, drawn
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
+    # a training step hands each scene's backward pass, in the scene's own
+    # work, its head gradient plus lambda_entity * M.T @ V, summed in entity order
+    monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
+    monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
+    rng = np.random.default_rng(5)
+    scenes = [SceneBundle(f"s{i}", rng.normal(size=(n, 3)), np.arange(n) % 3)
+              for i, n in enumerate((10, 9, 5))]
+    # scenes covered in full, in part (an entity in two scenes, one with two
+    # overlapping masks in one scene, aliases), and by no mask
+    masks = [[("s0", np.arange(10))], [("s0", [2, 5, 7]), ("s1", [1, 3, 4])],
+             [("s1", [3, 4, 6]), ("s1", [4, 8])], [("s1", [3, 4, 6]), ("s1", [4, 8])]]
+    entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
+    lam = 0.3
+    cfg = small_cfg(lambda_entity=lam, batch_scenes=3, entity_batch=3)  # one entity unsampled
+    trainer = tr.Trainer(scenes, entities, cfg, 3)
+    trainer.bank = SemanticBank(B=rng.normal(size=(4, cfg.feat_dim)),
+                                entity_ids=list(range(4)), categories=np.array([0, 0, 1, 1]))
+    head_grads, seen, drawn = _recorded_step(monkeypatch, trainer)
     [(indices, vs)] = drawn
     assert len(indices) == 3 and len(vs) == len(scenes)
     for s, v, M in zip(scenes, vs, trainer.incidence):
@@ -626,12 +637,30 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
             acc = np.zeros(g.shape[1])  # summed from zero in entity order, then scaled
             for t in range(len(entities)):
                 for _ in range(int(entries[t, r])):
-                    acc = acc + (v[list(indices).index(t)] if t in indices else 0.0)
+                    acc = acc + (v[t] if t in indices else 0.0)
             want[r] += lam * acc
         assert np.array_equal(seen[s.n_points], want)
         # rows that no mask covers keep their bits
         assert seen[s.n_points][entries.sum(0) == 0].tobytes() == \
             g[entries.sum(0) == 0].tobytes()
+
+
+def test_step_without_anchors_hands_backward_the_head_gradient(monkeypatch):
+    # no sampled entity has a mask point in the batch: V is None, and each
+    # scene's backward pass receives its head gradient's bits
+    monkeypatch.setattr(ev, "ROW_BLOCK", 4)
+    rng = np.random.default_rng(6)
+    scenes = [SceneBundle(f"s{i}", rng.normal(size=(n, 3)), np.arange(n) % 3)
+              for i, n in enumerate((10, 9))]
+    entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=NO_HIT) for e in range(2)]
+    cfg = small_cfg(lambda_entity=0.3, entity_batch=2)
+    trainer = tr.Trainer(scenes, entities, cfg, 3)
+    trainer.bank = SemanticBank(B=rng.normal(size=(2, cfg.feat_dim)),
+                                entity_ids=[0, 1], categories=np.array([0, 1]))
+    head_grads, seen, drawn = _recorded_step(monkeypatch, trainer)
+    assert [v for _, v in drawn] == [None] and sorted(seen) == [9, 10]
+    for n, g in head_grads.items():
+        assert seen[n].tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("where", ["head", "entity"])
@@ -849,6 +878,19 @@ def test_adamw_decoupled_decay_without_gradient():
     opt.wd = 0.5
     opt.step([np.zeros(1)], lr=0.1)
     assert p[0] == pytest.approx(4.0 - 0.1 * 0.5 * 4.0)
+
+
+def test_adamw_non_finite_gradient_moves_nothing():
+    # the second gradient is not finite: the first parameter, the moments and
+    # t stay as they were, though the first gradient comes before it
+    params = [np.ones(2), np.zeros(2)]
+    opt = tr.AdamW(params)
+    opt.step([np.full(2, 0.5), np.ones(2)], 0.1)
+    before = [a.copy() for a in params + opt.m + opt.v]
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        opt.step([np.ones(2), np.array([np.nan, 0.0])], 0.1)
+    assert opt.t == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params + opt.m + opt.v, before))
 
 
 def _mini_corpus(tmp_path, **kw):
