@@ -9,19 +9,26 @@ analytic gradient and is covered by finite-difference checks in the tests.
 A training step scores every (branch, level) head of a scene in one
 head_ce_loss call; every point carries a label of every head (the heads'
 Ward cuts label every superpoint), and head_ce_loss refuses one outside
-its head's range. head_ce_loss computes in the dtype of its features.
-head_step passes float32 features and centroids, so the head matmuls and
-the softmax's one exp run in float32, while the softmax row sums, the
-losses and the gradient sums are float64; float64 inputs keep float64
-arithmetic. Each head runs its own matmuls, and a row block changes no
-matmul row, so losses and gradients are bit-identical to
-tests/oracle_heads.py, the one-call-per-head loop. The backbone and
-prediction stay float64. Every group mean is data_model.pool_masks:
-superpoint features, head centroids and, through the Trainer's one
-mask_incidence M per scene, the bank's and every step's entity features;
-a step's anchor gradient is M.T @ V, V indexed by corpus entity, added from
-Trainer.mask_rows (M.T's row blocks, split once per run) with a point's
-entries summed in entity order.
+its head's range. Each head runs its own matmuls, and a row block changes
+no matmul row, so losses and gradients are bit-identical to
+tests/oracle_heads.py, the one-call-per-head loop.
+
+Precision. backbone_forward, backbone_backward and head_ce_loss compute in
+work_dtype of their input; float64 input keeps float64 bits. A training
+step (warm-up or epoch) runs in float32 over float64 master weights:
+forward_scenes casts the weights once per step and forwards the Trainer's
+float32 points. Losses, gradient blocks and gradient sums are float64 (see
+each function), and AdamW's weights and moments stay float64. The bank
+pass, the reclustering forwards (Ward's inputs) and predict_labels stay
+float64. A run trains on its bank as save_bank stores it (float32), as a
+run given that bank does.
+
+Every group mean is data_model.pool_masks: superpoint features, head
+centroids and, through the Trainer's one mask_incidence M per scene, the
+bank's and every step's entity features; a step's anchor gradient is
+M.T @ (lambda * V), V indexed by corpus entity and scaled once per step,
+added from Trainer.mask_rows (M.T's row blocks, split once per run) with a
+point's entries summed in entity order.
 
 A step is two scene_map passes. The first forwards each scene, and the
 calling thread then finds the entity anchors' gradients from those
@@ -196,10 +203,17 @@ def init_backbone(input_dim: int, hidden_dims, out_dim: int, seed: int) -> Backb
     return Backbone(weights=weights, biases=biases)
 
 
+def work_dtype(x):
+    """The dtype a kernel here computes in: float32 for float32 input, else float64."""
+    return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
+
+
 def backbone_forward(b: Backbone, X):
     """Forward pass; returns (normalized output (N, C), cache for backward).
+    Runs in work_dtype(X), the weights cast to it (no copy if they have it).
     backbone_backward writes over the output and the hidden activations."""
-    X = np.asarray(X, dtype=np.float64)
+    dtype = work_dtype(X)
+    X = np.asarray(X, dtype=dtype)
     if X.shape[1] != b.weights[0].shape[0]:
         raise ShapeError(
             f"input has {X.shape[1]} columns, backbone expects {b.weights[0].shape[0]}"
@@ -207,12 +221,12 @@ def backbone_forward(b: Backbone, X):
     acts = [X]  # every layer's input: all that backward reads
     h = X
     for i, (W, bias) in enumerate(zip(b.weights, b.biases)):
-        h = h @ W
-        h += bias
+        h = h @ np.asarray(W, dtype)
+        h += np.asarray(bias, dtype)
         if i < len(b.weights) - 1:
             np.maximum(h, 0.0, out=h)
             acts.append(h)
-    norms = np.empty(len(h))  # row blocks: the same per-row sums, no n x C temporary
+    norms = np.empty(len(h), dtype)  # row blocks: the same per-row sums, no n x C temporary
     for lo, hi in row_blocks(len(h)):
         norms[lo:hi] = np.linalg.norm(h[lo:hi], axis=1)
     if np.any(norms < 1e-12):
@@ -229,32 +243,36 @@ def backbone_backward(b: Backbone, cache, grad_out):
     order. Consumes cache (run it once per forward pass): the Jacobian is
     formed in row blocks over cache["Y"], the forward pass's features, and
     each hidden layer's input gradient is written over its activations once
-    its ReLU mask is taken.
+    its ReLU mask is taken. Runs in the forward pass's dtype: grad_out's
+    blocks and the weights are cast to it, and the bias gradients are summed
+    over the rows in float64.
 
     Returns (grads_w, grads_b, grad_in).
     """
     acts = cache["acts"]
     norms = cache["norms"]
     gz = cache["Y"]
-    g = grad_out if callable(grad_out) else np.asarray(grad_out, dtype=np.float64)
+    dtype = gz.dtype
     # d/dz of z/||z||: (g - (g.y) y) / ||z||
     for lo, hi in row_blocks(len(gz)):
-        y, gy = gz[lo:hi], g(lo, hi) if callable(g) else g[lo:hi]
+        y = gz[lo:hi]
+        gy = np.asarray(grad_out(lo, hi) if callable(grad_out) else grad_out[lo:hi], dtype)
         np.multiply((gy * y).sum(axis=1, keepdims=True), y, out=y)
         np.subtract(gy, y, out=y)
         y /= norms[lo:hi, None]
 
-    grads_w = [None] * len(b.weights)
-    grads_b = [None] * len(b.biases)
-    for i in reversed(range(1, len(b.weights))):
+    weights = [np.asarray(W, dtype) for W in b.weights]
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in reversed(range(1, len(weights))):
         grads_w[i] = acts[i].T @ gz
-        grads_b[i] = gz.sum(axis=0)
+        grads_b[i] = gz.sum(axis=0, dtype=np.float64)
         mask = acts[i] > 0  # acts[i] is hidden layer i's post-ReLU output
-        gz = np.matmul(gz, b.weights[i].T, out=acts[i])
+        gz = np.matmul(gz, weights[i].T, out=acts[i])
         gz *= mask
     grads_w[0] = acts[0].T @ gz
-    grads_b[0] = gz.sum(axis=0)
-    return grads_w, grads_b, gz @ b.weights[0].T
+    grads_b[0] = gz.sum(axis=0, dtype=np.float64)
+    return grads_w, grads_b, gz @ weights[0].T
 
 
 def head_ce_loss(features, mus, labels, branches, n_pts=1):
@@ -269,20 +287,20 @@ def head_ce_loss(features, mus, labels, branches, n_pts=1):
     softmax less its one-hot labels: the gradient of the heads'
     summed-over-rows losses over n_pts.
 
-    The arithmetic runs in float32 for float32 features and in float64
-    otherwise; mus take that dtype. The softmax is one exp of the logits less
-    their row maximum, over float64 row sums; the losses are float64. Every
-    head's softmax gradient is computed here, into one buffer of n x (the
-    summed k), and the features are not read again. The feature gradient is
-    returned as grad(lo, hi), its rows lo:hi for a row_blocks block, summed
-    when asked into one float64 block that the next call writes over, so no
-    n x C array is made. Each head keeps its own matmuls: a matmul against
-    the stacked centroids of all heads rounds some slices differently.
+    The arithmetic runs in work_dtype(features); mus take that dtype. The
+    softmax is one exp of the logits less their row maximum, over float64 row
+    sums; the losses are float64. Every head's softmax gradient is computed
+    here, into one buffer of n x (the summed k), and the features are not
+    read again. The feature gradient is returned as grad(lo, hi), its rows
+    lo:hi for a row_blocks block, summed when asked into one float64 block
+    that the next call writes over, so no n x C array is made. Each head
+    keeps its own matmuls: a matmul against the stacked centroids of all
+    heads rounds some slices differently.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the
     dtype, grad).
     """
-    dtype = np.float32 if np.asarray(features).dtype == np.float32 else np.float64
+    dtype = work_dtype(features)
     F = np.asarray(features, dtype=dtype)
     mus = [np.asarray(mu, dtype=dtype) for mu in mus]
     labels = [np.asarray(y, dtype=np.int64) for y in labels]
@@ -357,6 +375,12 @@ def poly_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return max(LR_MIN, cfg.lr0 * frac ** POLY_POWER)
 
 
+def check_finite(grads) -> None:
+    """Raise NumericError if any gradient holds a NaN or an infinity."""
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        raise NumericError("non-finite gradient in optimizer step")
+
+
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer over a flat parameter list."""
 
@@ -373,8 +397,7 @@ class AdamW:
 
     def step(self, grads, lr: float) -> None:
         """One update; a non-finite gradient raises before anything moves."""
-        if not all(np.all(np.isfinite(g)) for g in grads):
-            raise NumericError("non-finite gradient in optimizer step")
+        check_finite(grads)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -478,15 +501,16 @@ def head_step(feats, labels, mus, branches, backward):
     count. backward(j, grad) runs in scene j's work on head_ce_loss's grad,
     already divided by the batch's point count. Returns (loss per branch,
     backward's result per scene, centroid gradient per head). The heads run
-    in float32 (features cast inside each scene's work and freed before
-    backward, centroids once per batch), so a thread holds its scene's
-    float32 features and softmax buffer, then the buffer and grad's blocks.
+    in float32: the training step's float32 features as they are (other
+    features are cast in each scene's work), centroids cast once per batch.
+    So a thread adds its scene's softmax buffer, then grad's blocks.
     """
     n_pts = sum(f.shape[0] for f in feats)
     mus32 = [mu.astype(np.float32) for mu in mus]
 
     def scene(j, f, y):
-        losses, gmus, grad = head_ce_loss(f.astype(np.float32), mus32, y, branches, n_pts)
+        losses, gmus, grad = head_ce_loss(f.astype(np.float32, copy=False), mus32, y, branches,
+                                          n_pts)
         return losses, gmus, backward(j, grad)
 
     out = scene_map(scene, range(len(feats)), feats, labels)
@@ -509,7 +533,9 @@ class Trainer:
     round, a step's lr is poly_lr of (epoch, step), and every draw comes from a
     stateless stream_key, so a round hands the next only backbone, opt and bank
     (None unless lambda_entity > 0). No method but __init__ sets an attribute.
-    sp_index[i] is the corpus superpoint of each point of scene i."""
+    sp_index[i] is the corpus superpoint of each point of scene i, and
+    points32[i] scene i's standardised points in float32, the training
+    steps' input."""
 
     def __init__(self, scenes, entities, cfg: TrainConfig, input_dim: int):
         self.scenes = scenes
@@ -517,6 +543,7 @@ class Trainer:
         self.cfg = cfg
         offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
         self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
+        self.points32 = [s.points.astype(np.float32) for s in scenes]
         self.incidence = mask_incidence(scenes, entities)
         # each scene's points x entities CSR, split once per run into row_blocks blocks
         self.mask_rows = [{(lo, hi): MT[lo:hi] for lo, hi in row_blocks(MT.shape[0])}
@@ -532,9 +559,13 @@ class Trainer:
         return [idxs[i:i + bs] for i in range(0, len(idxs), bs)]
 
     def forward_scenes(self, idxs):
-        out = scene_map(lambda i: backbone_forward(self.backbone, self.scenes[i].points),
-                        idxs)
-        return [Y for Y, _ in out], [cache for _, cache in out]
+        """A training step's forward pass: the backbone cast to float32 once,
+        then scenes idxs' points32 through it. Returns (that backbone, each
+        scene's features, each scene's cache), all float32."""
+        b = Backbone([w.astype(np.float32) for w in self.backbone.weights],
+                     [v.astype(np.float32) for v in self.backbone.biases])
+        out = scene_map(lambda i: backbone_forward(b, self.points32[i]), idxs)
+        return b, [Y for Y, _ in out], [cache for _, cache in out]
 
     def recluster(self, feats=None) -> list[Head]:
         """A round's heads: every scene's features (feats, else a forward pass;
@@ -550,37 +581,42 @@ class Trainer:
 
     def apply_grads(self, grads, lr):
         """Optimizer step on the scenes' backbone_backward results, each
-        parameter's gradients summed from zero in scene order."""
+        parameter's gradients cast to float64 and summed from zero in scene
+        order: the float64 master weights and moments take float64 sums."""
         gw, gb, _ = zip(*grads)
-        self.opt.step([sum(g) for g in zip(*gw)] + [sum(g) for g in zip(*gb)], lr)
+        self.opt.step([sum(x.astype(np.float64) for x in g) for g in (*zip(*gw), *zip(*gb))],
+                      lr)
 
     def train_epoch(self, heads, head_opt, epoch: int) -> EpochReport:
         """One pass over the corpus, step s of n at poly_lr(epoch * n + s, epochs * n),
         with the entity loss if self.bank is set; returns the batch-averaged
         loss report, whose lr is the last step's. A step forwards its scenes,
-        then runs head_step into backward passes; neither optimizer moves
-        before the step's loss is known to be finite."""
+        then runs head_step into backward passes, all in float32 (see
+        forward_scenes); neither optimizer moves before the step's loss and
+        both optimizers' gradients are known to be finite."""
         cfg, bank = self.cfg, self.bank
         sums = np.zeros(3)
         batches = self.scene_batches()
         for step, idxs in enumerate(batches):
             lr = poly_lr(epoch * len(batches) + step, cfg.epochs * len(batches), cfg)
-            feats, caches = self.forward_scenes(idxs)
+            b, feats, caches = self.forward_scenes(idxs)
             l_entity, V = 0.0, None
             if bank is not None:
                 sample = sample_entity_batch(bank, min(cfg.entity_batch, bank.B.shape[0]),
                                              stream_key(cfg.seed, "entity", epoch, step))
                 l_entity, V, _ = _entity_anchor_grads(
                     feats, sample, [self.incidence[i] for i in idxs], cfg.tau)
+                if V is not None:
+                    V = cfg.lambda_entity * V  # scaled once, not in every row block
 
             def backward(j, head_grad):
-                def grad(lo, hi):  # plus lambda * (M.T @ V[j]) in rows lo:hi
+                def grad(lo, hi):  # plus M.T @ (lambda * V[j]) in rows lo:hi
                     g = head_grad(lo, hi)
                     if V is not None:
-                        g += cfg.lambda_entity * (self.mask_rows[idxs[j]][lo, hi] @ V[j])
+                        g += self.mask_rows[idxs[j]][lo, hi] @ V[j]
                     return g
 
-                return backbone_backward(self.backbone, caches[j], grad)
+                return backbone_backward(b, caches[j], grad)
 
             branch_losses, grads, head_grads = head_step(
                 feats, [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
@@ -593,6 +629,7 @@ class Trainer:
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"local={l_local} global={l_global} entity={l_entity}"
                 )
+            check_finite(head_grads)  # the backbone's are checked before it moves
             self.apply_grads(grads, lr)
             head_opt.step(head_grads, lr)
             sums += (l_local, l_global, l_entity)
@@ -608,10 +645,10 @@ class Trainer:
         for _ in range(cfg.warmup_epochs if idxs else 0):
             epoch_loss = 0.0
             for batch in self.scene_batches(idxs):
-                feats, caches = self.forward_scenes(batch)
+                b, feats, caches = self.forward_scenes(batch)
                 out = [distill_warmup_loss(f, self.scenes[i].distill_targets)
                        for f, i in zip(feats, batch)]
-                self.apply_grads(scene_map(lambda c, g: backbone_backward(self.backbone, c, g),
+                self.apply_grads(scene_map(lambda c, g: backbone_backward(b, c, g),
                                            caches, [g for _, g in out]), cfg.lr0)
                 epoch_loss += sum(loss for loss, _ in out) / len(batch)
             losses.append(epoch_loss)
@@ -654,9 +691,12 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
 
     feats = None
     if cfg.lambda_entity > 0 and trainer.bank is None:
-        # no step comes before round 0: its features are the bank's, forwarded once
-        trainer.bank, feats = build_bank(trainer)
-        save_bank(os.path.join(out_dir, "bank"), trainer.bank)
+        # no step comes before round 0: its features are the bank's, forwarded
+        # once. Training reads the bank back as saved (float32 prototypes), so
+        # a --bank run on this bank trains as this run does.
+        bank, feats = build_bank(trainer)
+        save_bank(os.path.join(out_dir, "bank"), bank)
+        trainer.bank = load_bank(os.path.join(out_dir, "bank"))
 
     reports = []
     for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):

@@ -298,17 +298,22 @@ def test_criterion_7_longtail_rescue(tmp_path, capfd, rescue_seed0):
         assert np.mean(gains) >= thr["tail_gain_mean"]
 
 
+def _environment() -> dict:
+    """This process's values of the fields GOLDEN's env records."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "lapack": f"{lapack['name']} {lapack['version']}",
+            **{v: os.environ.get(v) for v in BLAS_VARS}}
+
+
 def _golden_or_skip(capfd, what):
     """GOLDEN, if this is the environment it records; else a pytest skip that
     names the fields that differ."""
     with open(GOLDEN) as f:
         golden = json.load(f)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    env = {"numpy": np.__version__, "scipy": scipy.__version__,
-           "blas": f"{blas['name']} {blas['version']}",
-           "lapack": f"{lapack['name']} {lapack['version']}",
-           **{v: os.environ.get(v) for v in BLAS_VARS}}
+    env = _environment()
     differ = [f"{k} is {env[k]!r}, not {v!r}" for k, v in golden["env"].items() if env[k] != v]
     if differ:
         reason = "seed-0 hashes are pinned for another environment: " + "; ".join(differ)
@@ -331,21 +336,27 @@ def test_criterion_7_seed0_hashes(capfd, rescue_seed0):
     assert got == {"full": golden["full"], "baseline": golden["baseline"]}
 
 
-def test_paper_width_seed0_hashes(tmp_path, capfd):
+def _paper_width_run(manifest, root):
     """A seed-0 run at the paper's widths (384-wide output, 256-wide hidden
-    layer: the float32 head-CE path of the dense workload) on 2 x 1,000
-    points, 2 epochs, keeps the sha256 in GOLDEN; prediction scores each scene
-    in a 512-row block and a 488-row tail."""
-    golden = _golden_or_skip(capfd, "paper-width seed-0 hashes")
-    with open(MANIFEST) as f:
-        manifest = json.load(f)
-    cdir = str(tmp_path / "c")
+    layer: the float32 training step of the dense workload) on 2 x 1,000
+    points, 2 epochs, under root; returns its run directory."""
+    cdir = str(root / "c")
     generate_corpus(SynthConfig(**dict(manifest["synth"], n_scenes=2, points_per_scene=1000)),
                     cdir)
     cfg = dict(manifest["full_config"], granularities=tuple(manifest["full_config"]["granularities"]),
                feat_dim=384, hidden_dim=256, epochs=2)
-    tr.run_pipeline(tr.TrainConfig(seed=0, **cfg), cdir, str(tmp_path / "run"))
-    assert _hashes(tmp_path / "run", golden["paper_width"]) == golden["paper_width"]
+    tr.run_pipeline(tr.TrainConfig(seed=0, **cfg), cdir, str(root / "run"))
+    return root / "run"
+
+
+def test_paper_width_seed0_hashes(tmp_path, capfd):
+    """_paper_width_run keeps the sha256 in GOLDEN; prediction scores each
+    scene in a 512-row block and a 488-row tail."""
+    golden = _golden_or_skip(capfd, "paper-width seed-0 hashes")
+    with open(MANIFEST) as f:
+        manifest = json.load(f)
+    run_dir = _paper_width_run(manifest, tmp_path)
+    assert _hashes(run_dir, golden["paper_width"]) == golden["paper_width"]
 
 
 # --- criterion 8: baseline degeneracy --------------------------------------

@@ -304,6 +304,21 @@ def test_cli_bank_equals_the_bank_train_builds(tmp_path, extra):
                 == (tmp_path / "run" / "bank" / name).read_bytes()), name
 
 
+def test_cli_train_on_a_runs_bank_reproduces_the_run(tmp_path):
+    # a run trains on its bank as bank_aligned.ltfm stores it (float32), so
+    # `train --bank <run>/bank` writes the run's artifacts byte for byte
+    corpus, run, again = tmp_path / "corpus", tmp_path / "run", tmp_path / "again"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    flags = ["--granularities", "6,3", "--epochs", "4", "--recluster-every", "2",
+             "--lambda", "0.9", "--use-global", "true", "--s-prime", "4", "--feat-dim", "8",
+             "--hidden-dim", "8", "--warmup-epochs", "1", "--batch-scenes", "1"]
+    assert main(["train", "--corpus", str(corpus), "--out", str(run)] + flags) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(again),
+                 "--bank", str(run / "bank")] + flags) == 0
+    for name in ("pred.ltlb", "prototypes.ltfm", "losses.tsv"):
+        assert (run / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_cli_bank_builds_each_incidence_once(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0

@@ -251,6 +251,49 @@ def test_backbone_gradient_fd():
         assert_grad_close(gx, num_x)
 
 
+def _float32(b):
+    """The backbone's weights and biases cast to float32, as a training step casts them."""
+    return tr.Backbone([w.astype(np.float32) for w in b.weights],
+                       [v.astype(np.float32) for v in b.biases])
+
+
+@pytest.mark.parametrize("n", [1, B + 1, 3000])
+def test_float32_step_matches_float64_reference(n):
+    # the float32 forward and backward at the paper's widths against the
+    # float64 reference on the same weights and inputs. Output rows are unit
+    # vectors, so their error is absolute: at most 1e-6 (measured up to
+    # 1.6e-7 at 1 to 10,000 rows). Each gradient is within 1e-5 of the
+    # reference's largest entry (measured up to 5e-7; the weight gradients'
+    # row sums run in float32 inside the BLAS, the bias sums in float64).
+    b = tr.init_backbone(6, [256], 384, seed=n)
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 6))
+    G = rng.normal(size=(n, 384)) / 4000  # head gradients are divided by the batch's points
+    Y64, cache64 = tr.backbone_forward(b, X)
+    Y32, cache32 = tr.backbone_forward(_float32(b), X.astype(np.float32))
+    assert Y32.dtype == np.float32 and all(a.dtype == np.float32 for a in cache32["acts"])
+    assert np.abs(Y32 - Y64).max() <= 1e-6
+    gw64, gb64, gx64 = tr.backbone_backward(b, cache64, G)
+    gw32, gb32, gx32 = tr.backbone_backward(_float32(b), cache32, G)
+    assert [g.dtype for g in gw32 + [gx32]] == [np.float32] * 3
+    assert [g.dtype for g in gb32] == [np.float64] * 2  # bias sums run in float64
+    for g32, g64 in zip(gw32 + gb32 + [gx32], gw64 + gb64 + [gx64]):
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
+def test_backbone_computes_in_its_inputs_dtype():
+    # float32 input through float64 weights computes in float32 (the weights
+    # cast), as through float32 weights; float64 input keeps float64
+    b = tr.init_backbone(5, [12], 7, seed=0)
+    X = np.random.default_rng(0).normal(size=(20, 5))
+    Y32, cache = tr.backbone_forward(b, X.astype(np.float32))
+    assert np.array_equal(Y32, tr.backbone_forward(_float32(b), X.astype(np.float32))[0])
+    assert cache["norms"].dtype == np.float32
+    assert tr.backbone_forward(b, X)[0].dtype == np.float64
+    gw, _, gx = tr.backbone_backward(b, cache, np.ones((20, 7)))
+    assert gw[0].dtype == gx.dtype == np.float32
+
+
 def head_ce(F, mus, labels):
     """head_ce_loss with every head on branch 0 and n_pts its rows, so the
     feature gradient is that of the heads' summed losses: (losses, feature
@@ -350,17 +393,20 @@ def test_head_step_peak_memory(monkeypatch):
 
 
 def test_scene_step_peak_memory(monkeypatch):
-    # one scene's step at the paper's widths: 4,000 rows, 256 hidden units,
-    # 384 outputs, heads 120/80/20 on both branches, head_step into
-    # backbone_backward. The peak is about 1.5 n x C float64 arrays: the
-    # float32 features (0.5), every head's softmax (n x 440 float32, 0.57),
-    # the gradient blocks (0.32) and the centroids' copies and gradients. A
-    # whole n x C float64 feature gradient (+1) exceeds 2.
+    # one scene's float32 training step at the paper's widths: 4,000 rows,
+    # 256 hidden units, 384 outputs, heads 120/80/20 on both branches,
+    # head_step into backbone_backward. The peak measured 1.18 n x C float64
+    # arrays: every head's softmax (n x 440 float32, 0.57), the two float64
+    # gradient blocks and the float32 product (0.32), a block's float32 cast
+    # (0.06), the ReLU mask (0.08) and the centroids' copies and gradients.
+    # head_ce_loss takes the forward pass's float32 rows with no copy, so a
+    # copy of the features (+0.5) or a whole n x C float32 gradient (+0.5)
+    # exceeds 1.4.
     monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
     ks = (120, 80, 20, 120, 80, 20)
-    b = tr.init_backbone(6, [256], 384, seed=0)
+    b = _float32(tr.init_backbone(6, [256], 384, seed=0))
     rng = np.random.default_rng(0)
-    Y, cache = tr.backbone_forward(b, rng.normal(size=(4000, 6)))
+    Y, cache = tr.backbone_forward(b, rng.normal(size=(4000, 6)).astype(np.float32))
     labels = [rng.integers(0, k, size=len(Y)) for k in ks]
     mus = [rng.normal(size=(k, 384)) for k in ks]
     tracemalloc.start()
@@ -371,7 +417,7 @@ def test_scene_step_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * Y.nbytes, f"{peak / 2**20:.1f} MiB"
+    assert peak < 1.4 * Y.size * 8, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -539,8 +585,9 @@ def test_entity_anchor_grads_match_scatter_oracle(seed, no_hit):
 
 
 def test_mask_rows_add_sums_in_entity_order(monkeypatch):
-    # a step's entity add, lam * (Trainer.mask_rows[i][lo, hi] @ V[j]) into
-    # each head-gradient block, sums a point's entries from zero in entity order
+    # a step's entity add, Trainer.mask_rows[i][lo, hi] @ (lam * V)[j] into
+    # each head-gradient block, sums a point's scaled entries from zero in
+    # entity order
     monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
     rng = np.random.default_rng(5)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
@@ -562,15 +609,15 @@ def test_mask_rows_add_sums_in_entity_order(monkeypatch):
         assert sorted(trainer.mask_rows[j]) == list(ev.row_blocks(s.n_points))
         got = g.copy()
         for (lo, hi), rows in trainer.mask_rows[j].items():
-            got[lo:hi] += lam * (rows @ V)
+            got[lo:hi] += rows @ (lam * V)
         want = g.copy()
         entries = M.toarray()  # a point of two overlapping masks counts twice
         for r in np.flatnonzero(entries.sum(0)):
-            acc = np.zeros(3)  # summed from zero in entity order, then scaled
+            acc = np.zeros(3)  # scaled entries, summed from zero in entity order
             for t in range(len(entities)):
                 for _ in range(int(entries[t, r])):
-                    acc = acc + (V[t] if t in indices else 0.0)
-            want[r] += lam * acc
+                    acc = acc + (lam * V[t] if t in indices else 0.0)
+            want[r] += acc
         assert np.array_equal(got, want)
         # rows that no mask covers keep their bits
         assert got[entries.sum(0) == 0].tobytes() == g[entries.sum(0) == 0].tobytes()
@@ -610,7 +657,7 @@ def _recorded_step(monkeypatch, trainer):
 @pytest.mark.parametrize("helpers", [0, 1])
 def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     # a training step hands each scene's backward pass, in the scene's own
-    # work, its head gradient plus lambda_entity * M.T @ V, summed in entity order
+    # work, its head gradient plus M.T @ (lambda_entity * V), summed in entity order
     monkeypatch.setattr(tr, "SCENE_HELPERS", helpers)
     monkeypatch.setattr(ev, "ROW_BLOCK", 4)  # a whole-scene add in 3 blocks, the last short
     rng = np.random.default_rng(5)
@@ -634,11 +681,11 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
         want = g.copy()
         entries = M.toarray()  # a point of two overlapping masks counts twice
         for r in np.flatnonzero(entries.sum(0)):
-            acc = np.zeros(g.shape[1])  # summed from zero in entity order, then scaled
+            acc = np.zeros(g.shape[1])  # scaled entries, summed from zero in entity order
             for t in range(len(entities)):
                 for _ in range(int(entries[t, r])):
-                    acc = acc + (v[t] if t in indices else 0.0)
-            want[r] += lam * acc
+                    acc = acc + (lam * v[t] if t in indices else 0.0)
+            want[r] += acc
         assert np.array_equal(seen[s.n_points], want)
         # rows that no mask covers keep their bits
         assert seen[s.n_points][entries.sum(0) == 0].tobytes() == \
@@ -687,6 +734,83 @@ def test_non_finite_loss_raises_before_any_optimizer_moves(tmp_path, where):
         trainer.train_epoch(heads, head_opt, 1)
     assert (trainer.opt.t, head_opt.t) == ts == (2, 2)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(state(), before))
+
+
+def test_non_finite_head_gradient_moves_nothing(tmp_path, monkeypatch):
+    # the step's loss is finite but a head-centroid gradient is not: neither
+    # optimizer moves, though the backbone's gradients are finite
+    _mini_corpus(tmp_path)
+    trainer = tr.start_run(small_cfg(lambda_entity=0.5, use_global=True, s_prime=4),
+                           tmp_path / "corpus")
+    trainer.bank, feats = tr.build_bank(trainer)
+    heads = trainer.recluster(feats)
+    head_opt = tr.AdamW([h.centroids for h in heads])
+    trainer.train_epoch(heads, head_opt, 0)  # moments and t that are not zero
+    head_ce_loss = tr.head_ce_loss
+
+    def nan_centroid_grad(*args):
+        losses, gmus, grad = head_ce_loss(*args)
+        gmus[1][0, 0] = np.nan
+        return losses, gmus, grad
+
+    monkeypatch.setattr(tr, "head_ce_loss", nan_centroid_grad)
+
+    def state():
+        return [a.copy() for opt in (trainer.opt, head_opt) for a in opt.params + opt.m + opt.v]
+
+    before, ts = state(), (trainer.opt.t, head_opt.t)
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        trainer.train_epoch(heads, head_opt, 1)
+    assert (trainer.opt.t, head_opt.t) == ts == (2, 2)
+    assert [a.tobytes() for a in state()] == [a.tobytes() for a in before]
+    assert trainer.backbone.weights[0] is trainer.opt.params[0]  # the state compared is the model's
+
+
+def _call_site():
+    """The training function that a backbone pass runs for: the innermost
+    caller of these names on this thread's stack."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name not in ("build_bank", "recluster", "train_epoch", "warmup",
+                                       "predict_labels"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def test_each_backbone_pass_runs_in_its_call_sites_dtype(tmp_path, monkeypatch):
+    # a training step (warm-up and epochs) forwards and back-propagates in
+    # float32 and hands head_ce_loss the forward pass's rows with no copy; the
+    # bank pass, the reclustering forwards and prediction stay float64
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)  # every call on this thread
+    _mini_corpus(tmp_path, distill_dim=8)
+    seen, step_rows, uncopied = set(), [], []
+    forward, backward, head_ce_loss = tr.backbone_forward, tr.backbone_backward, tr.head_ce_loss
+
+    def recording_forward(b, X):
+        Y, cache = forward(b, X)
+        seen.add(("forward", _call_site(), X.dtype.name, Y.dtype.name))
+        step_rows.append(Y)
+        return Y, cache
+
+    def recording_backward(b, cache, grad):
+        seen.add(("backward", _call_site(), cache["Y"].dtype.name))
+        return backward(b, cache, grad)
+
+    def recording_head_ce(F, *args):
+        uncopied.append(any(F is Y for Y in step_rows))
+        return head_ce_loss(F, *args)
+
+    monkeypatch.setattr(tr, "backbone_forward", recording_forward)
+    monkeypatch.setattr(tr, "backbone_backward", recording_backward)
+    monkeypatch.setattr(tr, "head_ce_loss", recording_head_ce)
+    tr.run_pipeline(small_cfg(lambda_entity=0.5, epochs=3, recluster_every=2, warmup_epochs=1),
+                    tmp_path / "corpus", tmp_path / "run")
+    assert seen == {
+        ("forward", "warmup", "float32", "float32"), ("backward", "warmup", "float32"),
+        ("forward", "build_bank", "float64", "float64"),
+        ("forward", "recluster", "float64", "float64"),  # round 1; round 0 pools the bank's
+        ("forward", "train_epoch", "float32", "float32"), ("backward", "train_epoch", "float32"),
+        ("forward", "predict_labels", "float64", "float64")}
+    assert len(uncopied) == 9 and all(uncopied)  # 3 epochs of 3 scenes
 
 
 def test_pipeline_forwards_once_for_bank_and_round_0(tmp_path, monkeypatch):
@@ -797,8 +921,12 @@ def test_forward_scenes_error_waits_for_every_helper(monkeypatch, helpers):
     assert running == []  # every call that started has returned
     assert len(started) <= 3  # scene 3 never starts: no item starts after a raise
     monkeypatch.setattr(tr, "backbone_forward", forward)
-    feats, _ = trainer.forward_scenes([2, 0])
-    assert np.array_equal(feats[0], forward(trainer.backbone, points[2])[0])
+    # a step forwards the float32 points through the float32 weights
+    b, feats, _ = trainer.forward_scenes([2, 0])
+    assert all(np.array_equal(w32, w.astype(np.float32))
+               for w32, w in zip(b.weights + b.biases,
+                                 trainer.backbone.weights + trainer.backbone.biases))
+    assert np.array_equal(feats[0], forward(b, points[2].astype(np.float32))[0])
 
 
 @pytest.mark.parametrize("run", ["pipeline", "baseline"])
