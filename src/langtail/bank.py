@@ -2,7 +2,10 @@
 alignment against text-embedding geometry, and the class-balanced entity
 contrastive loss.
 
-The bank is built once, offline, and is immutable afterwards.
+The bank is built once, offline, in closed form, and is immutable afterwards:
+its prototypes are the exact minimiser of the Gram mismatch with the text
+embeddings (Eckart–Young) that lies nearest the pooled visual features
+(orthogonal Procrustes, Schönemann 1966).
 """
 
 from __future__ import annotations
@@ -86,57 +89,39 @@ def aggregate_entity_features(incidence, backbone_features, entities) -> np.ndar
     return pooled
 
 
-def gram(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return X @ X.T
-
-
 def _l2_rows(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     return np.divide(X, norms, out=X.copy(), where=norms > 0)
 
 
-def align_gram_loss(F, G_target) -> tuple[float, np.ndarray]:
-    """Squared-Frobenius Gram mismatch and its analytic gradient 4*(G(F)-G_t)*F."""
-    diff = gram(F)
-    diff -= G_target
-    return float((diff * diff).sum()), 4.0 * (diff @ F)
-
-
-ALIGN_STEPS, ALIGN_LR = 500, 1e-2  # align_gram's step count and first step size
-
-
 def align_gram(F_m_init, F_e, entity_ids) -> SemanticBank:
-    """Fit prototypes whose Gram matrix matches the text-embedding Gram.
+    """The prototypes nearest the pooled features F_m_init among those whose
+    Gram matrix best matches G = X Xᵀ, X the L2-normalised text rows F_e (so
+    G holds cosine similarities), in squared Frobenius norm.
 
-    Gradient descent with backtracking: the step halves on a loss increase
-    and grows 1.1-fold, to at most 1.0, after an accepted step. Text rows
-    are L2-normalized first so the target Gram holds cosine similarities.
+    With X = U S Vᵀ its thin SVD and k = min(C, rank X), the best Gram of
+    rank at most C is A Aᵀ, A = U_k S_k (Eckart–Young, 1936), and A W attains
+    it for every k × C W with orthonormal rows. W = P Qᵀ from the thin SVD
+    P Σ Qᵀ of Aᵀ F_m_init is the one nearest F_m_init (orthogonal
+    Procrustes; Schönemann, Psychometrika 1966). No T × T array is formed.
+    alignment_loss_trace is [loss(F_m_init), loss(B)]: the first is
+    ‖F₀ᵀF₀‖² − 2‖F₀ᵀX‖² + Σ s⁴, the second G's discarded eigenvalues squared
+    and summed, Σ_{i>k} s_i⁴.
     """
-    F = np.asarray(F_m_init, dtype=np.float64).copy()
-    F_e = np.asarray(F_e, dtype=np.float64)
-    if F.shape[0] != F_e.shape[0]:
-        raise ShapeError(f"row mismatch: {F.shape[0]} prototypes vs {F_e.shape[0]} embeddings")
-    G_target = gram(_l2_rows(F_e))
-
-    loss, grad = align_gram_loss(F, G_target)
-    trace, lr = [loss], ALIGN_LR
-    for _ in range(ALIGN_STEPS):
-        accepted = False
-        for _try in range(60):
-            trial = F - lr * grad
-            trial_loss, trial_grad = align_gram_loss(trial, G_target)
-            if trial_loss <= loss:
-                F, loss, grad = trial, trial_loss, trial_grad
-                accepted = True
-                break
-            lr *= 0.5
-        if not accepted:
-            break  # step size underflow; F is at the best iterate found
-        lr = min(lr * 1.1, 1.0)
-        trace.append(loss)
-    return SemanticBank(B=F, entity_ids=list(entity_ids), alignment_loss_trace=trace)
+    F0 = np.asarray(F_m_init, dtype=np.float64)
+    X = _l2_rows(F_e)
+    if F0.shape[0] != X.shape[0]:
+        raise ShapeError(f"row mismatch: {F0.shape[0]} prototypes vs {X.shape[0]} embeddings")
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    rank = int((s > s.max(initial=0.0) * max(X.shape) * np.finfo(np.float64).eps).sum())
+    k = min(F0.shape[1], rank)
+    A = U[:, :k] * s[:k]
+    P, _, Qt = np.linalg.svd(A.T @ F0, full_matrices=False)
+    s4 = s ** 4
+    loss0 = float(np.sum((F0.T @ F0) ** 2) - 2.0 * np.sum((F0.T @ X) ** 2) + s4.sum())
+    return SemanticBank(B=A @ (P @ Qt), entity_ids=list(entity_ids),
+                        alignment_loss_trace=[loss0, float(s4[k:].sum())])
 
 
 def sample_entity_batch(bank: SemanticBank, batch_size: int, seed: int):
@@ -181,7 +166,9 @@ def entity_contrastive_loss(anchor_features, prototypes, weights,
 
 
 def save_bank(out_dir, bank: SemanticBank) -> None:
-    """Persist bank_aligned.ltfm, trace.tsv, and an entities.tsv id copy."""
+    """Persist bank_aligned.ltfm, trace.tsv, and an entity_ids.tsv id copy.
+    trace.tsv's rows are the Gram mismatch of the pooled features (row 0) and
+    of the aligned bank (row 1), as align_gram's alignment_loss_trace."""
     dm.make_dirs(out_dir)
     dm.write_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm"),
                             bank.B.astype(np.float32))

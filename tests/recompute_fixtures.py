@@ -32,34 +32,22 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import conftest  # noqa: F401  (one BLAS thread, set before numpy loads)
-import numpy as np
 from test_acceptance import (
     GOLDEN,
     MANIFEST,
+    _departures,
     _environment,
     _hashes,
     _paper_width_run,
     _rescue_run,
+    _rescue_scores,
 )
-
-from langtail import data_model as dm
-from langtail import evaluation as ev
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import CALIBRATION_TOL  # noqa: E402
 
 
 def _line(name, stored, fresh, differs) -> bool:
     print(f"{name:<34} stored {stored!s:<66} fresh {fresh!s:<66} "
           f"{'DIFFERS' if differs else 'same'}")
     return differs
-
-
-def _scores(run_dir, gt, n_gt, tail):
-    """Criterion 7's Hungarian-matched mIoU and mean tail-class IoU of a run."""
-    report = ev.match_and_score(ev.confusion(dm.read_labels(str(run_dir / "pred.ltlb")), gt,
-                                             n_gt=n_gt))
-    return report.miou, float(np.mean(report.per_class_iou[tail]))
 
 
 def main() -> int:
@@ -85,16 +73,12 @@ def main() -> int:
             fresh = _hashes(run_dir, golden[group])
             for name, want in golden[group].items():
                 differs |= _line(f"golden {group}/{name}", want, fresh[name], fresh[name] != want)
-        n_gt, tail = manifest["synth"]["n_classes"], manifest["tail_classes"]
         for row in manifest["calibration_sweep"]["rows"]:
-            gt, fdir, bdir = runs[row["seed"]]
-            full_miou, full_tail = _scores(fdir, gt, n_gt, tail)
-            base_miou, base_tail = _scores(bdir, gt, n_gt, tail)
-            fresh = {"full_miou": full_miou, "full_tail": full_tail, "base_miou": base_miou,
-                     "base_tail": base_tail, "tail_gain": full_tail - base_tail}
+            fresh = _rescue_scores(manifest, *runs[row["seed"]])
+            departs = _departures(row, fresh)
             for key, value in fresh.items():
                 differs |= _line(f"seed {row['seed']} {key}", row[key], f"{value:.6f}",
-                                 abs(value - row[key]) > CALIBRATION_TOL[key] + 1e-12)
+                                 key in departs)
     return 1 if differs else 0
 
 

@@ -1,10 +1,11 @@
 """Entity bank: masked aggregation, Gram alignment, contrastive loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, central_diff
-from langtail import bank as bank_mod
 from langtail import data_model as dm
 from langtail import train as tr
 from langtail.bank import (
@@ -12,10 +13,8 @@ from langtail.bank import (
     _l2_rows,
     aggregate_entity_features,
     align_gram,
-    align_gram_loss,
     derive_categories,
     entity_contrastive_loss,
-    gram,
     load_bank,
     mask_incidence,
     sample_entity_batch,
@@ -29,6 +28,7 @@ from langtail.errors import (
     IoError,
     ShapeError,
 )
+from oracle_gram import align_gram_loss, eckart_young_floor, gram
 
 
 def _scene(scene_id, n, d=3):
@@ -99,38 +99,94 @@ def test_align_gram_loss_gradient_fd():
     assert_grad_close(grad, num)
 
 
-def test_align_gram_fixed_point(monkeypatch):
-    monkeypatch.setattr(bank_mod, "ALIGN_STEPS", 5)
-    rng = np.random.default_rng(1)
-    F = rng.normal(size=(4, 4))
-    F = F / np.linalg.norm(F, axis=1, keepdims=True)
-    bank = align_gram(F, F, range(4))
-    assert bank.alignment_loss_trace[0] == pytest.approx(0.0, abs=1e-20)
-    assert np.allclose(bank.B, F)
+def _text(case, rng):
+    """(T, C, text rows) of one align_gram case."""
+    if case == "T-below-C":
+        return 6, 8, rng.normal(size=(6, 16))
+    if case == "T-above-C":
+        return 20, 4, rng.normal(size=(20, 64))
+    if case == "rank-deficient":  # rank 5 < C: the floor is 0 and k = 5
+        return 12, 8, rng.normal(size=(12, 5)) @ rng.normal(size=(5, 32))
+    X = rng.normal(size=(10, 24))  # "zero-rows", in the text and in F0
+    X[[1, 4]] = 0.0
+    return 10, 3, X
+
+
+def _polar(M):
+    P, _, Qt = np.linalg.svd(M, full_matrices=False)
+    return P @ Qt
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("steps", [1, 5, 8000])
-def test_align_gram_stays_at_an_exact_fixed_point(monkeypatch, steps):
-    # unit basis rows: _l2_rows changes no bit, so the Gram loss is exactly 0;
-    # every step is accepted, and the growing step size must stay finite
-    monkeypatch.setattr(bank_mod, "ALIGN_STEPS", steps)
-    F = np.eye(5)[[3, 0, 4]]
-    bank = align_gram(F, F, [7, 8, 9])
-    assert bank.alignment_loss_trace == [0.0] * (steps + 1)
-    assert bank.B.tobytes() == F.tobytes()
-
-
-def test_align_gram_converges():
+@pytest.mark.parametrize("case", ["T-below-C", "T-above-C", "rank-deficient", "zero-rows"])
+def test_align_gram_is_the_minimiser_nearest_f0(case):
     rng = np.random.default_rng(2)
-    F_e = rng.normal(size=(20, 64))
-    # feature dim must cover the target Gram rank or the loss floor is nonzero
-    F_m = rng.normal(size=(20, 32)) * 0.1
-    assert (bank_mod.ALIGN_STEPS, bank_mod.ALIGN_LR) == (500, 1e-2)
-    bank = align_gram(F_m, F_e, range(20))
-    trace = bank.alignment_loss_trace
-    assert trace[-1] <= 1e-3 * trace[0]
-    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    T, C, F_e = _text(case, rng)
+    F0 = rng.normal(size=(T, C))
+    if case == "zero-rows":
+        F0[[2, 4]] = 0.0
+    G = gram(_l2_rows(F_e))
+    scale = float((G * G).sum())
+    floor = eckart_young_floor(G, C)
+    bank = align_gram(F0, F_e, range(T))
+    # the Eckart-Young floor, reached, and both reported losses exact
+    assert align_gram_loss(bank.B, G)[0] == pytest.approx(floor, rel=1e-9, abs=1e-12 * scale)
+    assert bank.alignment_loss_trace == pytest.approx(
+        [align_gram_loss(F0, G)[0], floor], rel=1e-9, abs=1e-12 * scale)
+
+    # every minimiser is A W, A G's top-k eigenvectors scaled by the roots of
+    # their eigenvalues, W k x C with orthonormal rows; none is nearer F0,
+    # whether drawn at random or near B
+    k = min(C, np.linalg.matrix_rank(_l2_rows(F_e)))
+    w, V = np.linalg.eigh(G)
+    A = V[:, ::-1][:, :k] * np.sqrt(w[::-1][:k])
+    W_B = np.linalg.lstsq(A, bank.B, rcond=None)[0]
+    assert np.allclose(A @ W_B, bank.B, atol=1e-9)
+    d_B = np.linalg.norm(bank.B - F0)
+    for eps in [None] * 10 + [1e-3, 1e-2, 1e-1] * 5:
+        W = (_polar(rng.normal(size=(k, C))) if eps is None
+             else _polar(W_B + eps * rng.normal(size=(k, C))))
+        assert np.linalg.norm(A @ W - F0) >= d_B - 1e-10
+
+    # a minimiser comes back as it is
+    again = align_gram(bank.B, F_e, range(T))
+    assert np.abs(again.B - bank.B).max() <= 1e-10
+    assert again.alignment_loss_trace[0] == pytest.approx(floor, abs=1e-9 * scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_align_gram_fixed_point():
+    # F with unit rows and C >= T is an exact minimiser for text rows F: unit
+    # basis rows (_l2_rows changes no bit) and random ones
+    rng = np.random.default_rng(1)
+    for F in (np.eye(5)[[3, 0, 4]], _l2_rows(rng.normal(size=(4, 4)))):
+        bank = align_gram(F, F, range(len(F)))
+        assert np.abs(bank.B - F).max() <= 1e-10
+        assert bank.alignment_loss_trace == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+@pytest.mark.slow
+def test_align_gram_at_corpus_scale_forms_no_entities_square():
+    # 2,500 entities: one 2,500 x 2,500 float64 array alone is 47.7 MiB, so a
+    # T x T array anywhere in align_gram breaks the 32 MiB bound; the thin
+    # SVD's 2,500 x 512 factor and the L2-normalised text are 9.8 MiB each
+    T, C, D = 2500, 32, 512
+    rng = np.random.default_rng(9)
+    F0, F_e = rng.normal(size=(T, C)), rng.normal(size=(T, D))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bank = align_gram(F0, F_e, range(T))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+    # loss(B) from C- and D-wide products: ||BᵀB||² - 2||BᵀX||² + ||XᵀX||²
+    X = _l2_rows(F_e)
+    loss_B = (np.sum((bank.B.T @ bank.B) ** 2) - 2.0 * np.sum((bank.B.T @ X) ** 2)
+              + np.sum((X.T @ X) ** 2))
+    assert bank.alignment_loss_trace[1] == pytest.approx(loss_B, rel=1e-9)
+    assert bank.alignment_loss_trace[1] < bank.alignment_loss_trace[0]
 
 
 def test_align_gram_orthogonal_invariance():

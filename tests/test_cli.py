@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import append_mask_index, count_incidence_builds
-from langtail import bank as bk
 from langtail import cli
 from langtail import data_model as dm
 from langtail import train as tr
@@ -487,7 +486,6 @@ def test_text_file_cut_short_or_not_utf8_is_refused(tmp_path, monkeypatch, capfd
     # every prefix of the file, and the file with an invalid UTF-8 byte in its
     # middle: its reader returns or raises a LangtailError, and where it
     # raises, `train` exits 1 or 2
-    monkeypatch.setattr(bk, "ALIGN_STEPS", 3)  # a four-line trace.tsv
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--out", "corpus"] + SMALL_SYNTH) == 0
     assert main(["bank", "--corpus", "corpus", "--out", "bank", "--feat-dim", "8",
