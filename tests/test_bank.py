@@ -165,6 +165,20 @@ def test_align_gram_fixed_point():
         assert bank.alignment_loss_trace == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rounds", [1, 5, 8000])
+def test_align_gram_stays_at_an_exact_fixed_point(rounds):
+    # unit basis rows: _l2_rows changes no bit and the Gram loss is exactly 0;
+    # aligning the bank's own output again, round after round, moves no bit
+    F = np.eye(5)[[3, 0, 4]]
+    B = F
+    for _ in range(rounds):
+        bank = align_gram(B, F, [7, 8, 9])
+        assert bank.alignment_loss_trace == [0.0, 0.0]
+        B = bank.B
+    assert B.tobytes() == F.tobytes()
+
+
 @pytest.mark.slow
 def test_align_gram_at_corpus_scale_forms_no_entities_square():
     # 2,500 entities: one 2,500 x 2,500 float64 array alone is 47.7 MiB, so a
