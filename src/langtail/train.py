@@ -9,16 +9,19 @@ analytic gradient and is covered by finite-difference checks in the tests.
 A training step scores every (branch, level) head of a scene in one
 head_ce_loss call; every point carries a label of every head (the heads'
 Ward cuts label every superpoint), and head_ce_loss refuses one outside
-its head's range. Each head runs its own matmuls, and a row block changes
-no matmul row, so losses and gradients are bit-identical to
-tests/oracle_heads.py, the one-call-per-head loop.
+its head's range. Every head's logits and centroid gradients are one
+matmul each against the stacked centroids, and the feature gradient one per
+row block, so losses and gradients are bit-identical to
+tests/oracle_heads.py's scene-by-scene loop, which takes the same products.
 
 Precision. backbone_forward, backbone_backward and head_ce_loss compute in
 work_dtype of their input; float64 input keeps float64 bits. A training
 step (warm-up or epoch) runs in float32 over float64 master weights:
 forward_scenes casts the weights once per step and forwards the Trainer's
 float32 points. Losses, gradient blocks and gradient sums are float64 (see
-each function), and AdamW's weights and moments stay float64. The bank
+each function), and AdamW's weights and moments stay float64; a scene's
+heads sum their feature gradients inside one float32 matmul, so one head
+keeps the one-head reference's bits and several round once more. The bank
 pass, the reclustering forwards (Ward's inputs) and predict_labels stay
 float64. A run trains on its bank as save_bank stores it (float32), as a
 run given that bank does.
@@ -33,8 +36,8 @@ point's entries summed in entity order.
 A step is two scene_map passes. The first forwards each scene, and the
 calling thread then finds the entity anchors' gradients from those
 features. The second runs each scene's head_ce_loss and then its backward
-pass, which forms the feature gradient one row block at a time (each
-branch's head sums, the anchors' rows, the normalisation Jacobian written
+pass, which forms the feature gradient one row block at a time (every
+head's product, the anchors' rows, the normalisation Jacobian written
 over the forward features), so no n x C gradient is made. scene_map runs
 on the calling thread plus one pool thread per further CPU of the affinity
 set, with no setting; results are reduced in scene order on the calling
@@ -275,77 +278,74 @@ def backbone_backward(b: Backbone, cache, grad_out):
     return grads_w, grads_b, gz @ weights[0].T
 
 
-def head_ce_loss(features, mus, labels, branches, n_pts=1):
+def head_ce_loss(features, mus, labels, n_pts=1):
     """Cross-entropy of several linear heads on the same feature rows: one
     scene's head work in head_step.
 
-    Head h has logits features @ mus[h].T, labels[h] in [0, len(mus[h])) for
-    every row and branch branches[h]; its loss is the mean cross-entropy over
-    the rows. The float64 feature gradient is, branch by branch in ascending
-    order, (the sum of S_h @ mus[h] over the branch's heads in list order) /
-    n_pts, the first branch's value plus each later one's, S_h head h's
-    softmax less its one-hot labels: the gradient of the heads'
-    summed-over-rows losses over n_pts.
+    Head h has logits features @ mus[h].T and labels[h] in [0, len(mus[h]))
+    for every row; its loss is the mean cross-entropy over the rows. The
+    centroids are stacked into one MU, so one matmul writes every head's
+    logits into one n x (the summed k) buffer, and each head's softmax runs
+    on its columns: one exp of the logits less their row maximum, over
+    float64 row sums. S, that buffer of every head's softmax less its one-hot
+    labels, gives the centroid gradients as one S.T @ features / n, split by
+    head, and the float64 feature gradient as (S @ MU) / n_pts: the gradient
+    of the heads' summed-over-rows losses over n_pts.
 
-    The arithmetic runs in work_dtype(features); mus take that dtype. The
-    softmax is one exp of the logits less their row maximum, over float64 row
-    sums; the losses are float64. Every head's softmax gradient is computed
-    here, into one buffer of n x (the summed k), and the features are not
-    read again. The feature gradient is returned as grad(lo, hi), its rows
-    lo:hi for a row_blocks block, summed when asked into one float64 block
-    that the next call writes over, so no n x C array is made. Each head
-    keeps its own matmuls: a matmul against the stacked centroids of all
-    heads rounds some slices differently.
+    The arithmetic runs in work_dtype(features); mus take that dtype, and
+    the losses are float64. The features are not read after the centroid
+    gradients. The feature gradient is returned as grad(lo, hi), its rows
+    lo:hi for a row_blocks block: one matmul in the dtype, divided in float64
+    into one block that the next call writes over, so no n x C array is
+    made. With one head the losses and gradients are those of
+    tests/oracle_heads.py's one-head reference, bit for bit, where a row
+    block's matmul rows round as the whole product's (as at every training
+    width the workloads use); with several, each head's loss and softmax
+    keep those bits, and the heads' feature gradients are summed inside the
+    one matmul.
 
     Returns (per-head losses as floats, per-head grads w.r.t. mus in the
     dtype, grad).
     """
     dtype = work_dtype(features)
     F = np.asarray(features, dtype=dtype)
-    mus = [np.asarray(mu, dtype=dtype) for mu in mus]
     labels = [np.asarray(y, dtype=np.int64) for y in labels]
     if any(F.shape[0] != y.shape[0] for y in labels):
         raise ShapeError("feature rows and label count differ")
-    if any(F.shape[1] != mu.shape[1] for mu in mus):
+    if any(F.shape[1] != np.shape(mu)[1] for mu in mus):
         raise ShapeError("feature dim and head dim differ")
     n = F.shape[0]
     if n == 0:
         raise EmptyBatchError("no feature rows")
-    for y, mu in zip(labels, mus):
-        if y.min() < 0 or y.max() >= len(mu):
-            raise DataError(f"a label outside [0, {len(mu)}) for a head of {len(mu)} centroids")
-    scratch = np.empty(n * sum(len(mu) for mu in mus), dtype)
+    ks = [len(mu) for mu in mus]
+    for y, k in zip(labels, ks):
+        if y.min() < 0 or y.max() >= k:
+            raise DataError(f"a label outside [0, {k}) for a head of {k} centroids")
+    offs = list(accumulate(ks, initial=0))
+    MU = np.concatenate(mus, dtype=dtype)
+    S = F @ MU.T
     rows = np.arange(n)
-    losses, grad_mus, softmaxes, off = [], [], [], 0
-    for mu, y in zip(mus, labels):
-        S = np.matmul(F, mu.T, out=scratch[off:off + n * len(mu)].reshape(n, -1))
-        off += S.size
-        picked = S[rows, y]
-        m = S.max(axis=1)
-        S -= m[:, None]
-        np.exp(S, out=S)
-        z = S.sum(axis=1, dtype=np.float64)
-        losses.append(float(np.mean(m + np.log(z) - picked)))
-        S /= z[:, None]
-        S[rows, y] -= 1.0
-        grad_mus.append(S.T @ F / n)
-        softmaxes.append(S)
-    groups = [[h for h, hb in enumerate(branches) if hb == b] for b in sorted(set(branches))]
-    # float64 sums: the gradient block, and a later branch's block added to it
-    block = np.empty((min(len(groups), 2), max(hi - lo for lo, hi in row_blocks(n)), F.shape[1]))
-    prod = np.empty(block.shape[1:], dtype)  # one head's product
+    cols = [off + y for off, y in zip(offs, labels)]
+    picked = [S[rows, c] for c in cols]
+    m = np.maximum.reduceat(S, offs[:-1], axis=1)
+    for lo, hi in row_blocks(n):  # less each head's row maximum, over its columns
+        S[lo:hi] -= np.repeat(m[lo:hi], ks, axis=1)
+    np.exp(S, out=S)
+    heads = list(zip(offs, offs[1:]))
+    z = np.stack([S[:, a:b].sum(axis=1, dtype=np.float64) for a, b in heads], axis=1)
+    losses = [float(np.mean(m[:, i] + np.log(z[:, i]) - p)) for i, p in enumerate(picked)]
+    for lo, hi in row_blocks(n):  # head by head: 512 x 440 repeated float64 sums are 1.8 MB
+        for i, (a, b) in enumerate(heads):
+            S[lo:hi, a:b] /= z[lo:hi, i, None]
+    for c in cols:
+        S[rows, c] -= 1.0
+    grad_mus = np.split(S.T @ F / n, offs[1:-1])
+    block = np.empty((max(hi - lo for lo, hi in row_blocks(n)), F.shape[1]))
+    prod = np.empty(block.shape, dtype)
 
     def grad(lo, hi):
-        out = block[0, :hi - lo]
-        for bi, heads in enumerate(groups):
-            acc = block[min(bi, 1), :hi - lo]
-            acc.fill(0.0)
-            for h in heads:
-                acc += np.matmul(softmaxes[h][lo:hi], mus[h], out=prod[:hi - lo])
-            acc /= n_pts
-            if bi:
-                out += acc
-        return out
+        np.matmul(S[lo:hi], MU, out=prod[:hi - lo])
+        return np.divide(prod[:hi - lo], n_pts, out=block[:hi - lo], dtype=np.float64)
 
     return losses, grad_mus, grad
 
@@ -502,15 +502,14 @@ def head_step(feats, labels, mus, branches, backward):
     already divided by the batch's point count. Returns (loss per branch,
     backward's result per scene, centroid gradient per head). The heads run
     in float32: the training step's float32 features as they are (other
-    features are cast in each scene's work), centroids cast once per batch.
-    So a thread adds its scene's softmax buffer, then grad's blocks.
+    features are cast in each scene's work), and head_ce_loss stacks the
+    centroids in float32. So a thread adds its scene's softmax buffer, then
+    grad's blocks.
     """
     n_pts = sum(f.shape[0] for f in feats)
-    mus32 = [mu.astype(np.float32) for mu in mus]
 
     def scene(j, f, y):
-        losses, gmus, grad = head_ce_loss(f.astype(np.float32, copy=False), mus32, y, branches,
-                                          n_pts)
+        losses, gmus, grad = head_ce_loss(f.astype(np.float32, copy=False), mus, y, n_pts)
         return losses, gmus, backward(j, grad)
 
     out = scene_map(scene, range(len(feats)), feats, labels)

@@ -1,19 +1,22 @@
-"""Per-head reference for the fused head cross-entropy step.
+"""Reference for the fused head cross-entropy step.
 
-reference_head_ce is a one-head cross-entropy and reference_head_step the
-training loop that calls it once per head and per scene: local heads first,
-then global heads, each branch accumulated in its own per-scene arrays in
-this order. Both follow langtail.train's arithmetic: the dtype follows the
-features (float32 stays float32, anything else is float64), the softmax is
-one exp of the logits less their row maximum divided by float64 row sums,
-and the step casts features and centroids to float32 and accumulates in
-float64. The fused langtail.train.head_step must reproduce these losses and
-gradients exactly.
+reference_head_ce is a one-head cross-entropy; reference_head_step the
+training step's head work written out whole, scene by scene: the centroids
+stacked into one matrix, one matmul for every head's logits, each head's
+softmax on its own columns, then one centroid-gradient product per scene
+and one feature-gradient product per row block. Both follow langtail.train's
+arithmetic: the dtype follows the features (float32 stays float32, anything
+else is float64), the softmax is one exp of the logits less their row
+maximum divided by float64 row sums, and the step casts features and
+centroids to float32 and divides the feature gradient in float64.
+langtail.train.head_step must reproduce reference_head_step's losses and
+gradients exactly, and with one head those of reference_head_ce.
 """
 
 import numpy as np
 
 from langtail.errors import EmptyBatchError, ShapeError
+from langtail.evaluation import row_blocks
 
 
 def reference_head_ce(features, mu, labels):
@@ -44,31 +47,36 @@ def reference_head_ce(features, mu, labels):
 
 
 def reference_head_step(feats, labels, mus, branches):
-    """Same contract as langtail.train.head_step, one head and scene at a time."""
+    """Same contract as langtail.train.head_step, one whole scene at a time."""
     n_pts = sum(f.shape[0] for f in feats)
-    head_grads = [np.zeros_like(mu) for mu in mus]
-    grad_feats = None
-    branch_losses = []
-    for b in range(max(branches) + 1):
-        acc = [np.zeros(f.shape) for f in feats]
-        l_branch = 0.0
-        for h in [h for h, hb in enumerate(branches) if hb == b]:
-            loss_k = 0.0
-            for j, f in enumerate(feats):
-                loss, gf, gmu = reference_head_ce(f.astype(np.float32),
-                                                  mus[h].astype(np.float32),
-                                                  labels[j][h])
-                loss_k += loss * f.shape[0]
-                acc[j] += gf
-                head_grads[h] += gmu * f.shape[0]
-            l_branch += loss_k / n_pts
-            head_grads[h] /= n_pts
-        branch_losses.append(l_branch)
-        if grad_feats is None:
-            grad_feats = acc
-            for j in range(len(feats)):
-                grad_feats[j] /= n_pts
-        else:
-            for j in range(len(feats)):
-                grad_feats[j] += acc[j] / n_pts
+    MU = np.concatenate([mu.astype(np.float32) for mu in mus])
+    starts = np.cumsum([0] + [len(mu) for mu in mus])
+    loss_sums = [0.0] * len(mus)
+    G = np.zeros(MU.shape)
+    grad_feats = []
+    for f, ys in zip(feats, labels):
+        F = f.astype(np.float32)
+        n = len(F)
+        logits = F @ MU.T
+        S = np.empty_like(logits)
+        for h, y in enumerate(ys):
+            L = logits[:, starts[h]:starts[h + 1]]
+            m = L.max(axis=1)
+            e = np.exp(L - m[:, None])
+            z = e.sum(axis=1, dtype=np.float64)
+            loss_sums[h] += float(np.mean(m + np.log(z) - L[np.arange(n), y])) * n
+            softmax = (e / z[:, None]).astype(np.float32)
+            softmax[np.arange(n), y] -= 1.0
+            S[:, starts[h]:starts[h + 1]] = softmax
+        scene_mean = S.T @ F / n  # each scene's mean, weighted by its point count
+        G += scene_mean * n
+        # float32 matmul rounds a row by the product's row count at some shapes
+        # (features 40 wide against 66 centroids, say), so the feature
+        # gradient's product runs over head_ce_loss's row blocks
+        grad_feats.append(np.concatenate([(S[lo:hi] @ MU).astype(np.float64) / n_pts
+                                          for lo, hi in row_blocks(n)]))
+    branch_losses = [0.0] * (max(branches) + 1)
+    for b, s in zip(branches, loss_sums):
+        branch_losses[b] += s / n_pts
+    head_grads = [g / n_pts for g in np.split(G, starts[1:-1])]
     return branch_losses, grad_feats, head_grads

@@ -102,11 +102,11 @@ def test_criterion_1_gradient_suite(capfd):
             F = rng.normal(size=(6, 3))
             mu = rng.normal(size=(3, 3))
             labels = rng.integers(0, 3, size=6)
-            _, (gmu,), gf = tr.head_ce_loss(F, [mu], [labels], [0], n_pts=len(F))
+            _, (gmu,), gf = tr.head_ce_loss(F, [mu], [labels], n_pts=len(F))
             assert_grad_close(whole_grad(gf, len(F)), central_diff(
-                lambda x: tr.head_ce_loss(x, [mu], [labels], [0])[0][0], F))
+                lambda x: tr.head_ce_loss(x, [mu], [labels])[0][0], F))
             assert_grad_close(gmu, central_diff(
-                lambda m: tr.head_ce_loss(F, [m], [labels], [0])[0][0], mu))
+                lambda m: tr.head_ce_loss(F, [m], [labels])[0][0], mu))
 
         for i in range(20):  # entity InfoNCE w.r.t. anchors
             bank = bk.SemanticBank(B=rng.normal(size=(6, 4)), entity_ids=list(range(6)),

@@ -40,7 +40,7 @@ from langtail.errors import (
 from langtail.synth import SynthConfig, generate_corpus
 from oracle_baseline import reference_baseline
 from oracle_entity import reference_entity_anchor_grads
-from oracle_heads import reference_head_step
+from oracle_heads import reference_head_ce, reference_head_step
 
 B = ev.ROW_BLOCK  # boundary sizes of the row-block tests follow the block size
 
@@ -295,10 +295,9 @@ def test_backbone_computes_in_its_inputs_dtype():
 
 
 def head_ce(F, mus, labels):
-    """head_ce_loss with every head on branch 0 and n_pts its rows, so the
-    feature gradient is that of the heads' summed losses: (losses, feature
-    grad, mu grads)."""
-    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0] * len(mus), len(F))
+    """head_ce_loss with n_pts its rows, so the feature gradient is that of
+    the heads' summed losses: (losses, feature grad, mu grads)."""
+    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, len(F))
     return losses, whole_grad(grad, len(F)), gmus
 
 
@@ -316,17 +315,16 @@ def test_head_ce_gradient_fd():
 
 
 def test_head_ce_several_heads_fd():
-    # heads 0 and 2 on one branch, head 1 on the other; the k=1 head has zero
-    # loss and gradients, and the feature gradient sums every head's over
-    # n_pts whatever the branches
+    # three heads; the k=1 head has zero loss and gradients, and the feature
+    # gradient sums every head's over n_pts
     rng = np.random.default_rng(8)
     F = rng.normal(size=(11, 5))
     mus = [rng.normal(size=(k, 5)) for k in (3, 1, 4)]
     labels = [rng.integers(0, k, size=11) for k in (3, 1, 4)]
-    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 1, 0], n_pts=4)
+    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, n_pts=4)
     grad = whole_grad(grad, len(F))
     assert losses[1] == 0.0 and not gmus[1].any()
-    assert not whole_grad(tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2], len(F)).any()
+    assert not whole_grad(tr.head_ce_loss(F, mus[1:2], labels[1:2])[2], len(F)).any()
 
     def total(x):
         return 11 / 4 * sum(head_ce(x, mus, labels)[0])
@@ -344,10 +342,10 @@ def test_head_ce_float32_gradient_fd():
     F = rng.normal(size=(12, 5)).astype(np.float32)
     mus = [rng.normal(size=(k, 5)).astype(np.float32) for k in (4, 1, 3)]
     labels = [rng.integers(0, k, size=12) for k in (4, 1, 3)]
-    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, [0, 0, 1], n_pts=8)
+    losses, gmus, grad = tr.head_ce_loss(F, mus, labels, n_pts=8)
     grad = whole_grad(grad, len(F))
     assert losses[1] == 0.0 and not gmus[1].any()
-    assert not whole_grad(tr.head_ce_loss(F, mus[1:2], labels[1:2], [0])[2], len(F)).any()
+    assert not whole_grad(tr.head_ce_loss(F, mus[1:2], labels[1:2])[2], len(F)).any()
     assert grad.dtype == np.float64
     F64, mus64 = F.astype(np.float64), [mu.astype(np.float64) for mu in mus]
     assert_grad_close(grad, central_diff(
@@ -374,11 +372,12 @@ def test_head_ce_dtype_follows_features():
 
 def test_head_step_peak_memory(monkeypatch):
     # 2 scenes x 4,000 x 384, heads 120/80/20 on both branches, run serially,
-    # each scene's gradient left unread. The peak is about 1.6 n x C float64
+    # each scene's gradient left unread. The peak measured 1.48 n x C float64
     # arrays: scene 1's float32 features (0.5), every head's softmax (n x 440
-    # float32, 0.57), the two float64 gradient blocks and float32 product
-    # (0.32), and the centroids' float32 copies and gradients (0.2). Holding
-    # scene 0's softmaxes (+0.57) or an n x C float32 buffer (+0.5) exceeds 2.
+    # float32, 0.57), the one float64 gradient block and the float32 product
+    # (0.19), and the stacked float32 centroids, their gradients and the
+    # float64 sums (0.2). Holding scene 0's softmaxes (+0.57) or an n x C
+    # float32 buffer (+0.5) exceeds 1.8.
     monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
     ks = (120, 80, 20, 120, 80, 20)
     feats, labels, mus = _head_case(4, (4000, 4000), 384, ks, 0.0)
@@ -389,19 +388,19 @@ def test_head_step_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
+    assert peak < 1.8 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 def test_scene_step_peak_memory(monkeypatch):
     # one scene's float32 training step at the paper's widths: 4,000 rows,
     # 256 hidden units, 384 outputs, heads 120/80/20 on both branches,
-    # head_step into backbone_backward. The peak measured 1.18 n x C float64
-    # arrays: every head's softmax (n x 440 float32, 0.57), the two float64
-    # gradient blocks and the float32 product (0.32), a block's float32 cast
+    # head_step into backbone_backward. The peak measured 1.05 n x C float64
+    # arrays: every head's softmax (n x 440 float32, 0.57), the one float64
+    # gradient block and the float32 product (0.19), a block's float32 cast
     # (0.06), the ReLU mask (0.08) and the centroids' copies and gradients.
     # head_ce_loss takes the forward pass's float32 rows with no copy, so a
-    # copy of the features (+0.5) or a whole n x C float32 gradient (+0.5)
-    # exceeds 1.4.
+    # copy of the features (+0.5), a whole n x C float32 gradient (+0.5) or a
+    # second float64 gradient block (+0.13) exceeds 1.15.
     monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
     ks = (120, 80, 20, 120, 80, 20)
     b = _float32(tr.init_backbone(6, [256], 384, seed=0))
@@ -417,7 +416,7 @@ def test_scene_step_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 1.4 * Y.size * 8, f"{peak / 2**20:.1f} MiB"
+    assert peak < 1.15 * Y.size * 8, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -488,6 +487,28 @@ def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes
     # joined to the block before
     monkeypatch.setattr(ev, "ROW_BLOCK", 7)
     test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew)
+
+
+@pytest.mark.parametrize("row_block", [None, 7])
+@pytest.mark.parametrize("sizes,dim,k", [((40,), 6, 1), ((900, 1100), 24, 20),
+                                         ((2000, 2000, 513), 32, 20)])
+def test_one_head_step_is_the_one_head_reference(monkeypatch, row_block, sizes, dim, k):
+    # the baseline's path: with one head, head_step's losses and gradients are
+    # reference_head_ce's of each scene, weighted by its point count, bit for bit
+    if row_block:
+        monkeypatch.setattr(ev, "ROW_BLOCK", row_block)
+    feats, labels, mus = _head_case(k, sizes, dim, (k,), 0.2)
+    got = tr.head_step(feats, labels, mus, [0], lambda j, grad: whole_grad(grad, sizes[j]))
+    n_pts = sum(sizes)
+    loss, gmu = 0.0, np.zeros_like(mus[0])
+    for j, f in enumerate(feats):
+        l, gf, g = reference_head_ce(f.astype(np.float32), mus[0].astype(np.float32),
+                                     labels[j][0])
+        loss += l * len(f)
+        gmu += g * len(f)
+        assert np.array_equal(got[1][j], gf.astype(np.float64) / n_pts)
+    assert got[0] == [loss / n_pts]
+    assert np.array_equal(got[2][0], gmu / n_pts)
 
 
 def _entity_feature_grads(incidence, V):
