@@ -172,12 +172,9 @@ def save_bank(out_dir, bank: SemanticBank) -> None:
     dm.make_dirs(out_dir)
     dm.write_feature_matrix(os.path.join(out_dir, "bank_aligned.ltfm"),
                             bank.B.astype(np.float32))
-    with dm.atomic_open(os.path.join(out_dir, "trace.tsv")) as f:
-        for step, v in enumerate(bank.alignment_loss_trace):
-            f.write(f"{step}\t{v:.10e}\n")
-    with dm.atomic_open(os.path.join(out_dir, "entity_ids.tsv")) as f:
-        for eid in bank.entity_ids:
-            f.write(f"{eid}\n")
+    dm.write_tsv(os.path.join(out_dir, "trace.tsv"),
+                 [(step, f"{v:.10e}") for step, v in enumerate(bank.alignment_loss_trace)])
+    dm.write_tsv(os.path.join(out_dir, "entity_ids.tsv"), [[eid] for eid in bank.entity_ids])
 
 
 def load_bank(out_dir) -> SemanticBank:

@@ -219,18 +219,14 @@ def cmd_transfer(cfg) -> int:
 
 
 def cmd_report(cfg) -> int:
-    rows = ev.tail_report(_score(cfg)[1])
+    rows = [("class", "count", "iou", "recall", "absorbed")] + [
+        (r["class"], r["count"], f"{r['iou']:.6f}", f"{r['recall']:.6f}", int(r["absorbed"]))
+        for r in ev.tail_report(_score(cfg)[1])]
     out = cfg.get("out")
-    lines = ["class\tcount\tiou\trecall\tabsorbed"]
-    for r in rows:
-        lines.append(f"{r['class']}\t{r['count']}\t{r['iou']:.6f}"
-                     f"\t{r['recall']:.6f}\t{int(r['absorbed'])}")
-    text = "\n".join(lines) + "\n"
     if out:
-        with dm.atomic_open(out) as f:
-            f.write(text)
+        dm.write_tsv(out, rows)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dm.tsv_text(rows))
     return 0
 
 

@@ -10,6 +10,8 @@ u32 version=1, then the fields below; readers refuse bytes after the last.
                         u64 count, count u64 point indices
   LTCK checkpoint:      magic "LTCK", u64 n_tensors, then per tensor u64 name
                         length, UTF-8 name, u64 rows, u64 cols, rows*cols f32
+Text files (.tsv) are tsv_text's, in UTF-8: per row, its fields' str()
+joined by tabs, then "\n". read_tsv reads the rows back.
 
 On-disk reals are f32; in-memory computation uses f64 accumulation.
 """
@@ -318,9 +320,8 @@ def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
     masks_dir = os.path.join(bank_dir, "masks")
     make_dirs(masks_dir)
     entities = sorted(entities, key=lambda e: e.entity_id)
-    with atomic_open(os.path.join(bank_dir, "entities.tsv")) as f:
-        for e in entities:
-            f.write(f"{e.entity_id}\t{e.text}\t{len(e.masks)}\n")
+    write_tsv(os.path.join(bank_dir, "entities.tsv"),
+              [(e.entity_id, e.text, len(e.masks)) for e in entities])
     emb = np.stack([e.text_embedding for e in entities]).astype(np.float32)
     write_feature_matrix(os.path.join(bank_dir, "embeddings.ltfm"), emb)
     scene_ids = {sid for e in entities for sid, _ in e.masks}
@@ -329,6 +330,17 @@ def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
     for name in os.listdir(masks_dir):
         if name.endswith(".bin") and name[:-len(".bin")] not in scene_ids:
             os.remove(os.path.join(masks_dir, name))
+
+
+def tsv_text(rows) -> str:
+    """Each row's fields through str, joined by tabs, each row ended by "\n"."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_tsv(path, rows) -> None:
+    """tsv_text(rows) as UTF-8, read_tsv's encoding, through atomic_open."""
+    with atomic_open(path, "wb") as f:
+        f.write(tsv_text(rows).encode())
 
 
 def read_tsv(path, *types) -> list[tuple]:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .bank import _l2_rows
-from .data_model import atomic_open
+from .data_model import write_tsv
 from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
 
 # rows per block wherever a row-wise pass over a whole scene or feature file
@@ -25,10 +25,11 @@ UNMATCHED_MODES = ("merge", "drop")
 
 
 def row_blocks(n):
-    """(start, stop) of each ROW_BLOCK-row block of n rows, in order. numpy
-    computes a one-row matmul with gemv, which rounds differently from a row of
-    a longer product, so a one-row last block joins the block before it: a
-    blocked pass gives the rows of a whole pass at any n."""
+    """(start, stop) of each ROW_BLOCK-row block of n rows, in order. A
+    one-row last block joins the block before it, so numpy never takes gemv,
+    which rounds unlike a row of a longer product. Blocked rows then equal a
+    whole pass's at the widths the workloads and exact tests use (32 and 384
+    wide, 440 prototypes), not at every shape (README, Threads)."""
     stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n] if n else []
     return list(zip([0, *stops], stops))
 
@@ -166,10 +167,10 @@ def match_and_score(counts, unmatched: str = "merge") -> EvalReport:
 
 
 def max_cosine_labels(features, protos) -> np.ndarray:
-    """Index of the max-cosine prototype row of each feature row, as one whole
-    pass gives it at any row count. Features are L2-normalised in float64 and
-    scored one row_blocks block at a time into one block of logits that the
-    argmax reads back from cache, so no copy of the features is built."""
+    """Index of the max-cosine prototype row of each feature row. Features are
+    L2-normalised in float64 and scored one row_blocks block at a time into
+    one block of logits that the argmax reads back from cache, so no copy of
+    the features is built; row_blocks says when that equals one whole pass."""
     F, P = np.asarray(features), _l2_rows(protos)
     if F.shape[1] != P.shape[1]:
         raise ShapeError(f"feature dim {F.shape[1]} != prototype dim {P.shape[1]}")
@@ -202,11 +203,8 @@ def tail_report(report: EvalReport):
 
 
 def write_report(path, report: EvalReport) -> None:
-    """report.tsv: class, count, iou, recall rows plus a summary line."""
-    with atomic_open(path) as f:
-        f.write("class\tcount\tiou\trecall\n")
-        for c in range(report.per_class_iou.shape[0]):
-            f.write(f"{c}\t{int(report.per_class_count[c])}"
-                    f"\t{report.per_class_iou[c]:.6f}"
-                    f"\t{report.per_class_recall[c]:.6f}\n")
-        f.write(f"# OA={report.oa:.6f}\tmAcc={report.macc:.6f}\tmIoU={report.miou:.6f}\n")
+    """report.tsv: class, count, iou, recall rows plus a "# OA=" summary row."""
+    rows = [(c, int(report.per_class_count[c]), f"{report.per_class_iou[c]:.6f}",
+             f"{report.per_class_recall[c]:.6f}") for c in range(len(report.per_class_iou))]
+    summary = (f"# OA={report.oa:.6f}", f"mAcc={report.macc:.6f}", f"mIoU={report.miou:.6f}")
+    write_tsv(path, [("class", "count", "iou", "recall"), *rows, summary])

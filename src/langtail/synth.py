@@ -216,9 +216,7 @@ def write_corpus(out_dir, scenes, entities) -> None:
         _write_optional(os.path.join(sdir, "distill.ltfm"), s.distill_targets,
                         dm.write_feature_matrix)
     dm.write_entity_bank(os.path.join(out_dir, "bank"), entities)
-    with dm.atomic_open(os.path.join(out_dir, "manifest.tsv")) as f:
-        for s in scenes:
-            f.write(f"{s.scene_id}\n")
+    dm.write_tsv(os.path.join(out_dir, "manifest.tsv"), [[s.scene_id] for s in scenes])
     all_labels = np.concatenate(
         [s.gt_labels for s in scenes if s.gt_labels is not None] or [np.empty(0, np.int64)]
     )

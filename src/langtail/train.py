@@ -44,8 +44,8 @@ set, with no setting; results are reduced in scene order on the calling
 thread, so outputs are byte-identical whatever the helper count (not the
 BLAS thread count). predict_labels spreads scenes
 the same way: a thread forwards and scores a scene one row_blocks block at a
-time into the one output array, and its labels are those of whole-scene
-passes at any size.
+time into the one output array; its labels are those of whole-scene
+passes at the widths that row_blocks names.
 """
 
 from __future__ import annotations
@@ -490,21 +490,20 @@ def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     return loss, V, len(anchors)
 
 
-def head_step(feats, labels, mus, branches, backward):
+def head_step(feats, labels, mus, backward):
     """Head cross-entropy of one batch of scenes, and each scene's backward
     pass: one scene_map item per scene, head_ce_loss then backward.
 
     feats[j] are scene j's features and labels[j][h] its labels for head h,
-    one in [0, k_h) per point; mus[h] are head h's k_h centroids and
-    branches[h] its branch (0 local, 1 global). Losses and gradients are
-    means over the batch's points, each scene's mean weighted by its point
-    count. backward(j, grad) runs in scene j's work on head_ce_loss's grad,
-    already divided by the batch's point count. Returns (loss per branch,
-    backward's result per scene, centroid gradient per head). The heads run
-    in float32: the training step's float32 features as they are (other
-    features are cast in each scene's work), and head_ce_loss stacks the
-    centroids in float32. So a thread adds its scene's softmax buffer, then
-    grad's blocks.
+    one in [0, k_h) per point; mus[h] are head h's k_h centroids. Losses
+    and gradients are means over the batch's points, each scene's mean
+    weighted by its point count. backward(j, grad) runs in scene j's work on
+    head_ce_loss's grad, already divided by the batch's point count. Returns
+    (loss per head, backward's result per scene, centroid gradient per head).
+    The heads run in float32: the training step's float32 features as they
+    are (other features are cast in each scene's work), and head_ce_loss
+    stacks the centroids in float32. So a thread adds its scene's softmax
+    buffer, then grad's blocks.
     """
     n_pts = sum(f.shape[0] for f in feats)
 
@@ -521,10 +520,7 @@ def head_step(feats, labels, mus, branches, backward):
             head_grads[h] += gmu * f.shape[0]
     for g in head_grads:
         g /= n_pts
-    branch_losses = [0.0] * (max(branches) + 1)
-    for b, s in zip(branches, loss_sums):
-        branch_losses[b] += s / n_pts
-    return branch_losses, [r for _, _, r in out], head_grads
+    return [s / n_pts for s in loss_sums], [r for _, _, r in out], head_grads
 
 
 class Trainer:
@@ -536,7 +532,7 @@ class Trainer:
     points32[i] scene i's standardised points in float32, the training
     steps' input."""
 
-    def __init__(self, scenes, entities, cfg: TrainConfig, input_dim: int):
+    def __init__(self, scenes, entities, cfg: TrainConfig):
         self.scenes = scenes
         self.entities = entities
         self.cfg = cfg
@@ -547,7 +543,8 @@ class Trainer:
         # each scene's points x entities CSR, split once per run into row_blocks blocks
         self.mask_rows = [{(lo, hi): MT[lo:hi] for lo, hi in row_blocks(MT.shape[0])}
                           for MT in (M.T.tocsr() for M in self.incidence)]
-        self.backbone = init_backbone(input_dim, [cfg.hidden_dim], cfg.feat_dim, cfg.seed)
+        self.backbone = init_backbone(scenes[0].points.shape[1], [cfg.hidden_dim],
+                                      cfg.feat_dim, cfg.seed)
         self.opt = AdamW(self.backbone.weights + self.backbone.biases)
         self.bank = None
 
@@ -617,11 +614,13 @@ class Trainer:
 
                 return backbone_backward(b, caches[j], grad)
 
-            branch_losses, grads, head_grads = head_step(
+            losses, grads, head_grads = head_step(
                 feats, [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
-                [h.centroids for h in heads], [int(h.branch == "global") for h in heads],
-                backward)
-            l_local, l_global = (*branch_losses, 0.0)[:2]
+                [h.centroids for h in heads], backward)
+            branch = {"local": 0.0, "global": 0.0}  # not sum(): 3.12+ sum() compensates
+            for h, loss in zip(heads, losses):
+                branch[h.branch] += loss
+            l_local, l_global = branch["local"], branch["global"]
             total = l_local + l_global + cfg.lambda_entity * l_entity
             if not np.isfinite(total):
                 raise NumericError(
@@ -665,7 +664,7 @@ def start_run(cfg: TrainConfig, corpus_dir) -> Trainer:
     up. run_pipeline and `langtail bank` start here."""
     scenes, entities = read_corpus(corpus_dir)
     standardize_scenes(scenes)
-    return Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
+    return Trainer(scenes, entities, cfg)
 
 
 def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
@@ -707,9 +706,8 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
             reports.append(trainer.train_epoch(heads, head_opt, epoch))
 
     if warmup_losses:
-        with dm.atomic_open(os.path.join(out_dir, "warmup.tsv")) as f:
-            for i, v in enumerate(warmup_losses):
-                f.write(f"{i}\t{v:.10e}\n")
+        dm.write_tsv(os.path.join(out_dir, "warmup.tsv"),
+                     [(i, f"{v:.10e}") for i, v in enumerate(warmup_losses)])
     _write_outputs(out_dir, trainer, heads, reports)
     return trainer.backbone, heads, reports
 
@@ -738,7 +736,7 @@ def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
     one row_blocks block at a time into the one output array, so it holds one
     block of activations and one block x prototypes of logits (1.8 MB at 440
     prototypes, in a core's L2) whatever the scene size. The labels are those
-    of whole-scene passes at any scene size (see row_blocks)."""
+    of whole-scene passes at the widths that row_blocks names."""
     if not scenes:
         raise EmptyBatchError("no scenes to label")
     P = _l2_rows(prototypes)
@@ -759,11 +757,10 @@ def predict_labels(backbone, scenes, prototypes) -> np.ndarray:
 def _write_outputs(out_dir, trainer, heads, reports):
     """checkpoint.ltck, losses.tsv, prototypes.ltfm and pred.ltlb of a run."""
     save_checkpoint(os.path.join(out_dir, "checkpoint.ltck"), trainer.backbone, heads)
-    with dm.atomic_open(os.path.join(out_dir, "losses.tsv")) as f:
-        f.write("epoch\tlocal\tglobal\tentity\ttotal\tlr\n")
-        for i, r in enumerate(reports):
-            f.write(f"{i}\t{r.local:.10e}\t{r.global_:.10e}\t{r.entity:.10e}"
-                    f"\t{r.total:.10e}\t{r.lr:.10e}\n")
+    dm.write_tsv(os.path.join(out_dir, "losses.tsv"), [
+        ("epoch", "local", "global", "entity", "total", "lr"),
+        *((i, *(f"{v:.10e}" for v in (r.local, r.global_, r.entity, r.total, r.lr)))
+          for i, r in enumerate(reports))])
     protos = concat_prototypes(heads)
     dm.write_feature_matrix(os.path.join(out_dir, "prototypes.ltfm"),
                             protos.astype(np.float32))

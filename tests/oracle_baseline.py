@@ -32,7 +32,7 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
     k_prim = int(cfg.granularities[-1])
-    trainer = Trainer(scenes, entities, cfg, scenes[0].points.shape[1])
+    trainer = Trainer(scenes, entities, cfg)
     reports = []
     heads = []
     epoch = 0

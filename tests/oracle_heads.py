@@ -46,7 +46,7 @@ def reference_head_ce(features, mu, labels):
     return loss, softmax @ mu, softmax.T @ F / n
 
 
-def reference_head_step(feats, labels, mus, branches):
+def reference_head_step(feats, labels, mus):
     """Same contract as langtail.train.head_step, one whole scene at a time."""
     n_pts = sum(f.shape[0] for f in feats)
     MU = np.concatenate([mu.astype(np.float32) for mu in mus])
@@ -75,8 +75,5 @@ def reference_head_step(feats, labels, mus, branches):
         # gradient's product runs over head_ce_loss's row blocks
         grad_feats.append(np.concatenate([(S[lo:hi] @ MU).astype(np.float64) / n_pts
                                           for lo, hi in row_blocks(n)]))
-    branch_losses = [0.0] * (max(branches) + 1)
-    for b, s in zip(branches, loss_sums):
-        branch_losses[b] += s / n_pts
     head_grads = [g / n_pts for g in np.split(G, starts[1:-1])]
-    return branch_losses, grad_feats, head_grads
+    return [s / n_pts for s in loss_sums], grad_feats, head_grads

@@ -120,6 +120,22 @@ def test_cli_transfer_and_report(tmp_path, capsys):
     assert text.splitlines()[0] == "class\tcount\tiou\trecall\tabsorbed"
 
 
+def test_cli_report_layout(tmp_path, capsys):
+    # the same table on stdout and in --out: classes by point count, descending
+    dm.write_labels(tmp_path / "p.ltlb", np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 0]))
+    dm.write_labels(tmp_path / "g.ltlb", np.array([0, 0, 1, 1, 1, 2, 2, 2, -1, 2]))
+    args = ["report", "--pred", str(tmp_path / "p.ltlb"), "--gt", str(tmp_path / "g.ltlb")]
+    table = ("class\tcount\tiou\trecall\tabsorbed\n"
+             "2\t4\t0.750000\t0.750000\t0\n"
+             "1\t3\t0.666667\t0.666667\t0\n"
+             "0\t2\t0.500000\t1.000000\t0\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out == table
+    assert main(args + ["--out", str(tmp_path / "r.tsv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "r.tsv").read_text() == table
+
+
 def test_cli_transfer_and_report_from_config_files(tmp_path):
     # paths in a config file resolve relative to the file
     (tmp_path / "cfg").mkdir()

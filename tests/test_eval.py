@@ -263,8 +263,12 @@ def test_tail_report_ordering_and_absorption():
 
 
 def test_write_report(tmp_path):
-    r = ev.match_and_score(np.array([[5, 0], [2, 3]]))
+    # the whole text: a header, one row per class, the summary as a last row
+    r = ev.match_and_score(np.array([[5, 0, 1], [2, 3, 0], [0, 1, 4]]))
     ev.write_report(tmp_path / "report.tsv", r)
-    text = (tmp_path / "report.tsv").read_text()
-    assert text.startswith("class\tcount\tiou\trecall\n")
-    assert "OA=0.800000" in text
+    assert (tmp_path / "report.tsv").read_text() == (
+        "class\tcount\tiou\trecall\n"
+        "0\t7\t0.625000\t0.714286\n"
+        "1\t4\t0.500000\t0.750000\n"
+        "2\t5\t0.666667\t0.800000\n"
+        "# OA=0.750000\tmAcc=0.754762\tmIoU=0.597222\n")

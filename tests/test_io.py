@@ -1,7 +1,10 @@
 """File format round trips, header layout, and pooling."""
 
 import os
+import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -391,6 +394,58 @@ def test_huge_declared_length_is_truncation(tmp_path, name, header, read):
     p.write_bytes(header + b"\0" * 8)
     with pytest.raises(TruncationError, match="bytes needed"):
         read(p)
+
+
+def test_text_artifacts_of_a_tiny_run_keep_their_layout(tmp_path):
+    # synth with distill targets, then a run with a warm-up and a bank; floats
+    # are pinned to their format, every other field to its value
+    from langtail.synth import SynthConfig, generate_corpus
+
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=60, n_scenes=2, seed=3,
+                                distill_dim=4), str(tmp_path / "corpus"))
+    tr.run_pipeline(tr.TrainConfig(lambda_entity=0.5, granularities=(4,), epochs=1,
+                                   recluster_every=1, use_global=False, feat_dim=4,
+                                   hidden_dim=4, batch_scenes=2, warmup_epochs=2,
+                                   entity_batch=4),
+                    str(tmp_path / "corpus"), str(tmp_path / "run"))
+    assert (tmp_path / "corpus" / "manifest.tsv").read_text() == "scene0000\nscene0001\n"
+    ids = [0, 1, 2, 3, 4, 5, *range(1000000, 1000008)]
+    texts = ["class00 instance0", "class00 instance1", "class00 instance2", "class01 instance0",
+             "class01 instance0 alias", "class02 instance0", "class00 instance0",
+             "class00 instance0 alias", "class00 instance1", "class00 instance1 alias",
+             "class00 instance2", "class01 instance0", "class01 instance0 alias",
+             "class02 instance0"]
+    assert (tmp_path / "corpus" / "bank" / "entities.tsv").read_text() == "".join(
+        f"{i}\t{t}\t1\n" for i, t in zip(ids, texts))
+    assert (tmp_path / "run" / "bank" / "entity_ids.tsv").read_text() == "".join(
+        f"{i}\n" for i in ids)
+    e = r"-?\d\.\d{10}e[+-]\d\d"
+    for rel in ("warmup.tsv", "bank/trace.tsv"):
+        assert re.fullmatch(f"0\t{e}\n1\t{e}\n", (tmp_path / "run" / rel).read_text()), rel
+    assert re.fullmatch(f"epoch\tlocal\tglobal\tentity\ttotal\tlr\n0(\t{e}){{5}}\n",
+                        (tmp_path / "run" / "losses.tsv").read_text())
+
+
+@pytest.mark.parametrize("types,rows", [
+    ((int, float), [(0, 46.959350225), (1, 1.0425205894e-05)]),  # trace.tsv
+    ((int,), [(0,), (7,), (1000000,)]),  # entity_ids.tsv
+    ((int, str, int), [(3, "desk", 0), (7, " floor lamp ", 2), (8, "", 1)]),  # entities.tsv
+    ((str,), [("scene0000",), ("scene 1",)]),  # manifest.tsv
+])
+def test_write_tsv_round_trips_through_read_tsv(tmp_path, types, rows):
+    dm.write_tsv(tmp_path / "t.tsv", rows)
+    assert dm.read_tsv(tmp_path / "t.tsv", *types) == rows
+    assert (tmp_path / "t.tsv").read_text() == dm.tsv_text(rows)
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    # read_tsv reads UTF-8, so the writers write it under an ASCII locale too
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    code = ("import sys, numpy as np; from langtail import data_model as dm; "
+            "dm.write_entity_bank(sys.argv[1], [dm.EntityRecord(0, 'lamp\\u00e0', np.ones(2))])")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
+    assert (tmp_path / "entities.tsv").read_bytes() == "0\tlamp\u00e0\t0\n".encode()
 
 
 def test_atomic_open_leaves_previous_file_when_a_write_raises(tmp_path):

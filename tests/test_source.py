@@ -302,3 +302,40 @@ UFUNC_AT_ALLOWED = {"evaluation.py": ["match_and_score"]}
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_ufunc_at_outside_the_label_merge(path):
     assert ufunc_at_calls(path.read_text()) == UFUNC_AT_ALLOWED.get(path.name, [])
+
+
+def atomic_open_calls(source: str) -> list[str]:
+    """The function (or "<module>") of each call of atomic_open, by name or
+    attribute: binary files go through data_model.writing, text files through
+    data_model.write_tsv, and cli.write_resolved writes config.resolved's
+    `key = value` lines. A nested function counts as its own."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "atomic_open" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_atomic_open_calls_finds_a_leftover():
+    source = ("with atomic_open('a.tsv') as f:\n    f.write('x')\n"
+              "def save(path, rows):\n"
+              "    def inner():\n        return dm.atomic_open(path, 'wb')\n"
+              "    with dm.atomic_open(path) as f:\n        f.write(rows)\n"
+              "    return atomic_open, inner\n")
+    assert atomic_open_calls(source) == ["<module>", "inner", "save"]
+
+
+ATOMIC_OPEN_ALLOWED = {"data_model.py": ["writing", "write_tsv"], "cli.py": ["write_resolved"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_writers_call_atomic_open(path):
+    assert atomic_open_calls(path.read_text()) == ATOMIC_OPEN_ALLOWED.get(path.name, [])

@@ -384,7 +384,7 @@ def test_head_step_peak_memory(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tr.head_step(feats, labels, mus, [0, 0, 0, 1, 1, 1], lambda j, grad: None)
+        tr.head_step(feats, labels, mus, lambda j, grad: None)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -411,8 +411,7 @@ def test_scene_step_peak_memory(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tr.head_step([Y], [labels], mus, [0, 0, 0, 1, 1, 1],
-                     lambda j, grad: tr.backbone_backward(b, cache, grad))
+        tr.head_step([Y], [labels], mus, lambda j, grad: tr.backbone_backward(b, cache, grad))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -471,11 +470,12 @@ HEAD_CASES = [
 
 @pytest.mark.parametrize("sizes,dim,ks,branches,skew", HEAD_CASES)
 def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew):
+    # branches names each head's branch, as the ids show; head_step's losses
+    # are per head, and train_epoch sums a branch's in head order
     feats, labels, mus = _head_case(len(sizes) * 7 + dim, sizes, dim, ks, skew)
-    got = tr.head_step(feats, labels, mus, list(branches),
-                       lambda j, grad: whole_grad(grad, sizes[j]))
-    want = reference_head_step(feats, labels, mus, list(branches))
-    assert got[0] == want[0]
+    got = tr.head_step(feats, labels, mus, lambda j, grad: whole_grad(grad, sizes[j]))
+    want = reference_head_step(feats, labels, mus)
+    assert got[0] == want[0] and len(got[0]) == len(branches)
     for g, w in zip(got[1] + got[2], want[1] + want[2]):
         assert np.array_equal(g, w)
 
@@ -498,7 +498,7 @@ def test_one_head_step_is_the_one_head_reference(monkeypatch, row_block, sizes, 
     if row_block:
         monkeypatch.setattr(ev, "ROW_BLOCK", row_block)
     feats, labels, mus = _head_case(k, sizes, dim, (k,), 0.2)
-    got = tr.head_step(feats, labels, mus, [0], lambda j, grad: whole_grad(grad, sizes[j]))
+    got = tr.head_step(feats, labels, mus, lambda j, grad: whole_grad(grad, sizes[j]))
     n_pts = sum(sizes)
     loss, gmu = 0.0, np.zeros_like(mus[0])
     for j, f in enumerate(feats):
@@ -619,7 +619,7 @@ def test_mask_rows_add_sums_in_entity_order(monkeypatch):
              [("s1", [3, 4, 6]), ("s1", [4, 8])], [("s1", [3, 4, 6]), ("s1", [4, 8])]]
     entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
     lam = 0.3
-    trainer = tr.Trainer(scenes, entities, small_cfg(lambda_entity=lam), 3)
+    trainer = tr.Trainer(scenes, entities, small_cfg(lambda_entity=lam))
     assert not trainer.incidence[2].nnz
     # a draw out of entity order that leaves entity 2 out: it adds +0.0
     indices = np.array([3, 0, 1])
@@ -691,7 +691,7 @@ def test_apply_grads_adds_entity_part_in_scene_work(monkeypatch, helpers):
     entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=m) for e, m in enumerate(masks)]
     lam = 0.3
     cfg = small_cfg(lambda_entity=lam, batch_scenes=3, entity_batch=3)  # one entity unsampled
-    trainer = tr.Trainer(scenes, entities, cfg, 3)
+    trainer = tr.Trainer(scenes, entities, cfg)
     trainer.bank = SemanticBank(B=rng.normal(size=(4, cfg.feat_dim)),
                                 entity_ids=list(range(4)), categories=np.array([0, 0, 1, 1]))
     head_grads, seen, drawn = _recorded_step(monkeypatch, trainer)
@@ -722,7 +722,7 @@ def test_step_without_anchors_hands_backward_the_head_gradient(monkeypatch):
               for i, n in enumerate((10, 9))]
     entities = [EntityRecord(e, f"e{e}", np.ones(4), masks=NO_HIT) for e in range(2)]
     cfg = small_cfg(lambda_entity=0.3, entity_batch=2)
-    trainer = tr.Trainer(scenes, entities, cfg, 3)
+    trainer = tr.Trainer(scenes, entities, cfg)
     trainer.bank = SemanticBank(B=rng.normal(size=(2, cfg.feat_dim)),
                                 entity_ids=[0, 1], categories=np.array([0, 1]))
     head_grads, seen, drawn = _recorded_step(monkeypatch, trainer)
@@ -921,7 +921,7 @@ def test_forward_scenes_error_waits_for_every_helper(monkeypatch, helpers):
     points = [rng.normal(size=(20, 3)), np.zeros((20, 3)), rng.normal(size=(20, 3)),
               np.zeros((20, 3))]
     scenes = [SceneBundle(f"s{i}", p, np.arange(20) % 4) for i, p in enumerate(points)]
-    trainer = tr.Trainer(scenes, [], small_cfg(), 3)
+    trainer = tr.Trainer(scenes, [], small_cfg())
     # one linear layer with zero bias: the all-zero scenes 1 and 3 give zero output rows
     trainer.backbone = tr.Backbone([rng.normal(size=(3, 5))], [np.zeros(5)])
     running, started = [], []
@@ -1050,7 +1050,7 @@ def _mini_corpus(tmp_path, **kw):
 
 def test_trainer_sp_index_offsets(tmp_path):
     scenes, _ = _mini_corpus(tmp_path)
-    trainer = tr.Trainer(scenes, [], small_cfg(), scenes[0].points.shape[1])
+    trainer = tr.Trainer(scenes, [], small_cfg())
     n_sp = [s.n_superpoints for s in scenes]
     assert np.array_equal(trainer.sp_index[0], scenes[0].superpoints)
     assert np.array_equal(trainer.sp_index[1], n_sp[0] + scenes[1].superpoints)
