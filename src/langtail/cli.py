@@ -111,8 +111,9 @@ def load_config_file(path, schema) -> dict:
             out[key] = schema[key](value)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
-        if key in PATH_KEYS:
-            out[key] = os.path.normpath(os.path.join(base, out[key]))
+        if key in PATH_KEYS:  # the filesystem's name for the path's UTF-8 bytes, in any locale
+            value = os.fsdecode(value.encode("utf-8", "surrogateescape"))
+            out[key] = os.path.normpath(os.path.join(base, value))
     return out
 
 
@@ -136,9 +137,8 @@ def resolve(args, schema, required) -> dict:
 
 def write_resolved(out_dir, cfg: dict) -> None:
     dm.make_dirs(out_dir)
-    with dm.atomic_open(os.path.join(out_dir, "config.resolved")) as f:
-        for key in sorted(cfg):
-            f.write(f"{key} = {cfg[key]}\n")
+    dm.write_tsv(os.path.join(out_dir, "config.resolved"),
+                 [[f"{key} = {cfg[key]}"] for key in sorted(cfg)])
 
 
 def parse_granularities(s: str) -> tuple:

@@ -10,8 +10,8 @@ u32 version=1, then the fields below; readers refuse bytes after the last.
                         u64 count, count u64 point indices
   LTCK checkpoint:      magic "LTCK", u64 n_tensors, then per tensor u64 name
                         length, UTF-8 name, u64 rows, u64 cols, rows*cols f32
-Text files (.tsv) are tsv_text's, in UTF-8: per row, its fields' str()
-joined by tabs, then "\n". read_tsv reads the rows back.
+Text files (.tsv, config.resolved) are tsv_text's as UTF-8 in any locale: per
+row, its fields' str() joined by tabs, then "\n". read_tsv reads .tsv rows back.
 
 On-disk reals are f32; in-memory computation uses f64 accumulation.
 """
@@ -110,13 +110,13 @@ def _validate_matrix(m: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def atomic_open(path, mode="w"):
-    """open(path, mode) for writing through <path>.tmp<pid>, renamed onto path
-    when the with-block ends; on any exception the temporary file is removed,
-    so path keeps its previous contents. An OSError becomes an IoError."""
+def atomic_open(path):
+    """Every file's one writer: binary, through <path>.tmp<pid>, renamed onto
+    path when the with-block ends; on any exception the temporary file is
+    removed, so path keeps its previous contents. An OSError is an IoError."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, "wb") as f:
             yield f
         os.replace(tmp, path)
     except BaseException as e:
@@ -156,8 +156,8 @@ def take(f, dtype, ndim: int) -> np.ndarray:
 
 @contextmanager
 def writing(path, magic: bytes):
-    """atomic_open(path, "wb") with the magic and the format version written."""
-    with atomic_open(path, "wb") as f:
+    """atomic_open(path) with the magic and the format version written."""
+    with atomic_open(path) as f:
         f.write(magic)
         put(f, FORMAT_VERSION, "<u4")
         yield f
@@ -286,6 +286,14 @@ def make_dirs(path) -> None:
         raise IoError(f"cannot create directory {path}: {e}") from e
 
 
+def remove(path) -> None:
+    """os.remove(path); an OSError becomes an IoError."""
+    try:
+        os.remove(path)
+    except OSError as e:
+        raise IoError(f"cannot remove {path}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # Entity bank directory
 
@@ -329,7 +337,7 @@ def write_entity_bank(bank_dir, entities: list[EntityRecord]) -> None:
         write_entity_masks(os.path.join(masks_dir, f"{sid}.bin"), sid, entities)
     for name in os.listdir(masks_dir):
         if name.endswith(".bin") and name[:-len(".bin")] not in scene_ids:
-            os.remove(os.path.join(masks_dir, name))
+            remove(os.path.join(masks_dir, name))
 
 
 def tsv_text(rows) -> str:
@@ -338,9 +346,9 @@ def tsv_text(rows) -> str:
 
 
 def write_tsv(path, rows) -> None:
-    """tsv_text(rows) as UTF-8, read_tsv's encoding, through atomic_open."""
-    with atomic_open(path, "wb") as f:
-        f.write(tsv_text(rows).encode())
+    """tsv_text(rows) as UTF-8 through atomic_open, surrogate escapes as their bytes."""
+    with atomic_open(path) as f:
+        f.write(tsv_text(rows).encode("utf-8", "surrogateescape"))
 
 
 def read_tsv(path, *types) -> list[tuple]:

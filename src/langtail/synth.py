@@ -202,7 +202,7 @@ def _write_optional(path, a, write) -> None:
     if a is not None:
         write(path, a)
     elif os.path.exists(path):
-        os.remove(path)
+        dm.remove(path)
 
 
 def write_corpus(out_dir, scenes, entities) -> None:
@@ -250,11 +250,4 @@ def read_corpus(corpus_dir):
         if scenes[-1].points.shape[1] != scenes[0].points.shape[1]:
             raise ShapeError(f"scene {sid}: points.ltfm has {scenes[-1].points.shape[1]} columns, "
                              f"scene {scenes[0].scene_id}'s has {scenes[0].points.shape[1]}")
-    entities = dm.read_entity_bank(os.path.join(corpus_dir, "bank"))
-    n_points = {s.scene_id: s.n_points for s in scenes}
-    for e in entities:
-        for sid, idx in e.masks:
-            if sid in n_points and idx[-1] >= n_points[sid]:
-                raise DataError(f"entity {e.entity_id}: mask index {idx[-1]} out of range "
-                                f"for scene {sid} of {n_points[sid]} points")
-    return scenes, entities
+    return scenes, dm.read_entity_bank(os.path.join(corpus_dir, "bank"))

@@ -236,7 +236,7 @@ def test_cli_train_with_a_mask_file_missing_exits_2(tmp_path, caplog):
 
 def test_cli_train_with_bank_refuses_mask_index_past_scene(tmp_path, caplog):
     # with --bank no entity features are pooled, so the mask indices first
-    # meet the scene's rows in training, which read_corpus must guard
+    # meet the scene's rows in training: the Trainer's mask_incidence refuses them
     corpus, bank = tmp_path / "corpus", tmp_path / "bank"
     assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
     assert main(["bank", "--corpus", str(corpus), "--out", str(bank), "--feat-dim", "8",
@@ -699,6 +699,47 @@ def test_cli_out_at_an_existing_file_exits_2(tmp_path, capfd, run, under):
     assert main(run.split()[:1] + argv + ["--out", str(out)]) == 2
     assert "Traceback" not in capfd.readouterr().err
     assert (tmp_path / "f").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("stale", ["scenes/scene0000/distill.ltfm", "bank/masks/scene0099.bin"])
+def test_cli_synth_over_a_directory_it_would_remove_exits_2(tmp_path, capfd, caplog, stale):
+    # a corpus without distill targets, or without that scene, removes the file
+    (tmp_path / "c" / stale).mkdir(parents=True)
+    assert main(["synth", "--out", str(tmp_path / "c")] + SMALL_SYNTH) == 2
+    assert f"cannot remove {tmp_path / 'c' / stale}" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+
+
+LOCALES = {"utf8": {"PYTHONUTF8": "1"},
+           "ascii": {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}}
+
+
+def test_cli_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    # under an ASCII locale argv decodes with surrogate escapes and a config
+    # file as UTF-8: both must name, and config.resolved must hold, the bytes given
+    resolved = {}
+    for name, locale in LOCALES.items():
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p), **locale)
+        root = tmp_path / name
+        base = root / os.fsdecode("corpé".encode())  # its UTF-8 bytes in this locale too
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-m", "langtail.cli", *argv], env=env,
+                                  capture_output=True)
+            assert done.returncode == 0, done.stderr.decode(errors="replace")
+
+        run("synth", "--out", str(base / "c"), *SMALL_SYNTH)
+        run("bank", "--corpus", str(base / "c"), "--out", str(base / "bank"), *SMALL_BANK)
+        run("train", "--corpus", str(base / "c"), "--out", str(base / "run"), *SMALL_TRAIN)
+        (root / "ev.cfg").write_bytes("pred = corpé/run/pred.ltlb\n"
+                                      "gt = corpé/c/labels.ltlb\nout = corpé/eval\n".encode())
+        run("eval", "--config", str(root / "ev.cfg"))
+        assert (base / "eval" / "report.tsv").exists()
+        resolved[name] = [(base / d / "config.resolved").read_bytes()
+                          for d in ("c", "bank", "run")]
+    swap = (os.fsencode(tmp_path / "utf8"), os.fsencode(tmp_path / "ascii"))
+    assert [b.replace(*swap) for b in resolved["utf8"]] == resolved["ascii"]
+    assert "corpé".encode() in resolved["ascii"][0]
 
 
 EXIT_CODES = {"ConfigError": 1, "NumericError": 3, "NormalizationError": 3,

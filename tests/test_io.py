@@ -453,11 +453,11 @@ def test_atomic_open_leaves_previous_file_when_a_write_raises(tmp_path):
     p.write_text("old\n")
     with pytest.raises(RuntimeError):
         with dm.atomic_open(p) as f:
-            f.write("half a ro")
+            f.write(b"half a ro")
             raise RuntimeError("interrupted")
     assert p.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["report.tsv"]  # no temporary file left
-    with dm.atomic_open(p, "wb") as f:
+    with dm.atomic_open(p) as f:
         f.write(b"new\n")
     assert p.read_text() == "new\n"
     assert os.listdir(tmp_path) == ["report.tsv"]

@@ -306,9 +306,9 @@ def test_no_ufunc_at_outside_the_label_merge(path):
 
 def atomic_open_calls(source: str) -> list[str]:
     """The function (or "<module>") of each call of atomic_open, by name or
-    attribute: binary files go through data_model.writing, text files through
-    data_model.write_tsv, and cli.write_resolved writes config.resolved's
-    `key = value` lines. A nested function counts as its own."""
+    attribute: binary files go through data_model.writing, and text files,
+    config.resolved among them, through data_model.write_tsv. A nested
+    function counts as its own."""
     found = []
 
     def visit(node, where):
@@ -333,9 +333,60 @@ def test_atomic_open_calls_finds_a_leftover():
     assert atomic_open_calls(source) == ["<module>", "inner", "save"]
 
 
-ATOMIC_OPEN_ALLOWED = {"data_model.py": ["writing", "write_tsv"], "cli.py": ["write_resolved"]}
+ATOMIC_OPEN_ALLOWED = {"data_model.py": ["writing", "write_tsv"]}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_writers_call_atomic_open(path):
     assert atomic_open_calls(path.read_text()) == ATOMIC_OPEN_ALLOWED.get(path.name, [])
+
+
+def file_writes(source: str) -> list[str]:
+    """The function (or "<module>") of each call that writes or removes a
+    file: open (by name or attribute) with a mode, positional or keyword,
+    that holds w, a, x or + or is not a constant, and os.remove, os.unlink,
+    os.replace and os.rename. A nested function counts as its own."""
+    found = []
+
+    def writes(call):
+        func = call.func
+        if "open" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+            return any(not isinstance(m, ast.Constant) or set("wax+") & set(str(m.value))
+                       for m in modes)
+        return (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+                and func.attr in ("remove", "unlink", "replace", "rename"))
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and writes(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_file_writes_finds_a_leftover():
+    source = ("open('a.tsv', 'w').write('x')\n"
+              "def save(path, mode):\n"
+              "    with open(path) as f, open(path, 'rb') as g, io.open(path, 'r+'):\n"
+              "        f.read(g.read())\n"
+              "    with open(path, mode) as f, open(path, mode='ab') as g:\n"
+              "        pass\n"
+              "    def inner():\n        os.replace(path, path + '.bak')\n"
+              "    os.unlink(path.replace('a', 'b')), os.path.exists(path)\n"
+              "    return inner, os.rename\n")
+    assert file_writes(source) == ["<module>", "save", "save", "save", "inner", "save"]
+
+
+# atomic_open writes every file and remove deletes one, each an OSError as an IoError
+FILE_WRITERS = {("data_model.py", "atomic_open"), ("data_model.py", "remove")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_atomic_open_and_remove_write_files(path):
+    assert [where for where in file_writes(path.read_text())
+            if (path.name, where) not in FILE_WRITERS] == []

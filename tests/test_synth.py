@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import append_mask_index
 from langtail import data_model as dm
 from langtail.errors import ConfigError, DataError, ShapeError
 from langtail.synth import (
@@ -179,14 +178,6 @@ def test_corpus_round_trip(tmp_path):
     assert sorted(e.entity_id for e in back_entities) == sorted(
         e.entity_id for e in entities
     )
-
-
-def test_read_corpus_refuses_mask_index_past_scene(tmp_path):
-    generate_corpus(SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8),
-                    tmp_path / "c")
-    append_mask_index(tmp_path / "c", "scene0001", 120)
-    with pytest.raises(DataError, match="mask index 120 out of range for scene scene0001"):
-        read_corpus(tmp_path / "c")
 
 
 def test_read_corpus_refuses_a_scene_listed_twice(tmp_path):

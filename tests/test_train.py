@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grad_close, central_diff, count_incidence_builds, whole_grad
+from conftest import (
+    append_mask_index,
+    assert_grad_close,
+    central_diff,
+    count_incidence_builds,
+    whole_grad,
+)
 from langtail import cluster as cl
 from langtail import data_model as dm
 from langtail import evaluation as ev
@@ -729,6 +735,15 @@ def test_step_without_anchors_hands_backward_the_head_gradient(monkeypatch):
     assert [v for _, v in drawn] == [None] and sorted(seen) == [9, 10]
     for n, g in head_grads.items():
         assert seen[n].tobytes() == g.tobytes()
+
+
+def test_start_run_refuses_mask_index_past_scene(tmp_path):
+    # Trainer's mask_incidence is the one check, before anything is written
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8),
+                    tmp_path / "c")
+    append_mask_index(tmp_path / "c", "scene0001", 120)
+    with pytest.raises(DataError, match="mask index 120 out of range for scene scene0001"):
+        tr.start_run(small_cfg(), tmp_path / "c")
 
 
 @pytest.mark.parametrize("where", ["head", "entity"])
