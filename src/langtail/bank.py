@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import data_model as dm
-from .errors import ConfigError, DataError, EmptyMaskError, ShapeError
+from .errors import ConfigError, DataError, EmptyMaskError, NumericError, ShapeError
 from .rng import make_rng
 
 
@@ -95,6 +95,14 @@ def _l2_rows(X) -> np.ndarray:
     return np.divide(X, norms, out=X.copy(), where=norms > 0)
 
 
+def _thin_svd(M):
+    """np.linalg.svd(M, full_matrices=False); LAPACK failing to converge is a NumericError."""
+    try:
+        return np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"align_gram: no SVD convergence on a {M.shape} matrix ({e})") from e
+
+
 def align_gram(F_m_init, F_e, entity_ids) -> SemanticBank:
     """The prototypes nearest the pooled features F_m_init among those whose
     Gram matrix best matches G = X Xᵀ, X the L2-normalised text rows F_e (so
@@ -113,11 +121,11 @@ def align_gram(F_m_init, F_e, entity_ids) -> SemanticBank:
     X = _l2_rows(F_e)
     if F0.shape[0] != X.shape[0]:
         raise ShapeError(f"row mismatch: {F0.shape[0]} prototypes vs {X.shape[0]} embeddings")
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    U, s, _ = _thin_svd(X)
     rank = int((s > s.max(initial=0.0) * max(X.shape) * np.finfo(np.float64).eps).sum())
     k = min(F0.shape[1], rank)
     A = U[:, :k] * s[:k]
-    P, _, Qt = np.linalg.svd(A.T @ F0, full_matrices=False)
+    P, _, Qt = _thin_svd(A.T @ F0)
     s4 = s ** 4
     loss0 = float(np.sum((F0.T @ F0) ** 2) - 2.0 * np.sum((F0.T @ X) ** 2) + s4.sum())
     return SemanticBank(B=A @ (P @ Qt), entity_ids=list(entity_ids),

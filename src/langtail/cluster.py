@@ -5,6 +5,7 @@ Conventions pinned here (and by the oracle tests):
     nearest-neighbour chain in C); its row i merges two nodes into n_leaves + i.
   - With exact ties every merge is still a minimum-cost merge of the partition
     at that step, but which tied pair goes first follows scipy's chain.
+  - Ward clusters every row given; a round's sample is Trainer.recluster's.
   - k-means uses greedy farthest-point seeding from a seeded PRNG; empty
     clusters are re-seeded at the point farthest from its centroid, and once
     every point sits on its centroid, k-means stops with the empty clusters.
@@ -26,8 +27,6 @@ DENSE_BUDGET_BYTES = 2 << 30
 # peak resident n x n float64 arrays of ward_tree, by VmHWM: scipy's condensed
 # distances and nn_chain's copy of them, n(n - 1)/2 each (0.99)
 WARD_DENSE_ARRAYS = 1
-# Ward input rows above which a subsample is clustered; 8192^2 * 8 B * 1 = 0.5 GiB
-SAMPLE_CAP = 8192
 
 
 def check_dense_budget(n: int, arrays: int, what: str) -> None:
@@ -152,29 +151,13 @@ def cut_tree(Z, k: int) -> np.ndarray:
     return np.argsort(np.argsort(first))[labels]
 
 
-def multi_granularity_labels(X, levels, seed: int):
-    """Cut one Ward tree at every granularity level.
+def multi_granularity_labels(X, levels):
+    """Cut one Ward tree of the rows of X at every granularity level.
 
-    Returns one label array (n,) per level, in the given level order. Above
-    SAMPLE_CAP rows, the tree is built on a uniform subsample and held-out
-    rows are assigned to the nearest centroid of the subsample's cut.
+    Returns one label array (n,) per level, in the given level order.
     """
-    X = np.asarray(X, dtype=np.float64)
     levels = check_granularities(levels)
-    n = X.shape[0]
-    if max(levels) > n:
-        raise ConfigError(f"granularity {max(levels)} exceeds {n} rows")
-
-    if n <= SAMPLE_CAP:
-        tree = ward_tree(X)
-        return [cut_tree(tree, k) for k in levels]
-    rng = make_rng(seed, "ward-subsample")
-    sampled = np.sort(rng.choice(n, size=SAMPLE_CAP, replace=False))
-    tree = ward_tree(X[sampled])
-    out = []
-    for k in levels:
-        sub_labels = cut_tree(tree, k)
-        labels = np.argmin(_sq_dists(X, pool_by_superpoint(X[sampled], sub_labels)), axis=1)
-        labels[sampled] = sub_labels
-        out.append(labels)
-    return out
+    if max(levels) > len(X):
+        raise ConfigError(f"granularity {max(levels)} exceeds {len(X)} rows")
+    tree = ward_tree(X)
+    return [cut_tree(tree, k) for k in levels]

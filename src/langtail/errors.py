@@ -50,7 +50,8 @@ class EmptyBatchError(LangtailError):
 
 
 class NumericError(LangtailError):
-    """Non-finite loss or gradient encountered during training."""
+    """Non-finite loss or gradient during training, or a LAPACK eigensolver or
+    SVD that did not converge."""
 
     exit_code = 3
 

@@ -1,9 +1,10 @@
 """Superpoint affinity graph, normalized Laplacian, and frequency-domain
 pattern grouping for the global branch.
 
-The graph spans every corpus superpoint; nothing subsamples it, so the
-budget check refuses 9,460 or more. Eigenvector sign is fixed so each column's
-largest-magnitude entry is positive, or pattern grouping would not be deterministic.
+The graph spans a round's sample of at most train.SAMPLE_CAP superpoints
+(Trainer.recluster's). Each eigenvector's largest-magnitude entry is made
+positive, or pattern grouping would not be deterministic. LAPACK failing to
+converge is a NumericError (exit 3).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import scipy.linalg
 from .bank import _l2_rows
 from .cluster import _sq_dists, _symmetrize, kmeans
 from .data_model import group_incidence, pool_masks
-from .errors import ConfigError, DegenerateGraphError, ShapeError
+from .errors import ConfigError, DegenerateGraphError, NumericError, ShapeError
 
 
 def build_affinity(F) -> np.ndarray:
@@ -59,7 +60,10 @@ def eigendecompose(L) -> tuple[np.ndarray, np.ndarray]:
     strips = range(0, L.shape[0], 256)  # strips of rows, not n x n temporaries
     if not all(np.allclose(L[i:i + 256], L[:, i:i + 256].T, atol=1e-10) for i in strips):
         raise ShapeError("matrix is not symmetric")
-    lam, U = scipy.linalg.eigh(L.T, driver="evd", overwrite_a=True, check_finite=False)
+    try:
+        lam, U = scipy.linalg.eigh(L.T, driver="evd", overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"eigendecompose: no convergence on {len(L)} nodes ({e})") from e
     pivots = np.concatenate([np.argmax(np.abs(U[:, i:i + 256]), axis=0) for i in strips])
     U *= np.where(U[pivots, np.arange(U.shape[1])] < 0, -1.0, 1.0)
     return lam, U

@@ -72,6 +72,7 @@ from .bank import (
     save_bank,
 )
 from .cluster import (
+    _sq_dists,
     check_dense_budget,
     check_granularities,
     multi_granularity_labels,
@@ -92,6 +93,8 @@ from .synth import read_corpus
 # peak resident n x n float64 arrays of spectral_pass, by VmHWM: one buffer
 # (affinity, then L, then U) and dsyevd's 2n^2 workspace (3.1)
 SPECTRAL_DENSE_ARRAYS = 3
+# superpoints one round clusters: 8192^2 * 8 B * 3 = 1.5 GiB fits DENSE_BUDGET_BYTES
+SAMPLE_CAP = 8192
 LR_MIN, POLY_POWER = 1e-8, 0.9  # floor and power of poly_lr's learning-rate decay
 SCENE_HELPERS = len(os.sched_getaffinity(0)) - 1  # pool threads beside the caller
 _POOLS = {}  # one pool per process id: a forked child has none of its parent's threads
@@ -432,20 +435,28 @@ def standardize_scenes(scenes):
     return mu, sd
 
 
-def build_pseudo_labels(sp_features, spectral_features, granularities, seed: int) -> list[Head]:
+def build_pseudo_labels(sp_features, spectral_features, granularities, sample) -> list[Head]:
     """Ward multi-granularity heads of both branches: the local ones in
     granularity order, then, unless spectral_features is None, the global ones.
-    Global heads cluster spectral_features, but every head's centroids are
-    pooled over sp_features, as heads live in backbone feature space."""
-    branches = [("local", sp_features), ("global", spectral_features)]
+    Ward clusters the superpoints `sample` (spectral_features holds only their
+    rows), the others take the nearest centroid of the sample's sp_features,
+    and every head's centroids are pooled over all of sp_features."""
+    S = sp_features[sample]
+
+    def fill(cut):  # the sample's cut, every other row at its nearest sample centroid
+        labels = np.argmin(_sq_dists(sp_features, dm.pool_by_superpoint(S, cut)), axis=1)
+        labels[sample] = cut
+        return labels
+
     return [Head(branch, k, dm.pool_by_superpoint(sp_features, labels), labels)
-            for branch, X in branches if X is not None
-            for k, labels in zip(granularities, multi_granularity_labels(X, granularities, seed))]
+            for branch, X in (("local", S), ("global", spectral_features)) if X is not None
+            for k, labels in zip(granularities,
+                                 map(fill, multi_granularity_labels(X, granularities)))]
 
 
 def spectral_pass(sp_features, cfg: TrainConfig) -> np.ndarray:
     """Affinity -> normalized Laplacian -> Fourier basis -> the refined
-    patterns V, one row per superpoint."""
+    patterns V, one row per row of sp_features (a round's sample)."""
     check_dense_budget(sp_features.shape[0], SPECTRAL_DENSE_ARRAYS, "spectral_pass")
     A = spectral.build_affinity(sp_features)  # one n x n buffer: A, then L, then U
     _, U = spectral.eigendecompose(spectral.normalized_laplacian(A))
@@ -536,6 +547,11 @@ class Trainer:
         self.scenes = scenes
         self.entities = entities
         self.cfg = cfg
+        for s in scenes if cfg.warmup_epochs > 0 else ():  # refused before any work
+            width = None if s.distill_targets is None else s.distill_targets.shape[1]
+            if width not in (None, cfg.feat_dim):
+                raise ShapeError(f"scene {s.scene_id}: distill.ltfm is {width} columns wide, "
+                                 f"feat_dim {cfg.feat_dim}")
         offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
         self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
         self.points32 = [s.points.astype(np.float32) for s in scenes]
@@ -565,15 +581,18 @@ class Trainer:
 
     def recluster(self, feats=None) -> list[Head]:
         """A round's heads: every scene's features (feats, else a forward pass;
-        no activations are kept) pooled per superpoint, the spectral pass if
-        use_global is set, then build_pseudo_labels."""
+        no activations are kept) pooled per superpoint, and one sorted sample of
+        at most SAMPLE_CAP of them (all, at or below it) that every n x n stage
+        clusters: the spectral pass if use_global is set, then build_pseudo_labels."""
         sp_feats = np.concatenate(scene_map(
             lambda s, f: dm.pool_by_superpoint(
                 backbone_forward(self.backbone, s.points)[0] if f is None else f, s.superpoints),
             self.scenes, feats or [None] * len(self.scenes)))
-        cfg = self.cfg
-        spectral_feats = spectral_pass(sp_feats, cfg) if cfg.use_global else None
-        return build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, cfg.seed)
+        cfg, n = self.cfg, len(sp_feats)
+        sample = np.sort(make_rng(cfg.seed, "ward-subsample").choice(
+            n, size=min(n, SAMPLE_CAP), replace=False))
+        spectral_feats = spectral_pass(sp_feats[sample], cfg) if cfg.use_global else None
+        return build_pseudo_labels(sp_feats, spectral_feats, cfg.granularities, sample)
 
     def apply_grads(self, grads, lr):
         """Optimizer step on the scenes' backbone_backward results, each
@@ -674,9 +693,9 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
     """
     trainer = start_run(cfg, corpus_dir)
     n_sp = sum(s.n_superpoints for s in trainer.scenes)
-    if max(cfg.granularities) > n_sp:  # refused before anything is written
+    if max(cfg.granularities) > min(n_sp, SAMPLE_CAP):  # refused before anything is written
         raise ConfigError(f"granularity {max(cfg.granularities)} exceeds the corpus's "
-                          f"{n_sp} superpoints")
+                          f"{n_sp} superpoints or the {SAMPLE_CAP} that a round clusters")
     if cfg.lambda_entity > 0 and bank_dir is not None:  # refused before the warm-up
         trainer.bank = bank = load_bank(bank_dir)
         if bank.entity_ids != [e.entity_id for e in trainer.entities]:

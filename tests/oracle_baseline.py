@@ -41,7 +41,7 @@ def reference_baseline(cfg: TrainConfig, corpus_dir, out_dir):
         sp_feats = np.concatenate([
             pool_by_superpoint(backbone_forward(trainer.backbone, s.points)[0], s.superpoints)
             for s in scenes])
-        (sp_labels,) = multi_granularity_labels(sp_feats, (k_prim,), seed=cfg.seed)
+        (sp_labels,) = multi_granularity_labels(sp_feats, (k_prim,))
         mu = pool_by_superpoint(sp_feats, sp_labels)
         heads = [Head("local", k_prim, mu, sp_labels)]
         if cfg.epochs == 0:

@@ -1,12 +1,14 @@
 """End-to-end CLI flows, config resolution, and exit codes."""
 
 import dataclasses
+import logging
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import append_mask_index, count_incidence_builds
 from langtail import cli
@@ -287,6 +289,75 @@ def test_cli_train_with_a_granularity_above_the_superpoint_count_exits_1_before_
     assert not out.exists()
     assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN
                 + ["--granularities", f"{n_sp},3"]) == 0
+
+
+def test_cli_train_with_a_granularity_above_the_sample_cap_exits_1_before_writing(
+        tmp_path, monkeypatch, capfd, caplog):
+    # a round clusters at most SAMPLE_CAP superpoints; a larger granularity used
+    # to fail in the subsample's cut_tree, after the warm-up and <out>/checkpoints/
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    n_sp = sum(s.n_superpoints for s in read_corpus(corpus)[0])
+    assert n_sp > 6  # so the cap refuses granularity 6, not the corpus
+    monkeypatch.setattr(tr, "SAMPLE_CAP", 5)
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN
+                + ["--granularities", "6,3", "--lambda", "0.5"]) == 1
+    assert (f"granularity 6 exceeds the corpus's {n_sp} superpoints or the 5 that a round "
+            "clusters") in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN
+                + ["--granularities", "5,3"]) == 0
+
+
+@pytest.mark.parametrize("command", ["bank", "train"])
+def test_cli_distill_width_other_than_feat_dim_exits_2_before_any_work(
+        tmp_path, monkeypatch, capfd, caplog, command):
+    # this used to exit 2 only inside the warm-up's first step, after a forward
+    # pass, with "feature shape (120, 8) != target shape (120, 4)"
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "4"] + SMALL_SYNTH) == 0
+    forwards = []
+    forward = tr.backbone_forward
+    monkeypatch.setattr(tr, "backbone_forward", lambda *a: forwards.append(1) or forward(*a))
+    args = SMALL_TRAIN if command == "train" else ["--feat-dim", "8", "--hidden-dim", "8"]
+    assert main([command, "--corpus", str(corpus), "--out", str(out)] + args
+                + ["--warmup-epochs", "1"]) == 2
+    assert "scene scene0000: distill.ltfm is 4 columns wide, feat_dim 8" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert forwards == [] and not out.exists()
+    # without a warm-up the targets are never read, and the run goes ahead
+    assert main([command, "--corpus", str(corpus), "--out", str(out)] + args
+                + ["--warmup-epochs", "0"]) == 0
+
+
+@pytest.mark.parametrize("command,module,name,failing_call", [
+    ("train", scipy.linalg, "eigh", 0),
+    ("bank", np.linalg, "svd", 0),
+    ("bank", np.linalg, "svd", 1),
+], ids=["eigh", "svd-text", "svd-procrustes"])
+def test_cli_lapack_without_convergence_exits_3(tmp_path, monkeypatch, capfd, caplog,
+                                                command, module, name, failing_call):
+    # spectral.eigendecompose's eigh and bank.align_gram's two SVDs; a
+    # LinAlgError from either used to end in a bare traceback
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus)] + SMALL_SYNTH) == 0
+    real, calls = getattr(module, name), []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        if len(calls) - 1 == failing_call:
+            raise np.linalg.LinAlgError("did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fake)
+    args = (SMALL_TRAIN + ["--use-global", "true", "--s-prime", "4"] if command == "train" else
+            ["--feat-dim", "8", "--hidden-dim", "8", "--warmup-epochs", "0"])
+    assert main([command, "--corpus", str(corpus), "--out", str(out)] + args) == 3
+    assert len(calls) == failing_call + 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "did not converge" in errors[0]
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_cli_synth_over_a_larger_corpus_leaves_a_corpus_that_trains(tmp_path):

@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langtail import cluster
 from langtail.cluster import (
-    SAMPLE_CAP,
-    WARD_DENSE_ARRAYS,
     _symmetrize,
     check_dense_budget,
     check_granularities,
@@ -207,8 +204,6 @@ def test_dense_budget_checked_before_allocating():
         check_dense_budget(10 ** 6, 1, "test")
     with pytest.raises(ConfigError, match="ward_tree"):
         ward_tree(np.zeros((20000, 1)))
-    # the default subsample cap fits the budget
-    check_dense_budget(SAMPLE_CAP, WARD_DENSE_ARRAYS, "ward_tree")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -268,27 +263,13 @@ def test_cut_partition_sizes_and_nesting(n, d, seed):
 def test_multi_granularity_consistent_with_single_tree():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 3))
-    out = multi_granularity_labels(X, (10, 4, 2), seed=0)
+    out = multi_granularity_labels(X, (10, 4, 2))
     tree = ward_tree(X)
     assert len(out) == 3
     for k, labels in zip((10, 4, 2), out):
         assert np.array_equal(labels, cut_tree(tree, k))
 
 
-def test_multi_granularity_subsample_path(monkeypatch):
-    monkeypatch.setattr(cluster, "SAMPLE_CAP", 30)
-    tree_rows = []
-    monkeypatch.setattr(cluster, "ward_tree", lambda X: tree_rows.append(len(X)) or ward_tree(X))
-    rng = np.random.default_rng(8)
-    X = np.concatenate([rng.normal(0, 0.2, (40, 2)), rng.normal(8, 0.2, (40, 2))])
-    (labels,) = multi_granularity_labels(X, (2,), seed=0)
-    assert tree_rows == [30] and labels.shape == (80,)
-    # well separated blobs survive the subsample + nearest-centroid fill-in
-    assert len(set(labels[:40])) == 1
-    assert len(set(labels[40:])) == 1
-    assert labels[0] != labels[-1]
-
-
 def test_multi_granularity_rejects_oversized_level():
     with pytest.raises(ConfigError):
-        multi_granularity_labels(np.eye(3), (4,), 0)
+        multi_granularity_labels(np.eye(3), (4,))

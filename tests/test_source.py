@@ -390,3 +390,45 @@ FILE_WRITERS = {("data_model.py", "atomic_open"), ("data_model.py", "remove")}
 def test_only_atomic_open_and_remove_write_files(path):
     assert [where for where in file_writes(path.read_text())
             if (path.name, where) not in FILE_WRITERS] == []
+
+
+def repeated_stream_tokens(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each string literal passed as a stream token (an argument after the
+    seed) to make_rng or stream_key, by name or attribute, at more than one
+    call, with the "module.function" (or "module.<module>") of each call: a
+    stream is drawn in one place, so a rule such as a round's one sample
+    cannot keep a second copy. A nested function counts as its own."""
+    sites = {}
+
+    def visit(module, node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        called = ({getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                  if isinstance(node, ast.Call) else set())
+        if called & {"make_rng", "stream_key"}:
+            for arg in node.args[1:]:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    sites.setdefault(arg.value, []).append(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, where)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return {token: where for token, where in sites.items() if len(where) > 1}
+
+
+def test_repeated_stream_tokens_finds_a_leftover():
+    sources = {
+        "a": ("KEY = stream_key(0, 'entity', 1)\n"
+              "def draw(seed, n):\n    return make_rng(seed, 'ward-subsample').choice(n)\n"),
+        "b": ("def again(seed, stream):\n"
+              "    def inner():\n        return rng.make_rng(seed, 'ward-subsample')\n"
+              "    return make_rng(seed, stream, 'scene'), stream_key(seed, 'scene', 0), inner\n"
+              "def other(seed):\n    return make_rng(seed, 'kmeans-init'), make_rng('entity')\n"),
+    }
+    assert repeated_stream_tokens(sources) == {"ward-subsample": ["a.draw", "b.inner"],
+                                               "scene": ["b.again", "b.again"]}
+
+
+def test_every_stream_is_drawn_at_one_call():
+    assert repeated_stream_tokens({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}) == {}

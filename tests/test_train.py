@@ -43,6 +43,7 @@ from langtail.errors import (
     ShapeError,
     TruncationError,
 )
+from langtail.rng import make_rng
 from langtail.synth import SynthConfig, generate_corpus
 from oracle_baseline import reference_baseline
 from oracle_entity import reference_entity_anchor_grads
@@ -92,11 +93,19 @@ def test_spectral_pass_checks_memory_before_allocating():
     # 20000 superpoints would need 3 dense 20000 x 20000 arrays (9.6 GB)
     with pytest.raises(ConfigError, match="spectral_pass"):
         tr.spectral_pass(np.ones((20000, 2)), tr.TrainConfig())
-    # 80 scenes x 2,000 points (6,237 superpoints) fit; 9,459 is the largest graph
+    # 9,459 is the largest graph that the budget allows, and Trainer.recluster
+    # hands spectral_pass at most SAMPLE_CAP (8,192) rows
     for n in (6237, 9459):
         cl.check_dense_budget(n, tr.SPECTRAL_DENSE_ARRAYS, "spectral_pass")
     with pytest.raises(ConfigError, match="spectral_pass"):
         cl.check_dense_budget(9460, tr.SPECTRAL_DENSE_ARRAYS, "spectral_pass")
+
+
+@pytest.mark.parametrize("stage,arrays", [("spectral_pass", tr.SPECTRAL_DENSE_ARRAYS),
+                                          ("ward_tree", cl.WARD_DENSE_ARRAYS)])
+def test_a_round_of_sample_cap_superpoints_fits_every_dense_stage(stage, arrays):
+    # so no corpus is refused for its size: a round clusters at most SAMPLE_CAP
+    cl.check_dense_budget(tr.SAMPLE_CAP, arrays, stage)
 
 
 PEAK_SCRIPT = """
@@ -1080,7 +1089,7 @@ def test_build_pseudo_labels_shapes(tmp_path):
     rng = np.random.default_rng(0)
     sp = rng.normal(size=(n_sp, 8))
     spec = rng.normal(size=(n_sp, 5))
-    heads = tr.build_pseudo_labels(sp, spec, (10, 4), seed=0)
+    heads = tr.build_pseudo_labels(sp, spec, (10, 4), np.arange(n_sp))
     assert [(h.branch, h.k) for h in heads] == [
         ("local", 10), ("local", 4), ("global", 10), ("global", 4)]
     for h in heads:
@@ -1093,25 +1102,70 @@ def test_build_pseudo_labels_shapes(tmp_path):
         sp[glob.sp_labels == c].mean(axis=0) for c in range(glob.k)
     ])
     assert np.allclose(glob.centroids, want)
-    local_only = tr.build_pseudo_labels(sp, None, (4,), 0)
+    local_only = tr.build_pseudo_labels(sp, None, (4,), np.arange(n_sp))
     assert [(h.branch, h.k) for h in local_only] == [("local", 4)]
 
 
-@pytest.mark.parametrize("sample_cap", [cl.SAMPLE_CAP, 25], ids=["full", "subsample"])
-def test_build_pseudo_labels_pools_every_head_over_sp_features(monkeypatch, sample_cap):
+@pytest.mark.parametrize("n_sample", [60, 25], ids=["full", "subsample"])
+def test_build_pseudo_labels_pools_every_head_over_sp_features(n_sample):
     # local and global heads alike take their centroids from the backbone
-    # superpoint features under their final labels, also where the Ward tree
-    # was built on a subsample and the other rows joined its nearest centroid
-    monkeypatch.setattr(cl, "SAMPLE_CAP", sample_cap)
+    # superpoint features under their final labels, also where Ward clustered
+    # a sample and the other rows joined the nearest centroid of the sample's
+    # backbone features, in either branch
     rng = np.random.default_rng(4)
-    sp, spec = rng.normal(size=(60, 8)), rng.normal(size=(60, 5))
-    heads = tr.build_pseudo_labels(sp, spec, (10, 4), seed=0)
+    sample = np.sort(rng.choice(60, n_sample, replace=False))
+    sp, spec = rng.normal(size=(60, 8)), rng.normal(size=(n_sample, 5))
+    heads = tr.build_pseudo_labels(sp, spec, (10, 4), sample)
     assert [(h.branch, h.k) for h in heads] == [
         ("local", 10), ("local", 4), ("global", 10), ("global", 4)]
-    for h, X in zip(heads, (sp, sp, spec, spec)):
-        assert np.array_equal(h.sp_labels, cl.multi_granularity_labels(X, (h.k,), 0)[0])
+    held_out = np.setdiff1d(np.arange(60), sample)
+    for h, X in zip(heads, (sp[sample], sp[sample], spec, spec)):
+        cut = cl.multi_granularity_labels(X, (h.k,))[0]
+        assert np.array_equal(h.sp_labels[sample], cut)
+        mus = np.stack([sp[sample][cut == c].mean(axis=0) for c in range(h.k)])
+        d2 = ((sp[held_out, None, :] - mus[None]) ** 2).sum(axis=2)
+        assert np.array_equal(h.sp_labels[held_out], d2.argmin(axis=1))
         want = dm.pool_by_superpoint(sp, h.sp_labels)
         assert h.centroids.tobytes() == want.tobytes()
+
+
+def test_recluster_clusters_one_sample_of_at_most_sample_cap(tmp_path, monkeypatch):
+    # above SAMPLE_CAP a round draws one sample of the superpoints, and the
+    # spectral pass and both branches' Ward trees cluster it; the local heads
+    # keep the rule of the Ward-only subsample that came before (its stream,
+    # then each other row at the nearest centroid of the sample's cut)
+    scenes, _ = _mini_corpus(tmp_path)
+    n = sum(s.n_superpoints for s in scenes)
+    assert n > 25
+    monkeypatch.setattr(tr, "SAMPLE_CAP", 25)
+    rows = {"spectral_pass": [], "ward_tree": []}
+    spectral_pass, ward_tree = tr.spectral_pass, cl.ward_tree
+    monkeypatch.setattr(tr, "spectral_pass", lambda X, cfg: (
+        rows["spectral_pass"].append(len(X)) or spectral_pass(X, cfg)))
+    monkeypatch.setattr(cl, "ward_tree", lambda X: rows["ward_tree"].append(len(X)) or ward_tree(X))
+    cfg = small_cfg(granularities=(10, 4), use_global=True, s_prime=8, epochs=1)
+    trainer = tr.Trainer(scenes, [], cfg)
+    heads = trainer.recluster()
+    assert rows == {"spectral_pass": [25], "ward_tree": [25, 25]}
+    assert [(h.branch, h.k) for h in heads] == [
+        ("local", 10), ("local", 4), ("global", 10), ("global", 4)]
+    sp = np.concatenate([dm.pool_by_superpoint(tr.backbone_forward(trainer.backbone, s.points)[0],
+                                               s.superpoints) for s in scenes])
+    sample = np.sort(make_rng(cfg.seed, "ward-subsample").choice(n, size=25, replace=False))
+    tree = ward_tree(sp[sample])
+    for h in heads:
+        assert h.sp_labels.shape == (n,)
+        if h.branch == "local":
+            cut = cl.cut_tree(tree, h.k)
+            mus = np.stack([sp[sample][cut == c].mean(axis=0) for c in range(h.k)])
+            want = ((sp[:, None, :] - mus[None]) ** 2).sum(axis=2).argmin(axis=1)
+            want[sample] = cut
+            assert np.array_equal(h.sp_labels, want)
+        assert h.centroids.tobytes() == dm.pool_by_superpoint(sp, h.sp_labels).tobytes()
+    # and a round of the global branch trains on the held-out rows' labels
+    _, heads, reports = tr.run_pipeline(cfg, tmp_path / "corpus", tmp_path / "out")
+    assert len(heads) == 4 and len(reports) == 1 and np.isfinite(reports[0].total)
+    assert (tmp_path / "out" / "pred.ltlb").exists()
 
 
 def test_pipeline_epochs_zero(tmp_path):
