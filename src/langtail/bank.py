@@ -173,6 +173,9 @@ def entity_contrastive_loss(anchor_features, prototypes, weights,
     return loss, grad
 
 
+BANK_FILES = ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv")  # what save_bank writes
+
+
 def save_bank(out_dir, bank: SemanticBank) -> None:
     """Persist bank_aligned.ltfm, trace.tsv, and an entity_ids.tsv id copy.
     trace.tsv's rows are the Gram mismatch of the pooled features (row 0) and

@@ -72,13 +72,12 @@ class EntityRecord:
 
 @dataclass
 class SceneBundle:
-    """All per-scene inputs: raw points, superpoints, optional distill targets and labels."""
+    """What training reads of a scene; the ground truth is only in the corpus's labels.ltlb."""
 
     scene_id: str
     points: np.ndarray
     superpoints: np.ndarray
     distill_targets: np.ndarray | None = None
-    gt_labels: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.points.shape[0]
@@ -88,8 +87,6 @@ class SceneBundle:
             )
         if self.distill_targets is not None and self.distill_targets.shape[0] != n:
             raise ShapeError(f"scene {self.scene_id}: distill target row count mismatch")
-        if self.gt_labels is not None and self.gt_labels.shape[0] != n:
-            raise ShapeError(f"scene {self.scene_id}: label count mismatch")
 
     @property
     def n_points(self) -> int:
@@ -292,6 +289,15 @@ def remove(path) -> None:
         os.remove(path)
     except OSError as e:
         raise IoError(f"cannot remove {path}: {e}") from e
+
+
+def write_optional(path, a, write) -> None:
+    """write(path, a), or, when a is None, remove the file an earlier writer
+    left at path, which a later reader would take for this one's."""
+    if a is not None:
+        write(path, a)
+    elif os.path.exists(path):
+        remove(path)
 
 
 # ---------------------------------------------------------------------------

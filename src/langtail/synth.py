@@ -101,7 +101,7 @@ def _instance_counts(class_counts: np.ndarray) -> np.ndarray:
 
 
 def generate_scene(cfg: SynthConfig, scene_index: int):
-    """Build one scene plus its entity records, deterministic in (seed, scene_index)."""
+    """One scene, its entity records and its labels, deterministic in (seed, scene_index)."""
     class_counts = zipf_class_counts(cfg.n_classes, cfg.zipf_exponent, cfg.points_per_scene)
     inst_counts = _instance_counts(class_counts)
     class_emb = _unit_rows(cfg, "class-embed", TEXT_EMBED_DIM)
@@ -171,57 +171,42 @@ def generate_scene(cfg: SynthConfig, scene_index: int):
         points=points.astype(np.float32),
         superpoints=superpoints,
         distill_targets=distill,
-        gt_labels=labels,
     )
-    return bundle, entities
+    return bundle, entities, labels
 
 
 def generate_corpus(cfg: SynthConfig, out_dir=None):
     """Generate all scenes and the consolidated entity bank inputs.
 
     When out_dir is given, writes the corpus directory layout:
-      scenes/<id>/{points.ltfm, superpoints.ltsp, labels.ltlb[, distill.ltfm]},
+      scenes/<id>/{points.ltfm, superpoints.ltsp[, distill.ltfm]},
       bank/{entities.tsv, embeddings.ltfm, masks/}, manifest.tsv,
-      labels.ltlb (all scenes concatenated in manifest order).
+      labels.ltlb (the ground truth, all scenes concatenated in manifest order).
     """
-    scenes = []
-    entities: list[dm.EntityRecord] = []
-    for i in range(cfg.n_scenes):
-        bundle, ents = generate_scene(cfg, i)
-        scenes.append(bundle)
-        entities.extend(ents)
-
+    made = [generate_scene(cfg, i) for i in range(cfg.n_scenes)]
+    scenes = [bundle for bundle, _, _ in made]
+    entities = [e for _, ents, _ in made for e in ents]
     if out_dir is not None:
-        write_corpus(out_dir, scenes, entities)
+        write_corpus(out_dir, scenes, entities, np.concatenate([y for _, _, y in made]))
     return scenes, entities
 
 
-def _write_optional(path, a, write) -> None:
-    """write(path, a), or, when a is None, remove the file an earlier corpus
-    left at path, which read_corpus would load."""
-    if a is not None:
-        write(path, a)
-    elif os.path.exists(path):
-        dm.remove(path)
-
-
-def write_corpus(out_dir, scenes, entities) -> None:
+def write_corpus(out_dir, scenes, entities, labels) -> None:
+    """generate_corpus's layout; labels are every point's in manifest order, or None."""
+    n = sum(s.n_points for s in scenes)
+    if labels is not None and len(labels) != n:
+        raise ShapeError(f"{len(labels)} labels for a corpus of {n} points")
     dm.make_dirs(os.path.join(out_dir, "scenes"))
     for s in scenes:
         sdir = os.path.join(out_dir, "scenes", s.scene_id)
         dm.make_dirs(sdir)
         dm.write_feature_matrix(os.path.join(sdir, "points.ltfm"), s.points)
         dm.write_superpoints(os.path.join(sdir, "superpoints.ltsp"), s.superpoints)
-        _write_optional(os.path.join(sdir, "labels.ltlb"), s.gt_labels, dm.write_labels)
-        _write_optional(os.path.join(sdir, "distill.ltfm"), s.distill_targets,
-                        dm.write_feature_matrix)
+        dm.write_optional(os.path.join(sdir, "distill.ltfm"), s.distill_targets,
+                          dm.write_feature_matrix)
     dm.write_entity_bank(os.path.join(out_dir, "bank"), entities)
     dm.write_tsv(os.path.join(out_dir, "manifest.tsv"), [[s.scene_id] for s in scenes])
-    all_labels = np.concatenate(
-        [s.gt_labels for s in scenes if s.gt_labels is not None] or [np.empty(0, np.int64)]
-    )
-    _write_optional(os.path.join(out_dir, "labels.ltlb"),
-                    all_labels if all_labels.size else None, dm.write_labels)
+    dm.write_optional(os.path.join(out_dir, "labels.ltlb"), labels, dm.write_labels)
 
 
 def read_corpus(corpus_dir):
@@ -235,7 +220,6 @@ def read_corpus(corpus_dir):
             raise DataError(f"corpus manifest in {corpus_dir} lists scene {sid} more than once")
         sdir = os.path.join(corpus_dir, "scenes", sid)
         distill_path = os.path.join(sdir, "distill.ltfm")
-        labels_path = os.path.join(sdir, "labels.ltlb")
         scenes.append(
             dm.SceneBundle(
                 scene_id=sid,
@@ -244,7 +228,6 @@ def read_corpus(corpus_dir):
                 distill_targets=(
                     dm.read_feature_matrix(distill_path) if os.path.exists(distill_path) else None
                 ),
-                gt_labels=dm.read_labels(labels_path) if os.path.exists(labels_path) else None,
             )
         )
         if scenes[-1].points.shape[1] != scenes[0].points.shape[1]:

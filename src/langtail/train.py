@@ -51,6 +51,7 @@ passes at the widths that row_blocks names.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,6 +62,7 @@ import numpy as np
 from . import data_model as dm
 from . import spectral
 from .bank import (
+    BANK_FILES,
     SemanticBank,
     _l2_rows,
     aggregate_entity_features,
@@ -655,20 +657,22 @@ class Trainer:
                            total=float(avg[0] + avg[1] + cfg.lambda_entity * avg[2]), lr=lr)
 
     def warmup(self) -> list[float]:
-        """Distillation-only epochs on scenes that carry distill targets."""
+        """Distillation-only epochs on scenes that carry distill targets; each
+        epoch's loss is the mean over its batches of the batch's mean scene loss."""
         cfg = self.cfg
-        idxs = [i for i, s in enumerate(self.scenes) if s.distill_targets is not None]
+        batches = self.scene_batches([i for i, s in enumerate(self.scenes)
+                                      if s.distill_targets is not None])
         losses = []
-        for _ in range(cfg.warmup_epochs if idxs else 0):
+        for _ in range(cfg.warmup_epochs if batches else 0):
             epoch_loss = 0.0
-            for batch in self.scene_batches(idxs):
+            for batch in batches:
                 b, feats, caches = self.forward_scenes(batch)
                 out = [distill_warmup_loss(f, self.scenes[i].distill_targets)
                        for f, i in zip(feats, batch)]
                 self.apply_grads(scene_map(lambda c, g: backbone_backward(b, c, g),
                                            caches, [g for _, g in out]), cfg.lr0)
                 epoch_loss += sum(loss for loss, _ in out) / len(batch)
-            losses.append(epoch_loss)
+            losses.append(epoch_loss / len(batches))
         return losses
 
 
@@ -704,7 +708,21 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
             raise ShapeError(f"{bank_dir}: the bank's prototypes have {bank.B.shape[1]} "
                              f"columns, the backbone's features {cfg.feat_dim}")
     warmup_losses = trainer.warmup()
-    dm.make_dirs(os.path.join(out_dir, "checkpoints"))
+    ckpt_dir, bank_out = os.path.join(out_dir, "checkpoints"), os.path.join(out_dir, "bank")
+    dm.make_dirs(ckpt_dir)
+    # a file an earlier run left in out_dir that this run does not write goes;
+    # a --bank that names <out>/bank is this run's input and stays
+    rounds = range(0, max(cfg.epochs, 1), cfg.recluster_every)
+    dm.write_optional(os.path.join(out_dir, "warmup.tsv"),
+                      [(i, f"{v:.10e}") for i, v in enumerate(warmup_losses)] or None,
+                      dm.write_tsv)
+    for name in os.listdir(ckpt_dir):  # a round_NNN.ltck past this run's last round
+        if re.fullmatch(r"round_\d{3,}\.ltck", name) and int(name[6:-5]) >= len(rounds):
+            dm.remove(os.path.join(ckpt_dir, name))
+    if (cfg.lambda_entity == 0 or bank_dir is not None) and (
+            os.path.realpath(bank_dir or out_dir) != os.path.realpath(bank_out)):
+        for name in BANK_FILES:
+            dm.write_optional(os.path.join(bank_out, name), None, None)
 
     feats = None
     if cfg.lambda_entity > 0 and trainer.bank is None:
@@ -712,21 +730,18 @@ def run_pipeline(cfg: TrainConfig, corpus_dir, out_dir, bank_dir=None):
         # once. Training reads the bank back as saved (float32 prototypes), so
         # a --bank run on this bank trains as this run does.
         bank, feats = build_bank(trainer)
-        save_bank(os.path.join(out_dir, "bank"), bank)
-        trainer.bank = load_bank(os.path.join(out_dir, "bank"))
+        save_bank(bank_out, bank)
+        trainer.bank = load_bank(bank_out)
 
     reports = []
-    for round_idx, start in enumerate(range(0, max(cfg.epochs, 1), cfg.recluster_every)):
+    for round_idx, start in enumerate(rounds):
         heads, feats = trainer.recluster(feats), None
-        save_checkpoint(os.path.join(out_dir, "checkpoints", f"round_{round_idx:03d}.ltck"),
+        save_checkpoint(os.path.join(ckpt_dir, f"round_{round_idx:03d}.ltck"),
                         trainer.backbone, heads)
         head_opt = AdamW([h.centroids for h in heads])
         for epoch in range(start, min(start + cfg.recluster_every, cfg.epochs)):
             reports.append(trainer.train_epoch(heads, head_opt, epoch))
 
-    if warmup_losses:
-        dm.write_tsv(os.path.join(out_dir, "warmup.tsv"),
-                     [(i, f"{v:.10e}") for i, v in enumerate(warmup_losses)])
     _write_outputs(out_dir, trainer, heads, reports)
     return trainer.backbone, heads, reports
 

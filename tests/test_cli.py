@@ -14,7 +14,7 @@ from conftest import append_mask_index, count_incidence_builds
 from langtail import cli
 from langtail import data_model as dm
 from langtail import train as tr
-from langtail.bank import load_bank
+from langtail.bank import BANK_FILES, load_bank
 from langtail.cli import TRAIN_KEYS, SYNTH_KEYS, load_config_file, main, parse_granularities
 from langtail.errors import ConfigError, LangtailError
 from langtail.synth import SynthConfig, read_corpus
@@ -326,9 +326,68 @@ def test_cli_distill_width_other_than_feat_dim_exits_2_before_any_work(
     assert "scene scene0000: distill.ltfm is 4 columns wide, feat_dim 8" in caplog.text
     assert "Traceback" not in capfd.readouterr().err
     assert forwards == [] and not out.exists()
-    # without a warm-up the targets are never read, and the run goes ahead
+    # without a warm-up the width is not checked, and the run goes ahead
     assert main([command, "--corpus", str(corpus), "--out", str(out)] + args
                 + ["--warmup-epochs", "0"]) == 0
+
+
+def test_cli_train_without_a_warm_up_still_reads_every_distill_file(tmp_path, capfd, caplog):
+    # every distill.ltfm is read and checked with the corpus; only its width waits for a warm-up
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    path = corpus / "scenes" / "scene0001" / "distill.ltfm"
+    path.write_bytes(path.read_bytes()[:-3])
+    assert main(["train", "--corpus", str(corpus), "--out", str(out)] + SMALL_TRAIN) == 2
+    assert "distill.ltfm: unexpected end of file" in caplog.text
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+
+
+def _files(root):
+    """Every file under root, as sorted paths relative to it."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+FIRST_RUN = ["--granularities", "4", "--epochs", "3", "--recluster-every", "1",
+             "--lambda", "0.5", "--feat-dim", "8", "--hidden-dim", "8",
+             "--warmup-epochs", "1", "--batch-scenes", "2"]
+
+
+@pytest.mark.parametrize("again", [
+    ["--warmup-epochs", "0", "--epochs", "1", "--lambda", "0"],
+    ["--warmup-epochs", "0", "--epochs", "1", "--bank", "{bank}"],
+], ids=["lambda-0", "other-bank"])
+def test_cli_train_rerun_into_the_same_out_leaves_only_its_own_files(tmp_path, again):
+    # the second run used to leave the first's warmup.tsv, round_001.ltck,
+    # round_002.ltck and bank/, claiming a warm-up and rounds it never ran
+    corpus, bank, run, fresh = (tmp_path / n for n in ("corpus", "bank", "run", "fresh"))
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    assert main(["bank", "--corpus", str(corpus), "--out", str(bank), "--feat-dim", "8",
+                 "--hidden-dim", "8", "--warmup-epochs", "0"]) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(run)] + FIRST_RUN) == 0
+    assert {"warmup.tsv", "checkpoints/round_002.ltck", "bank/trace.tsv"} <= set(_files(run))
+    before = {f: (run / f).read_bytes() for f in _files(run)}
+    # a refused re-run removes nothing
+    assert main(["train", "--corpus", str(corpus), "--out", str(run)] + FIRST_RUN
+                + ["--granularities", "9999"]) == 1
+    assert {f: (run / f).read_bytes() for f in _files(run)} == before
+    again = [a.format(bank=bank) for a in again]
+    for out in (run, fresh):
+        assert main(["train", "--corpus", str(corpus), "--out", str(out)]
+                    + FIRST_RUN + again) == 0
+    assert _files(run) == _files(fresh)
+    assert "warmup.tsv" not in _files(run) and "bank/trace.tsv" not in _files(run)
+
+
+def test_cli_train_rerun_on_its_own_bank_keeps_it(tmp_path):
+    # --bank <out>/bank is the re-run's input: it stays, as the bank the run used
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(run)] + FIRST_RUN) == 0
+    bank = {name: (run / "bank" / name).read_bytes() for name in BANK_FILES}
+    assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                 "--bank", str(run / "bank")] + FIRST_RUN) == 0
+    assert {name: (run / "bank" / name).read_bytes() for name in BANK_FILES} == bank
 
 
 @pytest.mark.parametrize("command,module,name,failing_call", [
@@ -370,9 +429,6 @@ def test_cli_synth_over_a_larger_corpus_leaves_a_corpus_that_trains(tmp_path):
         f"scene000{i}.bin" for i in range(3)]
     assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
                 + SMALL_TRAIN) == 0
-
-
-BANK_FILES = ("bank_aligned.ltfm", "trace.tsv", "entity_ids.tsv")
 
 
 @pytest.mark.parametrize("extra", [[], ["--lr0", "0.05"]], ids=["default", "lr0.05"])

@@ -69,10 +69,9 @@ def test_module_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
 
 
-def row_block_reads(source: str) -> list[str]:
-    """The function (or "<module>") of each read of ROW_BLOCK, by name,
-    attribute or import, outside row_blocks: every row-blocked pass takes its
-    blocks from evaluation.row_blocks. A nested function counts as its own."""
+def references(source: str, name: str) -> list[str]:
+    """The function (or "<module>") of each reference to name, by name,
+    attribute or import. A nested function counts as its own."""
     found = []
 
     def visit(node, where):
@@ -81,13 +80,19 @@ def row_block_reads(source: str) -> list[str]:
         names = ([node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else
                  [node.attr] if isinstance(node, ast.Attribute) else
                  [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
-        if "ROW_BLOCK" in names and where != "row_blocks":
+        if name in names:
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def row_block_reads(source: str) -> list[str]:
+    """Each reference to ROW_BLOCK outside row_blocks: every row-blocked pass
+    takes its blocks from evaluation.row_blocks."""
+    return [where for where in references(source, "ROW_BLOCK") if where != "row_blocks"]
 
 
 def test_row_block_reads_finds_a_leftover():
@@ -135,6 +140,25 @@ def test_mask_reads_finds_a_leftover():
 @pytest.mark.parametrize("name", ["bank.py", "train.py"])
 def test_only_mask_incidence_reads_masks(name):
     assert mask_reads((SRC / name).read_text()) == []
+
+
+def test_label_reads_finds_a_leftover():
+    source = ("from .data_model import read_labels\n"
+              "def read_labels(path):\n    return path\n"
+              "def read_corpus(d):\n"
+              "    def inner():\n        return dm.read_labels(d)\n"
+              "    return read_labels, inner\n")
+    assert references(source, "read_labels") == ["<module>", "inner", "read_corpus"]
+
+
+# ground truth is read only to be scored, so it stays off the training path:
+# eval and report's _score reads the pred and gt files
+LABEL_READS_ALLOWED = {"cli.py": ["_score", "_score"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_scoring_reads_labels(path):
+    assert references(path.read_text(), "read_labels") == LABEL_READS_ALLOWED.get(path.name, [])
 
 
 def incidence_builds(source: str) -> list[str]:

@@ -1,7 +1,6 @@
 """Synthetic long-tail corpus generator: distributions, determinism, geometry."""
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,18 +64,19 @@ def test_class_embeddings_unit_and_deterministic():
 
 def test_scene_deterministic():
     cfg = SynthConfig(n_classes=4, points_per_scene=300, n_scenes=1, seed=9)
-    s1, e1 = generate_scene(cfg, 0)
-    s2, e2 = generate_scene(cfg, 0)
+    s1, e1, y1 = generate_scene(cfg, 0)
+    s2, e2, y2 = generate_scene(cfg, 0)
     assert np.array_equal(s1.points, s2.points)
     assert np.array_equal(s1.superpoints, s2.superpoints)
+    assert np.array_equal(y1, y2)
     assert len(e1) == len(e2)
     assert all(a.entity_id == b.entity_id for a, b in zip(e1, e2))
 
 
 def test_scenes_differ_by_index():
     cfg = SynthConfig(n_classes=4, points_per_scene=300, n_scenes=2, seed=9)
-    s0, _ = generate_scene(cfg, 0)
-    s1, _ = generate_scene(cfg, 1)
+    s0, _, _ = generate_scene(cfg, 0)
+    s1, _, _ = generate_scene(cfg, 1)
     assert not np.array_equal(s0.points, s1.points)
 
 
@@ -91,45 +91,46 @@ def test_corpus_write_is_byte_deterministic(tmp_path):
 
 def test_labels_and_superpoints_consistent():
     cfg = SynthConfig(n_classes=5, points_per_scene=400, n_scenes=1, seed=3)
-    scene, entities = generate_scene(cfg, 0)
+    scene, entities, labels = generate_scene(cfg, 0)
+    assert labels.shape == (scene.n_points,)
     # superpoint ids are dense and never span two classes
     assert scene.superpoints.min() == 0
     n_sp = scene.superpoints.max() + 1
     assert set(scene.superpoints) == set(range(n_sp))
     for sp in range(n_sp):
-        assert len(set(scene.gt_labels[scene.superpoints == sp])) == 1
+        assert len(set(labels[scene.superpoints == sp])) == 1
     # every mask is label-pure and its class matches the entity text
     for e in entities:
         for sid, idx in e.masks:
-            labels = set(scene.gt_labels[idx])
-            assert len(labels) == 1
-            assert e.text.startswith(f"class{labels.pop():02d}")
+            classes = set(labels[idx])
+            assert len(classes) == 1
+            assert e.text.startswith(f"class{classes.pop():02d}")
 
 
 def test_class_counts_follow_zipf():
     cfg = SynthConfig(n_classes=6, points_per_scene=600, n_scenes=1, seed=1)
-    scene, _ = generate_scene(cfg, 0)
+    _, _, labels = generate_scene(cfg, 0)
     expected = zipf_class_counts(6, cfg.zipf_exponent, 600)
-    got = np.bincount(scene.gt_labels, minlength=6)
+    got = np.bincount(labels, minlength=6)
     assert np.array_equal(got, expected)
 
 
 def test_noiseless_cross_class_separation():
     cfg = SynthConfig(n_classes=4, points_per_scene=200, n_scenes=1,
                       noise_sigma=0.0, seed=6)
-    scene, _ = generate_scene(cfg, 0)
+    scene, _, labels = generate_scene(cfg, 0)
     # class centers sit on axis 0, all other offsets are orthogonal to it
     for c in range(3):
-        a = scene.points[scene.gt_labels == c]
-        b = scene.points[scene.gt_labels == c + 1]
+        a = scene.points[labels == c]
+        b = scene.points[labels == c + 1]
         d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         assert d.min() >= cfg.class_separation - 1e-5
 
 
 def test_alias_rate_extremes():
     base = dict(n_classes=4, points_per_scene=300, n_scenes=1, seed=4)
-    _, none = generate_scene(SynthConfig(entity_alias_rate=0.0, **base), 0)
-    _, full = generate_scene(SynthConfig(entity_alias_rate=1.0, **base), 0)
+    _, none, _ = generate_scene(SynthConfig(entity_alias_rate=0.0, **base), 0)
+    _, full, _ = generate_scene(SynthConfig(entity_alias_rate=1.0, **base), 0)
     assert len(full) == 2 * len(none)
     assert not any("alias" in e.text for e in none)
     aliases = [e for e in full if "alias" in e.text]
@@ -143,25 +144,25 @@ def test_alias_rate_extremes():
 
 def test_distill_targets_optional():
     base = dict(n_classes=3, points_per_scene=90, n_scenes=1, seed=0)
-    scene, _ = generate_scene(SynthConfig(**base), 0)
+    scene, _, _ = generate_scene(SynthConfig(**base), 0)
     assert scene.distill_targets is None
-    scene, _ = generate_scene(SynthConfig(distill_dim=16, **base), 0)
+    scene, _, _ = generate_scene(SynthConfig(distill_dim=16, **base), 0)
     assert scene.distill_targets.shape == (90, 16)
 
 
 def test_corpus_rewrite_deletes_the_optional_files_it_does_not_write(tmp_path):
     # a corpus without distill targets or labels written over one with them
-    # used to keep the old distill.ltfm and labels.ltlb, which read_corpus loaded
+    # used to keep the old distill.ltfm and labels.ltlb, which a reader loaded
     out = tmp_path / "c"
     generate_corpus(SynthConfig(n_classes=3, points_per_scene=90, n_scenes=2, seed=0,
                                 distill_dim=8), out)
     scenes, entities = read_corpus(out)
     assert all(s.distill_targets is not None for s in scenes)
-    scene = replace(generate_scene(SynthConfig(n_classes=3, points_per_scene=90, n_scenes=1,
-                                               seed=1), 0)[0], gt_labels=None)
-    write_corpus(out, [scene], entities)
+    scene, _, _ = generate_scene(SynthConfig(n_classes=3, points_per_scene=90, n_scenes=1,
+                                             seed=1), 0)
+    write_corpus(out, [scene], entities, None)
     (back,), _ = read_corpus(out)
-    assert back.distill_targets is None and back.gt_labels is None
+    assert back.distill_targets is None
     assert sorted(os.listdir(out / "scenes" / "scene0000")) == ["points.ltfm", "superpoints.ltsp"]
     assert not (out / "labels.ltlb").exists()
 
@@ -174,10 +175,32 @@ def test_corpus_round_trip(tmp_path):
     for a, b in zip(scenes, back_scenes):
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.superpoints, b.superpoints)
-        assert np.array_equal(a.gt_labels, b.gt_labels)
+    # the ground truth is one file, the generator's labels in manifest order
+    labels = np.concatenate([generate_scene(cfg, i)[2] for i in range(cfg.n_scenes)])
+    assert np.array_equal(dm.read_labels(tmp_path / "c" / "labels.ltlb"), labels)
+    for s in scenes:
+        assert sorted(os.listdir(tmp_path / "c" / "scenes" / s.scene_id)) == [
+            "points.ltfm", "superpoints.ltsp"]
     assert sorted(e.entity_id for e in back_entities) == sorted(
         e.entity_id for e in entities
     )
+
+
+def test_read_corpus_ignores_an_older_corpus_s_scene_labels(tmp_path):
+    # an older version wrote each scene's labels again, in scenes/<id>/labels.ltlb
+    generate_corpus(SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8),
+                    tmp_path / "c")
+    (tmp_path / "c" / "scenes" / "scene0001" / "labels.ltlb").write_bytes(b"LTLB\x01")
+    scenes, _ = read_corpus(tmp_path / "c")
+    assert [s.scene_id for s in scenes] == ["scene0000", "scene0001"]
+
+
+def test_write_corpus_refuses_labels_of_another_length(tmp_path):
+    cfg = SynthConfig(n_classes=3, points_per_scene=120, n_scenes=2, seed=8)
+    scenes, entities = generate_corpus(cfg)
+    with pytest.raises(ShapeError, match="239 labels for a corpus of 240 points"):
+        write_corpus(tmp_path / "c", scenes, entities, np.zeros(239, np.int64))
+    assert not (tmp_path / "c").exists()
 
 
 def test_read_corpus_refuses_a_scene_listed_twice(tmp_path):

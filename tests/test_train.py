@@ -1216,6 +1216,25 @@ def test_warmup_uses_distill_targets(tmp_path):
     assert vals[-1] < vals[0]
 
 
+def test_warmup_reports_the_mean_of_its_batch_means(tmp_path, monkeypatch):
+    # an epoch's loss used to be the sum of its batch means (2.393 here), above
+    # the 2 that a mean of 1 - cos can reach
+    scenes, entities = _mini_corpus(tmp_path, points_per_scene=60, distill_dim=4)
+    seen, loss = [], tr.distill_warmup_loss
+
+    def recorded(F, T):
+        out = loss(F, T)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(tr, "distill_warmup_loss", recorded)
+    trainer = tr.Trainer(scenes, entities, small_cfg(warmup_epochs=1, feat_dim=4))
+    (got,) = trainer.warmup()
+    assert len(seen) == 3  # batches of 2 and 1 scenes
+    assert got == ((seen[0] + seen[1]) / 2 + seen[2]) / 2
+    assert 0 <= got <= 2
+
+
 def test_baseline_matches_degenerate_pipeline(tmp_path):
     # run_baseline is run_pipeline with four settings overridden; the reference
     # is the baseline's own loop, fed a config in which every one of them is on
