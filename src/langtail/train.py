@@ -23,8 +23,11 @@ each function), and AdamW's weights and moments stay float64; a scene's
 heads sum their feature gradients inside one float32 matmul, so one head
 keeps the one-head reference's bits and several round once more. The bank
 pass, the reclustering forwards (Ward's inputs) and predict_labels stay
-float64. A run trains on its bank as save_bank stores it (float32), as a
-run given that bank does.
+float64 and keep no cache, so they forward one row_blocks block at a time
+(the first two through backbone_features) and hold one block of hidden
+activations whatever the scene size; only a training step, whose backward
+pass reads them, keeps a whole scene's. A run trains on its bank as
+save_bank stores it (float32), as a run given that bank does.
 
 Every group mean is data_model.pool_masks: superpoint features, head
 centroids and, through the Trainer's one mask_incidence M per scene, the
@@ -241,6 +244,17 @@ def backbone_forward(b: Backbone, X):
         raise NormalizationError("backbone produced a (near-)zero output row")
     h /= norms[:, None]
     return h, {"acts": acts, "norms": norms, "Y": h}
+
+
+def backbone_features(b: Backbone, X) -> np.ndarray:
+    """backbone_forward(b, X)'s output, forwarded one row_blocks block at a
+    time into one n x C array, so a pass that keeps no cache holds one block
+    of hidden activations whatever the scene size. Its rows are a whole
+    pass's at the widths that row_blocks names."""
+    out = np.empty((len(X), b.out_dim), work_dtype(X))
+    for lo, hi in row_blocks(len(X)):
+        out[lo:hi] = backbone_forward(b, X[lo:hi])[0]
+    return out
 
 
 def backbone_backward(b: Backbone, cache, grad_out):
@@ -582,13 +596,13 @@ class Trainer:
         return b, [Y for Y, _ in out], [cache for _, cache in out]
 
     def recluster(self, feats=None) -> list[Head]:
-        """A round's heads: every scene's features (feats, else a forward pass;
-        no activations are kept) pooled per superpoint, and one sorted sample of
-        at most SAMPLE_CAP of them (all, at or below it) that every n x n stage
+        """A round's heads: every scene's features (feats, else
+        backbone_features) pooled per superpoint, and one sorted sample of at
+        most SAMPLE_CAP of them (all, at or below it) that every n x n stage
         clusters: the spectral pass if use_global is set, then build_pseudo_labels."""
         sp_feats = np.concatenate(scene_map(
             lambda s, f: dm.pool_by_superpoint(
-                backbone_forward(self.backbone, s.points)[0] if f is None else f, s.superpoints),
+                backbone_features(self.backbone, s.points) if f is None else f, s.superpoints),
             self.scenes, feats or [None] * len(self.scenes)))
         cfg, n = self.cfg, len(sp_feats)
         sample = np.sort(make_rng(cfg.seed, "ward-subsample").choice(
@@ -755,10 +769,10 @@ def run_baseline(cfg: TrainConfig, corpus_dir, out_dir):
 
 
 def build_bank(trainer: Trainer) -> tuple[SemanticBank, list]:
-    """Offline bank pass: forward every scene once, pool its features over
-    trainer.incidence, then Gram-align them to the text-embedding geometry.
-    Returns (bank, each scene's features)."""
-    feats = scene_map(lambda s: backbone_forward(trainer.backbone, s.points)[0], trainer.scenes)
+    """Offline bank pass: forward every scene once (backbone_features), pool
+    its features over trainer.incidence, then Gram-align them to the
+    text-embedding geometry. Returns (bank, each scene's features)."""
+    feats = scene_map(lambda s: backbone_features(trainer.backbone, s.points), trainer.scenes)
     F_m = aggregate_entity_features(trainer.incidence, feats, trainer.entities)
     F_e = np.stack([e.text_embedding for e in trainer.entities])
     return align_gram(F_m, F_e, entity_ids=[e.entity_id for e in trainer.entities]), feats

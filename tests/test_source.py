@@ -110,6 +110,39 @@ def test_only_row_blocks_reads_row_block(path):
     assert row_block_reads(path.read_text()) == []
 
 
+# a training step's forward (its backward pass reads the whole-scene
+# cache), backbone_features, and predict_labels's scene loop, which scores
+# each block as it is forwarded
+FORWARD_CALLERS = {"forward_scenes", "backbone_features", "label_scene"}
+
+
+def whole_forwards(source: str) -> list[str]:
+    """Each reference to backbone_forward outside FORWARD_CALLERS: a pass
+    that keeps no cache forwards through backbone_features, one row block at
+    a time, so it holds one block of hidden activations."""
+    return [where for where in references(source, "backbone_forward")
+            if where not in FORWARD_CALLERS]
+
+
+def test_whole_forwards_finds_a_leftover():
+    source = ("from .train import backbone_forward\n"
+              "class Trainer:\n"
+              "    def forward_scenes(self, idxs):\n"
+              "        return scene_map(lambda i: backbone_forward(self.b, self.x[i]), idxs)\n"
+              "    def recluster(self):\n"
+              "        return [tr.backbone_forward(self.b, s.points)[0] for s in self.scenes]\n"
+              "def backbone_features(b, X):\n    return backbone_forward(b, X)[0]\n"
+              "def build_bank(trainer):\n"
+              "    def scene(s):\n        return backbone_forward(trainer.backbone, s.points)\n"
+              "    return scene_map(scene, trainer.scenes), backbone_forward\n")
+    assert whole_forwards(source) == ["<module>", "recluster", "scene", "build_bank"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_blocked_passes_and_training_steps_call_the_forward(path):
+    assert whole_forwards(path.read_text()) == []
+
+
 def mask_reads(source: str) -> list[str]:
     """The function (or "<module>") of each read of a `.masks` attribute
     outside mask_incidence: the bank and the training anchors pool masks

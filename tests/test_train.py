@@ -237,6 +237,28 @@ def test_backbone_rejects_zero_row():
         tr.backbone_forward(b, np.ones((1, 2)))
 
 
+# one block, a one-row tail joined to the block before at B + 1 and 2B + 1
+# rows, then a scene of many blocks; at the rescue and dense workloads' widths
+@pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 1, 10000])
+@pytest.mark.parametrize("dims", [(6, [64], 32), (6, [256], 384)])
+def test_backbone_features_match_a_whole_pass(n, dims):
+    b = tr.init_backbone(*dims, seed=n)
+    X = np.random.default_rng(n).normal(size=(n, dims[0]))
+    Y = tr.backbone_features(b, X)
+    assert Y.dtype == np.float64
+    assert Y.tobytes() == tr.backbone_forward(b, X)[0].tobytes()
+
+
+def test_backbone_features_reject_a_zero_row_as_a_whole_pass_does():
+    # the zero row is in the last block
+    b = tr.Backbone(weights=[np.eye(2, 3)], biases=[np.zeros(3)])
+    X = np.ones((2 * B + 1, 2))
+    X[-1] = 0.0
+    for forward in (tr.backbone_forward, tr.backbone_features):
+        with pytest.raises(NormalizationError, match="zero output row"):
+            forward(b, X)
+
+
 def test_backbone_gradient_fd():
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -1382,6 +1404,30 @@ def test_predict_labels_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("call", ["build_bank", "recluster"])
+def test_passes_that_keep_no_cache_hold_one_block_of_activations(monkeypatch, call):
+    # one 10,000-point scene at 6 -> 256 -> 384: beside the n x C float64
+    # features (30.7 MB) the bank pass and a round's own forward hold a few
+    # blocks, each at most 513 x (256 + 384) x 8 B = 2.6 MB; a whole-scene
+    # pass also holds the n x 256 hidden layer (20.5 MB)
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
+    n, H, C = 10000, 256, 384
+    rng = np.random.default_rng(0)
+    scene = SceneBundle("s0", rng.normal(size=(n, 6)), np.arange(n) % 50)
+    entities = [EntityRecord(e, f"e{e}", rng.normal(size=8), masks=[("s0", np.arange(e, n, 7))])
+                for e in range(4)]
+    trainer = tr.Trainer([scene], entities, small_cfg(feat_dim=C, hidden_dim=H))
+    run = (lambda: tr.build_bank(trainer)) if call == "build_bank" else trainer.recluster
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < n * C * 8 + 4 * (B + 1) * (H + C) * 8, f"{peak / 2**20:.2f} MiB"
 
 
 def test_row_blocks_tile_rows_with_no_one_row_tail(monkeypatch):
