@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import cluster
 from .bank import _l2_rows
 from .data_model import write_tsv
 from .errors import ConfigError, DataError, EmptyBatchError, ShapeError
@@ -49,7 +50,8 @@ def confusion(pred, gt, n_gt=None) -> np.ndarray:
     """The (n_pred, n_gt) int64 counts: [p, g] is the number of points with
     prediction p and label g != -1, n_pred the largest prediction + 1. The
     pred * n_gt + gt codes are built in one int64 array, and pred and gt are
-    copied only to drop -1 labels."""
+    copied only to drop -1 labels. Counts that would not fit, with scoring's
+    copies, in cluster.DENSE_BUDGET_BYTES are refused before they are made."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
@@ -61,6 +63,11 @@ def confusion(pred, gt, n_gt=None) -> np.ndarray:
     n_gt = int(n_gt if n_gt is not None else (gt.max() + 1 if gt.size else 1))
     if pred.size and (pred.min() < 0 or gt.max() >= n_gt):
         raise DataError(f"labelled point with negative prediction or label >= {n_gt}")
+    # eval's peak holds 3.5 n_pred x n_gt int64 arrays by VmHWM, and match_and_score n_gt x n_gt
+    need = 8 * n_gt * (4 * n_pred + n_gt)
+    if need > cluster.DENSE_BUDGET_BYTES:
+        raise DataError(f"prediction {n_pred - 1} and label {n_gt - 1} need {need / 2**20:.0f} MiB "
+                        f"of counts, over the {cluster.DENSE_BUDGET_BYTES / 2**20:.0f} MiB budget")
     codes = pred * n_gt
     codes += gt
     counts = np.bincount(codes, minlength=n_pred * n_gt).reshape(n_pred, n_gt)

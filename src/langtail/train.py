@@ -15,19 +15,20 @@ row block, so losses and gradients are bit-identical to
 tests/oracle_heads.py's scene-by-scene loop, which takes the same products.
 
 Precision. backbone_forward, backbone_backward and head_ce_loss compute in
-work_dtype of their input; float64 input keeps float64 bits. A training
-step (warm-up or epoch) runs in float32 over float64 master weights:
-forward_scenes casts the weights once per step and forwards the Trainer's
-float32 points. Losses, gradient blocks and gradient sums are float64 (see
-each function), and AdamW's weights and moments stay float64; a scene's
-heads sum their feature gradients inside one float32 matmul, so one head
-keeps the one-head reference's bits and several round once more. The bank
-pass, the reclustering forwards (Ward's inputs) and predict_labels stay
-float64 and keep no cache, so they forward one row_blocks block at a time
-(the first two through backbone_features) and hold one block of hidden
-activations whatever the scene size; only a training step, whose backward
-pass reads them, keeps a whole scene's. A run trains on its bank as
-save_bank stores it (float32), as a run given that bank does.
+work_dtype of their input; float64 input keeps float64 bits. A training step,
+warm-up or epoch, runs in float32 over float64 master weights: forward_scenes
+casts the weights once per step and forwards the Trainer's float32 points; the
+warm-up's distill targets are float32 unit rows, normalised once per run by
+Trainer.__init__. Losses, gradient blocks and gradient sums are float64 (see
+each function), and AdamW's weights and moments stay float64; a scene's heads
+sum their feature gradients inside one float32 matmul, so one head keeps the
+one-head reference's bits and several round once more. The bank pass, the
+reclustering forwards (Ward's inputs) and predict_labels stay float64 and keep
+no cache, so they forward one row_blocks block at a time (the first two through
+backbone_features) and hold one block of hidden activations whatever the scene
+size; only a training step, whose backward pass reads them, keeps a whole
+scene's. A run trains on its bank as save_bank stores it (float32), as a run
+given that bank does.
 
 Every group mean is data_model.pool_masks: superpoint features, head
 centroids and, through the Trainer's one mask_incidence M per scene, the
@@ -36,19 +37,19 @@ M.T @ (lambda * V), V indexed by corpus entity and scaled once per step,
 added from Trainer.mask_rows (M.T's row blocks, split once per run) with a
 point's entries summed in entity order.
 
-A step is two scene_map passes. The first forwards each scene, and the
-calling thread then finds the entity anchors' gradients from those
-features. The second runs each scene's head_ce_loss and then its backward
-pass, which forms the feature gradient one row block at a time (every
-head's product, the anchors' rows, the normalisation Jacobian written
-over the forward features), so no n x C gradient is made. scene_map runs
-on the calling thread plus one pool thread per further CPU of the affinity
-set, with no setting; results are reduced in scene order on the calling
-thread, so outputs are byte-identical whatever the helper count (not the
-BLAS thread count). predict_labels spreads scenes
-the same way: a thread forwards and scores a scene one row_blocks block at a
-time into the one output array; its labels are those of whole-scene
-passes at the widths that row_blocks names.
+A step is two scene_map passes. The first forwards each scene, and the calling
+thread then finds the entity anchors' gradients from those features. The second
+runs each scene's head_ce_loss and then its backward pass, which forms the
+feature gradient one row block at a time (every head's product, the anchors'
+rows, the normalisation Jacobian written over the forward features), so no
+n x C gradient is made. A warm-up step has that shape, with distill_warmup_loss
+in head_ce_loss's place and no anchors. scene_map runs on the calling thread plus
+one pool thread per further CPU of the affinity set, with no setting; results
+are reduced in scene order on the calling thread, so outputs are byte-identical
+whatever the helper count (not the BLAS thread count). predict_labels spreads
+scenes the same way: a thread forwards and scores a scene one row_blocks block
+at a time into the one output array; its labels are those of whole-scene passes
+at the widths that row_blocks names.
 """
 
 from __future__ import annotations
@@ -76,12 +77,7 @@ from .bank import (
     sample_entity_batch,
     save_bank,
 )
-from .cluster import (
-    _sq_dists,
-    check_dense_budget,
-    check_granularities,
-    multi_granularity_labels,
-)
+from .cluster import _sq_dists, check_dense_budget, check_granularities, multi_granularity_labels
 from .errors import (
     ConfigError,
     DataError,
@@ -226,9 +222,7 @@ def backbone_forward(b: Backbone, X):
     dtype = work_dtype(X)
     X = np.asarray(X, dtype=dtype)
     if X.shape[1] != b.weights[0].shape[0]:
-        raise ShapeError(
-            f"input has {X.shape[1]} columns, backbone expects {b.weights[0].shape[0]}"
-        )
+        raise ShapeError(f"input has {X.shape[1]} columns, backbone expects {len(b.weights[0])}")
     acts = [X]  # every layer's input: all that backward reads
     h = X
     for i, (W, bias) in enumerate(zip(b.weights, b.biases)):
@@ -369,24 +363,14 @@ def head_ce_loss(features, mus, labels, n_pts=1):
     return losses, grad_mus, grad
 
 
-def distill_warmup_loss(features, targets):
-    """Mean (1 - cosine) between feature rows and target rows, with gradient."""
-    F = np.asarray(features, dtype=np.float64)
-    T = np.asarray(targets, dtype=np.float64)
-    if F.shape != T.shape:
-        raise ShapeError(f"feature shape {F.shape} != target shape {T.shape}")
-    t_norm = np.linalg.norm(T, axis=1)
-    if np.any(t_norm < 1e-12):
-        raise DataError("distill target row has zero norm")
-    That = T / t_norm[:, None]
-    f_norm = np.linalg.norm(F, axis=1)
-    if np.any(f_norm < 1e-12):
-        raise DataError("feature row has zero norm")
-    cos = (F * That).sum(axis=1) / f_norm
-    loss = float(np.mean(1.0 - cos))
-    n = F.shape[0]
-    grad = -(That / f_norm[:, None] - cos[:, None] * F / (f_norm ** 2)[:, None]) / n
-    return loss, grad
+def distill_warmup_loss(features, targets, n_pts=1):
+    """Mean over rows of 1 - f.t (1 - cosine: features and targets are unit rows), summed in
+    float64; its gradient, as head_ce_loss's, is grad(lo, hi), rows lo:hi of -targets / n_pts."""
+    if np.shape(features) != np.shape(targets):
+        raise ShapeError(f"feature shape {np.shape(features)} != target shape {np.shape(targets)}")
+    cos = np.einsum("ij,ij->i", features, targets, dtype=np.float64)
+    return (float(np.mean(1.0 - cos)),
+            lambda lo, hi: np.divide(targets[lo:hi], -n_pts, dtype=np.float64))
 
 
 def poly_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -440,9 +424,7 @@ def standardize_scenes(scenes):
     centering any two inputs that differ mainly by scale land on the same
     normalized output row. Returns (mean, std) for reuse on held-out data.
     """
-    all_pts = np.concatenate(
-        [np.asarray(s.points, dtype=np.float64) for s in scenes]
-    )
+    all_pts = np.concatenate([np.asarray(s.points, dtype=np.float64) for s in scenes])
     mu = all_pts.mean(axis=0)
     sd = all_pts.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
@@ -568,6 +550,12 @@ class Trainer:
             if width not in (None, cfg.feat_dim):
                 raise ShapeError(f"scene {s.scene_id}: distill.ltfm is {width} columns wide, "
                                  f"feat_dim {cfg.feat_dim}")
+            if width:  # unit rows, normalised once per run, in place
+                T = s.distill_targets = np.asarray(s.distill_targets, np.float32)
+                norms = np.sqrt(np.einsum("ij,ij->i", T, T, dtype=np.float64))
+                if np.any(norms < 1e-12):
+                    raise DataError(f"scene {s.scene_id}: distill.ltfm has a zero row")
+                T /= norms[:, None]
         offsets = accumulate((s.n_superpoints for s in scenes), initial=0)
         self.sp_index = [off + s.superpoints for off, s in zip(offsets, scenes)]
         self.points32 = [s.points.astype(np.float32) for s in scenes]
@@ -658,10 +646,8 @@ class Trainer:
             l_local, l_global = branch["local"], branch["global"]
             total = l_local + l_global + cfg.lambda_entity * l_entity
             if not np.isfinite(total):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {step}: "
-                    f"local={l_local} global={l_global} entity={l_entity}"
-                )
+                raise NumericError(f"non-finite loss at epoch {epoch} step {step}: "
+                                   f"local={l_local} global={l_global} entity={l_entity}")
             check_finite(head_grads)  # the backbone's are checked before it moves
             self.apply_grads(grads, lr)
             head_opt.step(head_grads, lr)
@@ -671,8 +657,9 @@ class Trainer:
                            total=float(avg[0] + avg[1] + cfg.lambda_entity * avg[2]), lr=lr)
 
     def warmup(self) -> list[float]:
-        """Distillation-only epochs on scenes that carry distill targets; each
-        epoch's loss is the mean over its batches of the batch's mean scene loss."""
+        """Distillation-only epochs on the scenes with distill targets, each step shaped
+        as train_epoch's: each scene's distill_warmup_loss runs into its backward pass,
+        weighted by points as in head_step; an epoch's loss is its batches' mean."""
         cfg = self.cfg
         batches = self.scene_batches([i for i, s in enumerate(self.scenes)
                                       if s.distill_targets is not None])
@@ -681,11 +668,15 @@ class Trainer:
             epoch_loss = 0.0
             for batch in batches:
                 b, feats, caches = self.forward_scenes(batch)
-                out = [distill_warmup_loss(f, self.scenes[i].distill_targets)
-                       for f, i in zip(feats, batch)]
-                self.apply_grads(scene_map(lambda c, g: backbone_backward(b, c, g),
-                                           caches, [g for _, g in out]), cfg.lr0)
-                epoch_loss += sum(loss for loss, _ in out) / len(batch)
+                n_pts = sum(len(f) for f in feats)
+
+                def scene(i, f, cache):
+                    loss, grad = distill_warmup_loss(f, self.scenes[i].distill_targets, n_pts)
+                    return loss * len(f), backbone_backward(b, cache, grad)
+
+                out = scene_map(scene, batch, feats, caches)
+                self.apply_grads([g for _, g in out], cfg.lr0)
+                epoch_loss += sum(loss for loss, _ in out) / n_pts
             losses.append(epoch_loss / len(batches))
         return losses
 
@@ -846,5 +837,7 @@ def load_checkpoint(path) -> dict:
                 name = raw.decode()
             except UnicodeDecodeError as e:
                 raise FormatError(f"{path}: tensor name is not UTF-8: {raw!r}") from e
+            if name in out:
+                raise FormatError(f"{path}: tensor {name!r} is listed twice")
             out[name] = dm.take(f, "<f4", 2).copy()
     return out

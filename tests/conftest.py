@@ -37,6 +37,22 @@ def assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-6):
     )
 
 
+def backbone_param_diffs(b, loss):
+    """central_diff of loss(backbone) in each weight matrix of Backbone b,
+    then in each bias vector, the other parameters held at b's."""
+    from langtail.train import Backbone
+
+    def diff(kind, i):
+        def at(v):
+            params = {"weights": list(b.weights), "biases": list(b.biases)}
+            params[kind][i] = v
+            return loss(Backbone(**params))
+
+        return central_diff(at, getattr(b, kind)[i])
+
+    return [diff(kind, i) for kind in ("weights", "biases") for i in range(len(b.weights))]
+
+
 def whole_grad(grad, n):
     """The (n, C) array of grad(lo, hi), a row-block gradient as
     head_ce_loss returns it and backbone_backward takes it, taken block by

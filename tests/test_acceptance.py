@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 import scipy
 
-from conftest import BLAS_VARS, assert_grad_close, central_diff, whole_grad
+from conftest import BLAS_VARS, assert_grad_close, backbone_param_diffs, central_diff, whole_grad
 from langtail import bank as bk
 from langtail import cluster as cl
 from langtail import data_model as dm
@@ -124,12 +124,22 @@ def test_criterion_1_gradient_suite(capfd):
             assert_grad_close(grad, central_diff(
                 lambda x: align_gram_loss(x, G)[0], F))
 
-        for _ in range(20):  # distillation cosine w.r.t. features
-            F = rng.normal(size=(5, 4))
+        for _ in range(20):  # distillation cosine through the backbone w.r.t. its parameters
+            b = tr.init_backbone(3, [5], 4, seed=int(rng.integers(10 ** 6)))
+            X = rng.normal(size=(5, 3))
             T = rng.normal(size=(5, 4))
-            _, grad = tr.distill_warmup_loss(F, T)
-            assert_grad_close(grad, central_diff(
-                lambda x: tr.distill_warmup_loss(x, T)[0], F))
+            Y, cache = tr.backbone_forward(b, X)
+            _, grad = tr.distill_warmup_loss(Y, T / np.linalg.norm(T, axis=1, keepdims=True),
+                                             n_pts=len(X))
+            gw, gb, _ = tr.backbone_backward(b, cache, grad)
+
+            def mean_cos_loss(bb):
+                Z = tr.backbone_forward(bb, X)[0]
+                return float(np.mean(1.0 - (Z * T).sum(axis=1) / (
+                    np.linalg.norm(Z, axis=1) * np.linalg.norm(T, axis=1))))
+
+            for got, want in zip(gw + gb, backbone_param_diffs(b, mean_cos_loss), strict=True):
+                assert_grad_close(got, want)
 
 
 # --- criterion 2: Ward oracle ----------------------------------------------

@@ -12,6 +12,7 @@ import scipy.linalg
 
 from conftest import append_mask_index, count_incidence_builds
 from langtail import cli
+from langtail import cluster
 from langtail import data_model as dm
 from langtail import train as tr
 from langtail.bank import BANK_FILES, load_bank
@@ -341,6 +342,56 @@ def test_cli_train_without_a_warm_up_still_reads_every_distill_file(tmp_path, ca
     assert "distill.ltfm: unexpected end of file" in caplog.text
     assert "Traceback" not in capfd.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bank", "train"])
+def test_cli_zero_distill_target_row_exits_2_before_any_work(
+        tmp_path, monkeypatch, capfd, caplog, command):
+    # the warm-up's targets are normalised once, by the Trainer, which
+    # refuses a row it cannot normalise before any forward pass or file
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--distill-dim", "8"] + SMALL_SYNTH) == 0
+    path = corpus / "scenes" / "scene0001" / "distill.ltfm"
+    targets = dm.read_feature_matrix(path)
+    targets[5] = 0.0
+    dm.write_feature_matrix(path, targets)
+    forwards = []
+    forward = tr.backbone_forward
+    monkeypatch.setattr(tr, "backbone_forward", lambda *a: forwards.append(1) or forward(*a))
+    args = SMALL_TRAIN if command == "train" else ["--feat-dim", "8", "--hidden-dim", "8"]
+    assert main([command, "--corpus", str(corpus), "--out", str(out)] + args
+                + ["--warmup-epochs", "1"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["scene scene0001: distill.ltfm has a zero row"]
+    assert "Traceback" not in capfd.readouterr().err
+    assert forwards == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("side,label,named", [("pred", 100_000, "prediction 100000 and label 7"),
+                                              ("gt", 5_000, "prediction 7 and label 5000")],
+                         ids=["pred", "gt"])
+def test_cli_scoring_refuses_counts_over_the_dense_budget(
+        tmp_path, monkeypatch, capfd, caplog, command, side, label, named):
+    # a 16-point pred file with one label of 1,000,000 used to make eval --out
+    # peak at 294 MiB and write a 30.5 MiB confusion.ltfm; a gt label of
+    # 1,000,000 failed with a MemoryError for its n_gt x n_gt merged counts
+    monkeypatch.setattr(cluster, "DENSE_BUDGET_BYTES", 1 << 20)
+    labels = {"pred": np.arange(16) % 8, "gt": np.arange(16) % 8}
+    labels[side][0] = label
+    for name, y in labels.items():
+        dm.write_labels(tmp_path / f"{name}.ltlb", y)
+    out = tmp_path / ("ev" if command == "eval" else "r.tsv")
+    args = [command, "--pred", str(tmp_path / "pred.ltlb"), "--gt", str(tmp_path / "gt.ltlb"),
+            "--out", str(out)]
+    assert main(args) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith(named), errors
+    assert "Traceback" not in capfd.readouterr().err
+    assert not out.exists()
+    labels[side][0] = 7  # 8 x 8 counts fit the same budget
+    dm.write_labels(tmp_path / f"{side}.ltlb", labels[side])
+    assert main(args) == 0 and out.exists()
 
 
 def _files(root):

@@ -143,6 +143,33 @@ def test_only_blocked_passes_and_training_steps_call_the_forward(path):
     assert whole_forwards(path.read_text()) == []
 
 
+def loss_calls(source: str) -> list[str]:
+    """Each reference to head_ce_loss or distill_warmup_loss outside a function
+    named scene, the scene_map item of head_step and of Trainer.warmup: a
+    training step runs each scene's loss straight into its backward pass."""
+    return [where for name in ("head_ce_loss", "distill_warmup_loss")
+            for where in references(source, name) if where != "scene"]
+
+
+def test_loss_calls_finds_a_leftover():
+    # the warm-up once computed every scene's loss on the calling thread
+    source = ("class Trainer:\n"
+              "    def warmup(self):\n"
+              "        b, feats, caches = self.forward_scenes(batch)\n"
+              "        out = [distill_warmup_loss(f, self.scenes[i].distill_targets)\n"
+              "               for f, i in zip(feats, batch)]\n"
+              "def head_step(feats, labels, mus, backward):\n"
+              "    def scene(j, f, y):\n"
+              "        return backward(j, head_ce_loss(f, mus, y)[2])\n"
+              "    return scene_map(scene, feats), tr.head_ce_loss\n")
+    assert loss_calls(source) == ["head_step", "warmup"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_losses_run_inside_a_scene_map_item(path):
+    assert loss_calls(path.read_text()) == []
+
+
 def mask_reads(source: str) -> list[str]:
     """The function (or "<module>") of each read of a `.masks` attribute
     outside mask_incidence: the bank and the training anchors pool masks

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     append_mask_index,
     assert_grad_close,
+    backbone_param_diffs,
     central_diff,
     count_incidence_builds,
     whole_grad,
@@ -553,6 +554,16 @@ def _entity_feature_grads(incidence, V):
     return [] if V is None else [M.T @ v for M, v in zip(incidence, V)]
 
 
+def test_entity_anchor_grads_refuse_a_collapsed_anchor():
+    # two opposite unit rows in one mask pool to a zero anchor, which has no direction
+    scene = SceneBundle("s0", np.zeros((3, 2)), np.zeros(3, dtype=np.int64))
+    e = EntityRecord(0, "e", np.ones(4), masks=[("s0", np.array([0, 2]))])
+    feats = [np.array([[0.6, 0.8], [1.0, 0.0], [-0.6, -0.8]])]
+    batch = (np.array([0]), np.array([[1.0, 0.0]]), np.ones(1))
+    with pytest.raises(NumericError, match="entity anchor collapsed to zero norm"):
+        tr._entity_anchor_grads(feats, batch, mask_incidence([scene], [e]), tau=0.1)
+
+
 def test_entity_anchor_grads_match_add_at():
     rng = np.random.default_rng(3)
     scenes = [SceneBundle(f"s{i}", np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
@@ -1013,16 +1024,54 @@ def test_outputs_do_not_depend_on_helper_threads(tmp_path, monkeypatch, run):
 
 
 def test_distill_gradient_fd():
+    # unit feature and target rows: the loss is mean(1 - f.t), whose gradient
+    # is -t / n_pts, given as row blocks
     rng = np.random.default_rng(7)
-    F = rng.normal(size=(6, 5))
-    T = rng.normal(size=(6, 5))
-    loss, grad = tr.distill_warmup_loss(F, T)
+    F, T = (X / np.linalg.norm(X, axis=1, keepdims=True) for X in rng.normal(size=(2, 6, 5)))
+    loss, grad = tr.distill_warmup_loss(F, T, n_pts=len(F))
     assert 0.0 <= loss <= 2.0
-    assert_grad_close(grad, central_diff(
+    assert loss == pytest.approx(np.mean(1.0 - (F * T).sum(axis=1)), abs=1e-15)
+    assert_grad_close(whole_grad(grad, len(F)), central_diff(
         lambda x: tr.distill_warmup_loss(x, T)[0], F))
+    # a scene of a batch: its rows of the batch's point-weighted mean
+    assert np.array_equal(whole_grad(tr.distill_warmup_loss(F, T, n_pts=10)[1], len(F)), -T / 10)
     # perfectly aligned rows give zero loss
-    l0, _ = tr.distill_warmup_loss(T * 3.0, T)
+    l0, _ = tr.distill_warmup_loss(T, T)
     assert l0 == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ShapeError):
+        tr.distill_warmup_loss(F, T[:, :4])
+
+
+def test_distill_backbone_gradient_is_the_reported_loss_gradient():
+    # a warm-up step's gradient, as Trainer.warmup forms it: each scene's
+    # distill_warmup_loss gradient over the batch's points through its own
+    # backbone_backward, summed; against float64 central differences of the
+    # batch's mean(1 - cos(backbone_forward(X), T)) in each weight and bias
+    rng = np.random.default_rng(8)
+    b = tr.init_backbone(3, [5], 4, seed=3)
+    Xs = [rng.normal(size=(n, 3)) for n in (5, 3)]
+    Ts = [rng.normal(size=(n, 4)) * 3.0 for n in (5, 3)]
+    units = [T / np.linalg.norm(T, axis=1, keepdims=True) for T in Ts]
+    n_pts = sum(len(X) for X in Xs)
+
+    def batch_loss(bb):
+        total = 0.0
+        for X, T in zip(Xs, Ts):
+            Y = tr.backbone_forward(bb, X)[0]
+            cos = (Y * T).sum(axis=1) / (np.linalg.norm(Y, axis=1) * np.linalg.norm(T, axis=1))
+            total += (1.0 - cos).sum()
+        return total / n_pts
+
+    reported, grads = 0.0, []
+    for X, T in zip(Xs, units):
+        Y, cache = tr.backbone_forward(b, X)
+        loss, grad = tr.distill_warmup_loss(Y, T, n_pts)
+        reported += loss * len(X) / n_pts
+        grads.append(tr.backbone_backward(b, cache, grad))
+    assert reported == pytest.approx(batch_loss(b), abs=1e-12)
+    summed = [sum(g[k][i] for g in grads) for k in (0, 1) for i in range(2)]  # weights, biases
+    for want, got in zip(backbone_param_diffs(b, batch_loss), summed, strict=True):
+        assert_grad_close(got, want)
 
 
 def test_poly_lr_schedule():
@@ -1238,23 +1287,82 @@ def test_warmup_uses_distill_targets(tmp_path):
     assert vals[-1] < vals[0]
 
 
-def test_warmup_reports_the_mean_of_its_batch_means(tmp_path, monkeypatch):
-    # an epoch's loss used to be the sum of its batch means (2.393 here), above
-    # the 2 that a mean of 1 - cos can reach
-    scenes, entities = _mini_corpus(tmp_path, points_per_scene=60, distill_dim=4)
+def _distill_scenes(sizes, dim=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return [SceneBundle(f"s{i}", rng.normal(size=(n, 3)), np.arange(n) % 5,
+                        rng.normal(size=(n, dim)).astype(np.float32))
+            for i, n in enumerate(sizes)]
+
+
+def test_warmup_reports_the_mean_of_its_batch_means(monkeypatch):
+    # an epoch's loss used to be the sum of its batch means, above the 2 that
+    # a mean of 1 - cos can reach; a batch's loss is its scenes' point-weighted
+    # mean, over the batch's point count, as head_step's is
+    scenes = _distill_scenes([40, 70, 25])
     seen, loss = [], tr.distill_warmup_loss
 
-    def recorded(F, T):
-        out = loss(F, T)
-        seen.append(out[0])
+    def recorded(F, T, n_pts):
+        out = loss(F, T, n_pts)
+        seen.append((out[0], len(F), n_pts))
         return out
 
     monkeypatch.setattr(tr, "distill_warmup_loss", recorded)
-    trainer = tr.Trainer(scenes, entities, small_cfg(warmup_epochs=1, feat_dim=4))
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)  # seen in scene order
+    trainer = tr.Trainer(scenes, [], small_cfg(warmup_epochs=1, feat_dim=4))
     (got,) = trainer.warmup()
-    assert len(seen) == 3  # batches of 2 and 1 scenes
-    assert got == ((seen[0] + seen[1]) / 2 + seen[2]) / 2
+    assert [(n, n_pts) for _, n, n_pts in seen] == [(40, 110), (70, 110), (25, 25)]
+    (l0, _, _), (l1, _, _), (l2, _, _) = seen
+    assert got == (sum([l0 * 40, l1 * 70]) / 110 + sum([l2 * 25]) / 25) / 2
     assert 0 <= got <= 2
+
+
+def test_trainer_normalises_distill_targets_once_in_place():
+    # one float32 copy of the targets, unit rows, normalised by __init__ and
+    # by no step; a run without a warm-up leaves them as read
+    scenes = _distill_scenes([30, 20], seed=1)
+    raw = [s.distill_targets.copy() for s in scenes]
+    tr.Trainer(scenes, [], small_cfg(feat_dim=4))
+    assert all(np.array_equal(s.distill_targets, T) for s, T in zip(scenes, raw))
+    held = [s.distill_targets for s in scenes]
+    trainer = tr.Trainer(scenes, [], small_cfg(warmup_epochs=2, feat_dim=4))
+    for s, T, h in zip(scenes, raw, held):
+        assert s.distill_targets is h and h.dtype == np.float32
+        assert np.allclose(h, T / np.linalg.norm(T, axis=1, keepdims=True), atol=1e-7)
+    unit = [h.copy() for h in held]
+    trainer.warmup()
+    assert all(np.array_equal(h, u) for h, u in zip(held, unit))
+
+
+def test_trainer_refuses_a_zero_distill_target_row():
+    scenes = _distill_scenes([30, 20], seed=2)
+    scenes[1].distill_targets[7] = 0.0
+    with pytest.raises(DataError, match="scene s1: distill.ltfm has a zero row"):
+        tr.Trainer(scenes, [], small_cfg(warmup_epochs=1, feat_dim=4))
+    tr.Trainer(scenes, [], small_cfg(warmup_epochs=0, feat_dim=4))  # read only by a warm-up
+
+
+def test_warmup_peak_memory_is_at_most_an_epoch_step(tmp_path, monkeypatch):
+    # 2 scenes of 10,000 points, 6 -> 256 -> 384, 384-wide targets, one
+    # batch. Both steps hold the batch's float32 forward caches; the warm-up
+    # used to add whole-scene float64 copies of features and targets and a
+    # four-term n x C gradient (254.7 against the epoch's 62.5 MiB)
+    monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
+    scenes, entities = _mini_corpus(tmp_path, points_per_scene=10000, n_scenes=2,
+                                    distill_dim=384)
+    trainer = tr.Trainer(scenes, entities, small_cfg(feat_dim=384, hidden_dim=256,
+                                                     warmup_epochs=1, epochs=1))
+    heads = trainer.recluster()
+    head_opt = tr.AdamW([h.centroids for h in heads])
+    peaks = []
+    for run in (trainer.warmup, lambda: trainer.train_epoch(heads, head_opt, 0)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
 def test_baseline_matches_degenerate_pipeline(tmp_path):
@@ -1352,6 +1460,18 @@ def test_checkpoint_bad_name_utf8(tmp_path):
     path, data = _saved_checkpoint(tmp_path)
     path.write_bytes(data[:24] + b"\xff" + data[25:])
     with pytest.raises(FormatError, match="UTF-8"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_tensor_name_listed_twice(tmp_path):
+    # the later tensor used to win silently
+    path = tmp_path / "c.ltck"
+    with dm.writing(path, dm.CHECKPOINT_MAGIC) as f:
+        dm.put(f, 2, "<u8")
+        for value in (1.0, 2.0):
+            dm.put(f, np.frombuffer(b"backbone/layer0/bias", "u1"), "u1")
+            dm.put(f, np.full((1, 3), value), "<f4")
+    with pytest.raises(FormatError, match="'backbone/layer0/bias' is listed twice"):
         tr.load_checkpoint(path)
 
 
