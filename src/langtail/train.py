@@ -37,19 +37,20 @@ M.T @ (lambda * V), V indexed by corpus entity and scaled once per step,
 added from Trainer.mask_rows (M.T's row blocks, split once per run) with a
 point's entries summed in entity order.
 
-A step is two scene_map passes. The first forwards each scene, and the calling
-thread then finds the entity anchors' gradients from those features. The second
-runs each scene's head_ce_loss and then its backward pass, which forms the
-feature gradient one row block at a time (every head's product, the anchors'
-rows, the normalisation Jacobian written over the forward features), so no
-n x C gradient is made. A warm-up step has that shape, with distill_warmup_loss
-in head_ce_loss's place and no anchors. scene_map runs on the calling thread plus
-one pool thread per further CPU of the affinity set, with no setting; results
-are reduced in scene order on the calling thread, so outputs are byte-identical
-whatever the helper count (not the BLAS thread count). predict_labels spreads
-scenes the same way: a thread forwards and scores a scene one row_blocks block
-at a time into the one output array; its labels are those of whole-scene passes
-at the widths that row_blocks names.
+Trainer.step is the one training step, of the warm-up and of every epoch: two
+scene_map passes. The first forwards each scene, and the calling thread then
+finds the entity anchors' gradients from those features (epochs only). The
+second runs each scene's loss (head_ce_loss in an epoch, distill_warmup_loss in
+the warm-up) and then its backward pass, which forms the feature gradient one
+row block at a time (the loss's rows, the anchors' rows, the normalisation
+Jacobian written over the forward features), so no n x C gradient is made.
+scene_map runs on the calling thread plus one pool thread per further CPU of
+the affinity set, with no setting; results are reduced in scene order on the
+calling thread, so outputs are byte-identical whatever the helper count (not
+the BLAS thread count). predict_labels spreads scenes the same way: a thread
+forwards and scores a scene one row_blocks block at a time into the one output
+array; its labels are those of whole-scene passes at the widths that
+row_blocks names.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def backbone_backward(b: Backbone, cache, grad_out):
 
 def head_ce_loss(features, mus, labels, n_pts=1):
     """Cross-entropy of several linear heads on the same feature rows: one
-    scene's head work in head_step.
+    scene's head work.
 
     Head h has logits features @ mus[h].T and labels[h] in [0, len(mus[h]))
     for every row; its loss is the mean cross-entropy over the rows. The
@@ -499,39 +500,6 @@ def _entity_anchor_grads(features_per_scene, bank_sample, incidence, tau):
     return loss, V, len(anchors)
 
 
-def head_step(feats, labels, mus, backward):
-    """Head cross-entropy of one batch of scenes, and each scene's backward
-    pass: one scene_map item per scene, head_ce_loss then backward.
-
-    feats[j] are scene j's features and labels[j][h] its labels for head h,
-    one in [0, k_h) per point; mus[h] are head h's k_h centroids. Losses
-    and gradients are means over the batch's points, each scene's mean
-    weighted by its point count. backward(j, grad) runs in scene j's work on
-    head_ce_loss's grad, already divided by the batch's point count. Returns
-    (loss per head, backward's result per scene, centroid gradient per head).
-    The heads run in float32: the training step's float32 features as they
-    are (other features are cast in each scene's work), and head_ce_loss
-    stacks the centroids in float32. So a thread adds its scene's softmax
-    buffer, then grad's blocks.
-    """
-    n_pts = sum(f.shape[0] for f in feats)
-
-    def scene(j, f, y):
-        losses, gmus, grad = head_ce_loss(f.astype(np.float32, copy=False), mus, y, n_pts)
-        return losses, gmus, backward(j, grad)
-
-    out = scene_map(scene, range(len(feats)), feats, labels)
-    loss_sums = [0.0] * len(mus)
-    head_grads = [np.zeros_like(mu) for mu in mus]
-    for f, (losses, gmus, _) in zip(feats, out):
-        for h, (loss, gmu) in enumerate(zip(losses, gmus)):
-            loss_sums[h] += loss * f.shape[0]
-            head_grads[h] += gmu * f.shape[0]
-    for g in head_grads:
-        g /= n_pts
-    return [s / n_pts for s in loss_sums], [r for _, _, r in out], head_grads
-
-
 class Trainer:
     """The run's whole carried state. Heads and their AdamW are rebuilt each
     round, a step's lr is poly_lr of (epoch, step), and every draw comes from a
@@ -583,6 +551,50 @@ class Trainer:
         out = scene_map(lambda i: backbone_forward(b, self.points32[i]), idxs)
         return b, [Y for Y, _ in out], [cache for _, cache in out]
 
+    def step(self, idxs, scene, sample=None):
+        """The one training step, of the warm-up and of every epoch, on scenes
+        idxs: forward_scenes, then, given sample (sample_entity_batch's), the
+        entity anchors' gradients V on this thread, scaled by lambda_entity once.
+        One scene_map item per scene i runs scene(i, features, n_pts) ->
+        (losses, arrays, grad), n_pts the batch's point count, then
+        backbone_backward on grad's rows plus mask_rows[i] @ V[j] in each row
+        block, j the scene's place in idxs.
+
+        Returns (the point-weighted mean of each loss and of each array, the
+        entity loss, each scene's backward result). A mean is one left fold in
+        scene order, each scene's value times its point count, from 0.0 or
+        float64 zeros, over n_pts; not sum(), which compensates from 3.12."""
+        b, feats, caches = self.forward_scenes(idxs)
+        n_pts = sum(len(f) for f in feats)
+        l_entity, V = 0.0, None
+        if sample is not None:
+            l_entity, V, _ = _entity_anchor_grads(
+                feats, sample, [self.incidence[i] for i in idxs], self.cfg.tau)
+            if V is not None:
+                V = self.cfg.lambda_entity * V  # scaled once, not in every row block
+
+        def item(j, i, f, cache):
+            losses, arrays, grad = scene(i, f, n_pts)
+
+            def grad_out(lo, hi):  # plus M.T @ (lambda * V[j]) in rows lo:hi
+                g = grad(lo, hi)
+                if V is not None:
+                    g += self.mask_rows[i][lo, hi] @ V[j]
+                return g
+
+            return losses, arrays, backbone_backward(b, cache, grad_out)
+
+        out = scene_map(item, range(len(idxs)), idxs, feats, caches)
+        losses, arrays = [0.0] * len(out[0][0]), [np.zeros(a.shape) for a in out[0][1]]
+        for f, (scene_losses, scene_arrays, _) in zip(feats, out):
+            for h, loss in enumerate(scene_losses):
+                losses[h] += loss * len(f)
+            for total, a in zip(arrays, scene_arrays):
+                total += a * len(f)
+        for total in arrays:
+            total /= n_pts
+        return [s / n_pts for s in losses], arrays, l_entity, [g for _, _, g in out]
+
     def recluster(self, feats=None) -> list[Head]:
         """A round's heads: every scene's features (feats, else
         backbone_features) pooled per superpoint, and one sorted sample of at
@@ -609,37 +621,24 @@ class Trainer:
     def train_epoch(self, heads, head_opt, epoch: int) -> EpochReport:
         """One pass over the corpus, step s of n at poly_lr(epoch * n + s, epochs * n),
         with the entity loss if self.bank is set; returns the batch-averaged
-        loss report, whose lr is the last step's. A step forwards its scenes,
-        then runs head_step into backward passes, all in float32 (see
-        forward_scenes); neither optimizer moves before the step's loss and
-        both optimizers' gradients are known to be finite."""
+        loss report, whose lr is the last step's. Each step is a Trainer.step
+        of every head's head_ce_loss, the heads' losses and centroid gradients
+        its means; neither optimizer moves before the step's loss and both
+        optimizers' gradients are known to be finite."""
         cfg, bank = self.cfg, self.bank
         sums = np.zeros(3)
         batches = self.scene_batches()
+        mus = [h.centroids for h in heads]
+
+        def scene(i, f, n_pts):
+            return head_ce_loss(f, mus, [h.sp_labels[self.sp_index[i]] for h in heads], n_pts)
+
         for step, idxs in enumerate(batches):
             lr = poly_lr(epoch * len(batches) + step, cfg.epochs * len(batches), cfg)
-            b, feats, caches = self.forward_scenes(idxs)
-            l_entity, V = 0.0, None
-            if bank is not None:
-                sample = sample_entity_batch(bank, min(cfg.entity_batch, bank.B.shape[0]),
-                                             stream_key(cfg.seed, "entity", epoch, step))
-                l_entity, V, _ = _entity_anchor_grads(
-                    feats, sample, [self.incidence[i] for i in idxs], cfg.tau)
-                if V is not None:
-                    V = cfg.lambda_entity * V  # scaled once, not in every row block
-
-            def backward(j, head_grad):
-                def grad(lo, hi):  # plus M.T @ (lambda * V[j]) in rows lo:hi
-                    g = head_grad(lo, hi)
-                    if V is not None:
-                        g += self.mask_rows[idxs[j]][lo, hi] @ V[j]
-                    return g
-
-                return backbone_backward(b, caches[j], grad)
-
-            losses, grads, head_grads = head_step(
-                feats, [[h.sp_labels[self.sp_index[i]] for h in heads] for i in idxs],
-                [h.centroids for h in heads], backward)
+            sample = None if bank is None else sample_entity_batch(
+                bank, min(cfg.entity_batch, bank.B.shape[0]),
+                stream_key(cfg.seed, "entity", epoch, step))
+            losses, head_grads, l_entity, grads = self.step(idxs, scene, sample)
             branch = {"local": 0.0, "global": 0.0}  # not sum(): 3.12+ sum() compensates
             for h, loss in zip(heads, losses):
                 branch[h.branch] += loss
@@ -657,26 +656,24 @@ class Trainer:
                            total=float(avg[0] + avg[1] + cfg.lambda_entity * avg[2]), lr=lr)
 
     def warmup(self) -> list[float]:
-        """Distillation-only epochs on the scenes with distill targets, each step shaped
-        as train_epoch's: each scene's distill_warmup_loss runs into its backward pass,
-        weighted by points as in head_step; an epoch's loss is its batches' mean."""
+        """Distillation-only epochs on the scenes with distill targets, each
+        step a Trainer.step of distill_warmup_loss at lr0; an epoch's loss is
+        its batches' mean."""
         cfg = self.cfg
         batches = self.scene_batches([i for i, s in enumerate(self.scenes)
                                       if s.distill_targets is not None])
+
+        def scene(i, f, n_pts):
+            loss, grad = distill_warmup_loss(f, self.scenes[i].distill_targets, n_pts)
+            return [loss], [], grad
+
         losses = []
         for _ in range(cfg.warmup_epochs if batches else 0):
             epoch_loss = 0.0
             for batch in batches:
-                b, feats, caches = self.forward_scenes(batch)
-                n_pts = sum(len(f) for f in feats)
-
-                def scene(i, f, cache):
-                    loss, grad = distill_warmup_loss(f, self.scenes[i].distill_targets, n_pts)
-                    return loss * len(f), backbone_backward(b, cache, grad)
-
-                out = scene_map(scene, batch, feats, caches)
-                self.apply_grads([g for _, g in out], cfg.lr0)
-                epoch_loss += sum(loss for loss, _ in out) / n_pts
+                (loss,), _, _, grads = self.step(batch, scene)
+                self.apply_grads(grads, cfg.lr0)
+                epoch_loss += loss
             losses.append(epoch_loss / len(batches))
         return losses
 

@@ -7,9 +7,10 @@ softmax on its own columns, then one centroid-gradient product per scene
 and one feature-gradient product per row block. Both follow langtail.train's
 arithmetic: the dtype follows the features (float32 stays float32, anything
 else is float64), the softmax is one exp of the logits less their row
-maximum divided by float64 row sums, and the step casts features and
-centroids to float32 and divides the feature gradient in float64.
-langtail.train.head_step must reproduce reference_head_step's losses and
+maximum divided by float64 row sums, a training step's features are float32
+(this reference casts them), the centroids are cast to float32, and the
+feature gradient is divided in float64. langtail.train.Trainer.step, given
+each scene's head_ce_loss, must reproduce reference_head_step's losses and
 gradients exactly, and with one head those of reference_head_ce.
 """
 
@@ -47,7 +48,9 @@ def reference_head_ce(features, mu, labels):
 
 
 def reference_head_step(feats, labels, mus):
-    """Same contract as langtail.train.head_step, one whole scene at a time."""
+    """A training step's head work, one whole scene at a time: (the batch's
+    loss per head, each scene's feature gradient over the batch's points, the
+    batch's centroid gradient per head), each a mean weighted by point count."""
     n_pts = sum(f.shape[0] for f in feats)
     MU = np.concatenate([mu.astype(np.float32) for mu in mus])
     starts = np.cumsum([0] + [len(mu) for mu in mus])

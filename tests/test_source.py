@@ -145,8 +145,8 @@ def test_only_blocked_passes_and_training_steps_call_the_forward(path):
 
 def loss_calls(source: str) -> list[str]:
     """Each reference to head_ce_loss or distill_warmup_loss outside a function
-    named scene, the scene_map item of head_step and of Trainer.warmup: a
-    training step runs each scene's loss straight into its backward pass."""
+    named scene, the per-scene loss that train_epoch and Trainer.warmup hand
+    Trainer.step, whose scene_map item runs it straight into its backward pass."""
     return [where for name in ("head_ce_loss", "distill_warmup_loss")
             for where in references(source, name) if where != "scene"]
 
@@ -168,6 +168,38 @@ def test_loss_calls_finds_a_leftover():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_losses_run_inside_a_scene_map_item(path):
     assert loss_calls(path.read_text()) == []
+
+
+def backward_calls(source: str) -> list[str]:
+    """Each reference to backbone_backward outside a function named item,
+    Trainer.step's scene_map item: every training step, warm-up or epoch,
+    runs each scene's backward pass there, so the step is coded once."""
+    return [where for where in references(source, "backbone_backward") if where != "item"]
+
+
+def test_backward_calls_finds_a_leftover():
+    # the warm-up and the epochs once each coded their own step
+    source = ("def backbone_backward(b, cache, grad_out):\n    return grad_out\n"
+              "class Trainer:\n"
+              "    def step(self, idxs, scene):\n"
+              "        def item(j, i, f, cache):\n"
+              "            return backbone_backward(self.b, cache, scene(i, f)[2])\n"
+              "        return scene_map(item, range(len(idxs)), idxs)\n"
+              "    def train_epoch(self, heads, head_opt, epoch):\n"
+              "        def backward(j, head_grad):\n"
+              "            return backbone_backward(b, caches[j], head_grad)\n"
+              "        return head_step(feats, labels, mus, backward)\n"
+              "    def warmup(self):\n"
+              "        def scene(i, f, cache):\n"
+              "            loss, grad = distill_warmup_loss(f, self.scenes[i].distill_targets)\n"
+              "            return loss * len(f), backbone_backward(b, cache, grad)\n"
+              "        return scene_map(scene, batch, feats, caches)\n")
+    assert backward_calls(source) == ["backward", "scene"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_training_step_runs_the_backward(path):
+    assert backward_calls(path.read_text()) == []
 
 
 def mask_reads(source: str) -> list[str]:

@@ -408,31 +408,62 @@ def test_head_ce_dtype_follows_features():
     assert head_ce(F.astype(np.int64), mus, labels)[2][0].dtype == np.float64
 
 
+def _step_trainer(monkeypatch, b, feats, caches):
+    """A hand-built Trainer of one-point scenes whose forward_scenes returns
+    (b, feats, caches)."""
+    scenes = [SceneBundle(f"s{j}", np.zeros((1, 2)), np.zeros(1, np.int64))
+              for j in range(len(feats))]
+    trainer = tr.Trainer(scenes, [], small_cfg())
+    monkeypatch.setattr(trainer, "forward_scenes", lambda idxs: (b, feats, caches))
+    return trainer
+
+
+def _head_step(trainer, labels, mus):
+    """trainer.step of head_ce_loss on every scene: (loss per head,
+    backbone_backward's result per scene, centroid gradient per head)."""
+    losses, gmus, _, out = trainer.step(
+        list(range(len(labels))), lambda i, f, n_pts: tr.head_ce_loss(f, mus, labels[i], n_pts))
+    return losses, out, gmus
+
+
+def _head_step_grads(monkeypatch, feats, labels, mus):
+    """_head_step on the float32 cast of feats, each scene's backward pass
+    replaced by its whole feature gradient."""
+    monkeypatch.setattr(tr, "backbone_backward", lambda b, n, grad: whole_grad(grad, n))
+    trainer = _step_trainer(monkeypatch, None, [f.astype(np.float32) for f in feats],
+                            [len(f) for f in feats])
+    return _head_step(trainer, labels, mus)
+
+
 def test_head_step_peak_memory(monkeypatch):
     # 2 scenes x 4,000 x 384, heads 120/80/20 on both branches, run serially,
-    # each scene's gradient left unread. The peak measured 1.48 n x C float64
-    # arrays: scene 1's float32 features (0.5), every head's softmax (n x 440
-    # float32, 0.57), the one float64 gradient block and the float32 product
-    # (0.19), and the stacked float32 centroids, their gradients and the
-    # float64 sums (0.2). Holding scene 0's softmaxes (+0.57) or an n x C
-    # float32 buffer (+0.5) exceeds 1.8.
+    # each scene's gradient left unread. The step's float32 features are made
+    # before the count, as a forward pass makes them, and only Trainer.step is
+    # counted. The peak measured 0.98 n x C float64 arrays: every head's
+    # softmax (n x 440 float32, 0.57), the one float64 gradient block and the
+    # float32 product (0.19), and the stacked float32 centroids, their
+    # gradients and the float64 sums (0.2). Holding scene 0's softmaxes
+    # (+0.57) or an n x C float32 buffer (+0.5) exceeds 1.3.
     monkeypatch.setattr(tr, "SCENE_HELPERS", 0)
+    monkeypatch.setattr(tr, "backbone_backward", lambda b, cache, grad: None)
     ks = (120, 80, 20, 120, 80, 20)
     feats, labels, mus = _head_case(4, (4000, 4000), 384, ks, 0.0)
+    trainer = _step_trainer(monkeypatch, None, [f.astype(np.float32) for f in feats],
+                            [None, None])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tr.head_step(feats, labels, mus, lambda j, grad: None)
+        _head_step(trainer, labels, mus)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 1.8 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
+    assert peak < 1.3 * feats[0].nbytes, f"{peak / 2**20:.1f} MiB"
 
 
 def test_scene_step_peak_memory(monkeypatch):
     # one scene's float32 training step at the paper's widths: 4,000 rows,
     # 256 hidden units, 384 outputs, heads 120/80/20 on both branches,
-    # head_step into backbone_backward. The peak measured 1.05 n x C float64
+    # Trainer.step into backbone_backward. The peak measured 1.05 n x C float64
     # arrays: every head's softmax (n x 440 float32, 0.57), the one float64
     # gradient block and the float32 product (0.19), a block's float32 cast
     # (0.06), the ReLU mask (0.08) and the centroids' copies and gradients.
@@ -446,10 +477,11 @@ def test_scene_step_peak_memory(monkeypatch):
     Y, cache = tr.backbone_forward(b, rng.normal(size=(4000, 6)).astype(np.float32))
     labels = [rng.integers(0, k, size=len(Y)) for k in ks]
     mus = [rng.normal(size=(k, 384)) for k in ks]
+    trainer = _step_trainer(monkeypatch, b, [Y], [cache])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tr.head_step([Y], [labels], mus, lambda j, grad: tr.backbone_backward(b, cache, grad))
+        _head_step(trainer, [labels], mus)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -507,11 +539,11 @@ HEAD_CASES = [
 
 
 @pytest.mark.parametrize("sizes,dim,ks,branches,skew", HEAD_CASES)
-def test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew):
-    # branches names each head's branch, as the ids show; head_step's losses
+def test_head_step_matches_per_head_reference(monkeypatch, sizes, dim, ks, branches, skew):
+    # branches names each head's branch, as the ids show; the step's losses
     # are per head, and train_epoch sums a branch's in head order
     feats, labels, mus = _head_case(len(sizes) * 7 + dim, sizes, dim, ks, skew)
-    got = tr.head_step(feats, labels, mus, lambda j, grad: whole_grad(grad, sizes[j]))
+    got = _head_step_grads(monkeypatch, feats, labels, mus)
     want = reference_head_step(feats, labels, mus)
     assert got[0] == want[0] and len(got[0]) == len(branches)
     for g, w in zip(got[1] + got[2], want[1] + want[2]):
@@ -524,19 +556,19 @@ def test_head_step_in_7_row_blocks_matches_per_head_reference(monkeypatch, sizes
     # many blocks per scene, short last blocks and one-row tails (50 rows)
     # joined to the block before
     monkeypatch.setattr(ev, "ROW_BLOCK", 7)
-    test_head_step_matches_per_head_reference(sizes, dim, ks, branches, skew)
+    test_head_step_matches_per_head_reference(monkeypatch, sizes, dim, ks, branches, skew)
 
 
 @pytest.mark.parametrize("row_block", [None, 7])
 @pytest.mark.parametrize("sizes,dim,k", [((40,), 6, 1), ((900, 1100), 24, 20),
                                          ((2000, 2000, 513), 32, 20)])
 def test_one_head_step_is_the_one_head_reference(monkeypatch, row_block, sizes, dim, k):
-    # the baseline's path: with one head, head_step's losses and gradients are
+    # the baseline's path: with one head, the step's losses and gradients are
     # reference_head_ce's of each scene, weighted by its point count, bit for bit
     if row_block:
         monkeypatch.setattr(ev, "ROW_BLOCK", row_block)
     feats, labels, mus = _head_case(k, sizes, dim, (k,), 0.2)
-    got = tr.head_step(feats, labels, mus, lambda j, grad: whole_grad(grad, sizes[j]))
+    got = _head_step_grads(monkeypatch, feats, labels, mus)
     n_pts = sum(sizes)
     loss, gmu = 0.0, np.zeros_like(mus[0])
     for j, f in enumerate(feats):
@@ -1018,7 +1050,7 @@ def test_outputs_do_not_depend_on_helper_threads(tmp_path, monkeypatch, run):
         train_fn(cfg, tmp_path / "corpus", tmp_path / f"h{helpers}")
     rels = ["checkpoint.ltck", "losses.tsv", "prototypes.ltfm", "pred.ltlb"]
     if run == "pipeline":
-        rels += ["bank/bank_aligned.ltfm", "bank/trace.tsv"]
+        rels += ["bank/bank_aligned.ltfm", "bank/trace.tsv", "warmup.tsv"]
     for rel in rels:
         assert (tmp_path / "h0" / rel).read_bytes() == (tmp_path / "h1" / rel).read_bytes(), rel
 
@@ -1297,7 +1329,7 @@ def _distill_scenes(sizes, dim=4, seed=0):
 def test_warmup_reports_the_mean_of_its_batch_means(monkeypatch):
     # an epoch's loss used to be the sum of its batch means, above the 2 that
     # a mean of 1 - cos can reach; a batch's loss is its scenes' point-weighted
-    # mean, over the batch's point count, as head_step's is
+    # mean, over the batch's point count, as an epoch step's is
     scenes = _distill_scenes([40, 70, 25])
     seen, loss = [], tr.distill_warmup_loss
 
@@ -1314,6 +1346,18 @@ def test_warmup_reports_the_mean_of_its_batch_means(monkeypatch):
     (l0, _, _), (l1, _, _), (l2, _, _) = seen
     assert got == (sum([l0 * 40, l1 * 70]) / 110 + sum([l2 * 25]) / 25) / 2
     assert 0 <= got <= 2
+
+
+def test_warmup_loss_is_a_left_fold_of_its_scenes(monkeypatch):
+    # ten one-point scenes in one batch, each reporting 0.1: the batch's loss
+    # is 0.0 + 0.1 + ... + 0.1 left to right, over 10, as train_epoch's is, on
+    # any Python; sum() of floats compensates from 3.12 and gives fsum's 1.0
+    monkeypatch.setattr(tr, "distill_warmup_loss",
+                        lambda F, T, n_pts: (0.1, lambda lo, hi: np.zeros((hi - lo, F.shape[1]))))
+    trainer = tr.Trainer(_distill_scenes([1] * 10), [],
+                         small_cfg(warmup_epochs=1, feat_dim=4, batch_scenes=10))
+    (got,) = trainer.warmup()
+    assert got == 0.9999999999999999 / 10
 
 
 def test_trainer_normalises_distill_targets_once_in_place():
